@@ -95,12 +95,21 @@ impl CampaignSpec {
     }
 
     /// Materializes the job list: builds each selected workload once and
-    /// crosses it with the models and variants.
+    /// crosses it with the models and variants. Sampled bundles are built
+    /// one after another on the calling thread; [`CampaignSpec::run`]
+    /// builds them on `RunOptions::jobs` threads instead.
     ///
     /// # Errors
     ///
-    /// If a kernel filter names an unknown workload.
+    /// If a kernel filter names an unknown workload, or a sampled
+    /// bundle fails to build.
     pub fn jobs(&self) -> Result<Vec<JobSpec>, String> {
+        self.jobs_on(1)
+    }
+
+    /// [`CampaignSpec::jobs`] with the sampled bundles built on up to
+    /// `workers` threads.
+    fn jobs_on(&self, workers: usize) -> Result<Vec<JobSpec>, String> {
         // Duplicate variant labels would silently collide in artifacts,
         // reports and the sweep table — reject them up front.
         for (i, (label, _)) in self.variants.iter().enumerate() {
@@ -123,30 +132,34 @@ impl CampaignSpec {
                 }
             }
         }
+        // One program image + plan cache per workload, shared by every
+        // (model × variant) job that runs it.
+        let selected: Vec<_> = all
+            .into_iter()
+            .filter(|w| self.kernels.as_ref().is_none_or(|f| f.iter().any(|n| n == w.name)))
+            .map(|w| (w.name, w.suite, crate::job::PlannedImage::new(Arc::new(w.program))))
+            .collect();
+        // When sampling, also one bundle per workload (profile +
+        // clustering + checkpoints): profile once, simulate every model
+        // from the same checkpoints. The builds are independent, so they
+        // run side by side; an unsampled campaign skips this phase and
+        // spawns no threads.
+        let bundles = match self.sampling {
+            Some(s) => pool::map_ordered(&selected, workers, |_, (_, _, image)| {
+                crate::sampled::build_bundle(&image.program, s).map(Some)
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, String>>()?,
+            None => vec![None; selected.len()],
+        };
         let mut jobs = Vec::new();
-        for w in all {
-            if let Some(filter) = &self.kernels {
-                if !filter.iter().any(|n| n == w.name) {
-                    continue;
-                }
-            }
-            // One program image + plan cache per workload, shared by
-            // every (model × variant) job that runs it — and, when
-            // sampling, one bundle (profile + clustering + checkpoints):
-            // profile once, simulate every model from the same
-            // checkpoints.
-            let image = crate::job::PlannedImage::new(Arc::new(w.program));
-            let bundle = match self.sampling {
-                Some(s) => Some(crate::sampled::build_bundle(&image.program, s)?),
-                None => None,
-            };
+        for ((name, suite, image), bundle) in selected.iter().zip(&bundles) {
             for &model in &self.models {
                 for (label, patch) in &self.variants {
                     let mut cfg = CoreConfig::new(model);
                     patch.apply(&mut cfg);
-                    let mut job =
-                        JobSpec::new(w.name, w.suite, model, self.scale, label, cfg, &image);
-                    if let (Some(s), Some(b)) = (self.sampling, &bundle) {
+                    let mut job = JobSpec::new(name, *suite, model, self.scale, label, cfg, image);
+                    if let (Some(s), Some(b)) = (self.sampling, bundle) {
                         job = job.sampled(SamplingSpec { sampling: s, bundle: Arc::clone(b) });
                     }
                     jobs.push(job);
@@ -165,7 +178,9 @@ impl CampaignSpec {
     /// filter, or an unreadable cache artifact.
     pub fn run(&self, opts: &RunOptions) -> Result<Campaign, String> {
         let start = Instant::now();
-        let specs = self.jobs()?;
+        // Bundles are built here, before the job pool starts, so no job's
+        // claimed→finished window includes bundle time.
+        let specs = self.jobs_on(opts.jobs)?;
         let build_s = start.elapsed().as_secs_f64();
 
         let cache_start = Instant::now();
@@ -333,7 +348,8 @@ impl Default for RunOptions {
 /// Zero for artifacts written before the breakdown existed.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageWall {
-    /// Building the job list (workload generation + assembly).
+    /// Building the job list (workload generation + assembly, and the
+    /// sampled bundles when sampling).
     pub build_s: f64,
     /// Scanning the digest cache.
     pub cache_s: f64,

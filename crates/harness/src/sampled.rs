@@ -130,16 +130,23 @@ pub fn record_bundle(bundle: &SampledBundle, build_wall_s: f64) {
     m.intervals_profiled.add(bundle.plan.total_intervals);
     m.checkpoint_bytes.add(bundle.checkpoint_bytes());
     if build_wall_s > 0.0 {
-        // Two functional passes (profile + capture) cover the program;
-        // the budget they consume is what sampling saves downstream.
-        let emulated = bundle.plan.total_insns.saturating_mul(2);
-        m.ff_mips.observe((emulated as f64 / build_wall_s / 1e6) as u64);
+        m.ff_mips.observe((emulated_insns(bundle) as f64 / build_wall_s / 1e6) as u64);
     }
+}
+
+/// Instructions the two functional passes of a bundle build emulate: the
+/// profile runs the whole program, the capture pass stops at the last
+/// checkpoint boundary.
+fn emulated_insns(bundle: &SampledBundle) -> u64 {
+    let captured = bundle.checkpoints.last().map_or(0, |c| c.result.retired);
+    bundle.profile_result.retired + captured
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dmdp_isa::{Checkpoint, RunResult};
+    use dmdp_sample::{Representative, SamplePlan};
 
     #[test]
     fn digest_separates_knobs_and_images() {
@@ -153,6 +160,34 @@ mod tests {
         assert_ne!(s1.bundle_digest(&a), s3.bundle_digest(&a));
         assert_ne!(s1.bundle_digest(&a), s1.bundle_digest(&b));
         assert_eq!(s1.digest_suffix(), "sampled:1000:1");
+    }
+
+    #[test]
+    fn emulated_insns_stop_at_the_last_checkpoint() {
+        // A long run whose only representative sits early: capture
+        // emulates 4 000 instructions, not the whole 100 000 again.
+        let ckpt = |retired| Checkpoint {
+            pc: 0,
+            regs: [0; 32],
+            result: RunResult { retired, ..RunResult::default() },
+            pages: Vec::new(),
+            warm_lines: Vec::new(),
+            warm_branches: Vec::new(),
+        };
+        let bundle = SampledBundle {
+            warmup_intervals: 1,
+            warmup_insns: 1_000,
+            plan: SamplePlan {
+                interval_insns: 1_000,
+                total_intervals: 100,
+                total_insns: 100_000,
+                k: 1,
+                reps: vec![Representative { interval: 5, weight: 1.0, cluster_size: 100 }],
+            },
+            checkpoints: vec![ckpt(4_000)],
+            profile_result: RunResult { retired: 100_000, ..RunResult::default() },
+        };
+        assert_eq!(emulated_insns(&bundle), 104_000);
     }
 
     #[test]

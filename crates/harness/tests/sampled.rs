@@ -88,3 +88,75 @@ fn sampled_results_are_deterministic_and_cacheable() {
     assert_eq!(c.cached, c.jobs.len());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn parallel_bundle_builds_match_serial() {
+    // `--jobs 1` builds every bundle on the calling thread; `--jobs 2`
+    // builds them side by side. The rows must not differ in any bit.
+    let spec = || {
+        CampaignSpec::new("par", Scale::Test)
+            .kernels(["gcc", "mcf", "h264ref", "lbm", "sjeng"])
+            .models([CommModel::NoSq, CommModel::Dmdp])
+            .sampled(500, 1)
+    };
+    let serial = spec().run(&RunOptions { jobs: 1, ..RunOptions::default() }).unwrap();
+    let parallel = spec().run(&RunOptions { jobs: 2, ..RunOptions::default() }).unwrap();
+    assert_eq!(serial.jobs.len(), 10);
+    assert_eq!(serial.jobs.len(), parallel.jobs.len());
+    for (a, b) in serial.jobs.iter().zip(&parallel.jobs) {
+        let what = format!("{} × {}", a.workload, a.model.name());
+        assert_eq!(a.digest, b.digest, "{what}");
+        assert_eq!(a.cycles, b.cycles, "{what}");
+        assert_eq!(a.retired_insns, b.retired_insns, "{what}");
+        assert_eq!(a.ipc.to_bits(), b.ipc.to_bits(), "{what}");
+        assert_eq!(a.intervals_total, b.intervals_total, "{what}");
+        assert_eq!(a.intervals_simulated, b.intervals_simulated, "{what}");
+    }
+}
+
+/// Digests of the sampled bundle (`SampledBundle::to_bytes`) and of the
+/// profile's interval features for a few Test-scale kernels, captured
+/// before the emulator's memory fast paths existed. A change to the
+/// profiling or capture passes that shifts a feature, a checkpoint
+/// boundary, a page or a warming hint fails here.
+#[test]
+fn bundle_bytes_are_pinned() {
+    use dmdp_harness::Digest64;
+    use dmdp_isa::Emulator;
+    use dmdp_sample::{SampleParams, SampledBundle};
+
+    // (kernel, bundle digest, feature digest)
+    const GOLDEN: [(&str, &str, &str); 4] = [
+        ("gcc", "ff1c08f307f7a044", "25d24a6324c900d7"),
+        ("mcf", "9b4ae33f091fac19", "e55cea4fa9f58a2c"),
+        ("h264ref", "647f9ea5018eac40", "3e0482aca288f137"),
+        ("lbm", "a4675cd9edec6537", "58a9a758b3e1b793"),
+    ];
+    let params = SampleParams::new(1000, 1);
+    let mut got = Vec::new();
+    for (kernel, _, _) in GOLDEN {
+        let program = dmdp_workloads::by_name(kernel, Scale::Test).unwrap().program;
+        let bundle = SampledBundle::build(&program, &params).unwrap();
+        let got_bundle = Digest64::new().write(&bundle.to_bytes()).hex();
+
+        let profile = Emulator::new(&program)
+            .profile_intervals(params.interval_insns, params.max_steps)
+            .unwrap();
+        let mut d = Digest64::new();
+        for iv in &profile.intervals {
+            for &(pc, n) in &iv.bb_counts {
+                d.write(&pc.to_le_bytes()).write(&n.to_le_bytes());
+            }
+            for b in iv.dep_buckets {
+                d.write(&b.to_le_bytes());
+            }
+            d.write(&iv.new_lines.to_le_bytes())
+                .write(&iv.touched_lines.to_le_bytes())
+                .write(&iv.insns.to_le_bytes());
+        }
+        got.push((kernel, got_bundle, d.hex()));
+    }
+    let want: Vec<(&str, String, String)> =
+        GOLDEN.iter().map(|&(k, b, f)| (k, b.to_string(), f.to_string())).collect();
+    assert_eq!(got, want, "bundle bytes or interval features changed");
+}

@@ -1,9 +1,10 @@
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
 use crate::checkpoint::{dep_bucket, Checkpoint, IntervalFeatures, IntervalProfile};
 use crate::insn::Insn;
+use crate::inthash::IntMap;
 use crate::op::{AluOp, Op};
 use crate::program::Program;
 use crate::reg::Reg;
@@ -132,30 +133,26 @@ pub struct OracleTrace {
 }
 
 /// Tracks, per byte of memory, the SSN of the last store that wrote it.
+/// Accesses are naturally aligned, so each lies inside one 4 KiB page
+/// and costs one page lookup.
 #[derive(Default)]
 struct LastWriter {
-    pages: HashMap<u32, Box<[u32; 4096]>>,
+    pages: IntMap<u32, Box<[u32; 4096]>>,
 }
 
 impl LastWriter {
     fn record(&mut self, addr: Addr, len: u32, ssn: u32) {
-        for a in addr..addr + len {
-            let page = self
-                .pages
-                .entry(a >> 12)
-                .or_insert_with(|| Box::new([0u32; 4096]));
-            page[(a & 0xFFF) as usize] = ssn;
-        }
+        let off = (addr & 0xFFF) as usize;
+        let page = self.pages.entry(addr >> 12).or_insert_with(|| Box::new([0u32; 4096]));
+        page[off..off + len as usize].fill(ssn);
     }
 
     fn youngest(&self, addr: Addr, len: u32) -> u32 {
-        let mut best = 0;
-        for a in addr..addr + len {
-            if let Some(page) = self.pages.get(&(a >> 12)) {
-                best = best.max(page[(a & 0xFFF) as usize]);
-            }
+        let off = (addr & 0xFFF) as usize;
+        match self.pages.get(&(addr >> 12)) {
+            Some(page) => page[off..off + len as usize].iter().copied().max().unwrap_or(0),
+            None => 0,
         }
-        best
     }
 }
 
@@ -509,22 +506,20 @@ impl Emulator {
         let mut profile = IntervalProfile { interval_insns, ..IntervalProfile::default() };
         let mut writers = LastWriter::default();
         let mut store_count: u32 = 0;
-        let mut bb: HashMap<Pc, u32> = HashMap::new();
-        // Locality counters: lines ever touched (run-global) and lines
-        // touched in the current interval.
-        let mut seen_lines: HashSet<u32> = HashSet::new();
-        let mut iv_lines: HashSet<u32> = HashSet::new();
+        let mut bb: IntMap<Pc, u32> = IntMap::default();
+        // Locality counters: every line ever touched, stamped with the
+        // index of the last interval that touched it. A missing line is
+        // new to the run; a stale stamp is new to this interval.
+        let mut line_stamps: IntMap<u32, u64> = IntMap::default();
         let mut cur = IntervalFeatures::default();
         // The interval's entry PC is a block leader.
         *bb.entry(self.pc).or_insert(0) += 1;
-        let flush = |bb: &mut HashMap<Pc, u32>,
-                     iv_lines: &mut HashSet<u32>,
+        let flush = |bb: &mut IntMap<Pc, u32>,
                      cur: &mut IntervalFeatures,
                      out: &mut Vec<IntervalFeatures>| {
             let mut counts: Vec<(Pc, u32)> = bb.drain().collect();
             counts.sort_unstable_by_key(|&(pc, _)| pc);
             cur.bb_counts = counts;
-            iv_lines.clear();
             out.push(std::mem::take(cur));
         };
         for _ in 0..max_steps {
@@ -533,7 +528,7 @@ impl Emulator {
                 StepOutcome::Halted => {
                     cur.insns += self.result.retired - before;
                     if cur.insns > 0 {
-                        flush(&mut bb, &mut iv_lines, &mut cur, &mut profile.intervals);
+                        flush(&mut bb, &mut cur, &mut profile.intervals);
                     }
                     profile.result = self.result;
                     return Ok(profile);
@@ -550,11 +545,13 @@ impl Emulator {
                             cur.dep_buckets[dep_bucket(ssn, store_count)] += 1;
                         }
                         let line = mem.addr / crate::checkpoint::LOC_LINE_BYTES;
-                        if iv_lines.insert(line) {
-                            cur.touched_lines += 1;
-                        }
-                        if seen_lines.insert(line) {
+                        let stamp = profile.intervals.len() as u64;
+                        let last = line_stamps.insert(line, stamp);
+                        if last.is_none() {
                             cur.new_lines += 1;
+                        }
+                        if last != Some(stamp) {
+                            cur.touched_lines += 1;
                         }
                     }
                     if ev.next_pc != ev.pc + 1 {
@@ -563,7 +560,7 @@ impl Emulator {
                         *bb.entry(ev.next_pc).or_insert(0) += 1;
                     }
                     if cur.insns == interval_insns {
-                        flush(&mut bb, &mut iv_lines, &mut cur, &mut profile.intervals);
+                        flush(&mut bb, &mut cur, &mut profile.intervals);
                         *bb.entry(self.pc).or_insert(0) += 1;
                     }
                 }
@@ -602,7 +599,7 @@ impl Emulator {
         // carries the `warm_cap` most recently touched lines, LRU→MRU)
         // and the trailing window of conditional-branch outcomes (the
         // last `warm_cap` of them, oldest first).
-        let mut recency: HashMap<u32, u64> = HashMap::new();
+        let mut recency: IntMap<u32, u64> = IntMap::default();
         let mut seq: u64 = 0;
         let mut branches: VecDeque<(Pc, Pc)> = VecDeque::with_capacity(warm_cap);
         for &target in boundaries {
@@ -822,6 +819,42 @@ mod tests {
         let (_, trace) = e.run_with_trace(1000).unwrap();
         assert_eq!(trace.last_writer_ssn, vec![1, 2]);
         assert_eq!(trace.load_values, vec![0x7F, 0x7F]);
+    }
+
+    #[test]
+    fn oracle_trace_partial_word_overlap_at_a_page_end() {
+        // The same overlaps on both sides of the 0x20000 page boundary:
+        // each access touches one page, and no write may bleed into the
+        // neighbouring page.
+        let p = assemble(
+            r#"
+            li   $1, 0x7F
+            lui  $8, 2
+            sw   $1, -4($8)     # store 1 writes 0x1FFFC..0x20000
+            sb   $1, 0($8)      # store 2 writes byte 0x20000
+            lhu  $2, -2($8)     # load 0 reads 0x1FFFE..0x20000 -> store 1
+            lbu  $3, 0($8)      # load 1 -> store 2
+            lw   $4, 0($8)      # load 2: byte 0 from store 2, rest unwritten
+            sb   $1, -1($8)     # store 3 writes byte 0x1FFFF
+            lhu  $5, -2($8)     # load 3 -> store 3
+            lw   $6, -4($8)     # load 4 -> store 3
+            lhu  $7, -4($8)     # load 5 -> store 1
+            lw   $9, 4($8)      # load 6: never written
+            sh   $1, 2($8)      # store 4 writes 0x20002..0x20004
+            lw   $10, 0($8)     # load 7 -> store 4
+            lbu  $11, 1($8)     # load 8: byte 0x20001 never written
+            halt
+        "#,
+        )
+        .unwrap();
+        let mut e = Emulator::new(&p);
+        let (_, trace) = e.run_with_trace(1000).unwrap();
+        assert_eq!(trace.store_count, 4);
+        assert_eq!(trace.last_writer_ssn, vec![1, 2, 2, 3, 3, 1, 0, 4, 0]);
+        assert_eq!(
+            trace.load_values,
+            vec![0, 0x7F, 0x7F, 0x7F00, 0x7F00_007F, 0x7F, 0, 0x007F_007F, 0]
+        );
     }
 
     #[test]

@@ -50,6 +50,7 @@ pub mod checkpoint;
 mod emu;
 pub mod encode;
 mod insn;
+mod inthash;
 mod op;
 mod program;
 mod reg;

@@ -1,5 +1,4 @@
-use std::collections::HashMap;
-
+use crate::inthash::IntMap;
 use crate::op::MemWidth;
 use crate::{Addr, Word};
 
@@ -16,7 +15,8 @@ pub const PAGE_BYTES: usize = PAGE_SIZE;
 ///
 /// This is the *architectural* storage used by the functional emulator and
 /// as the backing store behind the timed cache hierarchy; it has no timing
-/// of its own.
+/// of its own. A naturally aligned access never crosses a page, so every
+/// [`SparseMem::read`] and [`SparseMem::write`] costs one page lookup.
 ///
 /// # Example
 ///
@@ -30,13 +30,13 @@ pub const PAGE_BYTES: usize = PAGE_SIZE;
 /// ```
 #[derive(Clone, Default)]
 pub struct SparseMem {
-    pages: HashMap<u32, Box<[u8; PAGE_SIZE]>>,
+    pages: IntMap<u32, Box<[u8; PAGE_SIZE]>>,
 }
 
 impl SparseMem {
     /// Creates an empty (all-zero) memory.
     pub fn new() -> SparseMem {
-        SparseMem { pages: HashMap::new() }
+        SparseMem { pages: IntMap::default() }
     }
 
     #[inline]
@@ -74,12 +74,7 @@ impl SparseMem {
     #[inline]
     pub fn read_word(&self, addr: Addr) -> Word {
         assert!(addr.is_multiple_of(4), "unaligned word read at {addr:#x}");
-        u32::from_le_bytes([
-            self.read_byte(addr),
-            self.read_byte(addr + 1),
-            self.read_byte(addr + 2),
-            self.read_byte(addr + 3),
-        ])
+        self.read_aligned(addr, 4)
     }
 
     /// Writes a naturally-aligned little-endian word.
@@ -90,9 +85,27 @@ impl SparseMem {
     #[inline]
     pub fn write_word(&mut self, addr: Addr, value: Word) {
         assert!(addr.is_multiple_of(4), "unaligned word write at {addr:#x}");
-        for (i, b) in value.to_le_bytes().iter().enumerate() {
-            self.write_byte(addr + i as u32, *b);
-        }
+        self.write_aligned(addr, 4, value);
+    }
+
+    /// The `len`-byte little-endian value at `addr`, zero-extended.
+    /// The access lies inside one page (`addr` is `len`-aligned and
+    /// `len` ≤ 4).
+    #[inline]
+    fn read_aligned(&self, addr: Addr, len: usize) -> Word {
+        let Some(page) = self.page(addr) else { return 0 };
+        let off = (addr & PAGE_MASK) as usize;
+        let mut le = [0u8; 4];
+        le[..len].copy_from_slice(&page[off..off + len]);
+        u32::from_le_bytes(le)
+    }
+
+    /// Writes the low `len` bytes of `value` at `addr`, inside one page
+    /// (`addr` is `len`-aligned and `len` ≤ 4).
+    #[inline]
+    fn write_aligned(&mut self, addr: Addr, len: usize, value: Word) {
+        let off = (addr & PAGE_MASK) as usize;
+        self.page_mut(addr)[off..off + len].copy_from_slice(&value.to_le_bytes()[..len]);
     }
 
     /// Reads an access of the given width, applying sign/zero extension
@@ -101,20 +114,14 @@ impl SparseMem {
     /// # Panics
     ///
     /// Panics if the access is not naturally aligned.
+    #[inline]
     pub fn read(&self, addr: Addr, width: MemWidth, signed: bool) -> Word {
         assert!(width.is_aligned(addr), "unaligned {width} read at {addr:#x}");
+        let v = self.read_aligned(addr, width.bytes() as usize);
         match (width, signed) {
-            (MemWidth::Byte, false) => self.read_byte(addr) as u32,
-            (MemWidth::Byte, true) => self.read_byte(addr) as i8 as i32 as u32,
-            (MemWidth::Half, s) => {
-                let v = u16::from_le_bytes([self.read_byte(addr), self.read_byte(addr + 1)]);
-                if s {
-                    v as i16 as i32 as u32
-                } else {
-                    v as u32
-                }
-            }
-            (MemWidth::Word, _) => self.read_word(addr),
+            (MemWidth::Byte, true) => v as u8 as i8 as i32 as u32,
+            (MemWidth::Half, true) => v as u16 as i16 as i32 as u32,
+            _ => v,
         }
     }
 
@@ -123,17 +130,22 @@ impl SparseMem {
     /// # Panics
     ///
     /// Panics if the access is not naturally aligned.
+    #[inline]
     pub fn write(&mut self, addr: Addr, width: MemWidth, value: Word) {
         assert!(width.is_aligned(addr), "unaligned {width} write at {addr:#x}");
-        for i in 0..width.bytes() {
-            self.write_byte(addr + i, (value >> (8 * i)) as u8);
-        }
+        self.write_aligned(addr, width.bytes() as usize, value);
     }
 
-    /// Copies a byte slice into memory starting at `addr`.
-    pub fn write_bytes(&mut self, addr: Addr, bytes: &[u8]) {
-        for (i, b) in bytes.iter().enumerate() {
-            self.write_byte(addr + i as u32, *b);
+    /// Copies a byte slice into memory starting at `addr`, one page at
+    /// a time.
+    pub fn write_bytes(&mut self, addr: Addr, mut bytes: &[u8]) {
+        let mut at = addr;
+        while !bytes.is_empty() {
+            let off = (at & PAGE_MASK) as usize;
+            let n = bytes.len().min(PAGE_SIZE - off);
+            self.page_mut(at)[off..off + n].copy_from_slice(&bytes[..n]);
+            bytes = &bytes[n..];
+            at = at.wrapping_add(n as u32);
         }
     }
 
@@ -223,6 +235,80 @@ mod tests {
     #[should_panic(expected = "unaligned")]
     fn unaligned_word_read_panics() {
         SparseMem::new().read_word(2);
+    }
+
+    /// Byte-at-a-time model of [`SparseMem`]: one map entry per written
+    /// byte, little-endian assembly and sign extension spelled out.
+    #[derive(Default)]
+    struct ByteModel {
+        bytes: std::collections::BTreeMap<Addr, u8>,
+    }
+
+    impl ByteModel {
+        fn read(&self, addr: Addr, width: MemWidth, signed: bool) -> Word {
+            let n = width.bytes();
+            let mut v: u32 = 0;
+            for i in 0..n {
+                let b = self.bytes.get(&addr.wrapping_add(i)).copied().unwrap_or(0);
+                v |= (b as u32) << (8 * i);
+            }
+            if signed && n < 4 && v >> (8 * n - 1) & 1 == 1 {
+                v |= u32::MAX << (8 * n);
+            }
+            v
+        }
+
+        fn write(&mut self, addr: Addr, width: MemWidth, value: Word) {
+            for i in 0..width.bytes() {
+                self.bytes.insert(addr.wrapping_add(i), (value >> (8 * i)) as u8);
+            }
+        }
+    }
+
+    #[test]
+    fn aligned_accesses_match_a_byte_model_at_page_edges() {
+        let mut prng = dmdp_prng::Prng::new(0x5EED_9A6E);
+        let mut mem = SparseMem::new();
+        let mut model = ByteModel::default();
+        // Page boundaries to straddle, including both ends of the
+        // address space.
+        let edges: [Addr; 5] = [0, 0x1000, 0x2000, 0x0001_0000, 0xFFFF_F000];
+        let widths = [MemWidth::Byte, MemWidth::Half, MemWidth::Word];
+        for step in 0..20_000 {
+            let width = widths[prng.index(3)];
+            // Offsets 0xFF8..=0xFFF of the page below the edge and
+            // 0x000..=0x007 of the page above it, aligned down.
+            let offset = prng.range_i32(-8, 7);
+            let addr =
+                edges[prng.index(edges.len())].wrapping_add(offset as u32) & !(width.bytes() - 1);
+            if prng.flip() {
+                let value = prng.next_u32();
+                mem.write(addr, width, value);
+                model.write(addr, width, value);
+            } else {
+                let signed = prng.flip();
+                assert_eq!(
+                    mem.read(addr, width, signed),
+                    model.read(addr, width, signed),
+                    "step {step}: {width} read at {addr:#x} (signed {signed})"
+                );
+            }
+            if width == MemWidth::Word && step % 7 == 0 {
+                assert_eq!(mem.read_word(addr), model.read(addr, width, false), "{addr:#x}");
+            }
+        }
+        // Exactly the written pages are resident, and they hold exactly
+        // the written bytes.
+        let mut written: Vec<u32> = model.bytes.keys().map(|a| a >> PAGE_SHIFT).collect();
+        written.dedup();
+        let pages = mem.pages_sorted();
+        assert_eq!(pages.iter().map(|&(i, _)| i).collect::<Vec<_>>(), written);
+        for (index, page) in &pages {
+            for (off, &b) in page.iter().enumerate() {
+                let addr = (index << PAGE_SHIFT) | off as u32;
+                assert_eq!(b, model.bytes.get(&addr).copied().unwrap_or(0), "{addr:#x}");
+            }
+        }
     }
 
     #[test]

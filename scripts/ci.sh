@@ -97,6 +97,25 @@ cargo run --release -q -p dmdp-bench --bin dmdp -- \
     ' >/dev/null \
     || { echo "ci: FAIL: sampled-vs-full IPC error exceeds 2% (or malformed table)"; exit 1; }
 
+# The bundle phase builds one bundle per workload, on `--jobs` threads.
+# A multi-kernel sampled campaign at --jobs 1 (serial) and --jobs 2
+# (bundles built side by side) must produce identical rows.
+for j in 1 2; do
+    cargo run --release -q -p dmdp-bench --bin dmdp -- \
+        campaign --name ci-sampled-j$j --scale test --model all \
+        --kernel mcf --kernel gcc --kernel h264ref --kernel lbm \
+        --sampled --interval-insns 1000 --warmup-intervals 2 \
+        --jobs $j --force --quiet --out "bench-results/ci-sampled-j$j.json"
+done
+sampled_rows() {
+    jq -S '[.jobs[] | {digest, cycles, retired_insns, ipc}]' "$1"
+}
+diff <(sampled_rows bench-results/ci-sampled-j1.json) \
+     <(sampled_rows bench-results/ci-sampled-j2.json) \
+    || { echo "ci: FAIL: sampled campaign rows differ between --jobs 1 and --jobs 2"; exit 1; }
+jq -e '.jobs | length == 16' bench-results/ci-sampled-j2.json >/dev/null \
+    || { echo "ci: FAIL: sampled --jobs 2 campaign is missing rows"; exit 1; }
+
 # Sweep-batching smoke: one multi-variant sizing sweep run twice — as
 # batched lockstep units and job-per-variant — must produce identical
 # per-variant numbers (digest, cycles, IPC). The sb64 upsize exercises
