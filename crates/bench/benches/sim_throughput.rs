@@ -8,7 +8,7 @@
 //! (kernel × model) and reports the fastest — min-of-N strips scheduler
 //! and frequency noise from comparisons across commits.
 //!
-//! Output is line-oriented so `scripts/bench.sh` can parse it:
+//! Output is line-oriented, for scripts to parse:
 //! one `calib <Mops>` line (a fixed xorshift64 loop timed on this host,
 //! for normalising MIPS across machines), then one
 //! `<kernel> <model> <ms/run> ms/run <MIPS> MIPS (<n> iters)` line per

@@ -86,11 +86,9 @@ OPTIONS:
     --variant <LABEL=KNOBS>
                       add a config variant to the sweep (repeatable).
                       KNOBS is comma-separated width/rob/prf/sb:<N> and
-                      rmo, e.g. --variant rob64=rob:64,sb:8 --variant main=
-    --batch-variants <on|off>
-                      run each (workload, model)'s variants as one batched
-                      lockstep simulation (bit-identical results; `off`
-                      falls back to job-per-variant)       [default: on]
+                      rmo, e.g. --variant rob64=rob:64,sb:8 --variant main=.
+                      Each (workload, model)'s variants run as one batched
+                      lockstep simulation (bit-identical to solo runs)
     --width/--rob/--prf/--sb <N>, --rmo
                       configuration overrides, as in `dmdp run`
                       (shorthand for a single `custom` variant)
@@ -256,9 +254,6 @@ OPTIONS:
     --variant <LABEL=KNOBS>
                       add a config variant to the sweep (repeatable),
                       as in `dmdp campaign`
-    --batch-variants <on|off>
-                      daemon-side batched lockstep execution of each
-                      (workload, model)'s variants          [default: on]
     --width/--rob/--prf/--sb <N>, --rmo
                       configuration overrides, as in `dmdp campaign`
     --sampled, --interval-insns <N>, --warmup-intervals <W>
@@ -522,6 +517,7 @@ fn cmd_run(args: &[String]) -> CliResult {
     for model in &o.models {
         let mut cfg = CoreConfig::new(*model);
         o.patch.apply(&mut cfg);
+        cfg.check().map_err(|e| format!("model {}: {e}", model.name()))?;
         let sim = Simulator::with_config(cfg);
         if !probing {
             print_report(&sim.run(&program)?, o.energy);
@@ -630,153 +626,150 @@ fn parse_variant(spec: &str) -> Result<(String, CfgPatch), String> {
     Ok((label.to_string(), patch))
 }
 
-fn parse_on_off(flag: &str, val: &str) -> Result<bool, String> {
-    match val {
-        "on" => Ok(true),
-        "off" => Ok(false),
-        other => Err(format!("{flag}: expected `on` or `off`, got `{other}`")),
-    }
-}
-
-struct CampaignOpts {
-    name: String,
-    models: Vec<CommModel>,
-    scale: Scale,
-    kernels: Vec<String>,
-    jobs: usize,
+/// The flags `dmdp campaign` and `dmdp submit` share: what to sweep,
+/// where the artifact goes, and how chatty to be.
+struct SweepOpts {
+    /// The sweep as a daemon request; `dmdp campaign` runs its
+    /// [`SubmitRequest::campaign`] locally.
+    request: SubmitRequest,
     out: Option<PathBuf>,
-    force: bool,
     quiet: bool,
     patch: CfgPatch,
     variants: Vec<(String, CfgPatch)>,
-    batch_variants: bool,
-    sampling: Option<Sampling>,
-}
-
-/// Folds the three sampled-simulation flags into `Option<Sampling>`:
-/// `--interval-insns`/`--warmup-intervals` imply `--sampled`, and the
-/// unset knob keeps its default.
-#[derive(Default)]
-struct SamplingFlags {
+    /// `--sampled`, `--interval-insns`, `--warmup-intervals`; either knob
+    /// implies `--sampled`, and an unset knob keeps its default.
     sampled: bool,
     interval_insns: Option<u64>,
     warmup_intervals: Option<u32>,
 }
 
-impl SamplingFlags {
-    fn resolve(&self) -> Result<Option<Sampling>, String> {
-        if !self.sampled && self.interval_insns.is_none() && self.warmup_intervals.is_none() {
-            return Ok(None);
+impl SweepOpts {
+    fn new() -> SweepOpts {
+        SweepOpts {
+            request: SubmitRequest::new("campaign", Scale::Small),
+            out: None,
+            quiet: false,
+            patch: CfgPatch::default(),
+            variants: Vec::new(),
+            sampled: false,
+            interval_insns: None,
+            warmup_intervals: None,
         }
-        let interval_insns = self.interval_insns.unwrap_or(10_000);
-        if interval_insns == 0 {
-            return Err("--interval-insns must be at least 1".to_string());
+    }
+
+    /// Applies flag `a` if it is a sweep flag (`val` yields its value);
+    /// `Ok(false)` leaves it to the caller.
+    fn flag(&mut self, a: &str, mut val: impl FnMut() -> Result<String, String>) -> Result<bool, String> {
+        let num = |v: String, flag: &str| v.parse::<usize>().map_err(|e| format!("{flag}: {e}"));
+        match a {
+            "--name" => self.request.name = val()?,
+            "--model" => self.request.models = parse_models(&val()?)?,
+            "--scale" => self.request.scale = parse_scale(&val()?)?,
+            "--kernel" => self.request.kernels.get_or_insert_with(Vec::new).push(val()?),
+            "--out" => self.out = Some(PathBuf::from(val()?)),
+            "--quiet" => self.quiet = true,
+            "--width" => self.patch.width = Some(num(val()?, a)?),
+            "--rob" => self.patch.rob = Some(num(val()?, a)?),
+            "--prf" => self.patch.prf = Some(num(val()?, a)?),
+            "--sb" => self.patch.sb = Some(num(val()?, a)?),
+            "--rmo" => self.patch.rmo = true,
+            "--variant" => self.variants.push(parse_variant(&val()?)?),
+            "--sampled" => self.sampled = true,
+            "--interval-insns" => {
+                self.interval_insns = Some(val()?.parse().map_err(|e| format!("{a}: {e}"))?);
+            }
+            "--warmup-intervals" => {
+                self.warmup_intervals = Some(val()?.parse().map_err(|e| format!("{a}: {e}"))?);
+            }
+            _ => return Ok(false),
         }
-        Ok(Some(Sampling { interval_insns, warmup_intervals: self.warmup_intervals.unwrap_or(1) }))
+        Ok(true)
+    }
+
+    /// The swept campaign: bare overrides become a single `custom`
+    /// variant, `--variant`s replace the main one.
+    fn finish(mut self) -> Result<SweepOpts, String> {
+        if !self.variants.is_empty() && !self.patch.is_empty() {
+            return Err("--variant cannot be combined with bare --width/--rob/--prf/--sb/--rmo; fold the overrides into a variant spec".to_string());
+        }
+        if !self.variants.is_empty() {
+            self.request.variants = self.variants.clone();
+        } else if !self.patch.is_empty() {
+            self.request.variants = vec![("custom".to_string(), self.patch.clone())];
+        }
+        if self.sampled || self.interval_insns.is_some() || self.warmup_intervals.is_some() {
+            let interval_insns = self.interval_insns.unwrap_or(10_000);
+            if interval_insns == 0 {
+                return Err("--interval-insns must be at least 1".to_string());
+            }
+            let warmup_intervals = self.warmup_intervals.unwrap_or(1);
+            self.request.sampling = Some(Sampling { interval_insns, warmup_intervals });
+        }
+        self.request.watch = !self.quiet;
+        Ok(self)
+    }
+
+    fn out_path(&self) -> PathBuf {
+        self.out.clone().unwrap_or_else(|| PathBuf::from(format!("bench-results/{}.json", self.request.name)))
     }
 }
 
+struct CampaignOpts {
+    sweep: SweepOpts,
+    jobs: usize,
+    force: bool,
+}
+
 fn parse_campaign(args: &[String]) -> Result<CampaignOpts, String> {
-    let mut o = CampaignOpts {
-        name: "campaign".to_string(),
-        models: CommModel::ALL.to_vec(),
-        scale: Scale::Small,
-        kernels: Vec::new(),
-        jobs: dmdp_harness::default_workers(),
-        out: None,
-        force: false,
-        quiet: false,
-        patch: CfgPatch::default(),
-        variants: Vec::new(),
-        batch_variants: true,
-        sampling: None,
-    };
-    let mut sampling = SamplingFlags::default();
+    let mut o = CampaignOpts { sweep: SweepOpts::new(), jobs: dmdp_harness::default_workers(), force: false };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut val = || it.next().cloned().ok_or_else(|| format!("{a} needs a value"));
+        if o.sweep.flag(a, &mut val)? {
+            continue;
+        }
         match a.as_str() {
-            "--name" => o.name = val()?,
-            "--model" => o.models = parse_models(&val()?)?,
-            "--scale" => o.scale = parse_scale(&val()?)?,
-            "--kernel" => o.kernels.push(val()?),
             "--jobs" => {
                 o.jobs = val()?.parse().map_err(|e| format!("--jobs: {e}"))?;
                 if o.jobs == 0 {
                     return Err("--jobs must be at least 1".to_string());
                 }
             }
-            "--out" => o.out = Some(PathBuf::from(val()?)),
             "--force" => o.force = true,
-            "--quiet" => o.quiet = true,
-            "--width" => o.patch.width = Some(val()?.parse().map_err(|e| format!("--width: {e}"))?),
-            "--rob" => o.patch.rob = Some(val()?.parse().map_err(|e| format!("--rob: {e}"))?),
-            "--prf" => o.patch.prf = Some(val()?.parse().map_err(|e| format!("--prf: {e}"))?),
-            "--sb" => o.patch.sb = Some(val()?.parse().map_err(|e| format!("--sb: {e}"))?),
-            "--rmo" => o.patch.rmo = true,
-            "--variant" => o.variants.push(parse_variant(&val()?)?),
-            "--batch-variants" => o.batch_variants = parse_on_off("--batch-variants", &val()?)?,
-            "--sampled" => sampling.sampled = true,
-            "--interval-insns" => {
-                sampling.interval_insns =
-                    Some(val()?.parse().map_err(|e| format!("--interval-insns: {e}"))?);
-            }
-            "--warmup-intervals" => {
-                sampling.warmup_intervals =
-                    Some(val()?.parse().map_err(|e| format!("--warmup-intervals: {e}"))?);
-            }
             other => return Err(format!("unknown option `{other}` (see `dmdp campaign --help`)")),
         }
     }
-    if !o.variants.is_empty() && !o.patch.is_empty() {
-        return Err("--variant cannot be combined with bare --width/--rob/--prf/--sb/--rmo; fold the overrides into a variant spec".to_string());
-    }
-    o.sampling = sampling.resolve()?;
+    o.sweep = o.sweep.finish()?;
     Ok(o)
 }
 
 fn cmd_campaign(args: &[String]) -> CliResult {
     let o = parse_campaign(args)?;
-    let out = o.out.clone().unwrap_or_else(|| PathBuf::from(format!("bench-results/{}.json", o.name)));
-    let mut spec = CampaignSpec::new(&o.name, o.scale).models(o.models.clone());
-    if !o.kernels.is_empty() {
-        spec = spec.kernels(o.kernels.clone());
-    }
-    let n_variants = if !o.variants.is_empty() {
-        spec = spec.variants(o.variants.clone());
-        o.variants.len()
-    } else if !o.patch.is_empty() {
-        spec = spec.variants([("custom".to_string(), o.patch.clone())]);
-        1
-    } else {
-        1
-    };
-    let sampled_note = o
+    let spec = &o.sweep.request.campaign();
+    let out = o.sweep.out_path();
+    let sampled_note = spec
         .sampling
         .map(|s| format!(", sampled ({} insns × {} warmup)", s.interval_insns, s.warmup_intervals))
         .unwrap_or_default();
-    // Count jobs before attaching sampling — the count is identical and
-    // this keeps the expensive bundle builds inside `run` only.
-    let n_jobs = spec.jobs()?.len();
-    if let Some(s) = o.sampling {
-        spec = spec.sampled(s.interval_insns, s.warmup_intervals);
-    }
+    // Count jobs without sampling — the count is identical and this
+    // keeps the expensive bundle builds inside `run` only.
+    let n_jobs = CampaignSpec { sampling: None, ..spec.clone() }.jobs()?.len();
+    let (n_models, n_variants) = (spec.models.len(), spec.variants.len());
     println!(
         "campaign `{}`: {} jobs ({} kernels × {} models × {} variants), scale {}{sampled_note}, {} workers -> {}",
-        o.name,
+        spec.name,
         n_jobs,
-        n_jobs / (o.models.len() * n_variants).max(1),
-        o.models.len(),
+        n_jobs / (n_models * n_variants).max(1),
+        n_models,
         n_variants,
-        o.scale.name(),
+        spec.scale.name(),
         o.jobs,
         out.display()
     );
     let opts = RunOptions {
         jobs: o.jobs,
         cache: (!o.force).then(|| out.clone()),
-        progress: !o.quiet,
-        batch_variants: o.batch_variants,
+        progress: !o.sweep.quiet,
     };
     let campaign = spec.run(&opts)?;
     campaign.save(&out)?;
@@ -914,12 +907,7 @@ fn cmd_worker(args: &[String]) -> CliResult {
 struct SubmitOpts {
     socket: PathBuf,
     tcp: Option<String>,
-    request: SubmitRequest,
-    kernels: Vec<String>,
-    patch: CfgPatch,
-    variants: Vec<(String, CfgPatch)>,
-    out: Option<PathBuf>,
-    quiet: bool,
+    sweep: SweepOpts,
     connect_retries: u32,
     mode: SubmitMode,
 }
@@ -935,44 +923,19 @@ fn parse_submit(args: &[String]) -> Result<SubmitOpts, String> {
     let mut o = SubmitOpts {
         socket: PathBuf::from("dmdp.sock"),
         tcp: None,
-        request: SubmitRequest::new("campaign", Scale::Small),
-        kernels: Vec::new(),
-        patch: CfgPatch::default(),
-        variants: Vec::new(),
-        out: None,
-        quiet: false,
+        sweep: SweepOpts::new(),
         connect_retries: 3,
         mode: SubmitMode::Campaign,
     };
-    let mut sampling = SamplingFlags::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut val = || it.next().cloned().ok_or_else(|| format!("{a} needs a value"));
+        if o.sweep.flag(a, &mut val)? {
+            continue;
+        }
         match a.as_str() {
             "--socket" => o.socket = PathBuf::from(val()?),
             "--tcp" => o.tcp = Some(val()?),
-            "--name" => o.request.name = val()?,
-            "--model" => o.request.models = parse_models(&val()?)?,
-            "--scale" => o.request.scale = parse_scale(&val()?)?,
-            "--kernel" => o.kernels.push(val()?),
-            "--out" => o.out = Some(PathBuf::from(val()?)),
-            "--quiet" => o.quiet = true,
-            "--width" => o.patch.width = Some(val()?.parse().map_err(|e| format!("--width: {e}"))?),
-            "--rob" => o.patch.rob = Some(val()?.parse().map_err(|e| format!("--rob: {e}"))?),
-            "--prf" => o.patch.prf = Some(val()?.parse().map_err(|e| format!("--prf: {e}"))?),
-            "--sb" => o.patch.sb = Some(val()?.parse().map_err(|e| format!("--sb: {e}"))?),
-            "--rmo" => o.patch.rmo = true,
-            "--variant" => o.variants.push(parse_variant(&val()?)?),
-            "--batch-variants" => o.request.batch_variants = parse_on_off("--batch-variants", &val()?)?,
-            "--sampled" => sampling.sampled = true,
-            "--interval-insns" => {
-                sampling.interval_insns =
-                    Some(val()?.parse().map_err(|e| format!("--interval-insns: {e}"))?);
-            }
-            "--warmup-intervals" => {
-                sampling.warmup_intervals =
-                    Some(val()?.parse().map_err(|e| format!("--warmup-intervals: {e}"))?);
-            }
             "--connect-retries" => {
                 o.connect_retries =
                     val()?.parse().map_err(|e| format!("--connect-retries: {e}"))?;
@@ -983,19 +946,7 @@ fn parse_submit(args: &[String]) -> Result<SubmitOpts, String> {
             other => return Err(format!("unknown option `{other}` (see `dmdp submit --help`)")),
         }
     }
-    if !o.kernels.is_empty() {
-        o.request.kernels = Some(o.kernels.clone());
-    }
-    if !o.variants.is_empty() && !o.patch.is_empty() {
-        return Err("--variant cannot be combined with bare --width/--rob/--prf/--sb/--rmo; fold the overrides into a variant spec".to_string());
-    }
-    if !o.variants.is_empty() {
-        o.request.variants = o.variants.clone();
-    } else if !o.patch.is_empty() {
-        o.request.variants = vec![("custom".to_string(), o.patch.clone())];
-    }
-    o.request.sampling = sampling.resolve()?;
-    o.request.watch = !o.quiet;
+    o.sweep = o.sweep.finish()?;
     Ok(o)
 }
 
@@ -1023,11 +974,8 @@ fn cmd_submit(args: &[String]) -> CliResult {
         }
         SubmitMode::Campaign => {}
     }
-    let out = o
-        .out
-        .clone()
-        .unwrap_or_else(|| PathBuf::from(format!("bench-results/{}.json", o.request.name)));
-    let campaign = client.submit(&o.request, |ev| {
+    let out = o.sweep.out_path();
+    let campaign = client.submit(&o.sweep.request, |ev| {
         if ev.get("type").and_then(Json::as_str) == Some("finished") {
             let field = |k: &str| ev.get(k).and_then(Json::as_str).unwrap_or("?").to_string();
             println!(

@@ -159,22 +159,38 @@ impl CoreConfig {
         format!("{self:?}")
     }
 
-    /// Validates internal consistency.
+    /// Checks internal consistency.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first impossible setting (e.g. too few
+    /// physical registers to rename a single instruction group).
+    pub fn check(&self) -> Result<(), String> {
+        let min_regs = dmdp_isa::Reg::NUM_LOGICAL + 5 * self.width;
+        let fail = |ok: bool, msg: String| if ok { Ok(()) } else { Err(msg) };
+        fail(self.width > 0, "width must be nonzero".to_string())?;
+        fail(
+            self.rob_entries >= self.width * 2,
+            format!("ROB too small for the width: {} entries, need {}", self.rob_entries, self.width * 2),
+        )?;
+        fail(
+            self.phys_regs >= min_regs,
+            format!("physical register file too small: {} registers, need {min_regs}", self.phys_regs),
+        )?;
+        fail(self.iq_entries >= self.width, "issue queue too small".to_string())?;
+        fail(self.load_ports > 0, "need at least one load port".to_string())?;
+        fail(self.store_buffer_entries > 0, "store buffer needs entries".to_string())
+    }
+
+    /// [`CoreConfig::check`] for the core's own callers.
     ///
     /// # Panics
     ///
-    /// Panics on an impossible configuration (e.g. too few physical
-    /// registers to rename a single instruction group).
+    /// Panics with the check's message on an impossible configuration.
     pub fn validate(&self) {
-        assert!(self.width > 0, "width must be nonzero");
-        assert!(self.rob_entries >= self.width * 2, "ROB too small for the width");
-        assert!(
-            self.phys_regs >= dmdp_isa::Reg::NUM_LOGICAL + 5 * self.width,
-            "physical register file too small"
-        );
-        assert!(self.iq_entries >= self.width, "issue queue too small");
-        assert!(self.load_ports > 0, "need at least one load port");
-        assert!(self.store_buffer_entries > 0, "store buffer needs entries");
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
     }
 }
 
@@ -190,6 +206,16 @@ mod tests {
         assert_eq!(c.store_buffer_entries, 16);
         assert_eq!(c.consistency, Consistency::Tso);
         c.validate();
+    }
+
+    #[test]
+    fn check_names_the_impossible_setting() {
+        let tiny = CoreConfig { phys_regs: 10, ..CoreConfig::new(CommModel::Dmdp) };
+        let err = tiny.check().unwrap_err();
+        assert!(err.contains("physical register file too small: 10 registers"), "{err}");
+        assert!(CoreConfig { store_buffer_entries: 0, ..CoreConfig::new(CommModel::NoSq) }
+            .check()
+            .is_err());
     }
 
     #[test]

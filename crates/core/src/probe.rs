@@ -7,7 +7,7 @@
 //! pipeline. The default probe has no sinks attached: each hook is a
 //! single `Option` discriminant test that the optimiser folds into the
 //! caller, so the event-driven hot path (PR 2) is untouched
-//! (`scripts/bench.sh` records the overhead in `BENCH_PR3.json`, and
+//! (`BENCH_PR3.json` records the overhead, and
 //! `tests/golden_stats.rs` proves enabled probes do not perturb
 //! *simulated* timing either — probes observe, never perturb).
 //!

@@ -1,19 +1,22 @@
 //! Campaign construction, parallel execution, aggregation, artifact I/O
 //! and the content-digest cache.
 
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use dmdp_core::{CommModel, CoreConfig, SIM_VERSION};
+use dmdp_sample::SampledBundle;
 use dmdp_stats::geomean;
 use dmdp_workloads::{Scale, Suite};
 
-use crate::job::{CfgPatch, JobResult, JobSpec};
+use crate::group::{execute_here, resolve, Inflight, Outcome, Resolve, Source};
+use crate::job::{CfgPatch, JobResult, JobSpec, WorkloadImage};
 use crate::json::{obj, Json};
 use crate::pool;
-use crate::sampled::{Sampling, SamplingSpec};
+use crate::sampled::{build_bundle, Sampling, SamplingSpec};
 
 /// Declarative description of an experiment campaign: which workloads,
 /// under which communication models, at which scale, with which
@@ -94,15 +97,14 @@ impl CampaignSpec {
         self
     }
 
-    /// Materializes the job list: builds each selected workload once and
-    /// crosses it with the models and variants. Sampled bundles are built
-    /// one after another on the calling thread; [`CampaignSpec::run`]
-    /// builds them on `RunOptions::jobs` threads instead.
+    /// Materializes the job list over fresh images of the selected
+    /// workloads only. Sampled bundles are built one after another on the
+    /// calling thread; [`CampaignSpec::run`] builds them `RunOptions::jobs`
+    /// wide instead.
     ///
     /// # Errors
     ///
-    /// If a kernel filter names an unknown workload, or a sampled
-    /// bundle fails to build.
+    /// As [`CampaignSpec::jobs_over`].
     pub fn jobs(&self) -> Result<Vec<JobSpec>, String> {
         self.jobs_on(1)
     }
@@ -110,6 +112,32 @@ impl CampaignSpec {
     /// [`CampaignSpec::jobs`] with the sampled bundles built on up to
     /// `workers` threads.
     fn jobs_on(&self, workers: usize) -> Result<Vec<JobSpec>, String> {
+        let all = dmdp_workloads::all(self.scale).into_iter();
+        let images: Vec<WorkloadImage> = all.filter(|w| self.selects(w.name)).map(WorkloadImage::new).collect();
+        self.jobs_over(&images, workers, |w, s| build_bundle(&w.image.program, s))
+    }
+
+    /// The job list over a given image set: the selected workloads (in
+    /// `images` order) × models × variants. The spec is checked first —
+    /// unique variant labels, known kernels, a consistent core
+    /// configuration for every (model, variant) — so a bad request fails
+    /// before any job runs. When sampling, `bundle` supplies each
+    /// selected workload's bundle (shared by its jobs), called on up to
+    /// `workers` threads.
+    ///
+    /// # Errors
+    ///
+    /// A duplicate variant label, an unknown kernel, an impossible
+    /// configuration (naming the variant), or a bundle that failed.
+    pub fn jobs_over<B>(
+        &self,
+        images: &[WorkloadImage],
+        workers: usize,
+        bundle: B,
+    ) -> Result<Vec<JobSpec>, String>
+    where
+        B: Fn(&WorkloadImage, Sampling) -> Result<Arc<SampledBundle>, String> + Sync,
+    {
         // Duplicate variant labels would silently collide in artifacts,
         // reports and the sweep table — reject them up front.
         for (i, (label, _)) in self.variants.iter().enumerate() {
@@ -120,62 +148,58 @@ impl CampaignSpec {
                 ));
             }
         }
-        let all = dmdp_workloads::all(self.scale);
-        if let Some(filter) = &self.kernels {
-            for name in filter {
-                if !all.iter().any(|w| w.name == name) {
-                    let known: Vec<&str> = all.iter().map(|w| w.name).collect();
-                    return Err(format!(
-                        "unknown workload `{name}`; valid kernels: {}",
-                        known.join(", ")
-                    ));
-                }
+        let mut configs = Vec::with_capacity(self.models.len() * self.variants.len());
+        for &model in &self.models {
+            for (label, patch) in &self.variants {
+                let mut cfg = CoreConfig::new(model);
+                patch.apply(&mut cfg);
+                cfg.check().map_err(|e| format!("variant `{label}` ({}): {e}", model.name()))?;
+                configs.push((model, label, cfg));
             }
         }
-        // One program image + plan cache per workload, shared by every
-        // (model × variant) job that runs it.
-        let selected: Vec<_> = all
-            .into_iter()
-            .filter(|w| self.kernels.as_ref().is_none_or(|f| f.iter().any(|n| n == w.name)))
-            .map(|w| (w.name, w.suite, crate::job::PlannedImage::new(Arc::new(w.program))))
-            .collect();
-        // When sampling, also one bundle per workload (profile +
-        // clustering + checkpoints): profile once, simulate every model
-        // from the same checkpoints. The builds are independent, so they
-        // run side by side; an unsampled campaign skips this phase and
-        // spawns no threads.
+        let known = dmdp_workloads::names();
+        for name in self.kernels.iter().flatten() {
+            if !known.contains(&name.as_str()) {
+                return Err(format!(
+                    "unknown workload `{name}`; valid kernels: {}",
+                    known.join(", ")
+                ));
+            }
+        }
+        let selected: Vec<&WorkloadImage> = images.iter().filter(|w| self.selects(w.name)).collect();
+        // The bundle builds are independent, so they run side by side; an
+        // unsampled campaign skips this phase and spawns no threads.
         let bundles = match self.sampling {
-            Some(s) => pool::map_ordered(&selected, workers, |_, (_, _, image)| {
-                crate::sampled::build_bundle(&image.program, s).map(Some)
-            })
-            .into_iter()
-            .collect::<Result<Vec<_>, String>>()?,
+            Some(s) => pool::map_ordered(&selected, workers, |_, w| bundle(w, s).map(Some))
+                .into_iter()
+                .collect::<Result<Vec<_>, String>>()?,
             None => vec![None; selected.len()],
         };
-        let mut jobs = Vec::new();
-        for ((name, suite, image), bundle) in selected.iter().zip(&bundles) {
-            for &model in &self.models {
-                for (label, patch) in &self.variants {
-                    let mut cfg = CoreConfig::new(model);
-                    patch.apply(&mut cfg);
-                    let mut job = JobSpec::new(name, *suite, model, self.scale, label, cfg, image);
-                    if let (Some(s), Some(b)) = (self.sampling, bundle) {
-                        job = job.sampled(SamplingSpec { sampling: s, bundle: Arc::clone(b) });
-                    }
-                    jobs.push(job);
-                }
+        let mut jobs = Vec::with_capacity(selected.len() * configs.len());
+        for (w, b) in selected.iter().zip(&bundles) {
+            for (model, label, cfg) in &configs {
+                let job = JobSpec::new(w.name, w.suite, *model, self.scale, label, cfg.clone(), &w.image);
+                jobs.push(match (self.sampling, b) {
+                    (Some(s), Some(b)) => job.sampled(SamplingSpec { sampling: s, bundle: Arc::clone(b) }),
+                    _ => job,
+                });
             }
         }
         Ok(jobs)
     }
 
-    /// Runs the campaign: fans the job list out over a work-stealing
-    /// thread pool, reusing digest-matched results from `opts.cache`.
+    fn selects(&self, workload: &str) -> bool {
+        self.kernels.as_ref().is_none_or(|f| f.iter().any(|n| n == workload))
+    }
+
+    /// Runs the campaign through [`resolve`]: rows the prior artifact at
+    /// `opts.cache` holds are reused, the rest execute `opts.jobs` wide.
     ///
     /// # Errors
     ///
-    /// The first job error (cycle-limit abort), an invalid kernel
-    /// filter, or an unreadable cache artifact.
+    /// The first job error (cycle-limit abort), or any error of
+    /// [`CampaignSpec::jobs_over`]. An unreadable cache artifact is only
+    /// a warning.
     pub fn run(&self, opts: &RunOptions) -> Result<Campaign, String> {
         let start = Instant::now();
         // Bundles are built here, before the job pool starts, so no job's
@@ -185,22 +209,13 @@ impl CampaignSpec {
 
         let cache_start = Instant::now();
         let mut cache_warning: Option<String> = None;
-        let cached: Vec<Option<JobResult>> = match &opts.cache {
+        let prior: Vec<JobResult> = match &opts.cache {
             // A cache artifact that fails to load — a schema version from
             // a different binary generation, a truncated write, plain
             // garbage — must not abort the campaign: it is only a cache.
             // Warn, pretend it was absent and recompute every job.
             Some(path) if path.exists() => match Campaign::load(path) {
-                Ok(prior) => specs
-                    .iter()
-                    .map(|s| {
-                        prior.jobs.iter().find(|r| r.digest == s.digest).map(|r| JobResult {
-                            cached: true,
-                            stats: None,
-                            ..r.clone()
-                        })
-                    })
-                    .collect(),
+                Ok(prior) => prior.jobs,
                 Err(e) => {
                     let msg = format!(
                         "cache artifact {} is unusable ({e}); re-running every job",
@@ -208,111 +223,78 @@ impl CampaignSpec {
                     );
                     eprintln!("dmdp: warning: {msg}");
                     cache_warning = Some(msg);
-                    specs.iter().map(|_| None).collect()
+                    Vec::new()
                 }
             },
-            _ => specs.iter().map(|_| None).collect(),
+            _ => Vec::new(),
         };
+        let local = Local::new(&specs, &prior, opts.progress);
         let cache_s = cache_start.elapsed().as_secs_f64();
 
-        // The pool's unit of work is a *unit*: either one job (cached rows
-        // and non-batched execution) or a run of consecutive non-cached
-        // variant jobs of the same (workload, model), which execute as one
-        // batched lockstep simulation. Cached members drop out before
-        // grouping, so an all-hit sweep runs zero work and a partial hit
-        // batches only the misses.
-        // Sampled jobs never batch: each runs its own representative
-        // intervals from shared checkpoints, and the lockstep engine
-        // measures full runs only.
-        let units = crate::group::partition_units(&specs, |i| {
-            opts.batch_variants && cached[i].is_none() && specs[i].sampling.is_none()
-        });
-
-        let to_run = cached.iter().filter(|c| c.is_none()).count();
-        let started = AtomicUsize::new(0);
-        let done = AtomicUsize::new(0);
         let exec_start = Instant::now();
-        let progress_line = |result: &Result<JobResult, String>| {
-            let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-            let running = started.load(Ordering::Relaxed).saturating_sub(n);
-            match result {
-                Ok(r) => println!(
-                    "[{n}/{to_run}] {:>9} × {:<8} [{}]  IPC {:.3}  {:.2}s  {:.2} MIPS  ({running} running, {} queued)",
+        let outcomes = resolve(&specs, opts.jobs, &Inflight::default(), &local);
+        let exec_s = exec_start.elapsed().as_secs_f64();
+
+        let agg_start = Instant::now();
+        let jobs = outcomes.into_iter().map(|o| o.map(|(row, _)| row)).collect::<Result<_, _>>()?;
+        let stages = StageWall { build_s, cache_s, exec_s, aggregate_s: 0.0 };
+        let mut campaign = Campaign::new(self, jobs, start.elapsed().as_secs_f64(), stages);
+        campaign.cache_warning = cache_warning;
+        campaign.stages.aggregate_s = agg_start.elapsed().as_secs_f64();
+        Ok(campaign)
+    }
+}
+
+/// A local campaign's half of [`resolve`]: lookups in the prior
+/// artifact, execution in this process, one progress line per job it
+/// did not find there.
+struct Local<'a> {
+    prior: HashMap<&'a str, &'a JobResult>,
+    progress: bool,
+    to_run: usize,
+    done: AtomicUsize,
+}
+
+impl<'a> Local<'a> {
+    fn new(specs: &[JobSpec], prior: &'a [JobResult], progress: bool) -> Local<'a> {
+        let prior: HashMap<&str, &JobResult> = prior.iter().map(|r| (r.digest.as_str(), r)).collect();
+        let to_run = specs.iter().filter(|s| !prior.contains_key(s.digest.as_str())).count();
+        Local { prior, progress, to_run, done: AtomicUsize::new(0) }
+    }
+}
+
+impl Resolve for Local<'_> {
+    fn lookup(&self, spec: &JobSpec) -> Option<JobResult> {
+        self.prior.get(spec.digest.as_str()).map(|&r| r.clone())
+    }
+
+    fn execute(&self, specs: &[&JobSpec]) -> Vec<Outcome> {
+        execute_here(specs)
+    }
+
+    fn finished(&self, rows: &[(usize, Outcome)]) {
+        if !self.progress {
+            return;
+        }
+        for (_, outcome) in rows {
+            if matches!(outcome, Ok((_, Source::Store))) {
+                continue;
+            }
+            let n = self.done.fetch_add(1, Ordering::Relaxed) + 1;
+            match outcome {
+                Ok((r, _)) => println!(
+                    "[{n}/{}] {:>9} × {:<8} [{}]  IPC {:.3}  {:.2}s  {:.2} MIPS",
+                    self.to_run,
                     r.workload,
                     r.model.name(),
                     r.variant,
                     r.ipc,
                     r.wall_s,
                     r.mips,
-                    (to_run - n).saturating_sub(running)
                 ),
-                Err(e) => println!("[{n}/{to_run}] FAILED: {e}"),
+                Err(e) => println!("[{n}/{}] FAILED: {e}", self.to_run),
             }
-        };
-        let unit_outcomes: Vec<Vec<(usize, Result<JobResult, String>)>> = pool::map_ordered_with(
-            &units,
-            opts.jobs,
-            |_, unit| {
-                if unit.len() == 1 && cached[unit[0]].is_some() {
-                    let i = unit[0];
-                    return vec![(i, Ok(cached[i].clone().expect("checked cached")))];
-                }
-                let claimed_s = exec_start.elapsed().as_secs_f64();
-                let members: Vec<&JobSpec> = unit.iter().map(|&i| &specs[i]).collect();
-                let results = JobSpec::execute_batch(&members);
-                let finished = exec_start.elapsed().as_secs_f64();
-                unit.iter()
-                    .zip(results)
-                    .map(|(&i, result)| {
-                        let result = result.map(|mut r| {
-                            r.started_s = claimed_s;
-                            r.finished_s = finished;
-                            r
-                        });
-                        if opts.progress {
-                            progress_line(&result);
-                        }
-                        (i, result)
-                    })
-                    .collect()
-            },
-            // Pool lifecycle observer: count claims of non-cached jobs so
-            // the progress line can show how many are in flight.
-            |ev| {
-                if let pool::JobEvent::Started { index } = ev {
-                    let live = units[index].iter().filter(|&&i| cached[i].is_none()).count();
-                    started.fetch_add(live, Ordering::Relaxed);
-                }
-            },
-        );
-        let exec_s = exec_start.elapsed().as_secs_f64();
-
-        let agg_start = Instant::now();
-        let slots = crate::group::collect_ordered(specs.len(), unit_outcomes);
-        let mut jobs = Vec::with_capacity(slots.len());
-        for slot in slots {
-            jobs.push(slot.expect("every spec executed or was cached")?);
         }
-        let cached_hits = jobs.iter().filter(|j| j.cached).count();
-        let mut campaign = Campaign {
-            name: self.name.clone(),
-            scale: self.scale,
-            sim_version: SIM_VERSION.to_string(),
-            created_unix: std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0),
-            wall_s: start.elapsed().as_secs_f64(),
-            stages: StageWall { build_s, cache_s, exec_s, aggregate_s: 0.0 },
-            executed: jobs.len() - cached_hits,
-            cached: cached_hits,
-            cache_warning,
-            trace_id: None,
-            sampling: self.sampling,
-            jobs,
-        };
-        campaign.stages.aggregate_s = agg_start.elapsed().as_secs_f64();
-        Ok(campaign)
     }
 }
 
@@ -326,21 +308,11 @@ pub struct RunOptions {
     pub cache: Option<PathBuf>,
     /// Print one line per finished job.
     pub progress: bool,
-    /// Run the config variants of each (workload, model) as one batched
-    /// lockstep job ([`JobSpec::execute_batch`]) instead of independent
-    /// jobs. Per-variant results and digests are identical either way;
-    /// `false` is the A/B and bisection fallback.
-    pub batch_variants: bool,
 }
 
 impl Default for RunOptions {
     fn default() -> RunOptions {
-        RunOptions {
-            jobs: pool::default_workers(),
-            cache: None,
-            progress: false,
-            batch_variants: true,
-        }
+        RunOptions { jobs: pool::default_workers(), cache: None, progress: false }
     }
 }
 
@@ -394,6 +366,30 @@ pub struct Campaign {
 }
 
 impl Campaign {
+    /// The artifact of `spec` over its resolved rows (in job-list
+    /// order): rows marked `cached` count as cached, the rest as
+    /// executed.
+    pub fn new(spec: &CampaignSpec, jobs: Vec<JobResult>, wall_s: f64, stages: StageWall) -> Campaign {
+        let cached = jobs.iter().filter(|j| j.cached).count();
+        Campaign {
+            name: spec.name.clone(),
+            scale: spec.scale,
+            sim_version: SIM_VERSION.to_string(),
+            created_unix: std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .map(|d| d.as_secs())
+                .unwrap_or(0),
+            wall_s,
+            stages,
+            executed: jobs.len() - cached,
+            cached,
+            cache_warning: None,
+            trace_id: None,
+            sampling: spec.sampling,
+            jobs,
+        }
+    }
+
     /// The result for (workload, model) under the `"main"` variant.
     pub fn get(&self, workload: &str, model: CommModel) -> Option<&JobResult> {
         self.get_variant(workload, model, "main")
@@ -711,17 +707,21 @@ mod tests {
             ])
     }
 
+    /// Each spec run on its own through [`JobSpec::execute`] — the
+    /// reference every batched path must match bit for bit.
+    fn solo_rows(spec: &CampaignSpec) -> Vec<JobResult> {
+        spec.jobs().unwrap().iter().map(|s| s.execute().unwrap()).collect()
+    }
+
     #[test]
     fn batched_campaign_matches_job_per_variant() {
         let batched = sweep_spec("b")
             .run(&RunOptions { jobs: 2, ..RunOptions::default() })
             .unwrap();
-        let unbatched = sweep_spec("u")
-            .run(&RunOptions { jobs: 2, batch_variants: false, ..RunOptions::default() })
-            .unwrap();
+        let solo = solo_rows(&sweep_spec("u"));
         assert_eq!(batched.jobs.len(), 2 * 2 * 3);
-        assert_eq!(batched.jobs.len(), unbatched.jobs.len());
-        for (b, u) in batched.jobs.iter().zip(&unbatched.jobs) {
+        assert_eq!(batched.jobs.len(), solo.len());
+        for (b, u) in batched.jobs.iter().zip(&solo) {
             assert_eq!(b.digest, u.digest);
             assert_eq!(b.variant, u.variant);
             // Full-stats bit-identity between the two execution paths.
@@ -749,16 +749,36 @@ mod tests {
         for job in &full.jobs {
             assert_eq!(job.cached, job.variant == "main");
         }
-        // And the batched misses match a fresh unbatched run bit-for-bit.
-        let reference = sweep_spec("ref")
-            .run(&RunOptions { jobs: 1, batch_variants: false, ..RunOptions::default() })
-            .unwrap();
-        for (got, want) in full.jobs.iter().zip(&reference.jobs) {
+        // And the batched misses match solo runs bit-for-bit.
+        for (got, want) in full.jobs.iter().zip(&solo_rows(&sweep_spec("ref"))) {
             assert_eq!(got.digest, want.digest);
             assert_eq!(got.cycles, want.cycles);
             assert_eq!(got.ipc, want.ipc);
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn prior_artifact_hits_carry_the_requested_label() {
+        let artifact = std::env::temp_dir().join(format!("dmdp-relabel-{}.json", std::process::id()));
+        let labelled = |label: &str| {
+            let rob64 = CfgPatch { rob: Some(64), ..CfgPatch::default() };
+            CampaignSpec::new("relabel", Scale::Test).kernels(["mcf"]).models([CommModel::Dmdp]).variants([(label.to_string(), rob64)])
+        };
+        let opts = RunOptions { jobs: 1, cache: Some(artifact.clone()), ..RunOptions::default() };
+        labelled("a").run(&opts).unwrap().save(&artifact).unwrap();
+        // Same config under another label: a digest hit, relabelled.
+        let b = labelled("b").run(&opts).unwrap();
+        assert_eq!((b.executed, b.cached, b.jobs[0].variant.as_str()), (0, 1, "b"));
+        std::fs::remove_file(&artifact).ok();
+    }
+
+    #[test]
+    fn impossible_variant_is_rejected_before_any_job_runs() {
+        let tiny = CfgPatch { prf: Some(10), ..CfgPatch::default() };
+        let spec = CampaignSpec::new("x", Scale::Test).kernels(["lib"]).variants([("tiny".to_string(), tiny)]);
+        let err = spec.run(&RunOptions { jobs: 1, ..RunOptions::default() }).unwrap_err();
+        assert!(err.contains("variant `tiny`") && err.contains("register file too small"), "{err}");
     }
 
     #[test]

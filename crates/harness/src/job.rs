@@ -5,7 +5,8 @@
 //! full [`CoreConfig`] and a shared handle to the assembled program — so
 //! any worker thread can execute it independently and deterministically.
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use dmdp_core::{BatchSimulator, CommModel, CoreConfig, PlanCache, SimStats, Simulator, SIM_VERSION};
@@ -128,6 +129,50 @@ impl PlannedImage {
     pub fn new(program: Arc<Program>) -> PlannedImage {
         let plans = PlanCache::shared(&program);
         PlannedImage { program, plans }
+    }
+}
+
+/// A workload's planned image with the name and suite its jobs report.
+#[derive(Debug, Clone)]
+pub struct WorkloadImage {
+    /// Workload (SPEC analogue) name.
+    pub name: &'static str,
+    /// The suite the paper reports the workload under.
+    pub suite: Suite,
+    /// The assembled program and its plan cache.
+    pub image: PlannedImage,
+}
+
+impl WorkloadImage {
+    /// Plans a generated workload.
+    pub fn new(w: dmdp_workloads::Workload) -> WorkloadImage {
+        WorkloadImage { name: w.name, suite: w.suite, image: PlannedImage::new(Arc::new(w.program)) }
+    }
+}
+
+/// All 21 workload images per scale, built on first use and kept for the
+/// life of a daemon or worker, so repeat requests never pay generation
+/// or decode again.
+#[derive(Debug, Default)]
+pub struct ResidentImages {
+    scales: Mutex<HashMap<&'static str, Arc<Vec<WorkloadImage>>>>,
+}
+
+impl ResidentImages {
+    /// The image set for `scale`, in the paper's reporting order. Holding
+    /// the lock across the build serializes concurrent first requests, so
+    /// each set is built once.
+    pub fn at(&self, scale: Scale) -> Arc<Vec<WorkloadImage>> {
+        let mut scales = self.scales.lock().unwrap_or_else(PoisonError::into_inner);
+        let set = scales.entry(scale.name()).or_insert_with(|| {
+            Arc::new(dmdp_workloads::all(scale).into_iter().map(WorkloadImage::new).collect())
+        });
+        Arc::clone(set)
+    }
+
+    /// Images resident across every scale.
+    pub fn count(&self) -> usize {
+        self.scales.lock().unwrap_or_else(PoisonError::into_inner).values().map(|v| v.len()).sum()
     }
 }
 

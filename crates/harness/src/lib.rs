@@ -50,9 +50,9 @@ mod sampled;
 
 pub use campaign::{Campaign, CampaignSpec, RunOptions, StageWall};
 pub use digest::Digest64;
-pub use group::{collect_ordered, partition_units};
-pub use job::{CfgPatch, JobResult, JobSpec, PlannedImage};
+pub use group::{execute_here, partition_units, resolve, Inflight, Outcome, Resolve, Source};
+pub use job::{CfgPatch, JobResult, JobSpec, PlannedImage, ResidentImages, WorkloadImage};
 pub use sampled::{build_bundle, record_bundle, Sampling, SamplingSpec};
 pub use json::Json;
-pub use pool::{default_workers, map_ordered, map_ordered_with, JobEvent};
+pub use pool::{default_workers, map_ordered};
 pub use report::{error_table, render_campaign, render_error_table, ErrorRow, ErrorTable};

@@ -9,23 +9,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// A job lifecycle notification from the pool. `Started` fires the
-/// moment a worker claims the item (steals its index); `Finished` fires
-/// after `f` returns. Both may arrive from any worker thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobEvent {
-    /// A worker claimed the item at `index`.
-    Started {
-        /// Index into the input slice.
-        index: usize,
-    },
-    /// The closure returned for the item at `index`.
-    Finished {
-        /// Index into the input slice.
-        index: usize,
-    },
-}
-
 /// Applies `f` to every item on `workers` threads, returning the results
 /// in input order. `f(index, item)` may run on any thread and in any
 /// order; a panic in `f` propagates to the caller after the scope joins.
@@ -39,32 +22,8 @@ where
     T: Send,
     F: Fn(usize, &I) -> T + Sync,
 {
-    map_ordered_with(items, workers, f, |_| {})
-}
-
-/// [`map_ordered`] with a lifecycle observer: `on_event` receives a
-/// [`JobEvent`] when each item is claimed and when it completes, from
-/// whichever thread ran it. The observer drives live progress reporting
-/// (queued = not yet started, running = started − finished) without the
-/// work closure knowing about display concerns.
-pub fn map_ordered_with<I, T, F, E>(items: &[I], workers: usize, f: F, on_event: E) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(usize, &I) -> T + Sync,
-    E: Fn(JobEvent) + Sync,
-{
     if workers <= 1 || items.len() <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
-                on_event(JobEvent::Started { index: i });
-                let out = f(i, item);
-                on_event(JobEvent::Finished { index: i });
-                out
-            })
-            .collect();
+        return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
     }
     let workers = workers.min(items.len());
     let next = AtomicUsize::new(0);
@@ -74,10 +33,8 @@ where
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(item) = items.get(i) else { break };
-                on_event(JobEvent::Started { index: i });
                 let out = f(i, item);
                 *results[i].lock().unwrap() = Some(out);
-                on_event(JobEvent::Finished { index: i });
             });
         }
     });
@@ -117,29 +74,6 @@ mod tests {
         });
         assert_eq!(out.len(), 257);
         assert_eq!(hits.load(Ordering::Relaxed), 257);
-    }
-
-    #[test]
-    fn events_pair_up_per_item() {
-        use std::sync::Mutex as M;
-        let items: Vec<usize> = (0..40).collect();
-        let started = M::new(vec![0u32; 40]);
-        let finished = M::new(vec![0u32; 40]);
-        for workers in [1, 4] {
-            *started.lock().unwrap() = vec![0; 40];
-            *finished.lock().unwrap() = vec![0; 40];
-            map_ordered_with(
-                &items,
-                workers,
-                |_, &x| x,
-                |ev| match ev {
-                    JobEvent::Started { index } => started.lock().unwrap()[index] += 1,
-                    JobEvent::Finished { index } => finished.lock().unwrap()[index] += 1,
-                },
-            );
-            assert!(started.lock().unwrap().iter().all(|&c| c == 1));
-            assert!(finished.lock().unwrap().iter().all(|&c| c == 1));
-        }
     }
 
     #[test]

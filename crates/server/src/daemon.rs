@@ -12,10 +12,11 @@
 //! * **Persistent results** — every completed job lands in the
 //!   content-addressed [`Store`]; any later request for the same digest
 //!   (this client or another, before or after a restart) is a disk read.
-//! * **In-flight dedup** — concurrent clients submitting overlapping
-//!   sweeps race on a digest-keyed in-flight table: the first request
-//!   executes a job, everyone else blocks on it and shares the result,
-//!   so each digest is simulated at most once.
+//! * **In-flight dedup** — every submit resolves its job list through
+//!   [`dmdp_harness::resolve`] over one digest-keyed in-flight table:
+//!   the first request executes a job, every overlapping request waits
+//!   for it and shares the result, so each digest is simulated at most
+//!   once.
 //! * **Graceful shutdown** — a `shutdown` request stops new submissions
 //!   and drains running ones; every connected client still receives its
 //!   complete artifact (or an explicit error) before the daemon exits.
@@ -36,21 +37,19 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use dmdp_core::{CoreConfig, SIM_VERSION};
+use dmdp_core::SIM_VERSION;
 use dmdp_harness::json::obj;
 use dmdp_harness::{
-    pool, Campaign, CfgPatch, JobResult, JobSpec, Json, PlannedImage, Sampling, SamplingSpec,
-    StageWall,
+    execute_here, pool, resolve, Campaign, CampaignSpec, CfgPatch, Inflight, JobResult, JobSpec,
+    Json, Outcome, ResidentImages, Resolve, Source, StageWall,
 };
-use dmdp_sample::SampledBundle;
 use dmdp_obs::log::{next_trace_id, EventLog, Level, Value};
 use dmdp_obs::{Counter, Gauge, LogHistogram};
-use dmdp_workloads::{Scale, Suite};
 
 use crate::protocol::{
-    self, LineEvent, LineReader, Request, SubmitRequest, WorkerMsg, PROTOCOL_VERSION,
+    self, write_locked, LineEvent, LineReader, Request, SubmitRequest, WorkerMsg, PROTOCOL_VERSION,
 };
-use crate::store::Store;
+use crate::store::{warn_write, Store};
 
 /// Configuration of one [`serve`] invocation.
 #[derive(Debug, Clone)]
@@ -115,7 +114,6 @@ struct DaemonMetrics {
     connections: &'static Gauge,
     err_protocol: &'static Counter,
     err_request: &'static Counter,
-    err_store: &'static Counter,
     jobs_executed: &'static Counter,
     jobs_store: &'static Counter,
     jobs_dedup: &'static Counter,
@@ -163,7 +161,6 @@ fn daemon_metrics() -> &'static DaemonMetrics {
             connections: r.gauge("dmdp_connections", "client connections currently open"),
             err_protocol: err("protocol"),
             err_request: err("request"),
-            err_store: err("store"),
             jobs_executed: jobs("executed"),
             jobs_store: jobs("store"),
             jobs_dedup: jobs("dedup"),
@@ -210,29 +207,14 @@ fn sync_gauges(shared: &Shared) {
     let store = shared.store.stats();
     m.store_entries.set(store.entries as i64);
     m.store_bytes.set(store.bytes as i64);
-    m.inflight.set(shared.inflight.lock().unwrap().len() as i64);
+    m.inflight.set(shared.inflight.count() as i64);
     m.active_submits.set(shared.active_submits.load(Ordering::SeqCst) as i64);
-    let resident: usize = shared.images.lock().unwrap().values().map(|v| v.len()).sum();
-    m.resident_images.set(resident as i64);
+    m.resident_images.set(shared.images.count() as i64);
     m.workers.set(shared.workers.lock().unwrap().len() as i64);
 }
 
 fn elapsed_us(since: Instant) -> u64 {
     since.elapsed().as_micros().min(u64::MAX as u128) as u64
-}
-
-/// One digest's in-flight slot: the owner executes, everyone else waits
-/// on the condvar until the (summary) result is published.
-#[derive(Default)]
-struct Inflight {
-    slot: Mutex<Option<Result<JobResult, String>>>,
-    cv: Condvar,
-}
-
-struct ResidentImage {
-    name: String,
-    suite: Suite,
-    image: PlannedImage,
 }
 
 /// Why a dispatched group came back without rows.
@@ -245,7 +227,7 @@ enum GroupFail {
 
 /// What lands in a [`GroupSlot`]: the group's rows in dispatch order
 /// (each with its source tag), or the reason there are none.
-type GroupOutcome = Result<Vec<(JobResult, &'static str)>, GroupFail>;
+type GroupOutcome = Result<Vec<(JobResult, Source)>, GroupFail>;
 
 /// A dispatched group's result slot: the worker-connection thread
 /// publishes, the submitting thread waits.
@@ -290,11 +272,8 @@ struct Shared {
     log: EventLog,
     slow_job_ms: Option<u64>,
     metrics: &'static DaemonMetrics,
-    /// Workload images resident per scale, in the paper's reporting
-    /// order — the same order `CampaignSpec::jobs` produces, so daemon
-    /// artifacts are row-for-row comparable with local campaigns.
-    images: Mutex<HashMap<&'static str, Arc<Vec<ResidentImage>>>>,
-    inflight: Mutex<HashMap<String, Arc<Inflight>>>,
+    images: ResidentImages,
+    inflight: Inflight,
     workers: Mutex<HashMap<u64, Arc<WorkerHandle>>>,
     accept_workers: bool,
     next_worker_id: AtomicU64,
@@ -364,8 +343,8 @@ pub fn serve(opts: &ServeOptions) -> Result<DaemonReport, String> {
         log,
         slow_job_ms: opts.slow_job_ms,
         metrics: daemon_metrics(),
-        images: Mutex::new(HashMap::new()),
-        inflight: Mutex::new(HashMap::new()),
+        images: ResidentImages::default(),
+        inflight: Inflight::default(),
         workers: Mutex::new(HashMap::new()),
         accept_workers: opts.accept_workers || opts.workers > 0,
         next_worker_id: AtomicU64::new(0),
@@ -570,10 +549,6 @@ fn handle_tcp(shared: &Shared, stream: std::net::TcpStream) {
     handle(shared, stream, writer);
 }
 
-fn write_locked<W: Write>(writer: &Mutex<W>, msg: &Json) -> Result<(), String> {
-    protocol::write_msg(&mut *writer.lock().unwrap(), msg)
-}
-
 /// Decrements the open-connection gauge when the connection thread
 /// unwinds, whatever the exit path.
 struct ConnGuard(&'static Gauge);
@@ -744,7 +719,6 @@ fn handle<R: Read, W: Write + Send + 'static>(shared: &Shared, reader: R, writer
                                 ("models", req.models.len().into()),
                                 ("variants", req.variants.len().into()),
                                 ("watch", req.watch.into()),
-                                ("batch_variants", req.batch_variants.into()),
                                 ("sampled", req.sampling.is_some().into()),
                             ],
                         );
@@ -972,7 +946,7 @@ fn resolve_group(
                 Ok(rows
                     .into_iter()
                     .map(|(r, src)| {
-                        (r, if src == SRC_STORE { SRC_STORE } else { SRC_EXECUTED })
+                        (r, if src == Source::Executed.name() { Source::Executed } else { Source::Store })
                     })
                     .collect())
             }
@@ -980,136 +954,6 @@ fn resolve_group(
     };
     *pg.slot.slot.lock().unwrap() = Some(outcome);
     pg.slot.cv.notify_all();
-}
-
-/// The resident image set for one scale, building (and keeping) all 21
-/// workloads on first use. Holding the map lock across the build also
-/// serializes concurrent first requests, so the images are built once.
-fn resident_images(shared: &Shared, scale: Scale) -> Arc<Vec<ResidentImage>> {
-    let mut map = shared.images.lock().unwrap();
-    if let Some(v) = map.get(scale.name()) {
-        return Arc::clone(v);
-    }
-    let built: Vec<ResidentImage> = dmdp_workloads::all(scale)
-        .into_iter()
-        .map(|w| ResidentImage {
-            name: w.name.to_string(),
-            suite: w.suite,
-            image: PlannedImage::new(Arc::new(w.program)),
-        })
-        .collect();
-    let arc = Arc::new(built);
-    map.insert(scale.name(), Arc::clone(&arc));
-    arc
-}
-
-/// Materializes a request's job list against the resident images — the
-/// same cross product, order and digests as `CampaignSpec::jobs`.
-fn build_jobs(shared: &Shared, req: &SubmitRequest) -> Result<Vec<JobSpec>, String> {
-    let resident = resident_images(shared, req.scale);
-    if let Some(filter) = &req.kernels {
-        for name in filter {
-            if !resident.iter().any(|w| &w.name == name) {
-                let known: Vec<&str> = resident.iter().map(|w| w.name.as_str()).collect();
-                return Err(format!(
-                    "unknown workload `{name}`; valid kernels: {}",
-                    known.join(", ")
-                ));
-            }
-        }
-    }
-    let mut jobs = Vec::new();
-    for w in resident.iter() {
-        if let Some(filter) = &req.kernels {
-            if !filter.iter().any(|n| n == &w.name) {
-                continue;
-            }
-        }
-        let bundle = match req.sampling {
-            Some(s) => Some(resolve_bundle(shared, &w.name, &w.image, s)?),
-            None => None,
-        };
-        for &model in &req.models {
-            for (label, patch) in &req.variants {
-                let mut cfg = CoreConfig::new(model);
-                patch.apply(&mut cfg);
-                let mut job =
-                    JobSpec::new(&w.name, w.suite, model, req.scale, label, cfg, &w.image);
-                if let (Some(s), Some(b)) = (req.sampling, &bundle) {
-                    job = job.sampled(SamplingSpec { sampling: s, bundle: Arc::clone(b) });
-                }
-                jobs.push(job);
-            }
-        }
-    }
-    Ok(jobs)
-}
-
-/// Resolves one workload's sampled bundle: the store's blob side first —
-/// checkpoints are shared across models, requests and restarts, so a
-/// workload is profiled once and every model simulates from the same
-/// checkpoints — else a fresh profile + cluster + checkpoint build whose
-/// bytes are persisted for the next request.
-fn resolve_bundle(
-    shared: &Shared,
-    workload: &str,
-    image: &PlannedImage,
-    sampling: Sampling,
-) -> Result<Arc<SampledBundle>, String> {
-    let digest = sampling.bundle_digest(&image.program);
-    if let Some(bytes) = shared.store.get_blob(&digest) {
-        match SampledBundle::from_bytes(&bytes) {
-            Ok(bundle) => {
-                let bundle = Arc::new(bundle);
-                dmdp_harness::record_bundle(&bundle, 0.0);
-                shared.log.debug(
-                    "bundle_hit",
-                    &[("workload", workload.into()), ("digest", (&digest).into())],
-                );
-                return Ok(bundle);
-            }
-            // A corrupt blob degrades to a rebuild (which re-persists).
-            Err(e) => shared.log.warn(
-                "bundle_corrupt",
-                &[
-                    ("workload", workload.into()),
-                    ("digest", (&digest).into()),
-                    ("error", (&e).into()),
-                ],
-            ),
-        }
-    }
-    let start = Instant::now();
-    let bundle = dmdp_harness::build_bundle(&image.program, sampling)?;
-    if let Err(e) = shared.store.put_blob(&digest, &bundle.to_bytes()) {
-        warn_store_write(shared, &digest, &e);
-    }
-    shared.log.info(
-        "bundle_built",
-        &[
-            ("workload", workload.into()),
-            ("digest", (&digest).into()),
-            ("intervals", bundle.plan.total_intervals.into()),
-            ("reps", bundle.rep_runs().len().into()),
-            ("checkpoint_bytes", bundle.checkpoint_bytes().into()),
-            ("wall_s", start.elapsed().as_secs_f64().into()),
-        ],
-    );
-    Ok(bundle)
-}
-
-/// How a job was satisfied, for events, log lines and stats.
-const SRC_EXECUTED: &str = "executed";
-const SRC_STORE: &str = "store";
-const SRC_DEDUP: &str = "dedup";
-
-/// Routes a failed store write through the event log and error counter —
-/// persistence failure degrades durability, not the run.
-fn warn_store_write(shared: &Shared, digest: &str, error: &str) {
-    shared.metrics.err_store.inc();
-    shared
-        .log
-        .warn("store_write_failed", &[("digest", digest.into()), ("error", error.into())]);
 }
 
 /// The least-loaded live worker (in-flight groups normalized by pool
@@ -1124,22 +968,17 @@ fn pick_worker(shared: &Shared) -> Option<Arc<WorkerHandle>> {
         .map(Arc::clone)
 }
 
-/// Executes a unit's store/dedup misses: dispatched to the least-loaded
+/// A submit's executor: a unit's claimed misses go to the least-loaded
 /// registered worker when there is one, in-process otherwise. A worker
 /// that dies mid-group gets its unit re-placed (on the next candidate,
 /// or in-process once no workers remain), so a crash costs a re-run,
-/// never a hole in the artifact. Returned sources are [`SRC_EXECUTED`]
-/// or [`SRC_STORE`] (the worker's own store view satisfied a member —
-/// a row some other process landed after this submit's triage).
+/// never a hole in the artifact.
 fn execute_unit(
     shared: &Shared,
-    req: &SubmitRequest,
+    variants: &[(String, CfgPatch)],
     specs: &[&JobSpec],
     trace: &str,
-) -> Vec<MemberOutcome> {
-    if specs.is_empty() {
-        return Vec::new();
-    }
+) -> Vec<Outcome> {
     loop {
         let Some(worker) = pick_worker(shared) else { break };
         let place_start = Instant::now();
@@ -1148,22 +987,14 @@ fn execute_unit(
         // from the request by variant label (labels are unique).
         let variants: Vec<(String, CfgPatch)> = specs
             .iter()
-            .map(|s| {
-                let patch = req
-                    .variants
-                    .iter()
-                    .find(|(label, _)| label == &s.variant)
-                    .map(|(_, p)| p.clone())
-                    .unwrap_or_default();
-                (s.variant.clone(), patch)
-            })
-            .collect();
+            .map(|s| variants.iter().find(|(l, _)| *l == s.variant).cloned())
+            .collect::<Option<_>>()
+            .expect("every member's label comes from the request");
         let group = protocol::GroupSpec {
             workload: lead.workload.clone(),
             scale: lead.scale,
             model: lead.model,
             variants,
-            batch: specs.len() > 1,
             sampling: lead.sampling.as_ref().map(|s| s.sampling),
         };
         let gid = shared.next_group_id.fetch_add(1, Ordering::SeqCst) + 1;
@@ -1208,13 +1039,8 @@ fn execute_unit(
                 ("members", specs.len().into()),
             ],
         );
-        let outcome = {
-            let mut guard = slot.slot.lock().unwrap();
-            while guard.is_none() {
-                guard = slot.cv.wait(guard).unwrap();
-            }
-            guard.take().expect("published by the connection thread")
-        };
+        let published = slot.cv.wait_while(slot.slot.lock().unwrap(), |o| o.is_none());
+        let outcome = published.unwrap().take().expect("published by the connection thread");
         match outcome {
             Ok(rows) => return rows.into_iter().map(Ok).collect(),
             Err(GroupFail::Requeue) => {
@@ -1233,189 +1059,84 @@ fn execute_unit(
             Err(GroupFail::Error(e)) => return specs.iter().map(|_| Err(e.clone())).collect(),
         }
     }
-    // In-process: the non-sharded daemon's execution path, verbatim.
-    if specs.len() == 1 {
-        vec![specs[0].execute().map(|r| (r, SRC_EXECUTED))]
-    } else {
-        JobSpec::execute_batch(specs)
-            .into_iter()
-            .map(|res| res.map(|r| (r, SRC_EXECUTED)))
-            .collect()
-    }
+    execute_here(specs)
 }
 
-/// Satisfies one job: persistent store first, then the in-flight table
-/// (wait on an identical running job), then actually simulate (locally
-/// or on a worker) — and publish the result to both waiters and the
-/// store.
-fn run_job(
-    shared: &Shared,
-    req: &SubmitRequest,
-    spec: &JobSpec,
-    trace: &str,
-) -> Result<(JobResult, &'static str), String> {
-    if let Some(hit) = shared.store.get(&spec.digest) {
-        shared.store_hits.fetch_add(1, Ordering::Relaxed);
-        return Ok((hit, SRC_STORE));
-    }
-    let (slot, owner) = {
-        let mut map = shared.inflight.lock().unwrap();
-        match map.get(&spec.digest) {
-            Some(arc) => (Arc::clone(arc), false),
-            None => {
-                let arc = Arc::new(Inflight::default());
-                map.insert(spec.digest.clone(), Arc::clone(&arc));
-                (arc, true)
-            }
-        }
-    };
-    if owner {
-        let mut out = execute_unit(shared, req, &[spec], trace);
-        let outcome = out.pop().expect("one outcome per spec");
-        if let Ok((r, src)) = &outcome {
-            if *src == SRC_EXECUTED {
-                shared.executed.fetch_add(1, Ordering::Relaxed);
-            } else {
-                shared.store_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            if let Err(e) = shared.store.put(r) {
-                warn_store_write(shared, &spec.digest, &e);
-            }
-        }
-        // Publish a summary copy (waiters never need the full stats),
-        // then retire the in-flight entry.
-        let summary = outcome.clone().map(|(mut r, _)| {
-            r.stats = None;
-            r
-        });
-        *slot.slot.lock().unwrap() = Some(summary);
-        slot.cv.notify_all();
-        shared.inflight.lock().unwrap().remove(&spec.digest);
-        outcome
-    } else {
-        shared.dedup_hits.fetch_add(1, Ordering::Relaxed);
-        let mut guard = slot.slot.lock().unwrap();
-        while guard.is_none() {
-            guard = slot.cv.wait(guard).unwrap();
-        }
-        match guard.as_ref().expect("published above") {
-            Ok(r) => {
-                let mut r = r.clone();
-                r.cached = true;
-                Ok((r, SRC_DEDUP))
-            }
-            Err(e) => Err(e.clone()),
-        }
-    }
-}
-
-/// A batch-unit member's outcome: the job result plus its source tag
-/// (store hit, dedup wait, or executed), or the job's error string.
-type MemberOutcome = Result<(JobResult, &'static str), String>;
-
-/// Runs a batch unit — consecutive variant jobs of one (workload, model)
-/// — preserving the per-digest store/dedup semantics job-per-variant
-/// execution has: members found in the store drop out, members another
-/// request is already simulating are waited on, and only the remaining
-/// misses run, together, through one batched lockstep simulation
-/// ([`JobSpec::execute_batch`]). Waiting on foreign in-flight jobs
-/// happens *after* this unit's own results are published, so two
-/// interleaved submissions can never deadlock on each other.
-fn run_batch_unit(
-    shared: &Shared,
-    req: &SubmitRequest,
-    specs: &[JobSpec],
-    unit: &[usize],
+/// A submit's half of [`resolve`]: the store, [`execute_unit`], and the
+/// client's event stream, metrics and log as units move.
+struct Submit<'a, W> {
+    shared: &'a Shared,
+    spec: &'a CampaignSpec,
+    watch: bool,
+    writer: &'a Mutex<W>,
+    trace: &'a str,
     exec_start: Instant,
-    trace: &str,
-) -> Vec<(usize, MemberOutcome)> {
-    enum Member {
-        Done(Box<MemberOutcome>),
-        Own(Arc<Inflight>),
-        Wait(Arc<Inflight>),
-    }
-    let claimed_s = exec_start.elapsed().as_secs_f64();
-    let mut members: Vec<Member> = Vec::with_capacity(unit.len());
-    for &i in unit {
-        let spec = &specs[i];
-        if let Some(hit) = shared.store.get(&spec.digest) {
-            shared.store_hits.fetch_add(1, Ordering::Relaxed);
-            members.push(Member::Done(Box::new(Ok((hit, SRC_STORE)))));
-            continue;
-        }
-        let mut map = shared.inflight.lock().unwrap();
-        match map.get(&spec.digest) {
-            Some(arc) => members.push(Member::Wait(Arc::clone(arc))),
-            None => {
-                let arc = Arc::new(Inflight::default());
-                map.insert(spec.digest.clone(), Arc::clone(&arc));
-                members.push(Member::Own(arc));
-            }
-        }
-    }
-    // Batch-execute the owned misses in one lockstep run.
-    let owned: Vec<usize> = (0..unit.len())
-        .filter(|&k| matches!(members[k], Member::Own(_)))
-        .collect();
-    let owned_specs: Vec<&JobSpec> = owned.iter().map(|&k| &specs[unit[k]]).collect();
-    let mut results = execute_unit(shared, req, &owned_specs, trace).into_iter();
-    for &k in &owned {
-        let spec = &specs[unit[k]];
-        let mut result = results.next().expect("one outcome per owned lane");
-        if let Ok((r, src)) = &mut result {
-            if *src == SRC_EXECUTED {
-                r.started_s = claimed_s;
-                r.finished_s = exec_start.elapsed().as_secs_f64();
-                shared.executed.fetch_add(1, Ordering::Relaxed);
-            } else {
-                shared.store_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            if let Err(e) = shared.store.put(r) {
-                warn_store_write(shared, &spec.digest, &e);
-            }
-        }
-        let Member::Own(slot) = &members[k] else { unreachable!("filtered on Own") };
-        let summary = result.clone().map(|(mut r, _)| {
-            r.stats = None;
-            r
-        });
-        *slot.slot.lock().unwrap() = Some(summary);
-        slot.cv.notify_all();
-        shared.inflight.lock().unwrap().remove(&spec.digest);
-        members[k] = Member::Done(Box::new(result));
-    }
-    // Now (and only now) block on jobs other requests own.
-    unit.iter()
-        .zip(members)
-        .map(|(&i, member)| {
-            let outcome = match member {
-                Member::Done(outcome) => *outcome,
-                Member::Own(_) => unreachable!("resolved above"),
-                Member::Wait(slot) => {
-                    shared.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                    let mut guard = slot.slot.lock().unwrap();
-                    while guard.is_none() {
-                        guard = slot.cv.wait(guard).unwrap();
-                    }
-                    match guard.as_ref().expect("published by owner") {
-                        Ok(r) => {
-                            let mut r = r.clone();
-                            r.cached = true;
-                            Ok((r, SRC_DEDUP))
-                        }
-                        Err(e) => Err(e.clone()),
-                    }
-                }
-            };
-            (i, outcome)
-        })
-        .collect()
 }
 
-/// Runs a submit request end to end: build the job list against resident
-/// images, fan it out on the pool (streaming events if asked), assemble
-/// a campaign artifact and send it back. Multi-variant submits run as
-/// batch units (see [`run_batch_unit`]) unless the request opted out.
+impl<W: Write + Send> Resolve for Submit<'_, W> {
+    fn lookup(&self, spec: &JobSpec) -> Option<JobResult> {
+        self.shared.store.get(&spec.digest)
+    }
+
+    fn execute(&self, specs: &[&JobSpec]) -> Vec<Outcome> {
+        execute_unit(self.shared, &self.spec.variants, specs, self.trace)
+    }
+
+    fn publish(&self, row: &JobResult) {
+        if let Err(e) = self.shared.store.put(row) {
+            warn_write(&self.shared.log, &row.digest, &e);
+        }
+    }
+
+    fn claimed(&self, specs: &[JobSpec], unit: &[usize]) {
+        self.shared.metrics.queue_wait_us.observe(elapsed_us(self.exec_start));
+        if self.watch {
+            for &i in unit {
+                let s = &specs[i];
+                let msg = protocol::started_msg(i, &s.workload, s.model, &s.variant);
+                let _ = write_locked(self.writer, &msg);
+            }
+        }
+    }
+
+    fn finished(&self, rows: &[(usize, Outcome)]) {
+        for (i, outcome) in rows {
+            let Ok((r, source)) = outcome else { continue };
+            let slow = self.shared.slow_job_ms.is_some_and(|ms| r.wall_s * 1000.0 >= ms as f64);
+            if slow && *source == Source::Executed {
+                self.shared.log.warn(
+                    "slow_job",
+                    &[
+                        ("trace", self.trace.into()),
+                        ("workload", (&r.workload).into()),
+                        ("model", r.model.name().into()),
+                        ("variant", (&r.variant).into()),
+                        ("wall_ms", (r.wall_s * 1000.0).into()),
+                        ("digest", (&r.digest).into()),
+                    ],
+                );
+            }
+            if self.watch {
+                let _ = write_locked(self.writer, &protocol::finished_msg(*i, r, source.name()));
+            }
+        }
+    }
+}
+
+/// Holds one `active_submits` count and releases it however the submit
+/// ends — a drain must never wait on a submit that is already gone.
+struct ActiveSubmit<'a>(&'a Shared);
+
+impl Drop for ActiveSubmit<'_> {
+    fn drop(&mut self) {
+        self.0.active_submits.fetch_sub(1, Ordering::SeqCst);
+        self.0.metrics.active_submits.dec();
+    }
+}
+
+/// Runs a submit request end to end: build the job list against the
+/// resident images (and stored bundles), resolve it (streaming events if
+/// asked), assemble a campaign artifact and send it back.
 fn run_submit<W: Write + Send>(
     shared: &Shared,
     req: &SubmitRequest,
@@ -1425,28 +1146,12 @@ fn run_submit<W: Write + Send>(
     let start = Instant::now();
     shared.active_submits.fetch_add(1, Ordering::SeqCst);
     shared.metrics.active_submits.inc();
-    let outcome = run_submit_inner(shared, req, writer, start, trace);
-    shared.active_submits.fetch_sub(1, Ordering::SeqCst);
-    shared.metrics.active_submits.dec();
-    outcome
-}
-
-fn run_submit_inner<W: Write + Send>(
-    shared: &Shared,
-    req: &SubmitRequest,
-    writer: &Mutex<W>,
-    start: Instant,
-    trace: &str,
-) -> Result<(), String> {
-    let specs = build_jobs(shared, req)?;
+    let _active = ActiveSubmit(shared);
+    let spec = req.campaign();
+    let jobs = spec.jobs_over(&shared.images.at(spec.scale), 1, |w, s| {
+        shared.store.bundle(w, s, &shared.log)
+    })?;
     let build_s = start.elapsed().as_secs_f64();
-    // Pool units: one per job, except that consecutive variant jobs of
-    // the same (workload, model) form one batch unit when the request
-    // left batching on. Sampled jobs never batch — lockstep measures
-    // full runs only.
-    let units = dmdp_harness::partition_units(&specs, |i| {
-        req.batch_variants && specs[i].sampling.is_none()
-    });
     // With workers registered the pool threads mostly block on remote
     // completions, so width follows the fleet's capacity instead of
     // the local core count — enough in flight to keep every worker
@@ -1461,95 +1166,27 @@ fn run_submit_inner<W: Write + Send>(
     };
     let width = if worker_cap > 0 { shared.jobs.max(2 * worker_cap) } else { shared.jobs };
     let exec_start = Instant::now();
-    let unit_outcomes = pool::map_ordered(&units, width, |_, unit| {
-        shared.metrics.queue_wait_us.observe(elapsed_us(exec_start));
-        if req.watch {
-            for &i in unit {
-                let spec = &specs[i];
-                let _ = write_locked(
-                    writer,
-                    &protocol::started_msg(i, &spec.workload, spec.model, &spec.variant),
-                );
-            }
-        }
-        let outcomes = if unit.len() == 1 {
-            let i = unit[0];
-            let claimed_s = exec_start.elapsed().as_secs_f64();
-            let out = run_job(shared, req, &specs[i], trace).map(|(mut r, src)| {
-                if src == SRC_EXECUTED {
-                    r.started_s = claimed_s;
-                    r.finished_s = exec_start.elapsed().as_secs_f64();
-                }
-                (r, src)
-            });
-            vec![(i, out)]
-        } else {
-            run_batch_unit(shared, req, &specs, unit, exec_start, trace)
-        };
-        if let Some(threshold_ms) = shared.slow_job_ms {
-            for (_, out) in &outcomes {
-                if let Ok((r, src)) = out {
-                    if *src == SRC_EXECUTED && r.wall_s * 1000.0 >= threshold_ms as f64 {
-                        shared.log.warn(
-                            "slow_job",
-                            &[
-                                ("trace", trace.into()),
-                                ("workload", (&r.workload).into()),
-                                ("model", r.model.name().into()),
-                                ("variant", (&r.variant).into()),
-                                ("wall_ms", (r.wall_s * 1000.0).into()),
-                                ("digest", (&r.digest).into()),
-                            ],
-                        );
-                    }
-                }
-            }
-        }
-        if req.watch {
-            for (i, out) in &outcomes {
-                if let Ok((r, src)) = out {
-                    let _ = write_locked(writer, &protocol::finished_msg(*i, r, src));
-                }
-            }
-        }
-        outcomes
-    });
+    let submit = Submit { shared, spec: &spec, watch: req.watch, writer, trace, exec_start };
+    let outcomes = resolve(&jobs, width, &shared.inflight, &submit);
     let exec_s = exec_start.elapsed().as_secs_f64();
 
     let agg_start = Instant::now();
-    let slots = dmdp_harness::collect_ordered(specs.len(), unit_outcomes);
-    let mut jobs = Vec::with_capacity(slots.len());
-    let (mut executed, mut from_store, mut from_dedup) = (0usize, 0usize, 0usize);
-    for slot in slots {
-        let (r, src) = slot.expect("every job satisfied")?;
-        match src {
-            SRC_EXECUTED => executed += 1,
-            SRC_STORE => from_store += 1,
-            _ => from_dedup += 1,
-        }
-        jobs.push(r);
+    let mut by_source = [0u64; 3];
+    for (_, source) in outcomes.iter().flatten() {
+        by_source[*source as usize] += 1;
     }
+    let [executed, from_store, from_dedup] = by_source;
+    shared.executed.fetch_add(executed, Ordering::Relaxed);
+    shared.store_hits.fetch_add(from_store, Ordering::Relaxed);
+    shared.dedup_hits.fetch_add(from_dedup, Ordering::Relaxed);
     let m = shared.metrics;
-    m.jobs_executed.add(executed as u64);
-    m.jobs_store.add(from_store as u64);
-    m.jobs_dedup.add(from_dedup as u64);
-    let mut campaign = Campaign {
-        name: req.name.clone(),
-        scale: req.scale,
-        sim_version: SIM_VERSION.to_string(),
-        created_unix: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-        wall_s: start.elapsed().as_secs_f64(),
-        stages: StageWall { build_s, cache_s: 0.0, exec_s, aggregate_s: 0.0 },
-        executed,
-        cached: from_store + from_dedup,
-        cache_warning: None,
-        trace_id: Some(trace.to_string()),
-        sampling: req.sampling,
-        jobs,
-    };
+    m.jobs_executed.add(executed);
+    m.jobs_store.add(from_store);
+    m.jobs_dedup.add(from_dedup);
+    let rows = outcomes.into_iter().map(|o| o.map(|(row, _)| row)).collect::<Result<_, _>>()?;
+    let stages = StageWall { build_s, cache_s: 0.0, exec_s, aggregate_s: 0.0 };
+    let mut campaign = Campaign::new(&spec, rows, start.elapsed().as_secs_f64(), stages);
+    campaign.trace_id = Some(trace.to_string());
     campaign.stages.aggregate_s = agg_start.elapsed().as_secs_f64();
     m.submit_wall_us.observe(elapsed_us(start));
     shared.submits.fetch_add(1, Ordering::Relaxed);
@@ -1578,7 +1215,6 @@ fn run_submit_inner<W: Write + Send>(
 
 fn stats_msg(shared: &Shared) -> Json {
     let store = shared.store.stats();
-    let resident: usize = shared.images.lock().unwrap().values().map(|v| v.len()).sum();
     obj([
         ("type", Json::Str("stats".into())),
         ("protocol", Json::Num(PROTOCOL_VERSION as f64)),
@@ -1589,8 +1225,8 @@ fn stats_msg(shared: &Shared) -> Json {
         ("store_hits", Json::Num(shared.store_hits.load(Ordering::Relaxed) as f64)),
         ("dedup_hits", Json::Num(shared.dedup_hits.load(Ordering::Relaxed) as f64)),
         ("active_submits", Json::Num(shared.active_submits.load(Ordering::SeqCst) as f64)),
-        ("inflight", Json::Num(shared.inflight.lock().unwrap().len() as f64)),
-        ("resident_images", Json::Num(resident as f64)),
+        ("inflight", Json::Num(shared.inflight.count() as f64)),
+        ("resident_images", Json::Num(shared.images.count() as f64)),
         ("workers", Json::Num(shared.workers.lock().unwrap().len() as f64)),
         (
             "store",

@@ -28,7 +28,7 @@ use std::io::{Read, Write};
 
 use dmdp_core::CommModel;
 use dmdp_harness::json::obj;
-use dmdp_harness::{CfgPatch, JobResult, Json, Sampling};
+use dmdp_harness::{CampaignSpec, CfgPatch, JobResult, Json, Sampling};
 use dmdp_workloads::Scale;
 
 /// Bumped when the wire format changes incompatibly. The daemon answers
@@ -59,11 +59,6 @@ pub struct SubmitRequest {
     pub variants: Vec<(String, CfgPatch)>,
     /// Stream `started`/`finished` events before the artifact.
     pub watch: bool,
-    /// Run each (workload, model)'s variants as one batched lockstep
-    /// simulation instead of independent jobs (per-variant results and
-    /// digests are identical either way). Defaults to `true`; absent on
-    /// the wire means `true`, so old clients get batching for free.
-    pub batch_variants: bool,
     /// Run every job sampled (interval clustering + checkpoint
     /// fast-forward). Absent on the wire means full simulation, so old
     /// clients are unaffected.
@@ -80,9 +75,14 @@ impl SubmitRequest {
             kernels: None,
             variants: vec![("main".to_string(), CfgPatch::default())],
             watch: false,
-            batch_variants: true,
             sampling: None,
         }
+    }
+
+    /// The campaign this request asks for.
+    pub fn campaign(&self) -> CampaignSpec {
+        let spec = CampaignSpec::new(&self.name, self.scale).models(self.models.clone());
+        CampaignSpec { kernels: self.kernels.clone(), variants: self.variants.clone(), sampling: self.sampling, ..spec }
     }
 }
 
@@ -137,6 +137,58 @@ fn patch_from_json(v: &Json) -> Result<CfgPatch, String> {
     })
 }
 
+fn variants_json(variants: &[(String, CfgPatch)]) -> Json {
+    Json::Arr(
+        variants
+            .iter()
+            .map(|(label, patch)| obj([("label", Json::Str(label.clone())), ("patch", patch_json(patch))]))
+            .collect(),
+    )
+}
+
+/// Parses a non-empty `[{label, patch?}]` array; `what` prefixes errors.
+fn variants_from_json(v: &Json, what: &str) -> Result<Vec<(String, CfgPatch)>, String> {
+    let variants = v
+        .as_arr()
+        .ok_or_else(|| format!("{what}: `variants` must be an array"))?
+        .iter()
+        .map(|entry| {
+            let label = entry
+                .get("label")
+                .and_then(Json::as_str)
+                .ok_or_else(|| format!("{what}: variant missing `label`"))?;
+            let patch = entry.get("patch").map(patch_from_json).transpose()?.unwrap_or_default();
+            Ok((label.to_string(), patch))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    if variants.is_empty() {
+        return Err(format!("{what}: empty `variants` array"));
+    }
+    Ok(variants)
+}
+
+fn sampling_json(s: Sampling) -> Json {
+    obj([
+        ("interval_insns", Json::Num(s.interval_insns as f64)),
+        ("warmup_intervals", Json::Num(s.warmup_intervals as f64)),
+    ])
+}
+
+/// Parses the optional `sampling` member; `what` prefixes errors.
+fn sampling_from_json(v: &Json, what: &str) -> Result<Option<Sampling>, String> {
+    let Some(s) = v.get("sampling") else { return Ok(None) };
+    let interval_insns = s
+        .get("interval_insns")
+        .and_then(Json::as_u64)
+        .filter(|&n| n > 0)
+        .ok_or_else(|| format!("{what}: `sampling.interval_insns` must be positive"))?;
+    let warmup_intervals = s
+        .get("warmup_intervals")
+        .and_then(Json::as_u64)
+        .ok_or_else(|| format!("{what}: `sampling.warmup_intervals` must be a count"))?;
+    Ok(Some(Sampling { interval_insns, warmup_intervals: warmup_intervals as u32 }))
+}
+
 impl Request {
     /// Serializes the request to one wire document.
     pub fn to_json(&self) -> Json {
@@ -159,22 +211,8 @@ impl Request {
                             req.models.iter().map(|m| Json::Str(m.name().to_string())).collect(),
                         ),
                     ),
-                    (
-                        "variants".to_string(),
-                        Json::Arr(
-                            req.variants
-                                .iter()
-                                .map(|(label, patch)| {
-                                    obj([
-                                        ("label", Json::Str(label.clone())),
-                                        ("patch", patch_json(patch)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
+                    ("variants".to_string(), variants_json(&req.variants)),
                     ("watch".to_string(), Json::Bool(req.watch)),
-                    ("batch_variants".to_string(), Json::Bool(req.batch_variants)),
                 ];
                 if let Some(kernels) = &req.kernels {
                     members.push((
@@ -183,13 +221,7 @@ impl Request {
                     ));
                 }
                 if let Some(s) = req.sampling {
-                    members.push((
-                        "sampling".to_string(),
-                        obj([
-                            ("interval_insns", Json::Num(s.interval_insns as f64)),
-                            ("warmup_intervals", Json::Num(s.warmup_intervals as f64)),
-                        ]),
-                    ));
+                    members.push(("sampling".to_string(), sampling_json(s)));
                 }
                 Json::Obj(members)
             }
@@ -247,27 +279,8 @@ impl Request {
                 };
                 let variants = match v.get("variants") {
                     None => vec![("main".to_string(), CfgPatch::default())],
-                    Some(arr) => arr
-                        .as_arr()
-                        .ok_or("submit: `variants` must be an array")?
-                        .iter()
-                        .map(|entry| {
-                            let label = entry
-                                .get("label")
-                                .and_then(Json::as_str)
-                                .ok_or("submit: variant missing `label`")?
-                                .to_string();
-                            let patch = match entry.get("patch") {
-                                Some(p) => patch_from_json(p)?,
-                                None => CfgPatch::default(),
-                            };
-                            Ok((label, patch))
-                        })
-                        .collect::<Result<Vec<_>, String>>()?,
+                    Some(arr) => variants_from_json(arr, "submit")?,
                 };
-                if variants.is_empty() {
-                    return Err("submit: empty `variants` array".to_string());
-                }
                 // Duplicate labels would collide silently in artifacts
                 // and reports — refuse the submission outright.
                 for (i, (label, _)) in variants.iter().enumerate() {
@@ -278,22 +291,7 @@ impl Request {
                         ));
                     }
                 }
-                let sampling = match v.get("sampling") {
-                    None => None,
-                    Some(s) => {
-                        let interval_insns = s
-                            .get("interval_insns")
-                            .and_then(Json::as_u64)
-                            .filter(|&n| n > 0)
-                            .ok_or("submit: `sampling.interval_insns` must be positive")?;
-                        let warmup_intervals = s
-                            .get("warmup_intervals")
-                            .and_then(Json::as_u64)
-                            .ok_or("submit: `sampling.warmup_intervals` must be a count")?
-                            as u32;
-                        Some(Sampling { interval_insns, warmup_intervals })
-                    }
-                };
+                let sampling = sampling_from_json(v, "submit")?;
                 Ok(Request::Submit(SubmitRequest {
                     name,
                     scale,
@@ -301,10 +299,6 @@ impl Request {
                     kernels,
                     variants,
                     watch: v.get("watch").and_then(Json::as_bool).unwrap_or(false),
-                    batch_variants: v
-                        .get("batch_variants")
-                        .and_then(Json::as_bool)
-                        .unwrap_or(true),
                     sampling,
                 }))
             }
@@ -412,12 +406,13 @@ pub fn metrics_msg(snapshot: &dmdp_obs::Snapshot) -> Json {
     ])
 }
 
-/// One dispatchable job group: a batch unit (consecutive config
-/// variants of one (workload, model) — PR 7) or a singleton, as carved
-/// by [`dmdp_harness::partition_units`]. The worker rebuilds the same
+/// One dispatchable job group: the claimed misses of one unit carved by
+/// [`dmdp_harness::partition_units`] — config variants of one (workload,
+/// model), or a single sampled job. The worker rebuilds the same
 /// [`dmdp_harness::JobSpec`]s from its own resident images; digests are
 /// content-derived, so both sides agree on every row's identity without
-/// shipping program bytes.
+/// shipping program bytes. A multi-member group runs as one batched
+/// lockstep simulation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupSpec {
     /// Workload name (resolved against the worker's resident images).
@@ -428,10 +423,6 @@ pub struct GroupSpec {
     pub model: CommModel,
     /// Member variants in campaign order as `(label, patch)`.
     pub variants: Vec<(String, CfgPatch)>,
-    /// Execute the members as one batched lockstep simulation
-    /// ([`dmdp_harness::JobSpec::execute_batch`]) rather than
-    /// independently. Results are identical either way.
-    pub batch: bool,
     /// Sampled execution (checkpoint fast-forward); the worker resolves
     /// the bundle from its own store view or rebuilds it. Sampled
     /// groups are always singletons.
@@ -439,33 +430,22 @@ pub struct GroupSpec {
 }
 
 impl GroupSpec {
+    /// The campaign whose job list is this group's members, in order.
+    pub fn campaign(&self) -> CampaignSpec {
+        let spec = CampaignSpec::new(&self.workload, self.scale).models([self.model]).kernels([&self.workload]);
+        CampaignSpec { variants: self.variants.clone(), sampling: self.sampling, ..spec }
+    }
+
     /// Serializes the group body (embedded in a `group` dispatch).
     pub fn to_json(&self) -> Json {
         let mut members = vec![
             ("workload".to_string(), Json::Str(self.workload.clone())),
             ("scale".to_string(), Json::Str(self.scale.name().to_string())),
             ("model".to_string(), Json::Str(self.model.name().to_string())),
-            (
-                "variants".to_string(),
-                Json::Arr(
-                    self.variants
-                        .iter()
-                        .map(|(label, patch)| {
-                            obj([("label", Json::Str(label.clone())), ("patch", patch_json(patch))])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("batch".to_string(), Json::Bool(self.batch)),
+            ("variants".to_string(), variants_json(&self.variants)),
         ];
         if let Some(s) = self.sampling {
-            members.push((
-                "sampling".to_string(),
-                obj([
-                    ("interval_insns", Json::Num(s.interval_insns as f64)),
-                    ("warmup_intervals", Json::Num(s.warmup_intervals as f64)),
-                ]),
-            ));
+            members.push(("sampling".to_string(), sampling_json(s)));
         }
         Json::Obj(members)
     }
@@ -487,48 +467,14 @@ impl GroupSpec {
         let model_name = v.get("model").and_then(Json::as_str).ok_or("group: missing `model`")?;
         let model = CommModel::from_name(model_name)
             .ok_or_else(|| format!("group: unknown model `{model_name}`"))?;
-        let variants = v
-            .get("variants")
-            .and_then(Json::as_arr)
-            .ok_or("group: missing `variants` array")?
-            .iter()
-            .map(|entry| {
-                let label = entry
-                    .get("label")
-                    .and_then(Json::as_str)
-                    .ok_or("group: variant missing `label`")?
-                    .to_string();
-                let patch = match entry.get("patch") {
-                    Some(p) => patch_from_json(p)?,
-                    None => CfgPatch::default(),
-                };
-                Ok((label, patch))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        if variants.is_empty() {
-            return Err("group: empty `variants` array".to_string());
-        }
-        let sampling = match v.get("sampling") {
-            None => None,
-            Some(s) => Some(Sampling {
-                interval_insns: s
-                    .get("interval_insns")
-                    .and_then(Json::as_u64)
-                    .filter(|&n| n > 0)
-                    .ok_or("group: `sampling.interval_insns` must be positive")?,
-                warmup_intervals: s
-                    .get("warmup_intervals")
-                    .and_then(Json::as_u64)
-                    .ok_or("group: `sampling.warmup_intervals` must be a count")?
-                    as u32,
-            }),
-        };
+        let variants =
+            variants_from_json(v.get("variants").ok_or("group: missing `variants` array")?, "group")?;
+        let sampling = sampling_from_json(v, "group")?;
         Ok(GroupSpec {
             workload,
             scale,
             model,
             variants,
-            batch: v.get("batch").and_then(Json::as_bool).unwrap_or(false),
             sampling,
         })
     }
@@ -787,6 +733,11 @@ pub fn write_msg<W: Write>(w: &mut W, msg: &Json) -> Result<(), String> {
     w.write_all(line.as_bytes()).and_then(|()| w.flush()).map_err(|e| format!("write: {e}"))
 }
 
+/// [`write_msg`] through a writer shared between threads.
+pub(crate) fn write_locked<W: Write>(writer: &std::sync::Mutex<W>, msg: &Json) -> Result<(), String> {
+    write_msg(&mut *writer.lock().unwrap(), msg)
+}
+
 /// What one [`LineReader::read_line`] call produced.
 #[derive(Debug)]
 pub enum LineEvent {
@@ -882,7 +833,6 @@ mod tests {
                     ("rmo".into(), CfgPatch { rmo: true, ..CfgPatch::default() }),
                 ],
                 watch: true,
-                batch_variants: false,
                 sampling: None,
             }),
             Request::Submit(SubmitRequest {
@@ -895,6 +845,10 @@ mod tests {
             let back = Request::from_json(&Json::parse(&wire).unwrap()).unwrap();
             assert_eq!(back, req, "{wire}");
         }
+        // An older client's `batch_variants` field is ignored.
+        let wire = r#"{"type": "submit", "name": "x", "scale": "test", "models": ["dmdp"], "batch_variants": false}"#;
+        let want = SubmitRequest { models: vec![CommModel::Dmdp], ..SubmitRequest::new("x", Scale::Test) };
+        assert_eq!(Request::from_json(&Json::parse(wire).unwrap()), Ok(Request::Submit(want)));
     }
 
     #[test]
@@ -924,16 +878,6 @@ mod tests {
                          {"label": "a", "patch": {"rob": 128}}]}"#;
         let err = Request::from_json(&Json::parse(wire).unwrap()).unwrap_err();
         assert!(err.contains("duplicate variant label `a`"), "{err}");
-    }
-
-    #[test]
-    fn batch_variants_defaults_to_true_on_the_wire() {
-        let wire = r#"{"type": "submit", "name": "x", "scale": "test", "models": ["dmdp"]}"#;
-        let Ok(Request::Submit(req)) = Request::from_json(&Json::parse(wire).unwrap()) else {
-            panic!("submit should parse");
-        };
-        assert!(req.batch_variants, "absent field means batching on");
-        assert!(req.sampling.is_none(), "absent field means full simulation");
     }
 
     #[test]
@@ -981,7 +925,6 @@ mod tests {
                     ("main".into(), CfgPatch::default()),
                     ("rob32".into(), CfgPatch { rob: Some(32), ..CfgPatch::default() }),
                 ],
-                batch: true,
                 sampling: None,
             },
             GroupSpec {
@@ -989,7 +932,6 @@ mod tests {
                 scale: Scale::Full,
                 model: CommModel::NoSq,
                 variants: vec![("main".into(), CfgPatch::default())],
-                batch: false,
                 sampling: Some(Sampling { interval_insns: 1000, warmup_intervals: 2 }),
             },
         ];

@@ -26,10 +26,20 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::SystemTime;
+use std::sync::{Arc, Mutex};
+use std::time::{Instant, SystemTime};
 
-use dmdp_harness::{JobResult, Json};
+use dmdp_harness::{JobResult, Json, Sampling, WorkloadImage};
+use dmdp_obs::log::EventLog;
+use dmdp_sample::SampledBundle;
+
+/// Routes a failed store write through the event log and the
+/// `dmdp_errors_total{kind="store"}` counter — persistence failure
+/// degrades durability, not the run.
+pub(crate) fn warn_write(log: &EventLog, digest: &str, error: &str) {
+    store_metrics().write_errors.inc();
+    log.warn("store_write_failed", &[("digest", digest.into()), ("error", error.into())]);
+}
 
 /// Process-wide store metrics (cumulative across every [`Store`] this
 /// process opens — the per-store view stays on [`Store::stats`]).
@@ -43,6 +53,7 @@ struct StoreMetrics {
     blob_hits: &'static dmdp_obs::Counter,
     blob_misses: &'static dmdp_obs::Counter,
     blob_bytes: &'static dmdp_obs::Counter,
+    write_errors: &'static dmdp_obs::Counter,
 }
 
 fn store_metrics() -> &'static StoreMetrics {
@@ -74,6 +85,7 @@ fn store_metrics() -> &'static StoreMetrics {
                 "dmdp_store_blob_bytes_total",
                 "blob bytes newly persisted (checkpoint bundles)",
             ),
+            write_errors: r.counter_with("dmdp_errors_total", &[("kind", "store")], "failures by kind"),
         }
     })
 }
@@ -386,6 +398,43 @@ impl Store {
         std::fs::rename(&tmp, &path).map_err(|e| format!("{}: {e}", path.display()))?;
         store_metrics().blob_bytes.add(bytes.len() as u64);
         Ok(true)
+    }
+
+    /// A workload's sampled bundle: the blob side first (a workload is
+    /// profiled once, then every model, request, process and restart
+    /// simulates from the same checkpoints), else a fresh build whose
+    /// bytes are persisted for the next caller. A corrupt blob degrades
+    /// to a rebuild.
+    ///
+    /// # Errors
+    ///
+    /// Bundle-construction errors, stringified.
+    pub fn bundle(&self, w: &WorkloadImage, sampling: Sampling, log: &EventLog) -> Result<Arc<SampledBundle>, String> {
+        let digest = sampling.bundle_digest(&w.image.program);
+        let at = [("workload", w.name.into()), ("digest", (&digest).into())];
+        if let Some(bytes) = self.get_blob(&digest) {
+            match SampledBundle::from_bytes(&bytes) {
+                Ok(bundle) => {
+                    dmdp_harness::record_bundle(&bundle, 0.0);
+                    log.debug("bundle_hit", &at);
+                    return Ok(Arc::new(bundle));
+                }
+                Err(e) => log.warn("bundle_corrupt", &[&at[..], &[("error", e.into())]].concat()),
+            }
+        }
+        let start = Instant::now();
+        let bundle = dmdp_harness::build_bundle(&w.image.program, sampling)?;
+        if let Err(e) = self.put_blob(&digest, &bundle.to_bytes()) {
+            warn_write(log, &digest, &e);
+        }
+        let built = [
+            ("intervals", bundle.plan.total_intervals.into()),
+            ("reps", bundle.rep_runs().len().into()),
+            ("checkpoint_bytes", bundle.checkpoint_bytes().into()),
+            ("wall_s", start.elapsed().as_secs_f64().into()),
+        ];
+        log.info("bundle_built", &[&at[..], &built[..]].concat());
+        Ok(bundle)
     }
 
     /// Evicts least-recently-used entries until the tree fits the cap.

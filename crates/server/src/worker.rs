@@ -4,7 +4,7 @@
 //! `register` handshake (protocol version and [`SIM_VERSION`] must both
 //! match — digests would silently disagree otherwise), then executes
 //! the job groups the coordinator dispatches, each on its own pool of
-//! runner threads with its own resident [`PlannedImage`]s. The
+//! runner threads with its own resident images. The
 //! content-addressed [`Store`] directory is the only state shared with
 //! the coordinator and the other workers: every executed result is
 //! persisted there, and every dispatched member is checked against it
@@ -17,23 +17,25 @@
 //! runs them in-process), and a restarted worker simply re-registers —
 //! its store view re-syncs lazily through on-disk adoption.
 
-use std::collections::{HashMap, VecDeque};
-use std::io::Write;
+use std::collections::VecDeque;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use dmdp_core::{CoreConfig, SIM_VERSION};
-use dmdp_harness::{JobResult, JobSpec, Json, PlannedImage, Sampling, SamplingSpec};
+use dmdp_core::SIM_VERSION;
+use dmdp_harness::{
+    execute_here, resolve, Inflight, JobResult, JobSpec, Json, Outcome, ResidentImages, Resolve,
+    Source,
+};
 use dmdp_obs::log::{EventLog, Level};
-use dmdp_sample::SampledBundle;
-use dmdp_workloads::{Scale, Suite};
 
 use crate::client::retry_transient;
-use crate::protocol::{self, CoordMsg, GroupSpec, LineEvent, LineReader, WorkerHello, PROTOCOL_VERSION};
-use crate::store::Store;
+use crate::protocol::{
+    self, write_locked, CoordMsg, GroupSpec, LineEvent, LineReader, WorkerHello, PROTOCOL_VERSION,
+};
+use crate::store::{warn_write, Store};
 
 /// Configuration of one [`run_worker`] invocation.
 #[derive(Debug, Clone)]
@@ -89,130 +91,55 @@ fn pin_cores(cores: &[usize]) {
 #[cfg(not(target_os = "linux"))]
 fn pin_cores(_cores: &[usize]) {}
 
-struct ResidentWorkload {
-    name: String,
-    suite: Suite,
-    image: PlannedImage,
-}
-
 struct WorkerCtx {
     store: Store,
     log: EventLog,
-    /// Resident images per scale, built lazily on first dispatch —
-    /// exactly the set the coordinator holds, so digests agree.
-    images: Mutex<HashMap<&'static str, Arc<Vec<ResidentWorkload>>>>,
+    /// Resident images, exactly the set the coordinator holds, so
+    /// digests agree.
+    images: ResidentImages,
+    inflight: Inflight,
     groups: AtomicU64,
     executed: AtomicU64,
     store_hits: AtomicU64,
 }
 
-impl WorkerCtx {
-    fn resident_images(&self, scale: Scale) -> Arc<Vec<ResidentWorkload>> {
-        let mut map = self.images.lock().unwrap();
-        if let Some(v) = map.get(scale.name()) {
-            return Arc::clone(v);
-        }
-        let built: Vec<ResidentWorkload> = dmdp_workloads::all(scale)
-            .into_iter()
-            .map(|w| ResidentWorkload {
-                name: w.name.to_string(),
-                suite: w.suite,
-                image: PlannedImage::new(Arc::new(w.program)),
-            })
-            .collect();
-        let arc = Arc::new(built);
-        map.insert(scale.name(), Arc::clone(&arc));
-        arc
+/// A worker's half of [`resolve`]: the shared store for lookups and
+/// publishing, this process for execution.
+impl Resolve for WorkerCtx {
+    fn lookup(&self, spec: &JobSpec) -> Option<JobResult> {
+        self.store.get(&spec.digest)
     }
 
-    /// The workload's sampled bundle: shared store blob first (the
-    /// coordinator profiles each workload once and persists it), else a
-    /// local rebuild whose bytes are persisted for everyone else.
-    fn resolve_bundle(
-        &self,
-        image: &PlannedImage,
-        sampling: Sampling,
-    ) -> Result<Arc<SampledBundle>, String> {
-        let digest = sampling.bundle_digest(&image.program);
-        if let Some(bytes) = self.store.get_blob(&digest) {
-            if let Ok(bundle) = SampledBundle::from_bytes(&bytes) {
-                let bundle = Arc::new(bundle);
-                dmdp_harness::record_bundle(&bundle, 0.0);
-                return Ok(bundle);
-            }
-            self.log.warn("bundle_corrupt", &[("digest", (&digest).into())]);
-        }
-        let bundle = dmdp_harness::build_bundle(&image.program, sampling)?;
-        if let Err(e) = self.store.put_blob(&digest, &bundle.to_bytes()) {
-            self.log.warn(
-                "store_write_failed",
-                &[("digest", (&digest).into()), ("error", (&e).into())],
-            );
-        }
-        Ok(bundle)
+    fn execute(&self, specs: &[&JobSpec]) -> Vec<Outcome> {
+        execute_here(specs)
     }
 
-    /// Executes one dispatched group: rebuild the member [`JobSpec`]s
-    /// against the resident images (digests are content-derived, so
-    /// they match the coordinator's), satisfy what the shared store
-    /// already holds, batch-execute the rest in lockstep when the group
-    /// asked for it, and persist every executed row.
-    fn run_group(&self, spec: &GroupSpec) -> Result<Vec<(JobResult, String)>, String> {
-        let resident = self.resident_images(spec.scale);
-        let w = resident
-            .iter()
-            .find(|w| w.name == spec.workload)
-            .ok_or_else(|| format!("unknown workload `{}`", spec.workload))?;
-        let bundle = match spec.sampling {
-            Some(s) => Some(self.resolve_bundle(&w.image, s)?),
-            None => None,
-        };
-        let mut jobs = Vec::with_capacity(spec.variants.len());
-        for (label, patch) in &spec.variants {
-            let mut cfg = CoreConfig::new(spec.model);
-            patch.apply(&mut cfg);
-            let mut job =
-                JobSpec::new(&w.name, w.suite, spec.model, spec.scale, label, cfg, &w.image);
-            if let (Some(s), Some(b)) = (spec.sampling, &bundle) {
-                job = job.sampled(SamplingSpec { sampling: s, bundle: Arc::clone(b) });
-            }
-            jobs.push(job);
+    fn publish(&self, row: &JobResult) {
+        if let Err(e) = self.store.put(row) {
+            warn_write(&self.log, &row.digest, &e);
         }
-        let mut rows: Vec<Option<(JobResult, String)>> = (0..jobs.len()).map(|_| None).collect();
-        let mut misses = Vec::new();
-        for (k, job) in jobs.iter().enumerate() {
-            match self.store.get(&job.digest) {
-                Some(hit) => {
-                    self.store_hits.fetch_add(1, Ordering::Relaxed);
-                    rows[k] = Some((hit, "store".to_string()));
-                }
-                None => misses.push(k),
-            }
-        }
-        let outcomes: Vec<Result<JobResult, String>> =
-            if spec.batch && misses.len() > 1 && spec.sampling.is_none() {
-                let refs: Vec<&JobSpec> = misses.iter().map(|&k| &jobs[k]).collect();
-                JobSpec::execute_batch(&refs)
-            } else {
-                misses.iter().map(|&k| jobs[k].execute()).collect()
-            };
-        for (&k, outcome) in misses.iter().zip(outcomes) {
-            let r = outcome?;
-            self.executed.fetch_add(1, Ordering::Relaxed);
-            if let Err(e) = self.store.put(&r) {
-                self.log.warn(
-                    "store_write_failed",
-                    &[("digest", (&r.digest).into()), ("error", (&e).into())],
-                );
-            }
-            rows[k] = Some((r, "executed".to_string()));
-        }
-        Ok(rows.into_iter().map(|r| r.expect("every row filled")).collect())
     }
 }
 
-fn write_locked<W: Write>(writer: &Mutex<W>, msg: &Json) -> Result<(), String> {
-    protocol::write_msg(&mut *writer.lock().unwrap(), msg)
+impl WorkerCtx {
+    /// Executes one dispatched group: rebuild the member [`JobSpec`]s
+    /// against the resident images (digests are content-derived, so
+    /// they match the coordinator's) and resolve them.
+    fn run_group(&self, group: &GroupSpec) -> Result<Vec<(JobResult, String)>, String> {
+        let spec = group.campaign();
+        let jobs = spec.jobs_over(&self.images.at(spec.scale), 1, |w, s| {
+            self.store.bundle(w, s, &self.log)
+        })?;
+        let rows = resolve(&jobs, 1, &self.inflight, self).into_iter().collect::<Result<Vec<_>, _>>()?;
+        Ok(rows
+            .into_iter()
+            .map(|(row, source)| {
+                let counter = if source == Source::Executed { &self.executed } else { &self.store_hits };
+                counter.fetch_add(1, Ordering::Relaxed);
+                (row, source.name().to_string())
+            })
+            .collect())
+    }
 }
 
 /// Runs one worker until the coordinator shuts it down or the
@@ -279,7 +206,8 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<WorkerReport, String> {
     let ctx = WorkerCtx {
         store: Store::open(&opts.store_dir, None)?,
         log,
-        images: Mutex::new(HashMap::new()),
+        images: ResidentImages::default(),
+        inflight: Inflight::default(),
         groups: AtomicU64::new(0),
         executed: AtomicU64::new(0),
         store_hits: AtomicU64::new(0),

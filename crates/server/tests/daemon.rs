@@ -562,6 +562,78 @@ fn submit_with_unknown_kernel_is_a_request_error_not_a_hangup() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A submit with `variants` (label, patch) of mcf under DMDP.
+fn mcf_sweep(name: &str, variants: &[(&str, CfgPatch)]) -> SubmitRequest {
+    SubmitRequest {
+        kernels: Some(vec!["mcf".into()]),
+        models: vec![CommModel::Dmdp],
+        variants: variants.iter().map(|(l, p)| (l.to_string(), p.clone())).collect(),
+        ..SubmitRequest::new(name, Scale::Test)
+    }
+}
+
+#[test]
+fn twin_labels_of_one_config_each_keep_their_label() {
+    let dir = tmp_dir("twins");
+    let opts = serve_opts(&dir);
+    let daemon = std::thread::spawn({
+        let opts = opts.clone();
+        move || serve(&opts).unwrap()
+    });
+    let mut client = connect(&opts.socket);
+    let main = CfgPatch::default();
+    let labels = |c: &dmdp_harness::Campaign| c.jobs.iter().map(|j| j.variant.clone()).collect::<Vec<_>>();
+
+    // Two labels, one configuration: one digest, simulated once.
+    let twins = client.submit(&mcf_sweep("twins", &[("main", main.clone()), ("base", main.clone())]), |_| {});
+    let twins = twins.unwrap();
+    assert_eq!((labels(&twins), twins.executed), (vec!["main".to_string(), "base".to_string()], 1));
+    // A later store hit under a third label carries that label too.
+    let later = client.submit(&mcf_sweep("later", &[("other", main)]), |_| {}).unwrap();
+    assert_eq!((labels(&later), later.executed), (vec!["other".to_string()], 0));
+
+    client.shutdown().unwrap();
+    daemon.join().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs `f` on its own thread and fails the test if it does not return
+/// within 20 s — a wedged daemon must fail a test, not hang it.
+fn within<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let thread = std::thread::spawn(f);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !thread.is_finished() {
+        assert!(Instant::now() < deadline, "{what} hung");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    thread.join().unwrap()
+}
+
+#[test]
+fn impossible_variant_is_a_request_error_and_wedges_nothing() {
+    let dir = tmp_dir("tinyprf");
+    let opts = serve_opts(&dir);
+    let daemon = std::thread::spawn({
+        let opts = opts.clone();
+        move || serve(&opts).unwrap()
+    });
+    connect(&opts.socket);
+
+    let bad = mcf_sweep("tiny", &[("tiny", CfgPatch { prf: Some(10), ..CfgPatch::default() })]);
+    for attempt in ["first submit", "identical re-submit"] {
+        let (socket, bad) = (opts.socket.clone(), bad.clone());
+        let err = within(attempt, move || connect(&socket).submit(&bad, |_| {})).unwrap_err();
+        assert!(err.contains("variant `tiny`") && err.contains("register file too small"), "{err}");
+    }
+    let mut client = connect(&opts.socket);
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.get("active_submits").and_then(Json::as_u64), Some(0));
+    assert_eq!(stats.get("inflight").and_then(Json::as_u64), Some(0));
+    within("shutdown", move || client.shutdown()).unwrap();
+    daemon.join().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Waits for the daemon's `listening` event and returns its TCP address.
 fn tcp_addr_of(log_path: &Path) -> String {
     let deadline = Instant::now() + Duration::from_secs(10);

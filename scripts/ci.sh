@@ -116,23 +116,28 @@ diff <(sampled_rows bench-results/ci-sampled-j1.json) \
 jq -e '.jobs | length == 16' bench-results/ci-sampled-j2.json >/dev/null \
     || { echo "ci: FAIL: sampled --jobs 2 campaign is missing rows"; exit 1; }
 
-# Sweep-batching smoke: one multi-variant sizing sweep run twice — as
-# batched lockstep units and job-per-variant — must produce identical
-# per-variant numbers (digest, cycles, IPC). The sb64 upsize exercises
-# the never-bound derivation path; rob32/sb2 bind and run live lanes.
+# Sweep-batching smoke: one multi-variant sizing sweep, run as batched
+# lockstep units, must produce the same per-variant numbers (digest,
+# cycles, IPC) as four one-variant campaigns, whose units of one run
+# `JobSpec::execute`. The sb64 upsize exercises the never-bound
+# derivation path; rob32/sb2 bind and run live lanes.
 sweep_on=bench-results/ci-sweep-batched.json
 sweep_off=bench-results/ci-sweep-jpv.json
-rm -f "$sweep_on" "$sweep_off"
-for mode in on off; do
-    case $mode in on) sweep_out=$sweep_on;; *) sweep_out=$sweep_off;; esac
+rm -f "$sweep_on" "$sweep_off" bench-results/ci-sweep-1-*.json
+sweep_variants="main= rob32=rob:32 sb2=sb:2 sb64=sb:64"
+cargo run --release -q -p dmdp-bench --bin dmdp -- \
+    campaign --name ci-sweep-batched --scale test --model all \
+    --kernel mcf --kernel astar \
+    $(printf -- '--variant %s ' $sweep_variants) \
+    --force --quiet --out "$sweep_on"
+for v in $sweep_variants; do
     cargo run --release -q -p dmdp-bench --bin dmdp -- \
-        campaign --name ci-sweep-$mode --scale test --model all \
-        --kernel mcf --kernel astar \
-        --variant main= --variant rob32=rob:32 --variant sb2=sb:2 \
-        --variant sb64=sb:64 \
-        --batch-variants $mode --force --quiet --out "$sweep_out"
-    test -s "$sweep_out"
+        campaign --name "ci-sweep-1-${v%%=*}" --scale test --model all \
+        --kernel mcf --kernel astar --variant "$v" \
+        --force --quiet --out "bench-results/ci-sweep-1-${v%%=*}.json"
 done
+jq -s '{jobs: [.[].jobs[]]}' bench-results/ci-sweep-1-*.json > "$sweep_off"
+test -s "$sweep_on"
 variants_of() {
     jq -S '[.jobs[] | {workload, model, variant, digest, cycles, ipc}]
            | sort_by(.digest)' "$1"
@@ -230,8 +235,16 @@ digests_of() { jq -S '[.jobs[] | {digest, cycles, ipc}] | sort_by(.digest)' "$1"
 diff <(digests_of "$out") <(digests_of "$serve_dir/second.json") \
     || { echo "ci: FAIL: daemon results diverge from local campaign"; exit 1; }
 
+# An impossible variant is a request error, and leaves the daemon able
+# to drain (the shutdown below is time-boxed, so a wedge fails CI).
+if timeout 30 $submit --name ci-serve-tiny --kernel mcf --variant tiny=prf:10 \
+        --out "$serve_dir/tiny.json" 2>/dev/null; then
+    echo "ci: FAIL: a --variant tiny=prf:10 submit succeeded"
+    exit 1
+fi
+
 # Graceful shutdown: acknowledged, clean exit code, socket removed.
-"$dmdp_bin" submit --socket "$serve_sock" --shutdown
+timeout 30 "$dmdp_bin" submit --socket "$serve_sock" --shutdown
 wait "$serve_pid"
 serve_pid=
 [ ! -e "$serve_sock" ] || { echo "ci: FAIL: daemon left its socket behind"; exit 1; }
