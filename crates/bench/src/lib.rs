@@ -18,11 +18,13 @@
 //! | `fig14_store_buffer` | Figure 14 — 32/64-entry SB vs 16-entry |
 //! | `fig15_edp` | Figure 15 — EDP normalized to NoSQ |
 //! | `alt_*`, `ablation_*` | §VI-f/g alternative configurations, §IV-C/E ablations |
-//! | `sim_throughput` | Criterion: simulator speed (not in the paper) |
 //!
 //! Run one with `cargo bench -p dmdp-bench --bench fig12_speedup`, or all
 //! of them with `cargo bench`. Set `DMDP_SCALE=test|small|full`
 //! (default `small`) to trade runtime for fidelity.
+//!
+//! Simulator speed is not a paper artifact: `perfbench/run.py` measures
+//! it end to end (EXPERIMENTS.md, "Host-throughput recipe").
 
 use dmdp_core::{CommModel, CoreConfig, SimReport, Simulator};
 use dmdp_harness::{Campaign, CampaignSpec, RunOptions};

@@ -41,7 +41,6 @@
 //! the golden digests were recorded against and the honest baseline for
 //! the batched-vs-job-per-variant benchmark A/B.
 
-use std::cmp::Reverse;
 use std::sync::Arc;
 
 use dmdp_isa::{OracleTrace, Program};
@@ -405,10 +404,7 @@ impl Pipeline {
     /// Capped at `max_cycles`: a truly event-free livelocked lane
     /// fast-forwards straight to its cycle-limit abort.
     fn quiescence_horizon(&self) -> u64 {
-        let mut horizon = u64::MAX;
-        if let Some(&Reverse((done, _, _))) = self.sched.calendar.peek() {
-            horizon = horizon.min(done);
-        }
+        let mut horizon = self.sched.calendar.min_done().unwrap_or(u64::MAX);
         if let Some(event) = self.sb.next_event_cycle(self.cycle) {
             horizon = horizon.min(event);
         }

@@ -133,30 +133,16 @@ impl Pipeline {
             let sq = self.sq.entries.iter().find(|s| s.seq == store_seq)?;
             (info.ssn, sq.addr?, sq.bab, e.pc)
         };
-        let mut victim: Option<(SeqNum, u32, dmdp_isa::Pc)> = None;
-        for e in self.rob.iter() {
-            if e.seq <= store_seq {
-                continue;
-            }
-            let Some(l) = e.load else { continue };
-            if !l.executed {
-                continue;
-            }
-            if word_addr(l.addr) != store_w {
-                continue;
-            }
-            let lb = bab(l.addr & !(l.width.bytes() - 1), l.width);
-            if !overlaps(store_bab, lb) {
-                continue;
-            }
-            if l.forwarded_from.is_some_and(|f| f >= store_ssn) {
-                continue; // got the value from this store or a younger one
-            }
-            if victim.is_none_or(|(s, _, _)| e.seq < s) {
-                victim = Some((e.seq, e.pc, e.pc));
-            }
-        }
-        let (load_seq, load_pc, _) = victim?;
+        // The oldest executed load younger than the store that overlaps
+        // it and did not get its value from this store or a younger one.
+        let load_seq = (store_seq + 1..self.rob.next_seq()).find(|&seq| {
+            let Some(l) = self.rob.load(seq) else { return false };
+            l.executed
+                && word_addr(l.addr) == store_w
+                && overlaps(store_bab, bab(l.addr & !(l.width.bytes() - 1), l.width))
+                && l.forwarded_from.is_none_or(|f| f < store_ssn)
+        })?;
+        let load_pc = self.rob.get(load_seq).expect("live").pc;
         self.ss.violation(load_pc, store_pc);
         // Squash from the start of the load's instruction group.
         let mut from = load_seq;

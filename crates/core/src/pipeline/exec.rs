@@ -174,8 +174,7 @@ impl Pipeline {
                 // *predicted* address low bits (verified at retire).
                 let word = place_in_word(store_lo2 as u32, store_width, a);
                 let v = extract_from_word(word, load_lo2 as u32, load_width, load_signed);
-                let sink = seq;
-                if let Some(info) = self.rob.get_mut(sink).and_then(|s| s.load.as_mut()) {
+                if let Some(info) = self.rob.load_mut(seq) {
                     info.value = v;
                 }
                 (v, 1)
@@ -185,9 +184,7 @@ impl Pipeline {
                 let store_addr = align(b, store_width);
                 let pred = Predicate::compare(store_addr, store_width, load_addr, load_width);
                 if let Some(sink) = self.rob.get(seq).and_then(|e| e.group_sink) {
-                    if let Some(info) =
-                        self.rob.get_mut(sink).and_then(|s| s.load.as_mut())
-                    {
+                    if let Some(info) = self.rob.load_mut(sink) {
                         info.pred_matches = Some(pred.matches);
                     }
                 }
@@ -203,7 +200,7 @@ impl Pipeline {
                     };
                     // Record the chosen value for verification.
                     let sink = self.rob.get(seq).and_then(|e| e.group_sink).unwrap_or(seq);
-                    if let Some(info) = self.rob.get_mut(sink).and_then(|s| s.load.as_mut()) {
+                    if let Some(info) = self.rob.load_mut(sink) {
                         info.value = v;
                     }
                     (v, 1)
@@ -221,7 +218,7 @@ impl Pipeline {
             e.value = value;
             e.state = UopState::Executing(done);
         }
-        self.sched_schedule_completion(seq, done);
+        self.sched.calendar.push(seq, done);
     }
 
     /// Executes the cache-access half of a load. Returns `None` when a
@@ -234,17 +231,13 @@ impl Pipeline {
         addr_raw: u32,
     ) -> Option<(u32, u64)> {
         use crate::rob::LoadKind;
-        let e = self.rob.get(seq).expect("live");
-        let kind = e.load.map(|l| l.kind);
-        if kind == Some(LoadKind::Oracle) {
+        if self.rob.load(seq).is_some_and(|l| l.kind == LoadKind::Oracle) {
             // Oracle forward: the value was fixed at rename; it becomes
             // available one cycle after the store's data (bypass).
-            let value = e.value;
-            let sink = seq;
-            if let Some(info) = self.rob.get_mut(sink).and_then(|s| s.load.as_mut()) {
-                info.executed = true;
-                info.value = value;
-            }
+            let value = self.rob.get(seq).expect("live").value;
+            let info = self.rob.load_mut(seq).expect("oracle load carries its record");
+            info.executed = true;
+            info.value = value;
             return Some((value, 1));
         }
         let addr = align(addr_raw, width);
@@ -281,7 +274,7 @@ impl Pipeline {
         forwarded_from: Option<u32>,
     ) {
         let ssn_commit = self.ssn_commit;
-        if let Some(info) = self.rob.get_mut(sink).and_then(|s| s.load.as_mut()) {
+        if let Some(info) = self.rob.load_mut(sink) {
             info.addr = addr;
             info.ssn_nvul = ssn_commit;
             info.executed = true;
@@ -294,33 +287,29 @@ impl Pipeline {
         }
     }
 
-    /// Writeback: pops the completion calendar for µops whose latency
+    /// Writeback: drains the completion calendar's µops whose latency
     /// expired this cycle, writes the register file (delivering register
     /// wake events), resolves branches, and (baseline) runs store-queue
     /// violation checks.
     ///
-    /// The calendar is keyed `(done_cycle, issue_order)`, so same-cycle
-    /// completions are processed in issue order — exactly the order the
-    /// old executing-list rescan produced. That order is
-    /// timing-relevant: recovery selection tie-breaks, Store-Sets
-    /// violation training and branch-predictor updates all happen as
-    /// side effects of this loop.
+    /// The calendar delivers same-cycle completions in issue order —
+    /// exactly the order the old executing-list rescan produced. That
+    /// order is timing-relevant: recovery selection tie-breaks,
+    /// Store-Sets violation training and branch-predictor updates all
+    /// happen as side effects of this loop.
     pub(crate) fn writeback_stage(&mut self) {
         let mut recoveries = std::mem::take(&mut self.sched.recoveries);
         debug_assert!(recoveries.is_empty());
-        while let Some(&std::cmp::Reverse((done, _, _))) = self.sched.calendar.peek() {
-            if done > self.cycle {
-                break;
-            }
-            let std::cmp::Reverse((done, _, seq)) =
-                self.sched.calendar.pop().expect("peeked entry");
+        let mut due = std::mem::take(&mut self.sched.due);
+        self.sched.calendar.drain_due(self.cycle, &mut due);
+        for &seq in &due {
             self.stats.sched.calendar_pops += 1;
             let Some(e) = self.rob.get(seq) else {
                 debug_assert!(false, "squash must purge the calendar");
                 continue;
             };
             let UopState::Executing(d) = e.state else { continue };
-            debug_assert_eq!(d, done, "calendar entry must match the µop's completion cycle");
+            debug_assert_eq!(d, self.cycle, "calendar entry must match the completion cycle");
             // Complete.
             let kind = e.kind;
             let dest = e.dest;
@@ -362,6 +351,7 @@ impl Pipeline {
             // may issue now.
             self.sched_wake_seq(seq);
         }
+        self.sched.due = due;
         if let Some(r) = recoveries.iter().min_by_key(|r| r.from).copied() {
             if r.is_branch {
                 self.stats.branch_mispredicts += 1;

@@ -4,8 +4,6 @@
 //! `FetchClass` lookup per instruction instead of re-matching `Op`
 //! variants on every dynamic instance.
 
-use std::sync::Arc;
-
 use dmdp_energy::Event;
 
 use crate::plan::FetchClass;
@@ -21,14 +19,13 @@ impl Pipeline {
         if self.fetch_stopped || self.cycle < self.fetch_stall_until {
             return;
         }
-        let plans = Arc::clone(&self.plans);
         let max_queue = 3 * self.cfg.width;
         for _ in 0..self.cfg.width {
             if self.decode_q.len() >= max_queue {
                 break;
             }
             let pc = self.fetch_pc;
-            let Some(plan) = plans.get(pc) else {
+            let Some(&plan) = self.plans.get(pc) else {
                 // Wrong-path fetch ran off the text segment; wait for the
                 // inevitable redirect.
                 self.fetch_stopped = true;

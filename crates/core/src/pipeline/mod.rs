@@ -27,7 +27,7 @@ use crate::config::{CommModel, CoreConfig};
 use crate::plan::PlanCache;
 use crate::probe::{Occupancy, Probe, ProbeReport};
 use crate::regfile::RegFile;
-use crate::rob::{BranchInfo, Rob, SeqNum, UopEntry};
+use crate::rob::{BranchInfo, Rob, SeqNum};
 use crate::srb::StoreRegisterBuffer;
 use crate::stats::SimStats;
 
@@ -135,10 +135,8 @@ pub struct Pipeline {
     // Address of the most recently retired store (coherence stand-in
     // target).
     pub(crate) last_commit_addr: Option<dmdp_isa::Addr>,
-    // Reusable scratch buffers: recovery squash walk and store-buffer
-    // commit drain, emptied after each use so the hot loop never
-    // allocates.
-    pub(crate) squash_buf: Vec<UopEntry>,
+    // Reusable store-buffer commit drain, emptied after each use so the
+    // hot loop never allocates.
     pub(crate) commit_buf: Vec<u32>,
     // Measurements.
     pub(crate) stats: SimStats,
@@ -288,7 +286,6 @@ impl Pipeline {
             next_load_idx: 0,
             verify: None,
             last_commit_addr: None,
-            squash_buf: Vec::new(),
             commit_buf: Vec::new(),
             stats: SimStats::default(),
             hw: crate::batch::HwDemand::default(),
@@ -485,15 +482,13 @@ impl Pipeline {
         for &ssn in &committed {
             debug_assert!(ssn > self.ssn_commit, "SSN_commit must advance monotonically");
             // Coalescing can skip SSNs: release every store in the gap.
-            for s in self.ssn_commit + 1..=ssn {
-                if let Some(e) = self.srb.remove(s) {
-                    // The store "executes when it is committed": its
-                    // consumer references drop now, possibly freeing the
-                    // registers (paper §IV-B a).
-                    self.rf.drop_consumer(e.addr_preg);
-                    if let Some(d) = e.data_preg {
-                        self.rf.drop_consumer(d);
-                    }
+            while let Some(e) = self.srb.pop_front_through(ssn) {
+                // The store "executes when it is committed": its
+                // consumer references drop now, possibly freeing the
+                // registers (paper §IV-B a).
+                self.rf.drop_consumer(e.addr_preg);
+                if let Some(d) = e.data_preg {
+                    self.rf.drop_consumer(d);
                 }
             }
             self.ssn_commit = ssn;

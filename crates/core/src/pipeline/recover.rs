@@ -32,25 +32,30 @@ impl Pipeline {
         history: Option<u32>,
     ) {
         self.stats.recoveries += 1;
-        // Drain the squashed µops into the pipeline-owned scratch buffer
-        // (returned, emptied, at the end): recoveries are frequent on
-        // branchy code and must not allocate.
-        let mut squashed = std::mem::take(&mut self.squash_buf);
-        self.rob.squash_from_into(from, &mut squashed);
-        self.stats.squashed_uops += squashed.len() as u64;
-        self.stats.energy.record(Event::SquashedUop, squashed.len() as u64);
-        if !self.probe.is_off() {
+        // Undo the squashed µops' renaming youngest-first, reading each
+        // in place before the ROB releases them.
+        let tail = self.rob.next_seq();
+        let first = from.clamp(self.rob.head_seq().unwrap_or(tail), tail);
+        let squashed = tail - first;
+        self.stats.squashed_uops += squashed;
+        self.stats.energy.record(Event::SquashedUop, squashed);
+        let mut oldest_history = None;
+        for seq in (first..tail).rev() {
+            let e = self.rob.get(seq).expect("squashed entry live");
             // Flush trace records now: the sequence numbers are reused
             // by the refetched path.
-            for e in &squashed {
-                self.probe.on_squashed(self.cycle, e.seq);
-            }
-        }
-        let oldest_history = squashed.last().map(|e| e.fetch_history);
-        for e in &squashed {
+            self.probe.on_squashed(self.cycle, seq);
+            oldest_history = Some(e.fetch_history);
             // Give the issue-queue slot back.
             if e.in_iq {
                 self.sched.iq_len -= 1;
+            }
+            // A µop still counting wake conditions is registered on the
+            // waiter lists of its unready sources; purge just those.
+            if e.not_ready > 0 {
+                for p in e.src.into_iter().flatten() {
+                    self.rf.purge_waiters(p, from);
+                }
             }
             // Undo the rename: restore the RAT and release the definition
             // (paper: "walking through squashed instructions to recover
@@ -70,21 +75,20 @@ impl Pipeline {
                 debug_assert_eq!(s.ssn, self.ssn_rename, "stores unwind in LIFO order");
                 self.ssn_rename -= 1;
                 if self.cfg.comm == CommModel::Baseline {
-                    self.sq.remove(e.seq);
-                    self.ss.store_squashed(e.pc, e.seq);
+                    self.sq.remove(seq);
+                    self.ss.store_squashed(e.pc, seq);
                 } else {
-                    self.srb.remove(s.ssn);
+                    self.srb.pop_back();
                 }
             }
             if e.kind.is_load() {
                 self.next_load_idx -= 1;
             }
         }
-        squashed.clear();
-        self.squash_buf = squashed;
-        // Drop every scheduler registration of the squashed µops (ready
-        // lists, waiter lists, calendar, retry) so reused sequence
-        // numbers cannot receive stale wakes.
+        self.rob.squash_from(first);
+        // Drop the squashed µops' remaining scheduler registrations
+        // (ready lists, Store-Sets and SSN waits, calendar, retry) so
+        // reused sequence numbers cannot receive stale wakes.
         self.sched_purge(from);
         self.decode_q.clear();
         // Repair speculative branch history: the corrected value for a

@@ -2,8 +2,6 @@
 //! model-specific load treatment — cloaking, delaying, or predication
 //! insertion (paper Figs. 7 and 8).
 
-use std::sync::Arc;
-
 use dmdp_energy::Event;
 use dmdp_isa::uop::{Uop, UopKind};
 use dmdp_isa::{MemWidth, Reg};
@@ -11,7 +9,7 @@ use dmdp_isa::{MemWidth, Reg};
 use crate::config::CommModel;
 use crate::plan::{InsnPlan, PlanKind};
 use crate::regfile::PregId;
-use crate::rob::{LoadInfo, LoadKind, StoreInfo, UopEntry, UopState};
+use crate::rob::{LoadInfo, LoadKind, SeqNum, StoreInfo, UopEntry, UopState};
 use crate::srb::SrbEntry;
 
 use super::{Fetched, Pipeline};
@@ -31,11 +29,10 @@ impl Pipeline {
     /// Renames up to `width` µops from the decode queue, stopping at any
     /// resource shortage (ROB, physical registers, issue queue).
     pub(crate) fn rename_stage(&mut self) {
-        let plans = Arc::clone(&self.plans);
         let mut budget = self.cfg.width;
         while budget > 0 {
             let Some(front) = self.decode_q.front() else { break };
-            let plan = *plans.plan(front.pc);
+            let plan = *self.plans.plan(front.pc);
             let worst = self.plan_width(front, &plan);
             if worst > budget && budget < self.cfg.width {
                 break; // let the group start on a fresh cycle
@@ -78,32 +75,7 @@ impl Pipeline {
         self.stats.energy.record(Event::Rename, 1);
         self.stats.energy.record(Event::Rob, 1);
         self.probe.on_renamed(self.cycle, self.rob.next_seq(), f.pc, kind, f.fetch_cycle);
-        UopEntry {
-            seq: self.rob.next_seq(),
-            pc: f.pc,
-            kind,
-            first_of_insn: false,
-            last_of_insn: false,
-            dest_logical: None,
-            dest: None,
-            prev_mapping: None,
-            src: [None, None],
-            imm: 0,
-            state: UopState::Waiting,
-            not_ready: 0,
-            in_iq: false,
-            consumed: false,
-            retire_needs_dest_ready: false,
-            value: 0,
-            writes_dest: true,
-            rename_cycle: self.cycle,
-            branch: None,
-            load: None,
-            store: None,
-            group_sink: None,
-            wait_for_seq: None,
-            fetch_history: f.fetch_history,
-        }
+        UopEntry::new(self.rob.next_seq(), f.pc, kind, self.cycle, f.fetch_history)
     }
 
     /// Maps a logical source to its physical register, taking a consumer
@@ -125,7 +97,17 @@ impl Pipeline {
         (p, prev)
     }
 
-    fn dispatch(&mut self, mut entry: UopEntry) {
+    /// Pushes a renamed µop into the ROB — with its load bookkeeping if
+    /// it is the group's verifying µop — and, unless it needs no
+    /// execution, into the issue queue. `wait_for_seq` is Baseline
+    /// Store-Sets ordering: the µop may not issue until that one has
+    /// executed (or vanished).
+    fn dispatch(
+        &mut self,
+        mut entry: UopEntry,
+        load: Option<LoadInfo>,
+        wait_for_seq: Option<SeqNum>,
+    ) {
         let seq = entry.seq;
         self.probe.on_dispatched(self.cycle, seq);
         let to_iq = entry.state == UopState::Waiting && !entry.retire_needs_dest_ready;
@@ -133,16 +115,16 @@ impl Pipeline {
             self.stats.energy.record(Event::IqWrite, 1);
             // Register on every wake condition still outstanding; the µop
             // becomes ready the moment the count hits zero.
-            let pending = self.sched_register_iq(seq, entry.src, entry.wait_for_seq);
+            let pending = self.sched_register_iq(seq, entry.src, wait_for_seq);
             entry.not_ready = pending;
             entry.in_iq = true;
             self.sched.iq_len += 1;
-            self.rob.push(entry);
+            self.rob.push(entry, load);
             if pending == 0 {
                 self.sched.ready.push(seq);
             }
         } else {
-            self.rob.push(entry);
+            self.rob.push(entry, load);
         }
     }
 
@@ -185,7 +167,7 @@ impl Pipeline {
             }
             _ => {}
         }
-        self.dispatch(e);
+        self.dispatch(e, None, None);
         1
     }
 
@@ -212,9 +194,10 @@ impl Pipeline {
         e.src = [Some(addr_preg), data_preg];
         e.store = Some(StoreInfo { ssn, width, addr_preg, data_preg });
 
+        let mut wait_for_seq = None;
         match self.cfg.comm {
             CommModel::Baseline => {
-                e.wait_for_seq = self.ss.store_dispatched(f.pc, e.seq);
+                wait_for_seq = self.ss.store_dispatched(f.pc, e.seq);
                 self.sq.allocate(e.seq, ssn);
                 self.stats.energy.record(Event::SqWrite, 1);
             }
@@ -227,7 +210,7 @@ impl Pipeline {
                 );
             }
         }
-        self.dispatch(e);
+        self.dispatch(e, None, wait_for_seq);
         2
     }
 
@@ -242,7 +225,7 @@ impl Pipeline {
         e.dest = Some(p);
         e.dest_logical = Some(Reg::ADDR_TMP);
         e.prev_mapping = Some(prev);
-        self.dispatch(e);
+        self.dispatch(e, None, None);
         p
     }
 
@@ -299,28 +282,26 @@ impl Pipeline {
                     e.prev_mapping = Some(prev);
                     info.result_preg = Some(p);
                 }
-                if self.cfg.comm == CommModel::Baseline {
-                    e.wait_for_seq = self.ss.load_dispatched(f.pc);
-                }
-                e.load = Some(info);
-                let delayed = matches!(plan, LoadPlan::Delayed { .. });
-                let seq = e.seq;
-                if delayed {
+                if let LoadPlan::Delayed { ssn, .. } = plan {
                     // Parked outside the IQ: wakes on its address
                     // register's write and on `SSN_commit` reaching the
                     // predicted store.
+                    let seq = e.seq;
                     self.probe.on_dispatched(self.cycle, seq);
                     e.state = UopState::Waiting;
-                    let ssn =
-                        e.load.and_then(|l| l.ssn_byp).expect("delayed load has a prediction");
                     let pending = self.sched_register_delayed(seq, addr_preg, ssn);
                     e.not_ready = pending;
-                    self.rob.push(e);
+                    self.rob.push(e, Some(info));
                     if pending == 0 {
                         self.sched.delayed_ready.push(seq);
                     }
                 } else {
-                    self.dispatch(e);
+                    let wait_for_seq = if self.cfg.comm == CommModel::Baseline {
+                        self.ss.load_dispatched(f.pc)
+                    } else {
+                        None
+                    };
+                    self.dispatch(e, Some(info), wait_for_seq);
                 }
                 2
             }
@@ -351,8 +332,7 @@ impl Pipeline {
                 info.ssn_byp = Some(ssn);
                 info.result_preg = Some(p);
                 info.shift_pred = Some((store_bab, load_lo2));
-                e.load = Some(info);
-                self.dispatch(e);
+                self.dispatch(e, Some(info), None);
                 2
             }
             LoadPlan::Cloak { ssn } => {
@@ -375,8 +355,7 @@ impl Pipeline {
                 info.kind = LoadKind::Cloaked;
                 info.ssn_byp = Some(ssn);
                 info.result_preg = Some(data_preg);
-                e.load = Some(info);
-                self.dispatch(e);
+                self.dispatch(e, Some(info), None);
                 2
             }
             LoadPlan::Predicate { ssn, low_conf } => {
@@ -395,7 +374,7 @@ impl Pipeline {
                 ld.dest_logical = Some(Reg::LOAD_TMP);
                 ld.prev_mapping = Some(pl_prev);
                 ld.group_sink = Some(sink);
-                self.dispatch(ld);
+                self.dispatch(ld, None, None);
 
                 // CMP $34, load_addr, store_addr.
                 let mut cmp = self.make_entry(
@@ -410,7 +389,7 @@ impl Pipeline {
                 cmp.dest_logical = Some(Reg::PRED_TMP);
                 cmp.prev_mapping = Some(pp_prev);
                 cmp.group_sink = Some(sink);
-                self.dispatch(cmp);
+                self.dispatch(cmp, None, None);
 
                 // CMOV rd, $34, store_data (predicate-true path).
                 let mut ct = self.make_entry(
@@ -429,7 +408,7 @@ impl Pipeline {
                 ct.dest_logical = Some(l);
                 ct.prev_mapping = Some(pd_prev);
                 ct.group_sink = Some(sink);
-                self.dispatch(ct);
+                self.dispatch(ct, None, None);
 
                 // CMOV rd, !$34, $33 (predicate-false path) — shares pd.
                 let mut cf = self.make_entry(
@@ -453,9 +432,8 @@ impl Pipeline {
                 info.ssn_byp = Some(ssn);
                 info.low_conf = low_conf;
                 info.result_preg = Some(pd);
-                cf.load = Some(info);
                 debug_assert_eq!(cf.seq, sink);
-                self.dispatch(cf);
+                self.dispatch(cf, Some(info), None);
                 5
             }
         }

@@ -4,13 +4,14 @@
 use dmdp_energy::Event;
 use dmdp_isa::bab::bab;
 use dmdp_isa::uop::UopKind;
-use dmdp_isa::StepOutcome;
+use dmdp_isa::{Pc, Reg, StepOutcome};
 use dmdp_mem::SbEntry;
 use dmdp_predict::svw::{needs_reexecution, DataSource};
 use dmdp_predict::TssbfHit;
 use dmdp_stats::LoadSource;
 
 use crate::config::CommModel;
+use crate::regfile::PregId;
 use crate::rob::{LoadKind, SeqNum};
 
 use super::{Pipeline, VerifyPhase, VerifyState};
@@ -34,33 +35,32 @@ impl Pipeline {
     /// Retires up to `width` µops, instruction groups atomically.
     pub(crate) fn retire_stage(&mut self) {
         let mut budget = self.cfg.width;
-        while budget > 0 && !self.rob.is_empty() && !self.halted {
-            let head = self.rob.head_seq().expect("nonempty");
-            let Some(group_end) = self.find_group_end(head) else { return };
-            let group_len = (group_end - head + 1) as usize;
-            if group_len > budget && budget < self.cfg.width {
+        while budget > 0 && !self.halted {
+            let Some(head) = self.rob.head_seq() else { return };
+            // One walk over the group (rename enters whole groups):
+            // where it ends, whether every µop is complete — a cloaked
+            // load once its destination is ready — and which µops hold
+            // its store and its load record.
+            let (mut seq, mut complete, mut has_store, mut vseq) = (head, true, false, None);
+            loop {
+                let e = self.rob.get(seq).expect("rename enters whole groups");
+                complete &= e.is_done()
+                    || (e.retire_needs_dest_ready
+                        && self.rf.is_ready(e.dest.expect("cloaked load has a destination")));
+                has_store |= e.store.is_some();
+                if e.has_load && vseq.is_none() {
+                    vseq = Some(seq);
+                }
+                if e.last_of_insn {
+                    break;
+                }
+                seq += 1;
+            }
+            let group_len = (seq - head + 1) as usize;
+            if (group_len > budget && budget < self.cfg.width) || !complete {
                 return;
             }
-            // Every µop of the group must be complete.
-            for seq in head..=group_end {
-                let e = self.rob.get(seq).expect("group entry live");
-                if e.retire_needs_dest_ready && !e.is_done() {
-                    let dest = e.dest.expect("cloaked load has a destination");
-                    if self.rf.is_ready(dest) {
-                        let v = self.rf.read(dest);
-                        let e = self.rob.get_mut(seq).expect("live");
-                        e.state = crate::rob::UopState::Done;
-                        e.value = v;
-                    } else {
-                        return;
-                    }
-                } else if !e.is_done() {
-                    return;
-                }
-            }
             // A retiring store needs a store-buffer slot.
-            let has_store = (head..=group_end)
-                .any(|s| self.rob.get(s).is_some_and(|e| e.store.is_some()));
             if has_store {
                 self.hw.note_store_retire(self.sb.occupancy());
             }
@@ -70,8 +70,6 @@ impl Pipeline {
             }
             // Retire-time load verification (store-queue-free models).
             if matches!(self.cfg.comm, CommModel::NoSq | CommModel::Dmdp) {
-                let vseq = (head..=group_end)
-                    .find(|&s| self.rob.get(s).is_some_and(|e| e.load.is_some()));
                 if let Some(vseq) = vseq {
                     match self.run_verify(vseq) {
                         VerifyOutcome::Ok => {}
@@ -98,37 +96,28 @@ impl Pipeline {
         }
     }
 
-    /// Seq of the group's closing µop, or `None` if the group is not yet
-    /// fully renamed.
-    fn find_group_end(&self, head: SeqNum) -> Option<SeqNum> {
-        debug_assert!(self.rob.get(head).is_some_and(|e| e.first_of_insn));
-        let mut seq = head;
-        loop {
-            let e = self.rob.get(seq)?;
-            if e.last_of_insn {
-                return Some(seq);
-            }
-            seq += 1;
-        }
-    }
-
     /// Retires the head µop, applying its architectural effects.
     fn retire_one(&mut self) {
-        let e = self.rob.pop_head();
+        let seq = self.rob.head_seq().expect("retiring from a nonempty ROB");
+        let e = self.rob.get(seq).expect("head entry live");
+        let (pc, kind, last_of_insn, rename_cycle, store) =
+            (e.pc, e.kind, e.last_of_insn, e.rename_cycle, e.store);
+        let arch_dest = e.dest_logical.zip(e.dest);
+        let released = e.dest_logical.and(e.prev_mapping);
+        let load = self.rob.load(seq).map(|l| (l.kind, l.result_preg, l.low_conf));
+        self.rob.retire_head();
         // Baseline Store-Sets ordering treats a target that left the ROB
         // as satisfied; in practice the completion wake in writeback
         // already fired (retirement requires `Done`), so this is a
         // no-op backstop kept for the event-completeness invariant.
-        self.sched_wake_seq(e.seq);
+        self.sched_wake_seq(seq);
         self.stats.retired_uops += 1;
         // Virtual release of the previous definition (paper Fig. 9).
-        if e.dest_logical.is_some() {
-            if let Some(prev) = e.prev_mapping {
-                self.rf.virtual_release(prev);
-            }
+        if let Some(prev) = released {
+            self.rf.virtual_release(prev);
         }
         let mut store_effect = None;
-        if let Some(s) = e.store {
+        if let Some(s) = store {
             let addr = self.rf.read(s.addr_preg);
             let data = s.data_preg.map(|p| self.rf.read(p)).unwrap_or(0);
             self.ssn_retire = s.ssn;
@@ -136,7 +125,7 @@ impl Pipeline {
                 self.tssbf.store_retired(addr, bab(addr, s.width), s.ssn);
                 self.stats.energy.record(Event::TssbfWrite, 1);
             } else {
-                self.sq.remove(e.seq);
+                self.sq.remove(seq);
             }
             let pushed =
                 self.sb.push(SbEntry::new(s.ssn, addr, s.width, data), self.cfg.coalesce_stores);
@@ -147,69 +136,71 @@ impl Pipeline {
             store_effect = Some((addr, data));
         }
         let mut load_class = None;
-        if let Some(info) = e.load {
+        if let Some((kind, result_preg, low_conf)) = load {
             self.stats.retired_loads += 1;
-            let class = match info.kind {
+            let class = match kind {
                 LoadKind::Direct => LoadSource::Direct,
                 LoadKind::Cloaked | LoadKind::Oracle => LoadSource::Bypassed,
                 LoadKind::Delayed => LoadSource::Delayed,
                 LoadKind::Predicated => LoadSource::Predicated,
             };
             load_class = Some(class);
-            let ready = info
-                .result_preg
-                .map(|p| self.rf.ready_at(p))
-                .unwrap_or(self.cycle);
-            self.stats.load_latency.record(class, e.rename_cycle, ready);
-            if info.low_conf {
-                self.stats.lowconf_latency.record(class, e.rename_cycle, ready);
+            let ready = result_preg.map(|p| self.rf.ready_at(p)).unwrap_or(self.cycle);
+            self.stats.load_latency.record(class, rename_cycle, ready);
+            if low_conf {
+                self.stats.lowconf_latency.record(class, rename_cycle, ready);
             }
         }
-        self.probe.on_retired(self.cycle, e.seq, load_class);
-        if e.kind == UopKind::Halt {
+        self.probe.on_retired(self.cycle, seq, load_class);
+        if kind == UopKind::Halt {
             self.halted = true;
         }
-        if e.last_of_insn {
+        if last_of_insn {
             self.stats.retired_insns += 1;
-            self.cosim_check(&e, store_effect);
+            self.cosim_check(pc, kind, arch_dest, store_effect);
         }
     }
 
-    /// Lock-step comparison against the functional emulator.
-    fn cosim_check(&mut self, e: &crate::rob::UopEntry, store: Option<(u32, u32)>) {
+    /// Lock-step comparison against the functional emulator. The
+    /// architectural destination of the retiring instruction is its sink
+    /// µop's renamed `(logical, physical)` pair.
+    fn cosim_check(
+        &mut self,
+        pc: Pc,
+        kind: UopKind,
+        arch_dest: Option<(Reg, PregId)>,
+        store: Option<(u32, u32)>,
+    ) {
         let Some(emu) = self.cosim.as_mut() else { return };
         let step = emu.step().expect("cosim emulator must not fault");
         match step {
             StepOutcome::Halted => {
-                assert_eq!(e.kind, UopKind::Halt, "pipeline retired {:?} but emulator halted", e);
+                assert_eq!(kind, UopKind::Halt, "pipeline retired {kind:?} but emulator halted");
             }
             StepOutcome::Retired(ev) => {
                 assert_eq!(
-                    ev.pc, e.pc,
+                    ev.pc, pc,
                     "control divergence: pipeline retired pc {} but emulator is at pc {}",
-                    e.pc, ev.pc
+                    pc, ev.pc
                 );
-                // The architectural destination of the retiring
-                // instruction is its sink µop's renamed dest pair.
-                if let (Some(l), Some(p)) = (e.dest_logical, e.dest) {
+                if let Some((l, p)) = arch_dest {
                     let got = self.rf.read(p);
                     match ev.wrote {
                         Some((el, ev_val)) => {
-                            assert_eq!(l, el, "dest register divergence at pc {}", e.pc);
+                            assert_eq!(l, el, "dest register divergence at pc {pc}");
                             assert_eq!(
                                 got, ev_val,
-                                "value divergence at pc {}: pipeline {got:#x} emu {ev_val:#x}",
-                                e.pc
+                                "value divergence at pc {pc}: pipeline {got:#x} emu {ev_val:#x}"
                             );
                         }
-                        None => panic!("pipeline wrote {l} at pc {} but emulator did not", e.pc),
+                        None => panic!("pipeline wrote {l} at pc {pc} but emulator did not"),
                     }
                 }
                 if let Some((addr, data)) = store {
                     let m = ev.mem.expect("emulator saw the store");
                     assert!(m.is_store);
-                    assert_eq!(m.addr, addr, "store address divergence at pc {}", e.pc);
-                    assert_eq!(m.value, data, "store data divergence at pc {}", e.pc);
+                    assert_eq!(m.addr, addr, "store address divergence at pc {pc}");
+                    assert_eq!(m.value, data, "store data divergence at pc {pc}");
                 }
             }
         }
@@ -223,8 +214,7 @@ impl Pipeline {
             match v.phase {
                 VerifyPhase::WaitDrain => {
                     if self.sb.is_empty() {
-                        let info =
-                            self.rob.get(vseq).and_then(|e| e.load).expect("verify target");
+                        let info = *self.rob.load(vseq).expect("verify target");
                         let lat = self.mem.read(info.addr, self.cycle).max(1);
                         self.stats.energy.record(Event::CacheRead, 1);
                         self.verify = Some(VerifyState {
@@ -238,7 +228,7 @@ impl Pipeline {
                     if self.cycle < done {
                         return VerifyOutcome::Stall;
                     }
-                    let info = self.rob.get(vseq).and_then(|e| e.load).expect("verify target");
+                    let info = *self.rob.load(vseq).expect("verify target");
                     let reload = self.data.read(info.addr, info.width, info.signed);
                     self.verify = None;
                     let exception = reload != info.value;
@@ -251,8 +241,7 @@ impl Pipeline {
                 }
             }
         } else {
-            let e = self.rob.get(vseq).expect("verify target live");
-            let mut info = e.load.expect("verify target has load info");
+            let mut info = *self.rob.load(vseq).expect("verify target has load info");
             if info.kind == LoadKind::Oracle {
                 return VerifyOutcome::Ok; // the Perfect model never verifies
             }
@@ -266,7 +255,7 @@ impl Pipeline {
                 info.value =
                     self.rf.read(info.result_preg.expect("cloaked load has a result"));
                 info.executed = true;
-                *self.rob.get_mut(vseq).expect("live").load.as_mut().expect("load") = info;
+                *self.rob.load_mut(vseq).expect("verify target has load info") = info;
             }
             let lb = bab(info.addr, info.width);
             self.stats.energy.record(Event::TssbfRead, 1);
@@ -306,9 +295,8 @@ impl Pipeline {
         was_reexec: bool,
         exception: bool,
     ) {
-        let e = self.rob.get(vseq).expect("live");
-        let info = e.load.expect("load info");
-        let pc = e.pc;
+        let pc = self.rob.get(vseq).expect("live").pc;
+        let info = *self.rob.load(vseq).expect("load info");
         let hist = info.history;
         let outcome = info.ssn_byp.map(|p| match actual.store_bab {
             Some(_) if actual.ssn == p => PredOutcome::Correct,

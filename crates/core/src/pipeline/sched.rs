@@ -22,15 +22,16 @@
 //!   [`Scheduler::delayed_ready`]); issue sorts and pops only those —
 //!   age order and the load-port/width limits reproduce the old select
 //!   exactly.
-//! * Writeback pops a **completion calendar** — a min-heap keyed by
-//!   `(done_cycle, issue_order)` — so it touches only the µops that
-//!   complete this cycle. Keying the tie-break on issue order (not seq)
-//!   preserves the old executing-list processing order, which predictor
+//! * Writeback drains a **completion calendar**, a timing wheel of
+//!   per-cycle buckets ([`CompletionWheel`]), so it touches only the µops
+//!   that complete this cycle. Each bucket keeps its seqs in issue order,
+//!   preserving the old executing-list processing order, which predictor
 //!   update order (and therefore timing) depends on.
 //!
-//! Squash is handled eagerly: [`Pipeline::sched_purge`] removes every
-//! registration of a squashed µop, so sequence-number reuse after a
-//! recovery can never deliver a stale wake.
+//! Squash is handled eagerly: the recovery walk purges the waiter lists
+//! of each squashed µop's sources and [`Pipeline::sched_purge`] removes
+//! every other registration, so sequence-number reuse after a recovery
+//! can never deliver a stale wake.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -61,12 +62,12 @@ pub(crate) struct Scheduler {
     pub(crate) seq_waiters: Vec<(SeqNum, SeqNum)>,
     /// Delayed loads waiting for `SSN_commit >= ssn`, min-first.
     pub(crate) ssn_waiters: BinaryHeap<Reverse<(u32, SeqNum)>>,
-    /// Completion calendar: `(done_cycle, issue_order, seq)`, min-first.
-    pub(crate) calendar: BinaryHeap<Reverse<(u64, u64, SeqNum)>>,
-    /// Monotonic per-issue token ordering same-cycle completions.
-    issue_order: u64,
+    /// Completion calendar: issued µops by completion cycle.
+    pub(crate) calendar: CompletionWheel,
     /// Scratch for draining register waiter lists.
     wake_buf: Vec<SeqNum>,
+    /// Scratch for writeback's due completions.
+    pub(crate) due: Vec<SeqNum>,
     /// Scratch for writeback's recovery requests.
     pub(crate) recoveries: Vec<RecoveryReq>,
 }
@@ -96,6 +97,136 @@ impl Scheduler {
             self.ssn_waiters.len(),
             self.calendar.len()
         )
+    }
+}
+
+/// Buckets in the completion wheel: a power of two above the longest
+/// completion latency the default memory hierarchy produces (368 cycles
+/// at Full scale), so only DRAM bank-queueing outliers overflow.
+const WHEEL_SPAN: u64 = 512;
+
+/// The completion calendar as a timing wheel. Bucket `d % WHEEL_SPAN`
+/// holds the seqs completing at cycle `d`, for `d` in
+/// `[now, now + WHEEL_SPAN)`, in push (issue) order: push and drain cost
+/// O(1) per µop where a heap paid O(log n).
+///
+/// A completion pushed at or beyond `now + WHEEL_SPAN` waits in an
+/// ordered overflow instead. It was pushed before anything that can
+/// land in its cycle's bucket (the window only ever slides forward), so
+/// a drain takes a cycle's overflow entries first, then its bucket.
+#[derive(Debug)]
+pub(crate) struct CompletionWheel {
+    buckets: Box<[Vec<SeqNum>]>,
+    /// `(done, push order, seq)`, min-first.
+    overflow: BinaryHeap<Reverse<(u64, u64, SeqNum)>>,
+    overflow_pushes: u64,
+    /// The first cycle not yet drained.
+    now: u64,
+    /// Entries held in `buckets`.
+    bucketed: usize,
+}
+
+impl Default for CompletionWheel {
+    fn default() -> CompletionWheel {
+        CompletionWheel {
+            buckets: vec![Vec::new(); WHEEL_SPAN as usize].into_boxed_slice(),
+            overflow: BinaryHeap::new(),
+            overflow_pushes: 0,
+            now: 0,
+            bucketed: 0,
+        }
+    }
+}
+
+/// The bucket holding completions at `cycle`.
+#[inline]
+fn slot(cycle: u64) -> usize {
+    (cycle % WHEEL_SPAN) as usize
+}
+
+impl CompletionWheel {
+    /// Entries pending.
+    pub(crate) fn len(&self) -> usize {
+        self.bucketed + self.overflow.len()
+    }
+
+    /// Whether nothing is pending.
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Schedules `seq` to complete at cycle `done`, which must not be
+    /// drained yet.
+    pub(crate) fn push(&mut self, seq: SeqNum, done: u64) {
+        debug_assert!(done >= self.now, "completion at {done} is before cycle {}", self.now);
+        if done - self.now < WHEEL_SPAN {
+            self.buckets[slot(done)].push(seq);
+            self.bucketed += 1;
+        } else {
+            self.overflow.push(Reverse((done, self.overflow_pushes, seq)));
+            self.overflow_pushes += 1;
+        }
+    }
+
+    /// Moves every completion due by `cycle` into `out` (cleared first),
+    /// ordered by completion cycle, then push order.
+    pub(crate) fn drain_due(&mut self, cycle: u64, out: &mut Vec<SeqNum>) {
+        out.clear();
+        while self.now <= cycle {
+            if self.bucketed == 0 {
+                // Only overflow entries remain: skip to the first.
+                match self.overflow.peek() {
+                    Some(&Reverse((done, _, _))) if done <= cycle => self.now = done,
+                    _ => {
+                        self.now = cycle + 1;
+                        return;
+                    }
+                }
+            }
+            let d = self.now;
+            while let Some(&Reverse((done, _, seq))) = self.overflow.peek() {
+                if done != d {
+                    break;
+                }
+                self.overflow.pop();
+                out.push(seq);
+            }
+            let bucket = &mut self.buckets[slot(d)];
+            self.bucketed -= bucket.len();
+            if out.is_empty() {
+                std::mem::swap(out, bucket);
+            } else {
+                out.append(bucket);
+            }
+            self.now += 1;
+        }
+    }
+
+    /// Removes every entry with `seq >= from` (recovery), including the
+    /// current cycle's not-yet-drained bucket.
+    pub(crate) fn purge_from(&mut self, from: SeqNum) {
+        let mut unseen = self.bucketed;
+        let mut d = self.now;
+        while unseen > 0 {
+            let bucket = &mut self.buckets[slot(d)];
+            let before = bucket.len();
+            unseen -= before;
+            bucket.retain(|&s| s < from);
+            self.bucketed -= before - bucket.len();
+            d += 1;
+        }
+        self.overflow.retain(|&Reverse((_, _, s))| s < from);
+    }
+
+    /// The earliest pending completion cycle.
+    pub(crate) fn min_done(&self) -> Option<u64> {
+        let overflow = self.overflow.peek().map(|&Reverse((done, _, _))| done);
+        if self.bucketed == 0 {
+            return overflow;
+        }
+        let bucketed = (self.now..).find(|&d| !self.buckets[slot(d)].is_empty());
+        bucketed.into_iter().chain(overflow).min()
     }
 }
 
@@ -205,17 +336,11 @@ impl Pipeline {
         }
     }
 
-    /// Schedules a completion event for an issued µop.
-    pub(crate) fn sched_schedule_completion(&mut self, seq: SeqNum, done: u64) {
-        let order = self.sched.issue_order;
-        self.sched.issue_order += 1;
-        self.sched.calendar.push(Reverse((done, order, seq)));
-    }
-
     /// Removes every scheduler registration of µops with `seq >= from`
-    /// (recovery). Eager purging keeps wake delivery simple: a live
-    /// registration always refers to a live µop, so sequence-number reuse
-    /// after the squash cannot alias.
+    /// (recovery), except register waiter lists, which the recovery walk
+    /// purges per squashed µop. Eager purging keeps wake delivery simple:
+    /// a live registration always refers to a live µop, so
+    /// sequence-number reuse after the squash cannot alias.
     pub(crate) fn sched_purge(&mut self, from: SeqNum) {
         self.sched.ready.retain(|&s| s < from);
         self.sched.delayed_ready.retain(|&s| s < from);
@@ -223,8 +348,7 @@ impl Pipeline {
         // on the waiter alone is sufficient.
         self.sched.seq_waiters.retain(|&(_, s)| s < from);
         self.sched.ssn_waiters.retain(|&Reverse((_, s))| s < from);
-        self.sched.calendar.retain(|&Reverse((_, _, s))| s < from);
-        self.rf.purge_waiters_from(from);
+        self.sched.calendar.purge_from(from);
         self.retry.retain(|&s| s < from);
     }
 }
@@ -309,20 +433,81 @@ mod tests {
         pl.rf.check_quiesced();
     }
 
+    /// Drives the wheel and a sorted-list model with the same seeded
+    /// stream: several pushes a cycle with latencies up to 3× the span
+    /// (so the overflow is exercised), purges at random seqs — some
+    /// raised before the current cycle's bucket drains, as a recovery
+    /// in retire is — and `min_done` queries.
     #[test]
-    fn calendar_orders_same_cycle_completions_by_issue_order() {
-        let mut pl = pipeline("li $1, 1\nhalt", CommModel::Baseline);
-        pl.sched_schedule_completion(10, 5);
-        pl.sched_schedule_completion(3, 5);
-        pl.sched_schedule_completion(7, 4);
-        let popped: Vec<(u64, u64, u64)> = std::iter::from_fn(|| {
-            pl.sched.calendar.pop().map(|std::cmp::Reverse(t)| t)
-        })
-        .collect();
-        // done=4 first; the two done=5 entries in issue order (10 before 3).
-        assert_eq!(popped[0].0, 4);
-        assert_eq!((popped[1].0, popped[1].2), (5, 10));
-        assert_eq!((popped[2].0, popped[2].2), (5, 3));
+    fn wheel_pops_what_a_sorted_model_pops() {
+        use super::{CompletionWheel, WHEEL_SPAN};
+        let mut rng = dmdp_prng::Prng::new(0x5eed_c0ff_ee16);
+        let mut wheel = CompletionWheel::default();
+        // (done, issue order, seq): the model pops in (done, order) order.
+        let mut model: Vec<(u64, u64, u64)> = Vec::new();
+        let mut order = 0u64;
+        let mut next_seq = 0u64;
+        let mut due = Vec::new();
+        let (mut pops, mut overflowed) = (0usize, 0usize);
+        let purge = |wheel: &mut CompletionWheel, model: &mut Vec<_>, next_seq: &mut u64, from| {
+            wheel.purge_from(from);
+            model.retain(|&(_, _, s)| s < from);
+            *next_seq = from;
+        };
+        for cycle in 0..20_000u64 {
+            if rng.chance(1, 40) && next_seq > 0 {
+                let from = next_seq - 1 - u64::from(rng.below(next_seq.min(48) as u32));
+                purge(&mut wheel, &mut model, &mut next_seq, from);
+            }
+            assert_eq!(wheel.min_done(), model.iter().map(|m| m.0).min(), "cycle {cycle}");
+            wheel.drain_due(cycle, &mut due);
+            model.sort_unstable();
+            let split = model.partition_point(|m| m.0 <= cycle);
+            let expect: Vec<u64> = model.drain(..split).map(|m| m.2).collect();
+            assert_eq!(due, expect, "cycle {cycle}");
+            pops += due.len();
+            assert_eq!(wheel.len(), model.len());
+            // Issue: seqs out of age order, as out-of-order issue does.
+            for _ in 0..rng.below(5) {
+                let seq = next_seq + u64::from(rng.below(8));
+                next_seq = seq + 1;
+                let latency = 1 + if rng.chance(1, 8) {
+                    u64::from(rng.below(3 * WHEEL_SPAN as u32))
+                } else {
+                    u64::from(rng.below(12))
+                };
+                overflowed += usize::from(latency >= WHEEL_SPAN);
+                wheel.push(seq, cycle + latency);
+                model.push((cycle + latency, order, seq));
+                order += 1;
+            }
+            if rng.chance(1, 60) && next_seq > 0 {
+                let from = next_seq - 1 - u64::from(rng.below(next_seq.min(16) as u32));
+                purge(&mut wheel, &mut model, &mut next_seq, from);
+            }
+        }
+        assert!(pops > 20_000 && overflowed > 500, "pops {pops}, overflowed {overflowed}");
+    }
+
+    #[test]
+    fn wheel_skips_undrained_cycles_in_order() {
+        // A batch lane fast-forwards over dead cycles; the next drain
+        // must deliver everything due across the gap, in cycle order.
+        use super::{CompletionWheel, WHEEL_SPAN};
+        let mut wheel = CompletionWheel::default();
+        let mut due = Vec::new();
+        wheel.drain_due(0, &mut due);
+        wheel.push(7, 5);
+        wheel.push(3, 2);
+        wheel.push(9, 2 + 2 * WHEEL_SPAN);
+        wheel.push(4, 5);
+        assert_eq!(wheel.min_done(), Some(2));
+        wheel.drain_due(10, &mut due);
+        assert_eq!(due, vec![3, 7, 4]);
+        assert_eq!(wheel.min_done(), Some(2 + 2 * WHEEL_SPAN));
+        wheel.drain_due(5 * WHEEL_SPAN, &mut due);
+        assert_eq!(due, vec![9]);
+        assert!(wheel.is_empty());
     }
 
     #[test]

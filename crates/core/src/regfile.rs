@@ -212,13 +212,13 @@ impl RegFile {
         out.append(&mut self.waiters[p as usize]);
     }
 
-    /// Drops every registration of µops with `seq >= from` (recovery), so
-    /// sequence numbers reused after a squash cannot receive stale wakes.
-    pub fn purge_waiters_from(&mut self, from: SeqNum) {
-        for list in &mut self.waiters {
-            if !list.is_empty() {
-                list.retain(|&s| s < from);
-            }
+    /// Drops `p`'s registrations of µops with `seq >= from` (recovery, for
+    /// each register a squashed µop waits on), so sequence numbers reused
+    /// after a squash cannot receive stale wakes.
+    pub fn purge_waiters(&mut self, p: PregId, from: SeqNum) {
+        let list = &mut self.waiters[p as usize];
+        if !list.is_empty() {
+            list.retain(|&s| s < from);
         }
     }
 
@@ -415,12 +415,16 @@ mod tests {
     fn purge_removes_only_squashed_waiters() {
         let mut rf = rf();
         let p = rf.allocate(Reg::new(5)).unwrap();
+        let q = rf.allocate(Reg::new(6)).unwrap();
         rf.add_waiter(p, 3);
         rf.add_waiter(p, 8);
-        rf.purge_waiters_from(5);
+        rf.add_waiter(q, 9);
+        rf.purge_waiters(p, 5);
         let mut out = Vec::new();
         rf.drain_waiters_into(p, &mut out);
         assert_eq!(out, vec![3]);
+        rf.drain_waiters_into(q, &mut out);
+        assert_eq!(out, vec![9], "other registers' lists are untouched");
     }
 
     #[test]

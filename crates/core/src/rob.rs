@@ -40,7 +40,8 @@ pub enum LoadKind {
 
 /// Per-load bookkeeping, attached to the µop whose retirement triggers
 /// verification (the load µop itself, or the closing `CMOV` of a
-/// predication group).
+/// predication group). Kept in a ROB side table ([`Rob::load`]) rather
+/// than in every [`UopEntry`].
 #[derive(Debug, Clone, Copy)]
 pub struct LoadInfo {
     /// Access width.
@@ -129,7 +130,6 @@ pub struct BranchInfo {
     pub predicted_target: Option<Pc>,
     /// Global history before the prediction (for repair/training).
     pub history_before: u32,
-
 }
 
 /// One in-flight µop: the unit the ROB, issue queue and execution lists
@@ -182,23 +182,60 @@ pub struct UopEntry {
     pub rename_cycle: u64,
     /// Branch bookkeeping.
     pub branch: Option<BranchInfo>,
-    /// Load bookkeeping (on the verifying µop of the group).
-    pub load: Option<LoadInfo>,
+    /// Whether this µop carries its load's [`LoadInfo`] (the verifying
+    /// µop of the group), held in the ROB's side table.
+    pub has_load: bool,
     /// Store bookkeeping.
     pub store: Option<StoreInfo>,
     /// For µops of a predication group: the seq of the µop carrying the
     /// group's [`LoadInfo`] (the closing `CMOV`), so execute can record
     /// facts there.
     pub group_sink: Option<SeqNum>,
-    /// Baseline Store-Sets ordering: this µop may not issue until the µop
-    /// with this seq has executed (or vanished).
-    pub wait_for_seq: Option<SeqNum>,
     /// Global branch history captured when the parent instruction was
     /// fetched (path-sensitive prediction and history repair).
     pub fetch_history: u32,
 }
 
+// Every ROB access touches an entry; keep it within two cache lines.
+const _: () = assert!(std::mem::size_of::<UopEntry>() <= 128);
+
 impl UopEntry {
+    /// A µop of `kind` renamed at `rename_cycle`, waiting to issue, with
+    /// no operands or bookkeeping yet.
+    pub fn new(
+        seq: SeqNum,
+        pc: Pc,
+        kind: UopKind,
+        rename_cycle: u64,
+        fetch_history: u32,
+    ) -> UopEntry {
+        UopEntry {
+            seq,
+            pc,
+            kind,
+            first_of_insn: false,
+            last_of_insn: false,
+            dest_logical: None,
+            dest: None,
+            prev_mapping: None,
+            src: [None, None],
+            imm: 0,
+            state: UopState::Waiting,
+            not_ready: 0,
+            in_iq: false,
+            consumed: false,
+            retire_needs_dest_ready: false,
+            value: 0,
+            writes_dest: true,
+            rename_cycle,
+            branch: None,
+            has_load: false,
+            store: None,
+            group_sink: None,
+            fetch_history,
+        }
+    }
+
     /// Whether every state needed to retire is reached.
     pub fn is_done(&self) -> bool {
         self.state == UopState::Done
@@ -208,10 +245,15 @@ impl UopEntry {
 /// The reorder buffer: a bounded FIFO of µops in rename order.
 ///
 /// Entries are addressed by their [`SeqNum`]; slot reuse is handled by the
-/// ring mapping, and stale lookups (squashed µops) return `None`.
+/// ring mapping, and stale lookups (retired or squashed µops) return
+/// `None`. Entries stay in their slots for their whole lifetime: retire
+/// and squash only move the head and tail, so callers read an entry in
+/// place before releasing it.
 #[derive(Debug)]
 pub struct Rob {
-    slots: Vec<Option<UopEntry>>,
+    slots: Vec<UopEntry>,
+    /// Load bookkeeping by slot, valid where the entry's `has_load` is set.
+    loads: Vec<LoadInfo>,
     capacity: usize,
     /// `capacity - 1` when the capacity is a power of two (the common
     /// configurations), letting the ring index be a mask instead of a
@@ -230,7 +272,16 @@ impl Rob {
     pub fn new(capacity: usize) -> Rob {
         assert!(capacity > 0, "ROB needs capacity");
         let mask = if capacity.is_power_of_two() { capacity as u64 - 1 } else { 0 };
-        Rob { slots: (0..capacity).map(|_| None).collect(), capacity, mask, head: 0, tail: 0 }
+        let blank = UopEntry::new(0, 0, UopKind::Nop, 0, 0);
+        let no_load = LoadInfo::new(MemWidth::Word, false, LoadKind::Direct, 0);
+        Rob {
+            slots: vec![blank; capacity],
+            loads: vec![no_load; capacity],
+            capacity,
+            mask,
+            head: 0,
+            tail: 0,
+        }
     }
 
     /// Ring slot of a sequence number.
@@ -268,78 +319,84 @@ impl Rob {
         (!self.is_empty()).then_some(self.head)
     }
 
-    /// Appends an entry (its `seq` must equal [`Rob::next_seq`]).
+    /// Appends an entry (its `seq` must equal [`Rob::next_seq`]), with
+    /// its load bookkeeping when it is a group's verifying µop.
     ///
     /// # Panics
     ///
     /// Panics when full or on a seq mismatch.
-    pub fn push(&mut self, entry: UopEntry) -> SeqNum {
+    pub fn push(&mut self, mut entry: UopEntry, load: Option<LoadInfo>) -> SeqNum {
         assert!(self.free() > 0, "ROB overflow");
         assert_eq!(entry.seq, self.tail, "seq must be allocated in order");
         let slot = self.slot(self.tail);
-        debug_assert!(self.slots[slot].is_none());
-        self.slots[slot] = Some(entry);
+        entry.has_load = load.is_some();
+        if let Some(info) = load {
+            self.loads[slot] = info;
+        }
+        self.slots[slot] = entry;
         self.tail += 1;
         self.tail - 1
     }
 
+    /// Whether `seq` names a live entry.
+    #[inline]
+    fn live(&self, seq: SeqNum) -> bool {
+        seq >= self.head && seq < self.tail
+    }
+
     /// Looks up a live entry.
+    #[inline]
     pub fn get(&self, seq: SeqNum) -> Option<&UopEntry> {
-        if seq < self.head || seq >= self.tail {
-            return None;
-        }
-        self.slots[self.slot(seq)].as_ref()
+        self.live(seq).then(|| &self.slots[self.slot(seq)])
     }
 
     /// Mutable lookup of a live entry.
+    #[inline]
     pub fn get_mut(&mut self, seq: SeqNum) -> Option<&mut UopEntry> {
-        if seq < self.head || seq >= self.tail {
+        if !self.live(seq) {
             return None;
         }
         let slot = self.slot(seq);
-        self.slots[slot].as_mut()
+        Some(&mut self.slots[slot])
     }
 
-    /// Removes and returns the head entry.
+    /// The load bookkeeping of a live verifying µop.
+    #[inline]
+    pub fn load(&self, seq: SeqNum) -> Option<&LoadInfo> {
+        let slot = self.slot(seq);
+        (self.live(seq) && self.slots[slot].has_load).then(|| &self.loads[slot])
+    }
+
+    /// Mutable [`Rob::load`].
+    #[inline]
+    pub fn load_mut(&mut self, seq: SeqNum) -> Option<&mut LoadInfo> {
+        let slot = self.slot(seq);
+        if !(self.live(seq) && self.slots[slot].has_load) {
+            return None;
+        }
+        Some(&mut self.loads[slot])
+    }
+
+    /// Releases the head entry (retirement; read it first).
     ///
     /// # Panics
     ///
     /// Panics if empty.
-    pub fn pop_head(&mut self) -> UopEntry {
-        assert!(!self.is_empty(), "pop from empty ROB");
-        let slot = self.slot(self.head);
-        let e = self.slots[slot].take().expect("head entry present");
+    pub fn retire_head(&mut self) {
+        assert!(!self.is_empty(), "retire from empty ROB");
         self.head += 1;
-        e
     }
 
-    /// Removes every entry with `seq >= from`, youngest first, draining
-    /// them into `out` for rollback processing. `out` is cleared first;
-    /// recovery passes a scratch buffer it owns, so squashing — which can
-    /// happen many times per thousand cycles on branchy code — never
-    /// allocates.
-    pub fn squash_from_into(&mut self, from: SeqNum, out: &mut Vec<UopEntry>) {
-        out.clear();
-        let from = from.max(self.head);
-        while self.tail > from {
-            self.tail -= 1;
-            let slot = self.slot(self.tail);
-            out.push(self.slots[slot].take().expect("tail entry present"));
-        }
+    /// Releases every entry with `seq >= from` (recovery; walk them
+    /// first, youngest first, to undo their renaming).
+    pub fn squash_from(&mut self, from: SeqNum) {
+        self.tail = self.tail.min(from.max(self.head));
     }
 
-    /// [`Rob::squash_from_into`] returning a fresh `Vec` (test
-    /// convenience; the pipeline uses the scratch-buffer form).
+    /// Iterates over live entries, oldest first (livelock dumps).
     #[cfg(test)]
-    pub fn squash_from(&mut self, from: SeqNum) -> Vec<UopEntry> {
-        let mut out = Vec::new();
-        self.squash_from_into(from, &mut out);
-        out
-    }
-
-    /// Iterates over live entries, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &UopEntry> {
-        (self.head..self.tail).filter_map(move |s| self.slots[self.slot(s)].as_ref())
+        (self.head..self.tail).map(move |s| &self.slots[self.slot(s)])
     }
 }
 
@@ -348,47 +405,30 @@ mod tests {
     use super::*;
 
     fn entry(seq: SeqNum) -> UopEntry {
-        UopEntry {
-            seq,
-            pc: 0,
-            kind: UopKind::Nop,
-            first_of_insn: true,
-            last_of_insn: true,
-            dest_logical: None,
-            dest: None,
-            prev_mapping: None,
-            src: [None, None],
-            imm: 0,
-            state: UopState::Done,
-            not_ready: 0,
-            in_iq: false,
-            consumed: true,
-            retire_needs_dest_ready: false,
-            value: 0,
-            writes_dest: false,
-            rename_cycle: 0,
-            branch: None,
-            load: None,
-            store: None,
-            group_sink: None,
-            wait_for_seq: None,
-            fetch_history: 0,
-        }
+        UopEntry::new(seq, 0, UopKind::Nop, 0, 0)
+    }
+
+    /// Retires the head, returning its seq.
+    fn retire(rob: &mut Rob) -> SeqNum {
+        let seq = rob.head_seq().expect("nonempty");
+        assert_eq!(rob.get(seq).unwrap().seq, seq);
+        rob.retire_head();
+        seq
     }
 
     #[test]
     fn fifo_order() {
         let mut rob = Rob::new(4);
         for s in 0..3 {
-            rob.push(entry(s));
+            rob.push(entry(s), None);
         }
         assert_eq!(rob.len(), 3);
-        assert_eq!(rob.pop_head().seq, 0);
-        assert_eq!(rob.pop_head().seq, 1);
-        rob.push(entry(3));
-        rob.push(entry(4)); // wraps the ring
+        assert_eq!(retire(&mut rob), 0);
+        assert_eq!(retire(&mut rob), 1);
+        rob.push(entry(3), None);
+        rob.push(entry(4), None); // wraps the ring
         assert_eq!(rob.len(), 3);
-        assert_eq!(rob.pop_head().seq, 2);
+        assert_eq!(retire(&mut rob), 2);
     }
 
     #[test]
@@ -397,23 +437,23 @@ mod tests {
         // capacities take the mask path).
         let mut rob = Rob::new(3);
         for s in 0..3 {
-            rob.push(entry(s));
+            rob.push(entry(s), None);
         }
-        assert_eq!(rob.pop_head().seq, 0);
-        rob.push(entry(3)); // wraps
+        assert_eq!(retire(&mut rob), 0);
+        rob.push(entry(3), None); // wraps
         assert_eq!(rob.get(3).unwrap().seq, 3);
-        assert_eq!(rob.pop_head().seq, 1);
-        assert_eq!(rob.pop_head().seq, 2);
-        assert_eq!(rob.pop_head().seq, 3);
+        assert_eq!(retire(&mut rob), 1);
+        assert_eq!(retire(&mut rob), 2);
+        assert_eq!(retire(&mut rob), 3);
         assert!(rob.is_empty());
     }
 
     #[test]
     fn get_rejects_stale_seqs() {
         let mut rob = Rob::new(4);
-        rob.push(entry(0));
-        rob.push(entry(1));
-        rob.pop_head();
+        rob.push(entry(0), None);
+        rob.push(entry(1), None);
+        rob.retire_head();
         assert!(rob.get(0).is_none());
         assert!(rob.get(1).is_some());
         assert!(rob.get(2).is_none());
@@ -423,40 +463,66 @@ mod tests {
     fn squash_from_removes_youngest_first() {
         let mut rob = Rob::new(8);
         for s in 0..5 {
-            rob.push(entry(s));
+            rob.push(entry(s), None);
         }
-        let squashed = rob.squash_from(2);
-        assert_eq!(squashed.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![4, 3, 2]);
+        rob.squash_from(2);
+        assert_eq!(rob.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![0, 1]);
+        assert!(rob.get(2).is_none());
         assert_eq!(rob.len(), 2);
         assert_eq!(rob.next_seq(), 2);
         // Reuse the freed seqs.
-        rob.push(entry(2));
+        rob.push(entry(2), None);
         assert!(rob.get(2).is_some());
+        // Squashing past the tail or below the head is clamped.
+        rob.squash_from(9);
+        assert_eq!(rob.len(), 3);
+        rob.retire_head();
+        rob.squash_from(0);
+        assert!(rob.is_empty());
+        assert_eq!(rob.next_seq(), 1);
     }
 
     #[test]
     fn squash_everything() {
         let mut rob = Rob::new(4);
-        rob.push(entry(0));
-        rob.push(entry(1));
-        let squashed = rob.squash_from(0);
-        assert_eq!(squashed.len(), 2);
+        rob.push(entry(0), None);
+        rob.push(entry(1), None);
+        rob.squash_from(0);
         assert!(rob.is_empty());
+    }
+
+    #[test]
+    fn load_info_follows_its_slot() {
+        let mut rob = Rob::new(2);
+        let mut info = LoadInfo::new(MemWidth::Half, true, LoadKind::Cloaked, 7);
+        info.addr = 0x40;
+        rob.push(entry(0), Some(info));
+        rob.push(entry(1), None);
+        assert!(rob.get(0).unwrap().has_load);
+        assert_eq!(rob.load(0).unwrap().addr, 0x40);
+        assert!(rob.load(1).is_none());
+        rob.load_mut(0).unwrap().value = 9;
+        assert_eq!(rob.load(0).unwrap().value, 9);
+        // A plain µop reusing the slot carries no stale load record.
+        rob.retire_head();
+        rob.push(entry(2), None);
+        assert!(rob.load(2).is_none());
+        assert!(rob.load(0).is_none(), "retired");
     }
 
     #[test]
     #[should_panic(expected = "overflow")]
     fn overflow_panics() {
         let mut rob = Rob::new(1);
-        rob.push(entry(0));
-        rob.push(entry(1));
+        rob.push(entry(0), None);
+        rob.push(entry(1), None);
     }
 
     #[test]
     fn iter_oldest_first() {
         let mut rob = Rob::new(4);
         for s in 0..3 {
-            rob.push(entry(s));
+            rob.push(entry(s), None);
         }
         let seqs: Vec<SeqNum> = rob.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2]);

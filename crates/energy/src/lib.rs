@@ -137,8 +137,11 @@ impl Event {
         }
     }
 
+    /// Position in [`Event::ALL`], which lists the variants in
+    /// declaration order (a test pins this).
+    #[inline]
     fn index(self) -> usize {
-        Event::ALL.iter().position(|e| *e == self).expect("event in ALL")
+        self as usize
     }
 
     /// Short label for reports.
@@ -287,6 +290,13 @@ mod tests {
         let rows = e.breakdown();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].0, Event::DramAccess);
+    }
+
+    #[test]
+    fn discriminants_index_all() {
+        for (i, e) in Event::ALL.iter().enumerate() {
+            assert_eq!(*e as usize, i, "{e:?} is out of place in Event::ALL");
+        }
     }
 
     #[test]

@@ -21,6 +21,36 @@ cargo clippy --workspace --all-targets -- -D warnings
 # timing changes, alongside a SIM_VERSION bump).
 cargo test -q -p dmdp-core --test golden_stats
 
+# Full-scale row identity: the golden digests pin Test scale only. lbm
+# has the longest DRAM latencies, and bzip2 and perl recover the most,
+# so their Full-scale rows exercise the scheduler's long-latency and
+# squash paths. The rows must equal the benchmark's reference rows
+# (read here, never written).
+full_out=bench-results/ci-full-rows.json
+rm -f "$full_out"
+cargo run --release -q -p dmdp-bench --bin dmdp -- \
+    campaign --name ci-full-rows --scale full --model all \
+    --kernel lbm --kernel bzip2 --kernel perl \
+    --jobs "$(nproc)" --force --quiet --out "$full_out"
+full_kernels='["lbm", "bzip2", "perl"]'
+campaign_full_rows() {
+    jq -S '[.jobs[] | {workload, model, cycles, retired_insns, ipc}]
+           | sort_by(.workload, .model)' "$full_out"
+}
+reference_full_rows() {
+    jq -S --argjson ks "$full_kernels" '
+        [.full[] | {workload: .[1], model: .[2], cycles: .[3],
+                    retired_insns: .[4], ipc: .[5]}
+                 | select(.workload as $w | $ks | index($w))]
+        | sort_by(.workload, .model)' perfbench/reference.json
+}
+jq -e '.jobs | length == 12' "$full_out" >/dev/null \
+    || { echo "ci: FAIL: Full-scale row campaign is missing rows"; exit 1; }
+diff <(reference_full_rows) <(campaign_full_rows) \
+    || { echo "ci: FAIL: Full-scale rows differ from perfbench/reference.json;" \
+              "an intentional timing change regenerates the reference with" \
+              "\`python3 perfbench/run.py --regen-reference\` (a benchmark change)"; exit 1; }
+
 out=bench-results/ci-smoke.json
 rm -f "$out"
 smoke_start=$(date +%s.%N)
