@@ -87,8 +87,8 @@ OPTIONS:
                       add a config variant to the sweep (repeatable).
                       KNOBS is comma-separated width/rob/prf/sb:<N> and
                       rmo, e.g. --variant rob64=rob:64,sb:8 --variant main=.
-                      Each (workload, model)'s variants run as one batched
-                      lockstep simulation (bit-identical to solo runs)
+                      Each (workload, model)'s variants run as one batch
+                      over a shared front end (bit-identical to solo runs)
     --width/--rob/--prf/--sb <N>, --rmo
                       configuration overrides, as in `dmdp run`
                       (shorthand for a single `custom` variant)
@@ -606,7 +606,12 @@ fn parse_variant(spec: &str) -> Result<(String, CfgPatch), String> {
         return Err(format!("--variant `{spec}`: label must not be empty"));
     }
     let mut patch = CfgPatch::default();
+    let mut seen = std::collections::HashSet::new();
     for knob in knobs.split(',').filter(|k| !k.is_empty()) {
+        let key = knob.split_once(':').map_or(knob, |(key, _)| key);
+        if !seen.insert(key) {
+            return Err(format!("--variant `{spec}`: knob `{key}` given twice"));
+        }
         if knob == "rmo" {
             patch.rmo = true;
             continue;
@@ -620,6 +625,7 @@ fn parse_variant(spec: &str) -> Result<(String, CfgPatch), String> {
             "rob" => patch.rob = Some(n),
             "prf" => patch.prf = Some(n),
             "sb" => patch.sb = Some(n),
+            "rmo" => return Err(format!("--variant `{spec}`: knob `rmo` takes no value")),
             other => return Err(format!("--variant `{spec}`: unknown knob `{other}` (width/rob/prf/sb/rmo)")),
         }
     }

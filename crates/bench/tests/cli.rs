@@ -48,6 +48,24 @@ fn campaign_rejects_unknown_kernel_listing_kernels() {
 }
 
 #[test]
+fn malformed_or_oversized_variants_are_refused_naming_the_knob() {
+    for (variant, want) in [
+        ("big=rob:64,rob:128", "knob `rob` given twice"),
+        ("big=rmo,rmo", "knob `rmo` given twice"),
+        ("big=rmo:1", "knob `rmo` takes no value"),
+    ] {
+        let out = dmdp(&["campaign", "--scale", "test", "--kernel", "mcf", "--variant", variant]);
+        assert!(!out.status.success(), "{variant} must fail");
+        let err = stderr(&out);
+        assert!(err.contains(want), "{variant}: {err}");
+    }
+    // A size past its ceiling is refused before anything is allocated.
+    let out = dmdp(&["run", "--workload", "mcf", "--scale", "test", "--rob", "4000000000"]);
+    assert!(!out.status.success(), "an oversized ROB must fail");
+    assert!(stderr(&out).contains("ROB too large: 4000000000"), "{}", stderr(&out));
+}
+
+#[test]
 fn traced_and_sampled_run_writes_wellformed_artifacts() {
     let trace = temp("trace.jsonl");
     let samples = temp("samples.json");

@@ -113,6 +113,15 @@ pub struct CoreConfig {
     pub max_cycles: u64,
 }
 
+/// Widest pipeline [`CoreConfig::check`] accepts.
+const MAX_WIDTH: usize = 64;
+
+/// Largest ROB, physical register file, issue queue or store buffer
+/// [`CoreConfig::check`] accepts. A pipeline allocates each structure up
+/// front, so an unbounded size would abort the process (a daemon
+/// included) on a failed allocation instead of failing the request.
+const MAX_ENTRIES: usize = 65_536;
+
 /// Version tag of the simulator's *timing semantics*. Bump whenever a
 /// change alters simulated cycle counts or statistics for an unchanged
 /// (config, workload) pair — campaign digest caches key on it, so a bump
@@ -166,8 +175,18 @@ impl CoreConfig {
     /// A message naming the first impossible setting (e.g. too few
     /// physical registers to rename a single instruction group).
     pub fn check(&self) -> Result<(), String> {
-        let min_regs = dmdp_isa::Reg::NUM_LOGICAL + 5 * self.width;
         let fail = |ok: bool, msg: String| if ok { Ok(()) } else { Err(msg) };
+        // The ceilings come first: the checks below multiply `width`.
+        for (what, n, max) in [
+            ("width", self.width, MAX_WIDTH),
+            ("ROB", self.rob_entries, MAX_ENTRIES),
+            ("physical register file", self.phys_regs, MAX_ENTRIES),
+            ("issue queue", self.iq_entries, MAX_ENTRIES),
+            ("store buffer", self.store_buffer_entries, MAX_ENTRIES),
+        ] {
+            fail(n <= max, format!("{what} too large: {n}, ceiling {max}"))?;
+        }
+        let min_regs = dmdp_isa::Reg::NUM_LOGICAL + 5 * self.width;
         fail(self.width > 0, "width must be nonzero".to_string())?;
         fail(
             self.rob_entries >= self.width * 2,
@@ -216,6 +235,26 @@ mod tests {
         assert!(CoreConfig { store_buffer_entries: 0, ..CoreConfig::new(CommModel::NoSq) }
             .check()
             .is_err());
+    }
+
+    #[test]
+    fn check_refuses_sizes_past_their_ceiling() {
+        let dmdp = || CoreConfig::new(CommModel::Dmdp);
+        let huge = 4_000_000_000;
+        for (cfg, what) in [
+            (CoreConfig { rob_entries: huge, ..dmdp() }, "ROB too large: 4000000000, ceiling 65536"),
+            (CoreConfig { phys_regs: huge, ..dmdp() }, "physical register file too large"),
+            (CoreConfig { iq_entries: huge, ..dmdp() }, "issue queue too large"),
+            (CoreConfig { store_buffer_entries: huge, ..dmdp() }, "store buffer too large"),
+            (CoreConfig { width: usize::MAX, ..dmdp() }, "width too large"),
+        ] {
+            let err = cfg.check().unwrap_err();
+            assert!(err.contains(what), "{err}");
+        }
+        let n = MAX_ENTRIES;
+        let roomy = CoreConfig { rob_entries: n, phys_regs: n, iq_entries: n, ..dmdp() };
+        let roomy = CoreConfig { store_buffer_entries: n, width: MAX_WIDTH, ..roomy };
+        roomy.check().expect("the ceilings themselves are accepted");
     }
 
     #[test]

@@ -143,11 +143,6 @@ pub struct Pipeline {
     // Resource-demand high-water marks for the batch engine's
     // never-bound variant deduplication (see `crate::batch`).
     pub(crate) hw: crate::batch::HwDemand,
-    // Event-horizon fast-forward tally (batch engine only; not part of
-    // SimStats — simulated timing is pinned independently of how many
-    // dead spans were skipped).
-    pub(crate) ff_spans: u64,
-    pub(crate) ff_cycles: u64,
     // Observability sinks (no-op by default; see `crate::probe`).
     pub(crate) probe: Probe,
     // Co-simulation against the functional emulator (tests).
@@ -155,8 +150,9 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
-    /// Builds a pipeline for `program` under `cfg`. For the Perfect model
-    /// this runs the functional oracle pre-pass (bounded by
+    /// Builds a pipeline for `program` under `cfg`, with its own
+    /// [`PlanCache`] (counted in `stats.plan.builds`). For the Perfect
+    /// model this runs the functional oracle pre-pass (bounded by
     /// `cfg.max_cycles` emulated instructions).
     ///
     /// # Panics
@@ -164,17 +160,7 @@ impl Pipeline {
     /// Panics if the configuration is invalid or the oracle pre-pass
     /// fails (the program must halt).
     pub fn new(cfg: CoreConfig, program: &Program) -> Pipeline {
-        Pipeline::new_shared(cfg, Arc::new(program.clone()))
-    }
-
-    /// [`Pipeline::new`] without the program deep-copy: campaign runners
-    /// share one assembled image across every job of a workload. Builds
-    /// this pipeline's own [`PlanCache`] (counted in `stats.plan.builds`).
-    ///
-    /// # Panics
-    ///
-    /// As [`Pipeline::new`].
-    pub fn new_shared(cfg: CoreConfig, program: Arc<Program>) -> Pipeline {
+        let program = Arc::new(program.clone());
         let plans = PlanCache::shared(&program);
         let built = plans.len() as u64;
         let mut p = Pipeline::new_planned(cfg, program, plans);
@@ -182,9 +168,10 @@ impl Pipeline {
         p
     }
 
-    /// [`Pipeline::new_shared`] with a prebuilt plan cache, so every job
-    /// of a workload shares one decode-plan table alongside the program
-    /// image (`stats.plan.builds` stays zero: nothing was built here).
+    /// [`Pipeline::new`] over a shared program image and a prebuilt plan
+    /// cache, so every job of a workload shares one decode-plan table
+    /// alongside the image (`stats.plan.builds` stays zero: nothing was
+    /// built here).
     ///
     /// # Panics
     ///
@@ -289,8 +276,6 @@ impl Pipeline {
             commit_buf: Vec::new(),
             stats: SimStats::default(),
             hw: crate::batch::HwDemand::default(),
-            ff_spans: 0,
-            ff_cycles: 0,
             cycle: 0,
             program,
             plans,
@@ -414,13 +399,10 @@ impl Pipeline {
         self.halted
     }
 
-    fn run_loop(&mut self) -> Result<(), SimError> {
-        while !self.halted {
-            if self.cycle >= self.cfg.max_cycles {
-                return Err(SimError::CycleLimit { limit: self.cfg.max_cycles });
-            }
-            self.step_cycle();
-        }
+    /// Runs to `halt` and closes the statistics: the one loop behind
+    /// solo runs and batch lanes alike.
+    pub(crate) fn run_loop(&mut self) -> Result<(), SimError> {
+        self.run_to_retired(u64::MAX)?;
         self.finalize();
         Ok(())
     }

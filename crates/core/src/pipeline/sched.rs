@@ -146,6 +146,7 @@ fn slot(cycle: u64) -> usize {
 
 impl CompletionWheel {
     /// Entries pending.
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.bucketed + self.overflow.len()
     }
@@ -169,38 +170,27 @@ impl CompletionWheel {
         }
     }
 
-    /// Moves every completion due by `cycle` into `out` (cleared first),
-    /// ordered by completion cycle, then push order.
+    /// Moves every completion due at `cycle` into `out` (cleared first),
+    /// in push order. The pipeline drains every cycle exactly once, in
+    /// order, so nothing earlier is left pending.
     pub(crate) fn drain_due(&mut self, cycle: u64, out: &mut Vec<SeqNum>) {
+        debug_assert_eq!(self.now, cycle, "the wheel drains each cycle once, in order");
         out.clear();
-        while self.now <= cycle {
-            if self.bucketed == 0 {
-                // Only overflow entries remain: skip to the first.
-                match self.overflow.peek() {
-                    Some(&Reverse((done, _, _))) if done <= cycle => self.now = done,
-                    _ => {
-                        self.now = cycle + 1;
-                        return;
-                    }
-                }
+        while let Some(&Reverse((done, _, seq))) = self.overflow.peek() {
+            if done != cycle {
+                break;
             }
-            let d = self.now;
-            while let Some(&Reverse((done, _, seq))) = self.overflow.peek() {
-                if done != d {
-                    break;
-                }
-                self.overflow.pop();
-                out.push(seq);
-            }
-            let bucket = &mut self.buckets[slot(d)];
-            self.bucketed -= bucket.len();
-            if out.is_empty() {
-                std::mem::swap(out, bucket);
-            } else {
-                out.append(bucket);
-            }
-            self.now += 1;
+            self.overflow.pop();
+            out.push(seq);
         }
+        let bucket = &mut self.buckets[slot(cycle)];
+        self.bucketed -= bucket.len();
+        if out.is_empty() {
+            std::mem::swap(out, bucket);
+        } else {
+            out.append(bucket);
+        }
+        self.now = cycle + 1;
     }
 
     /// Removes every entry with `seq >= from` (recovery), including the
@@ -217,16 +207,6 @@ impl CompletionWheel {
             d += 1;
         }
         self.overflow.retain(|&Reverse((_, _, s))| s < from);
-    }
-
-    /// The earliest pending completion cycle.
-    pub(crate) fn min_done(&self) -> Option<u64> {
-        let overflow = self.overflow.peek().map(|&Reverse((done, _, _))| done);
-        if self.bucketed == 0 {
-            return overflow;
-        }
-        let bucketed = (self.now..).find(|&d| !self.buckets[slot(d)].is_empty());
-        bucketed.into_iter().chain(overflow).min()
     }
 }
 
@@ -435,9 +415,9 @@ mod tests {
 
     /// Drives the wheel and a sorted-list model with the same seeded
     /// stream: several pushes a cycle with latencies up to 3× the span
-    /// (so the overflow is exercised), purges at random seqs — some
+    /// (so the overflow is exercised), and purges at random seqs — some
     /// raised before the current cycle's bucket drains, as a recovery
-    /// in retire is — and `min_done` queries.
+    /// in retire is.
     #[test]
     fn wheel_pops_what_a_sorted_model_pops() {
         use super::{CompletionWheel, WHEEL_SPAN};
@@ -459,7 +439,6 @@ mod tests {
                 let from = next_seq - 1 - u64::from(rng.below(next_seq.min(48) as u32));
                 purge(&mut wheel, &mut model, &mut next_seq, from);
             }
-            assert_eq!(wheel.min_done(), model.iter().map(|m| m.0).min(), "cycle {cycle}");
             wheel.drain_due(cycle, &mut due);
             model.sort_unstable();
             let split = model.partition_point(|m| m.0 <= cycle);
@@ -487,27 +466,6 @@ mod tests {
             }
         }
         assert!(pops > 20_000 && overflowed > 500, "pops {pops}, overflowed {overflowed}");
-    }
-
-    #[test]
-    fn wheel_skips_undrained_cycles_in_order() {
-        // A batch lane fast-forwards over dead cycles; the next drain
-        // must deliver everything due across the gap, in cycle order.
-        use super::{CompletionWheel, WHEEL_SPAN};
-        let mut wheel = CompletionWheel::default();
-        let mut due = Vec::new();
-        wheel.drain_due(0, &mut due);
-        wheel.push(7, 5);
-        wheel.push(3, 2);
-        wheel.push(9, 2 + 2 * WHEEL_SPAN);
-        wheel.push(4, 5);
-        assert_eq!(wheel.min_done(), Some(2));
-        wheel.drain_due(10, &mut due);
-        assert_eq!(due, vec![3, 7, 4]);
-        assert_eq!(wheel.min_done(), Some(2 + 2 * WHEEL_SPAN));
-        wheel.drain_due(5 * WHEEL_SPAN, &mut due);
-        assert_eq!(due, vec![9]);
-        assert!(wheel.is_empty());
     }
 
     #[test]

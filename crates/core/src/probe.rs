@@ -279,12 +279,6 @@ impl Probe {
         self
     }
 
-    /// Whether no sink is attached (every hook is a no-op).
-    #[inline]
-    pub fn is_off(&self) -> bool {
-        self.tracer.is_none() && self.sampler.is_none()
-    }
-
     /// Consumes the probe, flushing the tracer and returning everything
     /// collected.
     pub fn finish(self) -> ProbeReport {
@@ -475,7 +469,6 @@ mod tests {
     #[test]
     fn default_probe_is_off() {
         let p = Probe::default();
-        assert!(p.is_off());
         assert!(!p.sample_due(64));
         let r = p.finish();
         assert_eq!(r.trace_records, 0);

@@ -106,19 +106,6 @@ impl Simulator {
         Ok(SimReport { program: program.name().to_string(), model: self.cfg.comm, stats })
     }
 
-    /// Runs a shared program image without deep-copying it into the
-    /// pipeline — campaign runners fan one `Arc<Program>` out across
-    /// every (model × variant) job of a workload.
-    ///
-    /// # Errors
-    ///
-    /// See [`Simulator::run`].
-    pub fn run_shared(&self, program: &Arc<Program>) -> Result<SimReport, SimError> {
-        let pipeline = Pipeline::new_shared(self.cfg.clone(), Arc::clone(program));
-        let stats = pipeline.run()?;
-        Ok(SimReport { program: program.name().to_string(), model: self.cfg.comm, stats })
-    }
-
     /// Runs a shared program image with a prebuilt [`PlanCache`] —
     /// campaign runners build the cache once per workload and share it
     /// across every (model × variant) job, so `stats.plan.builds` stays

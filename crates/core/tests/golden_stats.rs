@@ -181,9 +181,9 @@ const VARIANT_GOLDEN: &[(&str, &str, [u64; 4])] = &[
 ];
 
 /// Pins the timing of non-default configuration variants under every
-/// model, and demands that [`BatchSimulator`] — which steps all lanes of
-/// a kernel through one shared front-end and fast-forwards confirmed dead
-/// cycles — reproduces the *same* digests bit-for-bit as the solo path.
+/// model, and demands that [`BatchSimulator`] — which runs all lanes of
+/// a kernel over one shared front end and derives the never-bound ones —
+/// reproduces the *same* digests bit-for-bit as the solo path.
 #[test]
 fn variant_timing_is_pinned_for_solo_and_batched_paths() {
     if std::env::var("GOLDEN_RECORD").is_ok() {

@@ -1,11 +1,12 @@
 //! Job units and the one resolver every execution path goes through.
 //!
 //! A job list is resolved as *units*: runs of consecutive variant jobs
-//! of one (workload, model) that the batched lockstep engine
-//! ([`crate::JobSpec::execute_batch`]) steps together, with sampled jobs
-//! as singletons. The local campaign, the daemon's submit path and a
-//! worker's group handler all go through [`resolve`] and differ only in
-//! their [`Resolve`] half, so their artifacts agree by construction.
+//! of one (workload, model) that the batch engine
+//! ([`crate::JobSpec::execute_batch`]) runs over one shared front end,
+//! with sampled jobs as singletons. The local campaign, the daemon's
+//! submit path and a worker's group handler all go through [`resolve`]
+//! and differ only in their [`Resolve`] half, so their artifacts agree
+//! by construction.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -18,7 +19,7 @@ use crate::pool;
 ///
 /// `batchable(i)` says whether job `i` may participate in a multi-job
 /// unit at all ([`resolve`] passes "not sampled" — sampled jobs measure
-/// checkpointed intervals and never run in lockstep). A job extends the
+/// checkpointed intervals and never run as a batch). A job extends the
 /// previous unit only when both it and the unit's leading member are
 /// batchable and share one (workload, model) and one program image;
 /// anything else starts a new singleton unit. Units preserve index
@@ -302,7 +303,7 @@ mod tests {
     #[test]
     fn distinct_images_of_one_workload_never_share_a_unit() {
         // Two separately-built images of the same workload are equal in
-        // content but not pointer-shared; the lockstep engine requires
+        // content but not pointer-shared; the batch engine requires
         // one shared image per unit, so they must not merge.
         let a = spec("lib", CommModel::Dmdp, "main");
         let b = spec("lib", CommModel::Dmdp, "rob32");

@@ -27,8 +27,6 @@ struct SimMetrics {
     batch_units: &'static dmdp_obs::Counter,
     batch_lanes: &'static dmdp_obs::Counter,
     batch_derived: &'static dmdp_obs::Counter,
-    batch_ff_spans: &'static dmdp_obs::Counter,
-    batch_ff_cycles: &'static dmdp_obs::Counter,
 }
 
 fn sim_metrics() -> &'static SimMetrics {
@@ -43,23 +41,15 @@ fn sim_metrics() -> &'static SimMetrics {
             ),
             batch_units: r.counter(
                 "dmdp_batch_units_total",
-                "multi-variant groups run through the batched lockstep engine",
+                "multi-variant groups run through the batch engine",
             ),
             batch_lanes: r.counter(
                 "dmdp_batch_lanes_total",
-                "variant lanes entering the batched lockstep engine",
+                "variant lanes entering the batch engine",
             ),
             batch_derived: r.counter(
                 "dmdp_batch_derived_total",
                 "lanes derived from a never-bound reference instead of simulated",
-            ),
-            batch_ff_spans: r.counter(
-                "dmdp_batch_ff_spans_total",
-                "confirmed-dead spans applied by the event-horizon fast-forward",
-            ),
-            batch_ff_cycles: r.counter(
-                "dmdp_batch_ff_cycles_total",
-                "simulated cycles covered by fast-forwarded spans",
             ),
         }
     })
@@ -320,12 +310,13 @@ impl JobSpec {
     }
 
     /// Runs a group of variant jobs of one (workload, model) through the
-    /// batched lockstep engine ([`BatchSimulator`]): one shared front-end
-    /// (program image, decode plans, Perfect-model oracle pre-pass), one
-    /// per-variant timing lane each. Results are bit-identical to
-    /// [`JobSpec::execute`] per variant; the batch's wall-clock is
-    /// attributed to each job proportionally to its simulated cycles, so
-    /// per-job MIPS stay meaningful and the shares sum to the batch wall.
+    /// batch engine ([`BatchSimulator`]): one shared front end (program
+    /// image, decode plans, Perfect-model oracle pre-pass), each variant
+    /// run in turn or derived from a never-bound run. Results are
+    /// bit-identical to [`JobSpec::execute`] per variant; the batch's
+    /// wall-clock is attributed to each job proportionally to its
+    /// simulated cycles, so per-job MIPS stay meaningful and the shares
+    /// sum to the batch wall.
     ///
     /// A singleton group takes the plain path — callers need no special
     /// case for non-sweep campaigns.
@@ -343,7 +334,7 @@ impl JobSpec {
         );
         debug_assert!(
             specs.iter().all(|s| s.sampling.is_none()),
-            "sampled jobs run one interval at a time, never through the lockstep batch"
+            "sampled jobs run one interval at a time, never through the batch engine"
         );
         let start = Instant::now();
         let mut batch = BatchSimulator::new(Arc::clone(&first.program), Arc::clone(&first.plans));
@@ -357,8 +348,6 @@ impl JobSpec {
         m.batch_units.inc();
         m.batch_lanes.add(specs.len() as u64);
         m.batch_derived.add(run.derived as u64);
-        m.batch_ff_spans.add(run.ff_spans);
-        m.batch_ff_cycles.add(run.ff_cycles);
         let outcomes = run.results;
         let total_cycles: u64 =
             outcomes.iter().filter_map(|r| r.as_ref().ok()).map(|s| s.cycles).sum();

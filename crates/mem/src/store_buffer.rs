@@ -158,37 +158,6 @@ impl StoreBuffer {
         self.queue.iter()
     }
 
-    /// Number of queued (not yet issued) entries — distinct from
-    /// [`StoreBuffer::occupancy`], which also counts in-flight writes.
-    pub fn queued_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// The earliest future cycle at which [`StoreBuffer::tick`] can do
-    /// anything — issue a queued store or complete an in-flight one —
-    /// assuming no new pushes. `None` when the buffer is empty (nothing
-    /// will ever happen). Exact by construction of `tick`: TSO gates
-    /// issue on the in-flight write completing, RMO issues whenever the
-    /// write port (`next_issue_at`) is free.
-    pub fn next_event_cycle(&self, cycle: u64) -> Option<u64> {
-        let complete = self.in_flight.front().map(|f| f.done_at);
-        let issue = if self.queue.is_empty() {
-            None
-        } else {
-            match self.consistency {
-                // TSO: the next issue happens the tick after the
-                // in-flight store completes; `complete` already bounds it.
-                Consistency::Tso if !self.in_flight.is_empty() => None,
-                _ => Some(self.next_issue_at.max(cycle)),
-            }
-        };
-        match (issue, complete) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, b) => b,
-        }
-    }
-
     /// Inserts a retired store; returns `false` (and does nothing) when
     /// the buffer is full. When `coalesce` is set and the youngest queued
     /// store targets the same word, the entry is merged instead of
@@ -365,43 +334,6 @@ mod tests {
         let (mut mem, mut data) = env();
         drain(&mut sb, &mut mem, &mut data);
         assert_eq!(data.read_word(0x100), 0x0003_0201);
-    }
-
-    #[test]
-    fn next_event_cycle_tracks_tick_exactly() {
-        let (mut mem, mut data) = env();
-        for consistency in [Consistency::Tso, Consistency::Rmo] {
-            let mut sb = StoreBuffer::new(8, consistency);
-            assert_eq!(sb.next_event_cycle(0), None, "empty buffer has no events");
-            for ssn in 1..=4u32 {
-                sb.push(SbEntry::new(ssn, 0x1000 * ssn, MemWidth::Word, ssn), false);
-            }
-            // Exactness: between consecutive predicted events, tick must
-            // be a no-op (no completions, no occupancy change).
-            let mut cycle = 0u64;
-            let mut batch = Vec::new();
-            while let Some(event) = sb.next_event_cycle(cycle) {
-                assert!(event >= cycle, "event {event} in the past of {cycle}");
-                for quiet in cycle..event {
-                    let before = (sb.queued_len(), sb.occupancy());
-                    sb.tick(quiet, &mut mem, &mut data, &mut batch);
-                    assert!(batch.is_empty(), "completion before predicted event");
-                    assert_eq!(
-                        (sb.queued_len(), sb.occupancy()),
-                        before,
-                        "{consistency:?}: tick at {quiet} (event {event}) was not quiet"
-                    );
-                }
-                let before = (sb.queued_len(), sb.occupancy(), batch.len());
-                sb.tick(event, &mut mem, &mut data, &mut batch);
-                let after = (sb.queued_len(), sb.occupancy(), batch.len());
-                assert_ne!(before, after, "{consistency:?}: predicted event at {event} did nothing");
-                batch.clear();
-                cycle = event + 1;
-                assert!(cycle < 100_000, "store buffer failed to drain");
-            }
-            assert!(sb.is_empty());
-        }
     }
 
     #[test]

@@ -118,23 +118,32 @@ fn patch_json(patch: &CfgPatch) -> Json {
     Json::Obj(members)
 }
 
+/// Parses a variant patch. An unknown, repeated or mistyped key is an
+/// error naming it: ignoring it would run the wrong configuration under
+/// the variant's label.
 fn patch_from_json(v: &Json) -> Result<CfgPatch, String> {
-    let dim = |k: &str| -> Result<Option<usize>, String> {
-        match v.get(k) {
-            None => Ok(None),
-            Some(n) => n
-                .as_u64()
-                .map(|n| Some(n as usize))
-                .ok_or_else(|| format!("patch: `{k}` must be a non-negative integer")),
-        }
+    let Json::Obj(members) = v else {
+        return Err("patch: must be an object".to_string());
     };
-    Ok(CfgPatch {
-        width: dim("width")?,
-        rob: dim("rob")?,
-        prf: dim("prf")?,
-        sb: dim("sb")?,
-        rmo: v.get("rmo").and_then(Json::as_bool).unwrap_or(false),
-    })
+    let mut patch = CfgPatch::default();
+    for (i, (k, n)) in members.iter().enumerate() {
+        if members[..i].iter().any(|(prior, _)| prior == k) {
+            return Err(format!("patch: `{k}` given twice"));
+        }
+        let dim = || match n.as_u64() {
+            Some(n) => Ok(Some(n as usize)),
+            None => Err(format!("patch: `{k}` must be a non-negative integer")),
+        };
+        match k.as_str() {
+            "width" => patch.width = dim()?,
+            "rob" => patch.rob = dim()?,
+            "prf" => patch.prf = dim()?,
+            "sb" => patch.sb = dim()?,
+            "rmo" => patch.rmo = n.as_bool().ok_or("patch: `rmo` must be a boolean")?,
+            _ => return Err(format!("patch: unknown key `{k}` (width/rob/prf/sb/rmo)")),
+        }
+    }
+    Ok(patch)
 }
 
 fn variants_json(variants: &[(String, CfgPatch)]) -> Json {
@@ -411,8 +420,8 @@ pub fn metrics_msg(snapshot: &dmdp_obs::Snapshot) -> Json {
 /// model), or a single sampled job. The worker rebuilds the same
 /// [`dmdp_harness::JobSpec`]s from its own resident images; digests are
 /// content-derived, so both sides agree on every row's identity without
-/// shipping program bytes. A multi-member group runs as one batched
-/// lockstep simulation.
+/// shipping program bytes. A multi-member group runs through one batch
+/// engine over a shared front end.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupSpec {
     /// Workload name (resolved against the worker's resident images).
@@ -867,6 +876,24 @@ mod tests {
         ] {
             let v = Json::parse(bad).unwrap();
             assert!(Request::from_json(&v).is_err(), "accepted: {bad}");
+        }
+    }
+
+    #[test]
+    fn malformed_patches_are_rejected_naming_the_key() {
+        for (patch, want) in [
+            (r#"{"robb": 512}"#, "unknown key `robb`"),
+            (r#"{"rmo": 1}"#, "`rmo` must be a boolean"),
+            (r#"{"rob": 64, "rob": 128}"#, "`rob` given twice"),
+            (r#"{"sb": -2}"#, "`sb` must be a non-negative integer"),
+            (r#"[512]"#, "patch: must be an object"),
+        ] {
+            let wire = format!(
+                r#"{{"type": "submit", "name": "x", "scale": "test", "models": ["dmdp"],
+                    "variants": [{{"label": "big", "patch": {patch}}}]}}"#
+            );
+            let err = Request::from_json(&Json::parse(&wire).unwrap()).unwrap_err();
+            assert!(err.contains(want), "{patch}: {err}");
         }
     }
 

@@ -332,7 +332,7 @@ fn metrics_are_exposed_over_http_and_protocol_during_a_live_sweep() {
     };
     let baseline = dmdp_server::scrape_metrics_tcp(&addr).unwrap();
 
-    // A multi-variant sweep, so the daemon runs batched lockstep units.
+    // A multi-variant sweep, so the daemon runs batched units.
     let req = SubmitRequest {
         kernels: Some(vec!["lib".into(), "hmmer".into()]),
         models: vec![CommModel::Baseline, CommModel::Dmdp],
@@ -619,16 +619,26 @@ fn impossible_variant_is_a_request_error_and_wedges_nothing() {
     });
     connect(&opts.socket);
 
-    let bad = mcf_sweep("tiny", &[("tiny", CfgPatch { prf: Some(10), ..CfgPatch::default() })]);
-    for attempt in ["first submit", "identical re-submit"] {
+    let tiny = mcf_sweep("tiny", &[("tiny", CfgPatch { prf: Some(10), ..CfgPatch::default() })]);
+    // A size past its ceiling must be refused before anything allocates it.
+    let rob = Some(4_000_000_000);
+    let big = mcf_sweep("big", &[("big", CfgPatch { rob, ..CfgPatch::default() })]);
+    for (attempt, bad, want) in [
+        ("first submit", &tiny, "variant `tiny` (dmdp): physical register file too small"),
+        ("identical re-submit", &tiny, "variant `tiny` (dmdp): physical register file too small"),
+        ("oversized submit", &big, "variant `big` (dmdp): ROB too large"),
+    ] {
         let (socket, bad) = (opts.socket.clone(), bad.clone());
         let err = within(attempt, move || connect(&socket).submit(&bad, |_| {})).unwrap_err();
-        assert!(err.contains("variant `tiny`") && err.contains("register file too small"), "{err}");
+        assert!(err.contains(want), "{err}");
     }
     let mut client = connect(&opts.socket);
     let stats = client.stats().unwrap();
     assert_eq!(stats.get("active_submits").and_then(Json::as_u64), Some(0));
     assert_eq!(stats.get("inflight").and_then(Json::as_u64), Some(0));
+    // The next submit still runs.
+    let ok = client.submit(&mcf_sweep("after", &[("main", CfgPatch::default())]), |_| {}).unwrap();
+    assert_eq!(ok.jobs.len(), 1);
     within("shutdown", move || client.shutdown()).unwrap();
     daemon.join().unwrap();
     std::fs::remove_dir_all(&dir).ok();

@@ -146,15 +146,16 @@ diff <(sampled_rows bench-results/ci-sampled-j1.json) \
 jq -e '.jobs | length == 16' bench-results/ci-sampled-j2.json >/dev/null \
     || { echo "ci: FAIL: sampled --jobs 2 campaign is missing rows"; exit 1; }
 
-# Sweep-batching smoke: one multi-variant sizing sweep, run as batched
-# lockstep units, must produce the same per-variant numbers (digest,
-# cycles, IPC) as four one-variant campaigns, whose units of one run
-# `JobSpec::execute`. The sb64 upsize exercises the never-bound
-# derivation path; rob32/sb2 bind and run live lanes.
+# Sweep-batching smoke: one multi-variant sweep, run as batched units,
+# must produce the same per-variant numbers (digest, cycles, IPC) as
+# six one-variant campaigns, whose units of one run `JobSpec::execute`.
+# The sb64 upsize exercises the never-bound derivation path; rob32/sb2
+# bind and run live lanes. rmo and w4 put each (kernel, model) unit
+# across three sizing groups, which the batch visits one at a time.
 sweep_on=bench-results/ci-sweep-batched.json
 sweep_off=bench-results/ci-sweep-jpv.json
 rm -f "$sweep_on" "$sweep_off" bench-results/ci-sweep-1-*.json
-sweep_variants="main= rob32=rob:32 sb2=sb:2 sb64=sb:64"
+sweep_variants="main= rob32=rob:32 sb2=sb:2 sb64=sb:64 rmo=rmo w4=width:4"
 cargo run --release -q -p dmdp-bench --bin dmdp -- \
     campaign --name ci-sweep-batched --scale test --model all \
     --kernel mcf --kernel astar \
