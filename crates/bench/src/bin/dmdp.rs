@@ -7,8 +7,8 @@ use std::process::ExitCode;
 use dmdp_core::{CommModel, CoreConfig, Probe, Sample, SimReport, Simulator};
 use dmdp_harness::json::obj;
 use dmdp_harness::{
-    error_table, render_campaign, render_error_table, Campaign, CampaignSpec, CfgPatch, Json,
-    RunOptions, Sampling,
+    error_table, render_campaign, render_error_table, render_figure, Campaign, CampaignSpec, CfgPatch,
+    Json, RunOptions, Sampling,
 };
 use dmdp_isa::{asm, Program};
 use dmdp_server::{serve, Client, ServeOptions, SubmitRequest};
@@ -44,6 +44,7 @@ USAGE:
 
 OPTIONS:
     --model <M>      baseline | nosq | dmdp | perfect | all   [default: dmdp]
+                     (repeatable; each model runs once)
     --scale <S>      test | small | full | huge               [default: small]
     --workload <W>   kernel name (see `dmdp workloads`)       [default: bzip2]
     --asm <FILE.s>   simulate an assembly source file instead
@@ -77,6 +78,7 @@ USAGE:
 OPTIONS:
     --name <NAME>     campaign name                      [default: campaign]
     --model <M>       baseline | nosq | dmdp | perfect | all  [default: all]
+                      (repeatable; each model runs once)
     --scale <S>       test | small | full | huge         [default: small]
     --kernel <W>      restrict to one kernel (repeatable)
     --jobs <N>        worker threads                     [default: all cores]
@@ -86,7 +88,10 @@ OPTIONS:
     --variant <LABEL=KNOBS>
                       add a config variant to the sweep (repeatable).
                       KNOBS is comma-separated width/rob/prf/sb:<N> and
-                      rmo, e.g. --variant rob64=rob:64,sb:8 --variant main=.
+                      the bare switches rmo (release consistency),
+                      balanced (balanced confidence update) and nosilent
+                      (no silent-store-aware predictor update), e.g.
+                      --variant rob64=rob:64,sb:8 --variant main=.
                       Each (workload, model)'s variants run as one batch
                       over a shared front end (bit-identical to solo runs)
     --width/--rob/--prf/--sb <N>, --rmo
@@ -247,6 +252,7 @@ OPTIONS:
     --tcp <ADDR>      connect over TCP instead
     --name <NAME>     campaign name                   [default: campaign]
     --model <M>       baseline | nosq | dmdp | perfect | all  [default: all]
+                      (repeatable; each model runs once)
     --scale <S>       test | small | full | huge      [default: small]
     --kernel <W>      restrict to one kernel (repeatable)
     --out <FILE>      artifact path   [default: bench-results/<name>.json]
@@ -282,6 +288,15 @@ USAGE:
     dmdp report <ARTIFACT.json> [OPTIONS]
 
 OPTIONS:
+    --figure <ID>|all
+                  render one of the paper's sixteen tables and figures,
+                  or all of them, from the artifact's full-simulation
+                  rows; ids name the figure (fig12_speedup, tab06_mpki,
+                  alt_rmo, ...), and an unknown id lists them all. A cell
+                  is found by its configuration, not its variant label; a
+                  missing one is an error naming the `dmdp campaign` line
+                  that adds it (EXPERIMENTS.md has the one campaign that
+                  holds every cell)
     --error-vs <FULL.json>
                   compare a sampled artifact's IPC estimates against the
                   full-simulation artifact at FULL.json: per-row signed
@@ -374,11 +389,19 @@ fn cmd_workloads() -> CliResult {
     Ok(())
 }
 
-fn parse_models(v: &str) -> Result<Vec<CommModel>, String> {
-    if v == "all" {
-        return Ok(CommModel::ALL.to_vec());
+/// Adds one `--model` value: the flag repeats, a model given twice counts
+/// once, and `all` adds every model.
+fn add_models(models: &mut Vec<CommModel>, v: &str) -> Result<(), String> {
+    let named = match v {
+        "all" => CommModel::ALL.to_vec(),
+        _ => vec![CommModel::from_name(v).ok_or_else(|| format!("unknown model `{v}`"))?],
+    };
+    for m in named {
+        if !models.contains(&m) {
+            models.push(m);
+        }
     }
-    CommModel::from_name(v).map(|m| vec![m]).ok_or_else(|| format!("unknown model `{v}`"))
+    Ok(())
 }
 
 fn parse_scale(v: &str) -> Result<Scale, String> {
@@ -402,7 +425,7 @@ struct RunOpts {
 
 fn parse_run(args: &[String]) -> Result<RunOpts, String> {
     let mut o = RunOpts {
-        models: vec![CommModel::Dmdp],
+        models: Vec::new(),
         scale: Scale::Small,
         workload: None,
         asm_file: None,
@@ -419,15 +442,12 @@ fn parse_run(args: &[String]) -> Result<RunOpts, String> {
     while let Some(a) = it.next() {
         let mut val = || it.next().cloned().ok_or_else(|| format!("{a} needs a value"));
         match a.as_str() {
-            "--model" => o.models = parse_models(&val()?)?,
+            "--model" => add_models(&mut o.models, &val()?)?,
             "--scale" => o.scale = parse_scale(&val()?)?,
             "--workload" => o.workload = Some(val()?),
             "--asm" => o.asm_file = Some(val()?),
             "--image" => o.image_file = Some(val()?),
-            "--width" => o.patch.width = Some(val()?.parse().map_err(|e| format!("--width: {e}"))?),
-            "--rob" => o.patch.rob = Some(val()?.parse().map_err(|e| format!("--rob: {e}"))?),
-            "--prf" => o.patch.prf = Some(val()?.parse().map_err(|e| format!("--prf: {e}"))?),
-            "--sb" => o.patch.sb = Some(val()?.parse().map_err(|e| format!("--sb: {e}"))?),
+            "--width" | "--rob" | "--prf" | "--sb" => o.patch.set(&a[2..], Some(&val()?))?,
             "--rmo" => o.patch.rmo = true,
             "--energy" => o.energy = true,
             "--trace" => o.trace = Some(PathBuf::from(val()?)),
@@ -453,6 +473,9 @@ fn parse_run(args: &[String]) -> Result<RunOpts, String> {
     }
     if o.sample_out.is_some() && o.sample_every.is_none() {
         return Err("--sample-out needs --sample-every <N>".to_string());
+    }
+    if o.models.is_empty() {
+        o.models.push(CommModel::Dmdp);
     }
     Ok(o)
 }
@@ -555,6 +578,7 @@ fn cmd_run(args: &[String]) -> CliResult {
 fn cmd_report(args: &[String]) -> CliResult {
     let mut artifact: Option<PathBuf> = None;
     let mut error_vs: Option<PathBuf> = None;
+    let mut figure: Option<String> = None;
     let mut json = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -563,6 +587,7 @@ fn cmd_report(args: &[String]) -> CliResult {
                 let v = it.next().ok_or("--error-vs needs a value")?;
                 error_vs = Some(PathBuf::from(v));
             }
+            "--figure" => figure = Some(it.next().ok_or("--figure needs a value")?.clone()),
             "--json" => json = true,
             other if other.starts_with('-') => {
                 return Err(format!("unknown option `{other}` (see `dmdp report --help`)").into())
@@ -580,7 +605,14 @@ fn cmd_report(args: &[String]) -> CliResult {
     if json && error_vs.is_none() {
         return Err("--json needs --error-vs <FULL.json>".into());
     }
+    if figure.is_some() && error_vs.is_some() {
+        return Err("--figure cannot be combined with --error-vs".into());
+    }
     let campaign = Campaign::load(&path)?;
+    if let Some(id) = figure {
+        print!("{}", render_figure(&id, &campaign, &path)?);
+        return Ok(());
+    }
     let Some(full_path) = error_vs else {
         print!("{}", render_campaign(&campaign));
         return Ok(());
@@ -595,9 +627,8 @@ fn cmd_report(args: &[String]) -> CliResult {
     Ok(())
 }
 
-/// Parse a `--variant LABEL=KNOBS` spec. KNOBS is a comma-separated list of
-/// `width:<N>`, `rob:<N>`, `prf:<N>`, `sb:<N>` and bare `rmo`; an empty KNOBS
-/// (`main=`) is the default configuration.
+/// Parses a `--variant LABEL=KNOBS` spec; KNOBS is [`CfgPatch::parse`]'s
+/// text form, and an empty KNOBS (`main=`) the default configuration.
 fn parse_variant(spec: &str) -> Result<(String, CfgPatch), String> {
     let Some((label, knobs)) = spec.split_once('=') else {
         return Err(format!("--variant `{spec}`: expected LABEL=KNOBS (e.g. rob64=rob:64,sb:8)"));
@@ -605,30 +636,7 @@ fn parse_variant(spec: &str) -> Result<(String, CfgPatch), String> {
     if label.is_empty() {
         return Err(format!("--variant `{spec}`: label must not be empty"));
     }
-    let mut patch = CfgPatch::default();
-    let mut seen = std::collections::HashSet::new();
-    for knob in knobs.split(',').filter(|k| !k.is_empty()) {
-        let key = knob.split_once(':').map_or(knob, |(key, _)| key);
-        if !seen.insert(key) {
-            return Err(format!("--variant `{spec}`: knob `{key}` given twice"));
-        }
-        if knob == "rmo" {
-            patch.rmo = true;
-            continue;
-        }
-        let Some((key, val)) = knob.split_once(':') else {
-            return Err(format!("--variant `{spec}`: knob `{knob}` is not key:value or rmo"));
-        };
-        let n: usize = val.parse().map_err(|e| format!("--variant `{spec}`: {key}: {e}"))?;
-        match key {
-            "width" => patch.width = Some(n),
-            "rob" => patch.rob = Some(n),
-            "prf" => patch.prf = Some(n),
-            "sb" => patch.sb = Some(n),
-            "rmo" => return Err(format!("--variant `{spec}`: knob `rmo` takes no value")),
-            other => return Err(format!("--variant `{spec}`: unknown knob `{other}` (width/rob/prf/sb/rmo)")),
-        }
-    }
+    let patch = CfgPatch::parse(knobs).map_err(|e| format!("--variant `{spec}`: {e}"))?;
     Ok((label.to_string(), patch))
 }
 
@@ -640,6 +648,7 @@ struct SweepOpts {
     request: SubmitRequest,
     out: Option<PathBuf>,
     quiet: bool,
+    models: Vec<CommModel>,
     patch: CfgPatch,
     variants: Vec<(String, CfgPatch)>,
     /// `--sampled`, `--interval-insns`, `--warmup-intervals`; either knob
@@ -655,6 +664,7 @@ impl SweepOpts {
             request: SubmitRequest::new("campaign", Scale::Small),
             out: None,
             quiet: false,
+            models: Vec::new(),
             patch: CfgPatch::default(),
             variants: Vec::new(),
             sampled: false,
@@ -666,18 +676,14 @@ impl SweepOpts {
     /// Applies flag `a` if it is a sweep flag (`val` yields its value);
     /// `Ok(false)` leaves it to the caller.
     fn flag(&mut self, a: &str, mut val: impl FnMut() -> Result<String, String>) -> Result<bool, String> {
-        let num = |v: String, flag: &str| v.parse::<usize>().map_err(|e| format!("{flag}: {e}"));
         match a {
             "--name" => self.request.name = val()?,
-            "--model" => self.request.models = parse_models(&val()?)?,
+            "--model" => add_models(&mut self.models, &val()?)?,
             "--scale" => self.request.scale = parse_scale(&val()?)?,
             "--kernel" => self.request.kernels.get_or_insert_with(Vec::new).push(val()?),
             "--out" => self.out = Some(PathBuf::from(val()?)),
             "--quiet" => self.quiet = true,
-            "--width" => self.patch.width = Some(num(val()?, a)?),
-            "--rob" => self.patch.rob = Some(num(val()?, a)?),
-            "--prf" => self.patch.prf = Some(num(val()?, a)?),
-            "--sb" => self.patch.sb = Some(num(val()?, a)?),
+            "--width" | "--rob" | "--prf" | "--sb" => self.patch.set(&a[2..], Some(&val()?))?,
             "--rmo" => self.patch.rmo = true,
             "--variant" => self.variants.push(parse_variant(&val()?)?),
             "--sampled" => self.sampled = true,
@@ -695,6 +701,9 @@ impl SweepOpts {
     /// The swept campaign: bare overrides become a single `custom`
     /// variant, `--variant`s replace the main one.
     fn finish(mut self) -> Result<SweepOpts, String> {
+        if !self.models.is_empty() {
+            self.request.models = self.models.clone();
+        }
         if !self.variants.is_empty() && !self.patch.is_empty() {
             return Err("--variant cannot be combined with bare --width/--rob/--prf/--sb/--rmo; fold the overrides into a variant spec".to_string());
         }

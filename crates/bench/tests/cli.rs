@@ -53,6 +53,8 @@ fn malformed_or_oversized_variants_are_refused_naming_the_knob() {
         ("big=rob:64,rob:128", "knob `rob` given twice"),
         ("big=rmo,rmo", "knob `rmo` given twice"),
         ("big=rmo:1", "knob `rmo` takes no value"),
+        ("big=balanced:1", "knob `balanced` takes no value"),
+        ("big=nosilent,nosilent", "knob `nosilent` given twice"),
     ] {
         let out = dmdp(&["campaign", "--scale", "test", "--kernel", "mcf", "--variant", variant]);
         assert!(!out.status.success(), "{variant} must fail");
@@ -63,6 +65,51 @@ fn malformed_or_oversized_variants_are_refused_naming_the_knob() {
     let out = dmdp(&["run", "--workload", "mcf", "--scale", "test", "--rob", "4000000000"]);
     assert!(!out.status.success(), "an oversized ROB must fail");
     assert!(stderr(&out).contains("ROB too large: 4000000000"), "{}", stderr(&out));
+}
+
+/// The models of an artifact's job rows, in row order.
+fn row_models(artifact: &std::path::Path) -> Vec<String> {
+    let v = dmdp_harness::Json::parse(&std::fs::read_to_string(artifact).unwrap()).unwrap();
+    let rows = v.get("jobs").and_then(dmdp_harness::Json::as_arr).expect("jobs array");
+    rows.iter().map(|j| j.get("model").and_then(dmdp_harness::Json::as_str).unwrap().to_string()).collect()
+}
+
+#[test]
+fn repeated_model_flags_accumulate() {
+    let artifact = temp("models.json");
+    let campaign = |models: &[&str]| {
+        let mut args = vec!["campaign", "--scale", "test", "--kernel", "mcf", "--quiet", "--force"];
+        args.extend(["--out", artifact.to_str().unwrap()]);
+        for m in models {
+            args.extend(["--model", m]);
+        }
+        let out = dmdp(&args);
+        assert!(out.status.success(), "{}", stderr(&out));
+        row_models(&artifact)
+    };
+    assert_eq!(campaign(&["nosq", "dmdp", "nosq"]), ["nosq", "dmdp"]);
+    assert_eq!(campaign(&["dmdp", "all"]), ["dmdp", "baseline", "nosq", "perfect"]);
+    let out = dmdp(&["run", "--workload", "mcf", "--scale", "test", "--model", "nosq", "--model", "dmdp"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("== nosq ==") && text.contains("== dmdp =="), "{text}");
+    std::fs::remove_file(&artifact).ok();
+}
+
+#[test]
+fn report_rejects_an_unknown_figure_listing_the_ids() {
+    let artifact = temp("figure.json");
+    let path = artifact.to_str().unwrap();
+    let out = dmdp(&["campaign", "--scale", "test", "--kernel", "lib", "--model", "dmdp", "--quiet", "--out", path]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let out = dmdp(&["report", path, "--figure", "fig99_nonesuch"]);
+    assert!(!out.status.success(), "an unknown figure must fail");
+    let err = stderr(&out);
+    assert!(err.contains("unknown figure `fig99_nonesuch`"), "{err}");
+    for id in ["fig02_load_distribution", "fig12_speedup", "tab07_reexec_stalls", "ablation_silent_store", "all"] {
+        assert!(err.contains(id), "missing `{id}` in: {err}");
+    }
+    std::fs::remove_file(&artifact).ok();
 }
 
 #[test]

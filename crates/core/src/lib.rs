@@ -61,6 +61,9 @@ mod stats;
 
 pub use batch::{BatchRun, BatchSimulator};
 pub use config::{CommModel, CoreConfig, SIM_VERSION};
+/// The distance predictor's confidence-update policy, as set in
+/// [`CoreConfig::distance`].
+pub use dmdp_predict::ConfidencePolicy;
 pub use pipeline::{Pipeline, SimError};
 pub use plan::{FetchClass, InsnPlan, PlanCache, PlanKind};
 pub use probe::{Probe, ProbeReport, Sample};

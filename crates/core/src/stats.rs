@@ -160,11 +160,6 @@ impl SimStats {
         mpki(self.reexec_stall_cycles, self.retired_insns)
     }
 
-    /// Store-buffer-full stall cycles per kilo-instruction (§VI-e).
-    pub fn sb_full_stalls_per_ki(&self) -> f64 {
-        mpki(self.sb_full_stall_cycles, self.retired_insns)
-    }
-
     /// Energy-delay product of the run (Figure 15, in ratios).
     pub fn edp(&self) -> f64 {
         self.energy.edp(self.cycles)

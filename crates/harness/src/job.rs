@@ -9,8 +9,12 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-use dmdp_core::{BatchSimulator, CommModel, CoreConfig, PlanCache, SimStats, Simulator, SIM_VERSION};
+use dmdp_core::{
+    BatchSimulator, CommModel, ConfidencePolicy, CoreConfig, LowConfBreakdown, PlanCache, SimStats, Simulator,
+    SIM_VERSION,
+};
 use dmdp_isa::Program;
+use dmdp_stats::LoadSource;
 use dmdp_workloads::{Scale, Suite};
 
 use crate::digest::Digest64;
@@ -60,8 +64,8 @@ fn wall_to_us(wall_s: f64) -> u64 {
 }
 
 /// A sparse configuration override — the §VI-f/g alternative-machine
-/// knobs a campaign can sweep. Fields left `None`/`false` keep the
-/// paper's main configuration.
+/// knobs and the §IV-C/E ablation policies a campaign can sweep. Fields
+/// left `None`/`false` keep the paper's main configuration.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CfgPatch {
     /// Pipeline width override.
@@ -74,6 +78,40 @@ pub struct CfgPatch {
     pub sb: Option<usize>,
     /// Switch the store buffer to release consistency (RMO).
     pub rmo: bool,
+    /// Use the balanced (−1) confidence update whatever the model
+    /// (§IV-E ablation).
+    pub balanced: bool,
+    /// Train the distance predictor on exceptions only, not on every
+    /// re-execution (§IV-C a ablation).
+    pub nosilent: bool,
+}
+
+/// Where a knob lands in a [`CfgPatch`]: a size (`rob:64`) or a bare
+/// switch (`rmo`).
+#[derive(Clone, Copy)]
+enum Slot {
+    Size(fn(&mut CfgPatch) -> &mut Option<usize>),
+    Switch(fn(&mut CfgPatch) -> &mut bool),
+}
+
+/// Every knob a variant can set, in the order both forms list them: the
+/// one place a knob is named.
+const KNOBS: [(&str, Slot); 7] = [
+    ("width", Slot::Size(|p| &mut p.width)),
+    ("rob", Slot::Size(|p| &mut p.rob)),
+    ("prf", Slot::Size(|p| &mut p.prf)),
+    ("sb", Slot::Size(|p| &mut p.sb)),
+    ("rmo", Slot::Switch(|p| &mut p.rmo)),
+    ("balanced", Slot::Switch(|p| &mut p.balanced)),
+    ("nosilent", Slot::Switch(|p| &mut p.nosilent)),
+];
+
+fn knob(key: &str) -> Option<Slot> {
+    KNOBS.iter().find(|(k, _)| *k == key).map(|&(_, slot)| slot)
+}
+
+fn knob_names() -> String {
+    KNOBS.map(|(k, _)| k).join("/")
 }
 
 impl CfgPatch {
@@ -99,6 +137,101 @@ impl CfgPatch {
         if self.rmo {
             cfg.consistency = dmdp_mem::Consistency::Rmo;
         }
+        if self.balanced {
+            cfg.distance.policy = ConfidencePolicy::Balanced;
+        }
+        if self.nosilent {
+            cfg.silent_store_update = false;
+        }
+    }
+
+    /// Sets one knob from its text form: `key` with `value` for a size
+    /// (`rob`, `"64"`), without one for a switch (`rmo`).
+    ///
+    /// # Errors
+    ///
+    /// An unknown key, a size without a value or a bad number, or a
+    /// switch given a value.
+    pub fn set(&mut self, key: &str, value: Option<&str>) -> Result<(), String> {
+        let slot = knob(key).ok_or_else(|| format!("unknown knob `{key}` ({})", knob_names()))?;
+        match (slot, value) {
+            (Slot::Size(field), Some(v)) => {
+                *field(self) = Some(v.parse().map_err(|e| format!("knob `{key}`: {e}"))?);
+            }
+            (Slot::Size(_), None) => return Err(format!("knob `{key}` needs a value ({key}:<N>)")),
+            (Slot::Switch(field), None) => *field(self) = true,
+            (Slot::Switch(_), Some(_)) => return Err(format!("knob `{key}` takes no value")),
+        }
+        Ok(())
+    }
+
+    /// Parses the text form of `--variant LABEL=KNOBS`: comma-separated
+    /// `width/rob/prf/sb:<N>` and bare `rmo`, `balanced`, `nosilent`;
+    /// empty text is the main configuration.
+    ///
+    /// # Errors
+    ///
+    /// As [`CfgPatch::set`], or a knob given twice.
+    pub fn parse(text: &str) -> Result<CfgPatch, String> {
+        let mut patch = CfgPatch::default();
+        let mut seen = Vec::new();
+        for item in text.split(',').filter(|k| !k.is_empty()) {
+            let (key, value) = match item.split_once(':') {
+                Some((key, value)) => (key, Some(value)),
+                None => (item, None),
+            };
+            if seen.contains(&key) {
+                return Err(format!("knob `{key}` given twice"));
+            }
+            seen.push(key);
+            patch.set(key, value)?;
+        }
+        Ok(patch)
+    }
+
+    /// The wire form: one member per set knob, a size as a number and a
+    /// switch as `true`.
+    pub fn to_json(&self) -> Json {
+        // The knob table hands out `&mut` fields, so read a scratch copy.
+        let mut p = self.clone();
+        let members = KNOBS.iter().filter_map(|&(key, slot)| {
+            let v = match slot {
+                Slot::Size(field) => Json::Num((*field(&mut p))? as f64),
+                Slot::Switch(field) => (*field(&mut p)).then_some(Json::Bool(true))?,
+            };
+            Some((key.to_string(), v))
+        });
+        Json::Obj(members.collect())
+    }
+
+    /// Parses the wire form. An unknown, repeated or mistyped key is an
+    /// error naming it: ignoring it would run the wrong configuration
+    /// under the variant's label.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the offending key.
+    pub fn from_json(v: &Json) -> Result<CfgPatch, String> {
+        let Json::Obj(members) = v else {
+            return Err("patch: must be an object".to_string());
+        };
+        let mut patch = CfgPatch::default();
+        for (i, (k, n)) in members.iter().enumerate() {
+            if members[..i].iter().any(|(prior, _)| prior == k) {
+                return Err(format!("patch: `{k}` given twice"));
+            }
+            match knob(k).ok_or_else(|| format!("patch: unknown key `{k}` ({})", knob_names()))? {
+                Slot::Size(field) => {
+                    let n = n.as_u64().ok_or_else(|| format!("patch: `{k}` must be a non-negative integer"))?;
+                    *field(&mut patch) = Some(n as usize);
+                }
+                Slot::Switch(field) => {
+                    let on = n.as_bool().ok_or_else(|| format!("patch: `{k}` must be a boolean"))?;
+                    *field(&mut patch) = on;
+                }
+            }
+        }
+        Ok(patch)
     }
 }
 
@@ -375,6 +508,103 @@ impl JobSpec {
     }
 }
 
+/// The counters the paper's figures read beyond a row's summary columns
+/// (`dmdp report --figure`). Each is copied from [`SimStats`]; a row has
+/// them only when it was fully simulated by a binary that records them.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct FigureCounters {
+    /// Loads per class, in [`LoadSource::ALL`] order: direct, bypassed,
+    /// delayed, predicated (Fig. 2).
+    pub loads: [u64; 4],
+    /// Mean execution time of delayed loads, cycles (Fig. 3).
+    pub delayed_latency: f64,
+    /// Mean execution time of bypassing loads, cycles (Fig. 3).
+    pub bypassed_latency: f64,
+    /// Low-confidence outcome breakdown (Fig. 5).
+    pub lowconf: LowConfBreakdown,
+    /// Low-confidence loads timed (Table V).
+    pub lowconf_loads: u64,
+    /// Mean execution time of low-confidence loads, cycles (Table V).
+    pub lowconf_latency: f64,
+    /// Retire-stall cycles with a full store buffer (Fig. 14).
+    pub sb_full_stall_cycles: u64,
+    /// Dynamic energy, nJ (Fig. 15).
+    pub energy_nj: f64,
+    /// Predication µops inserted (§IV-E ablation).
+    pub predication_uops: u64,
+}
+
+impl FigureCounters {
+    /// The counters of a finished simulation.
+    pub fn from_stats(s: &SimStats) -> FigureCounters {
+        let ll = &s.load_latency;
+        FigureCounters {
+            loads: LoadSource::ALL.map(|c| ll.count(c)),
+            delayed_latency: ll.mean_latency(LoadSource::Delayed),
+            bypassed_latency: ll.mean_latency(LoadSource::Bypassed),
+            lowconf: s.lowconf,
+            lowconf_loads: s.lowconf_latency.total(),
+            lowconf_latency: s.lowconf_latency.overall_mean(),
+            sb_full_stall_cycles: s.sb_full_stall_cycles,
+            energy_nj: s.energy.total_nj(),
+            predication_uops: s.predication_uops,
+        }
+    }
+
+    /// The counters as a row carries them.
+    pub fn to_text(&self) -> FigureText {
+        let ([direct, bypassed, delayed, predicated], l) = (self.loads, self.lowconf);
+        FigureText(format!(
+            "{direct} {bypassed} {delayed} {predicated} {:?} {:?} {} {} {} {} {:?} {} {:?} {}",
+            self.delayed_latency,
+            self.bypassed_latency,
+            l.indep_store,
+            l.diff_store,
+            l.correct,
+            self.lowconf_loads,
+            self.lowconf_latency,
+            self.sb_full_stall_cycles,
+            self.energy_nj,
+            self.predication_uops
+        ))
+    }
+}
+
+/// [`FigureCounters`] as a row carries them: one `figures` string of 14
+/// space-separated numbers in field order. Rows cross the store and the
+/// daemon with the text unparsed, so serving a row costs one string
+/// rather than fourteen numbers; only the figure views parse it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FigureText(String);
+
+impl FigureText {
+    /// The counters the text holds.
+    ///
+    /// # Errors
+    ///
+    /// The text is not 14 numbers of the right kinds.
+    pub fn counters(&self) -> Result<FigureCounters, String> {
+        let bad = || format!("figure counters `{}` are not 14 space-separated numbers", self.0);
+        let f: Vec<&str> = self.0.split(' ').collect();
+        if f.len() != 14 {
+            return Err(bad());
+        }
+        let int = |i: usize| f[i].parse::<u64>().map_err(|_| bad());
+        let num = |i: usize| f[i].parse::<f64>().map_err(|_| bad());
+        Ok(FigureCounters {
+            loads: [int(0)?, int(1)?, int(2)?, int(3)?],
+            delayed_latency: num(4)?,
+            bypassed_latency: num(5)?,
+            lowconf: LowConfBreakdown { indep_store: int(6)?, diff_store: int(7)?, correct: int(8)? },
+            lowconf_loads: int(9)?,
+            lowconf_latency: num(10)?,
+            sb_full_stall_cycles: int(11)?,
+            energy_nj: num(12)?,
+            predication_uops: int(13)?,
+        })
+    }
+}
+
 /// The measured outcome of one job: timing-simulation statistics plus
 /// harness-side wall-clock and throughput.
 #[derive(Debug, Clone)]
@@ -451,10 +681,14 @@ pub struct JobResult {
     /// Representative intervals simulated in detail (zero when not
     /// sampled).
     pub intervals_simulated: u64,
+    /// The counters the paper's figures read; `None` on sampled rows and
+    /// on rows written before they were recorded.
+    pub figures: Option<FigureText>,
     /// The complete statistics of a *live* run. `None` when the row was
     /// loaded from a JSON artifact (artifacts keep only the summary) or
-    /// produced by sampled simulation.
-    pub stats: Option<SimStats>,
+    /// produced by sampled simulation. Boxed, so the rows a daemon moves
+    /// and holds stay small.
+    pub stats: Option<Box<SimStats>>,
 }
 
 impl JobResult {
@@ -491,7 +725,8 @@ impl JobResult {
             warmup_intervals: 0,
             intervals_total: 0,
             intervals_simulated: 0,
-            stats: Some(stats),
+            figures: Some(FigureCounters::from_stats(&stats).to_text()),
+            stats: Some(Box::new(stats)),
         }
     }
 
@@ -538,13 +773,14 @@ impl JobResult {
             warmup_intervals: sampling.sampling.warmup_intervals as u64,
             intervals_total: report.intervals_total,
             intervals_simulated: report.intervals_simulated,
+            figures: None,
             stats: None,
         }
     }
 
     /// Serializes the summary row (full `stats` are not persisted).
-    /// Sampling columns are emitted only on sampled rows, keeping
-    /// full-simulation artifacts byte-identical to earlier versions.
+    /// Figure counters are emitted only when the row has them, sampling
+    /// columns only on sampled rows.
     pub fn to_json(&self) -> Json {
         let mut row = obj([
             ("workload", Json::Str(self.workload.clone())),
@@ -572,7 +808,10 @@ impl JobResult {
             ("plan_builds", Json::Num(self.plan_builds as f64)),
             ("plan_hits", Json::Num(self.plan_hits as f64)),
             ("cached", Json::Bool(self.cached)),
-        ]);
+        ]
+        .into_iter()
+        // Chained rather than pushed, so the member list is allocated once.
+        .chain(self.figures.as_ref().map(|f| ("figures", Json::Str(f.0.clone())))));
         if self.sampled {
             if let Json::Obj(members) = &mut row {
                 members.extend([
@@ -654,6 +893,8 @@ impl JobResult {
             warmup_intervals: v.get("warmup_intervals").and_then(Json::as_u64).unwrap_or(0),
             intervals_total: v.get("intervals_total").and_then(Json::as_u64).unwrap_or(0),
             intervals_simulated: v.get("intervals_simulated").and_then(Json::as_u64).unwrap_or(0),
+            // Figure counters: absent on sampled rows and older ones.
+            figures: v.get("figures").and_then(Json::as_str).map(|s| FigureText(s.to_string())),
             stats: None,
         })
     }
@@ -748,12 +989,35 @@ mod tests {
         assert_eq!(back.cycles, r.cycles);
         assert_eq!(back.ipc, r.ipc);
         assert!(back.stats.is_none(), "artifacts keep only the summary");
+        // The figure counters survive bit for bit, floats included.
+        let stats = r.stats.as_ref().unwrap();
+        assert_eq!(back.figures, r.figures);
+        let figures = back.figures.expect("a full row carries figure counters").counters().unwrap();
+        assert_eq!(figures, FigureCounters::from_stats(stats));
+        assert_eq!(figures.energy_nj.to_bits(), stats.energy.total_nj().to_bits());
+        assert!(figures.loads[0] + figures.loads[1] > 0);
+        // A row without them (sampled, or written before they existed)
+        // reads back without them, never as zeros.
+        let bare = JobResult { figures: None, ..r };
+        assert_eq!(JobResult::from_json(&bare.to_json()).unwrap().figures, None);
     }
 
     #[test]
     fn patch_applies_all_fields() {
         let mut cfg = CoreConfig::new(CommModel::Dmdp);
-        let patch = CfgPatch { width: Some(4), rob: Some(64), prf: Some(200), sb: Some(32), rmo: true };
+        let patch = CfgPatch::parse("width:4,rob:64,prf:200,sb:32,rmo,balanced,nosilent").unwrap();
+        assert_eq!(
+            patch,
+            CfgPatch {
+                width: Some(4),
+                rob: Some(64),
+                prf: Some(200),
+                sb: Some(32),
+                rmo: true,
+                balanced: true,
+                nosilent: true
+            }
+        );
         assert!(!patch.is_empty());
         patch.apply(&mut cfg);
         assert_eq!(cfg.width, 4);
@@ -761,6 +1025,10 @@ mod tests {
         assert_eq!(cfg.phys_regs, 200);
         assert_eq!(cfg.store_buffer_entries, 32);
         assert_eq!(cfg.consistency, dmdp_mem::Consistency::Rmo);
+        assert_eq!(cfg.distance.policy, ConfidencePolicy::Balanced);
+        assert!(!cfg.silent_store_update);
         assert!(CfgPatch::default().is_empty());
+        assert_eq!(CfgPatch::from_json(&patch.to_json()).unwrap(), patch);
+        assert_eq!(CfgPatch::parse("").unwrap(), CfgPatch::default());
     }
 }

@@ -207,6 +207,12 @@ fn write_num(out: &mut String, n: f64) {
 
 fn write_str(out: &mut String, s: &str) {
     out.push('"');
+    // Keys, labels and digests need no escaping: copy them whole.
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

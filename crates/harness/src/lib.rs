@@ -17,9 +17,10 @@
 //! against an existing artifact skips every digest-matched job, so an
 //! unchanged campaign re-runs **zero** simulations.
 //!
-//! Used by the `dmdp campaign` CLI subcommand and by the headline bench
-//! targets (`fig12_speedup`, `tab04_load_latency`, `tab06_mpki`), which
-//! obtain their rows through a campaign instead of private serial loops.
+//! Used by the `dmdp campaign` CLI subcommand, and by `dmdp report
+//! --figure`: every table and figure of the paper's evaluation is a view
+//! ([`figures`]) over the rows of one campaign artifact, each cell found
+//! by its job digest.
 //!
 //! # Example
 //!
@@ -39,6 +40,7 @@
 //! ```
 
 pub mod digest;
+pub mod figures;
 pub mod json;
 pub mod pool;
 pub mod report;
@@ -50,8 +52,9 @@ mod sampled;
 
 pub use campaign::{Campaign, CampaignSpec, RunOptions, StageWall};
 pub use digest::Digest64;
+pub use figures::render_figure;
 pub use group::{execute_here, partition_units, resolve, Inflight, Outcome, Resolve, Source};
-pub use job::{CfgPatch, JobResult, JobSpec, PlannedImage, ResidentImages, WorkloadImage};
+pub use job::{CfgPatch, FigureCounters, FigureText, JobResult, JobSpec, PlannedImage, ResidentImages, WorkloadImage};
 pub use sampled::{build_bundle, record_bundle, Sampling, SamplingSpec};
 pub use json::Json;
 pub use pool::{default_workers, map_ordered};

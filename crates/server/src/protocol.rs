@@ -101,56 +101,11 @@ pub enum Request {
     Ping,
 }
 
-fn patch_json(patch: &CfgPatch) -> Json {
-    let mut members = Vec::new();
-    let mut push = |k: &str, v: Option<usize>| {
-        if let Some(n) = v {
-            members.push((k.to_string(), Json::Num(n as f64)));
-        }
-    };
-    push("width", patch.width);
-    push("rob", patch.rob);
-    push("prf", patch.prf);
-    push("sb", patch.sb);
-    if patch.rmo {
-        members.push(("rmo".to_string(), Json::Bool(true)));
-    }
-    Json::Obj(members)
-}
-
-/// Parses a variant patch. An unknown, repeated or mistyped key is an
-/// error naming it: ignoring it would run the wrong configuration under
-/// the variant's label.
-fn patch_from_json(v: &Json) -> Result<CfgPatch, String> {
-    let Json::Obj(members) = v else {
-        return Err("patch: must be an object".to_string());
-    };
-    let mut patch = CfgPatch::default();
-    for (i, (k, n)) in members.iter().enumerate() {
-        if members[..i].iter().any(|(prior, _)| prior == k) {
-            return Err(format!("patch: `{k}` given twice"));
-        }
-        let dim = || match n.as_u64() {
-            Some(n) => Ok(Some(n as usize)),
-            None => Err(format!("patch: `{k}` must be a non-negative integer")),
-        };
-        match k.as_str() {
-            "width" => patch.width = dim()?,
-            "rob" => patch.rob = dim()?,
-            "prf" => patch.prf = dim()?,
-            "sb" => patch.sb = dim()?,
-            "rmo" => patch.rmo = n.as_bool().ok_or("patch: `rmo` must be a boolean")?,
-            _ => return Err(format!("patch: unknown key `{k}` (width/rob/prf/sb/rmo)")),
-        }
-    }
-    Ok(patch)
-}
-
 fn variants_json(variants: &[(String, CfgPatch)]) -> Json {
     Json::Arr(
         variants
             .iter()
-            .map(|(label, patch)| obj([("label", Json::Str(label.clone())), ("patch", patch_json(patch))]))
+            .map(|(label, patch)| obj([("label", Json::Str(label.clone())), ("patch", patch.to_json())]))
             .collect(),
     )
 }
@@ -166,7 +121,7 @@ fn variants_from_json(v: &Json, what: &str) -> Result<Vec<(String, CfgPatch)>, S
                 .get("label")
                 .and_then(Json::as_str)
                 .ok_or_else(|| format!("{what}: variant missing `label`"))?;
-            let patch = entry.get("patch").map(patch_from_json).transpose()?.unwrap_or_default();
+            let patch = entry.get("patch").map(CfgPatch::from_json).transpose()?.unwrap_or_default();
             Ok((label.to_string(), patch))
         })
         .collect::<Result<Vec<_>, String>>()?;
@@ -840,6 +795,7 @@ mod tests {
                     ("main".into(), CfgPatch::default()),
                     ("rob128".into(), CfgPatch { rob: Some(128), ..CfgPatch::default() }),
                     ("rmo".into(), CfgPatch { rmo: true, ..CfgPatch::default() }),
+                    ("ablate".into(), CfgPatch { balanced: true, nosilent: true, ..CfgPatch::default() }),
                 ],
                 watch: true,
                 sampling: None,
@@ -887,6 +843,9 @@ mod tests {
             (r#"{"rob": 64, "rob": 128}"#, "`rob` given twice"),
             (r#"{"sb": -2}"#, "`sb` must be a non-negative integer"),
             (r#"[512]"#, "patch: must be an object"),
+            (r#"{"balanced": 1}"#, "`balanced` must be a boolean"),
+            (r#"{"nosilent": true, "nosilent": false}"#, "`nosilent` given twice"),
+            (r#"{"silent": false}"#, "unknown key `silent` (width/rob/prf/sb/rmo/balanced/nosilent)"),
         ] {
             let wire = format!(
                 r#"{{"type": "submit", "name": "x", "scale": "test", "models": ["dmdp"],

@@ -15,7 +15,7 @@
 //!   classification (direct / bypassing / delayed / predicated) with
 //!   per-class latency tracking,
 //! * [`geomean`] and [`mpki`] — the summary statistics the paper reports,
-//! * [`Table`] — fixed-width text tables for the benchmark harnesses.
+//! * [`Table`] — fixed-width text tables for the paper-figure views.
 
 mod histogram;
 mod loadlat;

@@ -1,6 +1,6 @@
 use std::fmt;
 
-/// A fixed-width text table, used by the benchmark harnesses to print the
+/// A fixed-width text table, used by the paper-figure views to print the
 /// paper's tables and figure series.
 ///
 /// # Example
@@ -91,12 +91,6 @@ impl fmt::Display for Table {
         }
         Ok(())
     }
-}
-
-/// Formats a float with 3 decimals — the precision used throughout the
-/// harness output.
-pub(crate) fn _fmt3(v: f64) -> String {
-    format!("{v:.3}")
 }
 
 #[cfg(test)]

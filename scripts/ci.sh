@@ -11,7 +11,7 @@ cargo build --release
 cargo test -q
 
 # Lint gate: the workspace must be clippy-clean (all targets — lib,
-# bins, tests, benches, examples) with warnings promoted to errors.
+# bins, tests, examples) with warnings promoted to errors.
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Timing-regression gate: the golden-stats digests pin the simulated
@@ -98,6 +98,26 @@ jq -e 'type == "array" and length > 0 and all(has("cycle") and has("ipc"))' \
 # `dmdp report` must render any campaign artifact, the smoke one included.
 cargo run --release -q -p dmdp-bench --bin dmdp -- report "$out" \
     | grep -q "IPC by workload"
+
+# Every paper table and figure renders from one Test-scale campaign over
+# all kernels, all models and the variants the figures read.
+fig_out=bench-results/ci-figures.json
+rm -f "$fig_out"
+cargo run --release -q -p dmdp-bench --bin dmdp -- \
+    campaign --name ci-figures --scale test --model all \
+    --variant main= --variant w4=width:4 --variant rob512=rob:512,prf:640 \
+    --variant prf160=prf:160 --variant rmo=rmo --variant sb32=sb:32 \
+    --variant sb64=sb:64 --variant balanced=balanced --variant nosilent=nosilent \
+    --jobs "$(nproc)" --force --quiet --out "$fig_out"
+figures=$(cargo run --release -q -p dmdp-bench --bin dmdp -- report "$fig_out" --figure all) \
+    || { echo "ci: FAIL: dmdp report --figure all failed"; exit 1; }
+for id in fig02_load_distribution fig03_delayed_vs_bypassing fig05_lowconf_breakdown \
+        fig12_speedup tab04_load_latency tab05_lowconf_latency tab06_mpki \
+        tab07_reexec_stalls fig14_store_buffer fig15_edp alt_issue_width alt_rob_size \
+        alt_rmo alt_regfile_pressure ablation_confidence ablation_silent_store; do
+    grep -q "^=== $id: " <<<"$figures" \
+        || { echo "ci: FAIL: figure $id missing from dmdp report --figure all"; exit 1; }
+done
 
 # Sampled-simulation smoke: profile + cluster + sampled run of one
 # kernel at test scale next to its full-detail run. The error table
@@ -346,4 +366,4 @@ for wp in $worker_pids; do
     fi
 done
 
-echo "ci: build + tests + smoke campaign + probe artifacts + sampled smoke + sweep batching + daemon/metrics + sharded smoke OK ($out)"
+echo "ci: build + tests + smoke campaign + probe artifacts + paper figures + sampled smoke + sweep batching + daemon/metrics + sharded smoke OK ($out)"
