@@ -13,7 +13,7 @@ use dmdp_stats::geomean;
 use dmdp_workloads::{Scale, Suite};
 
 use crate::group::{execute_here, resolve, Inflight, Outcome, Resolve, Source};
-use crate::job::{CfgPatch, JobResult, JobSpec, WorkloadImage};
+use crate::job::{CfgPatch, JobConfig, JobResult, JobSpec, WorkloadImage};
 use crate::json::{obj, Json};
 use crate::pool;
 use crate::sampled::{build_bundle, Sampling, SamplingSpec};
@@ -154,7 +154,7 @@ impl CampaignSpec {
                 let mut cfg = CoreConfig::new(model);
                 patch.apply(&mut cfg);
                 cfg.check().map_err(|e| format!("variant `{label}` ({}): {e}", model.name()))?;
-                configs.push((model, label, cfg));
+                configs.push(JobConfig::new(model, label, cfg));
             }
         }
         let known = dmdp_workloads::names();
@@ -177,8 +177,7 @@ impl CampaignSpec {
         };
         let mut jobs = Vec::with_capacity(selected.len() * configs.len());
         for (w, b) in selected.iter().zip(&bundles) {
-            for (model, label, cfg) in &configs {
-                let job = JobSpec::new(w.name, w.suite, *model, self.scale, label, cfg.clone(), &w.image);
+            for job in JobSpec::over_configs(w.name, w.suite, self.scale, &w.image, &configs) {
                 jobs.push(match (self.sampling, b) {
                     (Some(s), Some(b)) => job.sampled(SamplingSpec { sampling: s, bundle: Arc::clone(b) }),
                     _ => job,

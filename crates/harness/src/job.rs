@@ -325,11 +325,31 @@ pub struct JobSpec {
     pub digest: String,
 }
 
+/// One (model, variant) configuration of a job list, with its digest
+/// prefix: the digest state after `SIM_VERSION` and the full config
+/// identity, which every workload's job digest under it continues from.
+pub(crate) struct JobConfig<'a> {
+    model: CommModel,
+    variant: &'a str,
+    cfg: CoreConfig,
+    prefix: Digest64,
+}
+
+impl<'a> JobConfig<'a> {
+    /// Formats and hashes the config identity, once per configuration.
+    pub(crate) fn new(model: CommModel, variant: &'a str, cfg: CoreConfig) -> JobConfig<'a> {
+        let mut prefix = Digest64::new();
+        prefix.write_str(SIM_VERSION).write_str(&cfg.identity());
+        JobConfig { model, variant, cfg, prefix }
+    }
+}
+
 impl JobSpec {
     /// Builds a spec, computing its content digest from everything that
     /// determines the result: simulator timing version, full config
     /// identity, workload name and the assembled program image (which
-    /// captures scale and generator seeds).
+    /// captures scale and generator seeds). The one-config case of the
+    /// routine a job list's digests come from.
     pub fn new(
         workload: &str,
         suite: Suite,
@@ -339,26 +359,51 @@ impl JobSpec {
         cfg: CoreConfig,
         image: &PlannedImage,
     ) -> JobSpec {
+        let configs = [JobConfig::new(model, variant, cfg)];
+        let mut jobs = JobSpec::over_configs(workload, suite, scale, image, &configs);
+        jobs.pop().expect("one job per configuration")
+    }
+
+    /// One workload's jobs under each configuration, in order — the one
+    /// place a job digest is defined. Each digest continues its
+    /// configuration's prefix with the workload name and the program
+    /// image; the image is encoded once and absorbed by all the digests
+    /// together.
+    pub(crate) fn over_configs(
+        workload: &str,
+        suite: Suite,
+        scale: Scale,
+        image: &PlannedImage,
+        configs: &[JobConfig],
+    ) -> Vec<JobSpec> {
+        let mut digests: Vec<Digest64> = configs
+            .iter()
+            .map(|c| {
+                let mut d = c.prefix;
+                d.write_str(workload);
+                d
+            })
+            .collect();
         // The plan cache is a pure host-side decode of the program image,
         // so it contributes nothing to the digest beyond what
         // `program.to_image()` already covers.
-        let mut d = Digest64::new();
-        d.write_str(SIM_VERSION)
-            .write_str(&cfg.identity())
-            .write_str(workload)
-            .write(&image.program.to_image());
-        JobSpec {
-            workload: workload.to_string(),
-            suite,
-            model,
-            scale,
-            variant: variant.to_string(),
-            cfg,
-            program: Arc::clone(&image.program),
-            plans: Arc::clone(&image.plans),
-            sampling: None,
-            digest: d.hex(),
-        }
+        Digest64::write_lanes(&mut digests, &image.program.to_image());
+        configs
+            .iter()
+            .zip(digests)
+            .map(|(c, d)| JobSpec {
+                workload: workload.to_string(),
+                suite,
+                model: c.model,
+                scale,
+                variant: c.variant.to_string(),
+                cfg: c.cfg.clone(),
+                program: Arc::clone(&image.program),
+                plans: Arc::clone(&image.plans),
+                sampling: None,
+                digest: d.hex(),
+            })
+            .collect()
     }
 
     /// Turns a full-simulation spec into a sampled one: attaches the
@@ -366,13 +411,10 @@ impl JobSpec {
     /// stream, so a sampled result can never be confused with (or
     /// satisfied from the cache of) the full run it estimates. Full-run
     /// digests are untouched — the suffix exists only on sampled jobs.
+    /// The stream resumes from the full-run digest, which is its state.
     pub fn sampled(mut self, spec: SamplingSpec) -> JobSpec {
-        let mut d = Digest64::new();
-        d.write_str(SIM_VERSION)
-            .write_str(&self.cfg.identity())
-            .write_str(&self.workload)
-            .write(&self.program.to_image())
-            .write_str(&spec.sampling.digest_suffix());
+        let mut d = Digest64::from_hex(&self.digest).expect("a job digest is 16 hex digits");
+        d.write_str(&spec.sampling.digest_suffix());
         self.digest = d.hex();
         self.sampling = Some(spec);
         self

@@ -31,10 +31,12 @@
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 use dmdp_core::SIM_VERSION;
@@ -114,6 +116,7 @@ struct DaemonMetrics {
     connections: &'static Gauge,
     err_protocol: &'static Counter,
     err_request: &'static Counter,
+    err_accept: &'static Counter,
     jobs_executed: &'static Counter,
     jobs_store: &'static Counter,
     jobs_dedup: &'static Counter,
@@ -161,6 +164,7 @@ fn daemon_metrics() -> &'static DaemonMetrics {
             connections: r.gauge("dmdp_connections", "client connections currently open"),
             err_protocol: err("protocol"),
             err_request: err("request"),
+            err_accept: err("accept"),
             jobs_executed: jobs("executed"),
             jobs_store: jobs("store"),
             jobs_dedup: jobs("dedup"),
@@ -208,7 +212,7 @@ fn sync_gauges(shared: &Shared) {
     m.store_entries.set(store.entries as i64);
     m.store_bytes.set(store.bytes as i64);
     m.inflight.set(shared.inflight.count() as i64);
-    m.active_submits.set(shared.active_submits.load(Ordering::SeqCst) as i64);
+    m.active_submits.set(*shared.submits() as i64);
     m.resident_images.set(shared.images.count() as i64);
     m.workers.set(shared.workers.lock().unwrap().len() as i64);
 }
@@ -279,7 +283,15 @@ struct Shared {
     next_worker_id: AtomicU64,
     next_group_id: AtomicU64,
     shutdown: AtomicBool,
-    active_submits: AtomicUsize,
+    /// Submits in progress. The shutdown flag is set under this lock and
+    /// a submit is counted under it, so a drain never misses one.
+    active_submits: Mutex<usize>,
+    /// Notified whenever a submit ends.
+    drained: Condvar,
+    /// The unix socket and the TCP address a shutdown connects to, to
+    /// wake each accept loop.
+    socket: PathBuf,
+    tcp_wake: Option<SocketAddr>,
     requests: AtomicU64,
     submits: AtomicU64,
     executed: AtomicU64,
@@ -321,17 +333,13 @@ pub fn serve(opts: &ServeOptions) -> Result<DaemonReport, String> {
     }
     let listener = UnixListener::bind(&opts.socket)
         .map_err(|e| format!("{}: {e}", opts.socket.display()))?;
-    listener.set_nonblocking(true).map_err(|e| format!("socket: {e}"))?;
     let tcp = match &opts.tcp {
-        Some(addr) => {
-            let l = std::net::TcpListener::bind(addr).map_err(|e| format!("{addr}: {e}"))?;
-            l.set_nonblocking(true).map_err(|e| format!("{addr}: {e}"))?;
-            Some(l)
-        }
+        Some(addr) => Some(TcpListener::bind(addr).map_err(|e| format!("{addr}: {e}"))?),
         None => None,
     };
     // The resolved address matters when the request was port 0.
-    let tcp_addr = tcp.as_ref().and_then(|l| l.local_addr().ok()).map(|a| a.to_string());
+    let tcp_local = tcp.as_ref().and_then(|l| l.local_addr().ok());
+    let tcp_addr = tcp_local.map(|a| a.to_string());
     let log = match &opts.log {
         Some(path) => EventLog::file(path, opts.log_level)?,
         None => EventLog::stderr(opts.log_level),
@@ -350,7 +358,10 @@ pub fn serve(opts: &ServeOptions) -> Result<DaemonReport, String> {
         next_worker_id: AtomicU64::new(0),
         next_group_id: AtomicU64::new(0),
         shutdown: AtomicBool::new(false),
-        active_submits: AtomicUsize::new(0),
+        active_submits: Mutex::new(0),
+        drained: Condvar::new(),
+        socket: opts.socket.clone(),
+        tcp_wake: tcp_local.map(wake_addr),
         requests: AtomicU64::new(0),
         submits: AtomicU64::new(0),
         executed: AtomicU64::new(0),
@@ -387,35 +398,11 @@ pub fn serve(opts: &ServeOptions) -> Result<DaemonReport, String> {
         }
     };
     std::thread::scope(|scope| {
-        loop {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let mut accepted = false;
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    accepted = true;
-                    let shared = &shared;
-                    scope.spawn(move || handle_unix(shared, stream));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                Err(_) => {}
-            }
-            if let Some(tcp) = &tcp {
-                match tcp.accept() {
-                    Ok((stream, _)) => {
-                        accepted = true;
-                        let shared = &shared;
-                        scope.spawn(move || handle_tcp(shared, stream));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                    Err(_) => {}
-                }
-            }
-            if !accepted {
-                std::thread::sleep(Duration::from_millis(20));
-            }
+        let shared = &shared;
+        if let Some(tcp) = &tcp {
+            scope.spawn(move || accept_loop(shared, scope, tcp.incoming(), handle_tcp));
         }
+        accept_loop(shared, scope, listener.incoming(), handle_unix);
     });
     std::fs::remove_file(&opts.socket).ok();
     // Spawned workers were told to drain by their connection threads;
@@ -532,18 +519,82 @@ fn spawn_workers(
     Ok(children)
 }
 
+/// How long an accept loop waits after a failed accept before the next
+/// one, so a persistent failure (`EMFILE`) cannot spin a core.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
+
+/// Serves one listener until shutdown: blocks in `accept` and serves
+/// each connection on a scoped thread of its own. The shutdown flag is
+/// checked after every accept; a shutdown wakes the loop with a
+/// connection of its own ([`wake_listeners`]), which is dropped here.
+fn accept_loop<'scope, S: Send + 'scope>(
+    shared: &'scope Shared,
+    scope: &'scope Scope<'scope, '_>,
+    incoming: impl Iterator<Item = std::io::Result<S>>,
+    serve_conn: fn(&Shared, S),
+) {
+    for conn in incoming {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match conn {
+            Ok(stream) => {
+                scope.spawn(move || serve_conn(shared, stream));
+            }
+            Err(e) => {
+                shared.metrics.err_accept.inc();
+                shared.log.warn("accept_failed", &[("error", e.to_string().into())]);
+                std::thread::sleep(ACCEPT_BACKOFF);
+            }
+        }
+    }
+}
+
+/// The address a shutdown connects to in order to wake the TCP accept
+/// loop: the listener's own, or loopback when it listens on a wildcard.
+fn wake_addr(local: SocketAddr) -> SocketAddr {
+    let ip = match local.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, local.port())
+}
+
+/// Wakes each accept loop, blocked in `accept`, with one connection to
+/// its listener once the shutdown flag is set.
+fn wake_listeners(shared: &Shared) {
+    wake(shared, || UnixStream::connect(&shared.socket).map(drop));
+    if let Some(addr) = shared.tcp_wake {
+        let timeout = Duration::from_secs(1);
+        wake(shared, || TcpStream::connect_timeout(&addr, timeout).map(drop));
+    }
+}
+
+/// One wake-up connection. A connect that fails (no free descriptor)
+/// is retried for about a second, then logged as `wake_failed`.
+fn wake(shared: &Shared, connect: impl Fn() -> std::io::Result<()>) {
+    for tries in 1.. {
+        match connect() {
+            Ok(()) => return,
+            Err(e) if tries == 20 => {
+                let error = e.to_string();
+                return shared.log.warn("wake_failed", &[("error", error.into())]);
+            }
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
+        }
+    }
+}
+
 fn handle_unix(shared: &Shared, stream: UnixStream) {
-    // The accepted socket must block with a timeout: the read loop polls
-    // the shutdown flag between timeouts instead of hanging forever on
-    // an idle client.
-    stream.set_nonblocking(false).ok();
+    // The read loop polls the shutdown flag between read timeouts
+    // instead of hanging forever on an idle client.
     stream.set_read_timeout(Some(Duration::from_millis(100))).ok();
     let Ok(writer) = stream.try_clone() else { return };
     handle(shared, stream, writer);
 }
 
-fn handle_tcp(shared: &Shared, stream: std::net::TcpStream) {
-    stream.set_nonblocking(false).ok();
+fn handle_tcp(shared: &Shared, stream: TcpStream) {
     stream.set_read_timeout(Some(Duration::from_millis(100))).ok();
     let Ok(writer) = stream.try_clone() else { return };
     handle(shared, stream, writer);
@@ -694,22 +745,19 @@ fn handle<R: Read, W: Write + Send + 'static>(shared: &Shared, reader: R, writer
                     Ok(Request::Shutdown) => {
                         m.req_shutdown.inc();
                         shared.log.info("shutdown_requested", &[("trace", (&trace).into())]);
-                        shared.shutdown.store(true, Ordering::SeqCst);
-                        while shared.active_submits.load(Ordering::SeqCst) > 0 {
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
+                        drain(shared);
                         let _ = write_locked(&writer, &protocol::ok_msg());
                         return;
                     }
                     Ok(Request::Submit(req)) => {
                         m.req_submit.inc();
-                        if shared.shutdown.load(Ordering::SeqCst) {
+                        let Some(_active) = ActiveSubmit::begin(shared) else {
                             let _ = write_locked(
                                 &writer,
                                 &protocol::error_msg("daemon is shutting down"),
                             );
                             continue;
-                        }
+                        };
                         shared.log.info(
                             "submit",
                             &[
@@ -892,7 +940,7 @@ fn handle_worker<R: Read>(shared: &Shared, mut reader: LineReader<R>, worker: &A
             }
             Ok(LineEvent::Idle) => {
                 if shared.shutdown.load(Ordering::SeqCst)
-                    && shared.active_submits.load(Ordering::SeqCst) == 0
+                    && *shared.submits() == 0
                     && worker.pending.lock().unwrap().is_empty()
                 {
                     let _ = write_locked(&worker.writer, &protocol::worker_shutdown_msg());
@@ -1123,14 +1171,47 @@ impl<W: Write + Send> Resolve for Submit<'_, W> {
     }
 }
 
+impl Shared {
+    /// The count of submits in progress, locked. Every update is one
+    /// step, so a poisoned lock still holds a valid count.
+    fn submits(&self) -> MutexGuard<'_, usize> {
+        self.active_submits.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Starts a shutdown: sets the flag under the submit count's lock, so
+/// every submit is either counted already or will be refused, wakes the
+/// accept loops, then waits until no submit is left running.
+fn drain(shared: &Shared) {
+    {
+        let _count = shared.submits();
+        shared.shutdown.store(true, Ordering::SeqCst);
+    }
+    wake_listeners(shared);
+    drop(shared.drained.wait_while(shared.submits(), |n| *n > 0));
+}
+
 /// Holds one `active_submits` count and releases it however the submit
 /// ends — a drain must never wait on a submit that is already gone.
 struct ActiveSubmit<'a>(&'a Shared);
 
+impl<'a> ActiveSubmit<'a> {
+    /// Counts a starting submit, or refuses it (`None`) once a shutdown
+    /// has begun.
+    fn begin(shared: &'a Shared) -> Option<ActiveSubmit<'a>> {
+        let mut count = shared.submits();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return None;
+        }
+        *count += 1;
+        Some(ActiveSubmit(shared))
+    }
+}
+
 impl Drop for ActiveSubmit<'_> {
     fn drop(&mut self) {
-        self.0.active_submits.fetch_sub(1, Ordering::SeqCst);
-        self.0.metrics.active_submits.dec();
+        *self.0.submits() -= 1;
+        self.0.drained.notify_all();
     }
 }
 
@@ -1144,9 +1225,6 @@ fn run_submit<W: Write + Send>(
     trace: &str,
 ) -> Result<(), String> {
     let start = Instant::now();
-    shared.active_submits.fetch_add(1, Ordering::SeqCst);
-    shared.metrics.active_submits.inc();
-    let _active = ActiveSubmit(shared);
     let spec = req.campaign();
     let jobs = spec.jobs_over(&shared.images.at(spec.scale), 1, |w, s| {
         shared.store.bundle(w, s, &shared.log)
@@ -1224,7 +1302,7 @@ fn stats_msg(shared: &Shared) -> Json {
         ("executed", Json::Num(shared.executed.load(Ordering::Relaxed) as f64)),
         ("store_hits", Json::Num(shared.store_hits.load(Ordering::Relaxed) as f64)),
         ("dedup_hits", Json::Num(shared.dedup_hits.load(Ordering::Relaxed) as f64)),
-        ("active_submits", Json::Num(shared.active_submits.load(Ordering::SeqCst) as f64)),
+        ("active_submits", Json::Num(*shared.submits() as f64)),
         ("inflight", Json::Num(shared.inflight.count() as f64)),
         ("resident_images", Json::Num(shared.images.count() as f64)),
         ("workers", Json::Num(shared.workers.lock().unwrap().len() as f64)),

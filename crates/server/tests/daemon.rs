@@ -241,6 +241,32 @@ fn shutdown_drains_a_running_submit() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A new connection is accepted the moment it arrives: no request waits
+/// on a polling interval before the daemon even reads it.
+#[test]
+fn fresh_connections_are_answered_at_once() {
+    let dir = tmp_dir("fresh");
+    let opts = serve_opts(&dir);
+    let daemon = std::thread::spawn({
+        let opts = opts.clone();
+        move || serve(&opts).unwrap()
+    });
+    let mut client = connect(&opts.socket);
+    let mut trips: Vec<Duration> = (0..20)
+        .map(|_| {
+            let start = Instant::now();
+            Client::connect_unix(&opts.socket).unwrap().ping().unwrap();
+            start.elapsed()
+        })
+        .collect();
+    trips.sort();
+    let median = trips[trips.len() / 2];
+    assert!(median < Duration::from_millis(5), "median connect-and-ping {median:?}: {trips:?}");
+    client.shutdown().unwrap();
+    daemon.join().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn protocol_garbage_gets_an_error_and_spares_the_daemon() {
     let dir = tmp_dir("garbage");
@@ -663,6 +689,31 @@ fn tcp_addr_of(log_path: &Path) -> String {
         assert!(Instant::now() < deadline, "no listening event in {}", log_path.display());
         std::thread::sleep(Duration::from_millis(10));
     }
+}
+
+/// Each listener blocks in its own accept loop: a shutdown that arrives
+/// over the unix socket must wake the idle TCP loop too, or `serve`
+/// never returns.
+#[test]
+fn shutdown_wakes_every_idle_listener() {
+    let dir = tmp_dir("wakeall");
+    let mut opts = serve_opts(&dir);
+    opts.tcp = Some("127.0.0.1:0".into());
+    opts.accept_workers = true;
+    let daemon = std::thread::spawn({
+        let opts = opts.clone();
+        move || serve(&opts).unwrap()
+    });
+    let mut client = connect(&opts.socket);
+    let addr = tcp_addr_of(&dir.join("events.jsonl"));
+    Client::connect_tcp(&addr).unwrap().ping().unwrap();
+
+    client.shutdown().unwrap();
+    within("serve after shutdown", move || daemon.join().unwrap());
+    assert!(!opts.socket.exists(), "socket file is removed on exit");
+    assert!(Client::connect_unix(&opts.socket).is_err());
+    assert!(Client::connect_tcp(&addr).is_err());
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A real in-process worker (the exact `dmdp worker` code path) against

@@ -213,6 +213,23 @@ cleanup_serve() {
 }
 trap cleanup_serve EXIT
 
+# Waits for a daemon whose shutdown was acknowledged to exit, for at
+# most 10 s, and returns its exit status. A daemon still running then
+# (an accept loop that nothing woke) fails CI by name instead of
+# hanging it.
+await_exit() {
+    local pid=$1 what=$2
+    for _ in $(seq 1 200); do
+        kill -0 "$pid" 2>/dev/null || break
+        sleep 0.05
+    done
+    if kill -0 "$pid" 2>/dev/null; then
+        echo "ci: FAIL: $what (pid $pid) still running 10 s after its shutdown was acknowledged"
+        exit 1
+    fi
+    wait "$pid"
+}
+
 serve_log="$serve_dir/events.jsonl"
 "$dmdp_bin" serve --socket "$serve_sock" --store "$serve_dir/store" \
     --jobs "$(nproc)" --quiet \
@@ -296,7 +313,7 @@ fi
 
 # Graceful shutdown: acknowledged, clean exit code, socket removed.
 timeout 30 "$dmdp_bin" submit --socket "$serve_sock" --shutdown
-wait "$serve_pid"
+await_exit "$serve_pid" "dmdp serve daemon"
 serve_pid=
 [ ! -e "$serve_sock" ] || { echo "ci: FAIL: daemon left its socket behind"; exit 1; }
 
@@ -351,8 +368,8 @@ diff <(digests_of "$out") <(digests_of "$shard_dir/second.json") \
 # Drain: coordinator exits cleanly and reaps both workers.
 worker_pids=$(jq -rn '[inputs | select(.event == "worker_spawned") | .pid] | @tsv' \
     "$shard_log")
-"$dmdp_bin" submit --socket "$shard_sock" --shutdown
-wait "$shard_pid"
+timeout 30 "$dmdp_bin" submit --socket "$shard_sock" --shutdown
+await_exit "$shard_pid" "dmdp serve --workers 2 coordinator"
 shard_pid=
 for wp in $worker_pids; do
     for _ in $(seq 1 100); do
