@@ -178,7 +178,7 @@ impl Json {
 
     /// Parses a complete JSON document (trailing whitespace allowed).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -234,7 +234,11 @@ fn write_str(out: &mut String, s: &str) {
 /// socket errors out instead of overflowing the recursion stack.
 const MAX_DEPTH: usize = 128;
 
+/// A recursive-descent reader over `text`. Every token boundary it
+/// slices at is an ASCII delimiter, so slices of the already-valid
+/// `&str` are taken as they are, never re-validated.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -306,10 +310,7 @@ impl<'a> Parser<'a> {
                 }
                 self.pos += 1;
             }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8"))?,
-            );
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -326,20 +327,7 @@ impl<'a> Parser<'a> {
                         Some(b't') => out.push('\t'),
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Surrogate pairs are not needed by our writer;
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            self.pos += 4;
-                        }
+                        Some(b'u') => out.push(self.unicode_escape()?),
                         _ => return Err(self.err("bad escape")),
                     }
                     self.pos += 1;
@@ -347,6 +335,40 @@ impl<'a> Parser<'a> {
                 _ => return Err(self.err("unterminated string")),
             }
         }
+    }
+
+    /// The four hex digits after `\u`, with `pos` on the `u`; leaves
+    /// `pos` on the last digit.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let hex = self
+            .bytes
+            .get(self.pos + 1..self.pos + 5)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let mut code = 0;
+        for &b in hex {
+            code = code * 16 + char::from(b).to_digit(16).ok_or_else(|| self.err("bad \\u escape"))?;
+        }
+        self.pos += 4;
+        Ok(code)
+    }
+
+    /// A `\u` escape, with `pos` on the `u`. A high surrogate followed by
+    /// a `\u` low surrogate is one character (how JSON writers such as
+    /// Python's spell characters beyond the BMP); a lone or reversed
+    /// surrogate decodes to U+FFFD.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let code = self.hex4()?;
+        if (0xD800..0xDC00).contains(&code) && self.bytes[self.pos + 1..].starts_with(b"\\u") {
+            let resume = self.pos;
+            self.pos += 2;
+            let low = self.hex4()?;
+            if (0xDC00..0xE000).contains(&low) {
+                let pair = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                return Ok(char::from_u32(pair).expect("a surrogate pair is a scalar value"));
+            }
+            self.pos = resume;
+        }
+        Ok(char::from_u32(code).unwrap_or('\u{FFFD}'))
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -358,7 +380,7 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.text[start..self.pos];
         let n: f64 = text.parse().map_err(|_| self.err(&format!("bad number `{text}`")))?;
         if !n.is_finite() {
             return Err(self.err(&format!("non-finite number `{text}`")));
@@ -481,7 +503,7 @@ mod tests {
 
     #[test]
     fn parse_errors_are_positioned() {
-        for bad in ["", "{", "[1,", "\"abc", "tru", "1e999", "{}x", "{\"a\" 1}"] {
+        for bad in ["", "{", "[1,", "\"abc", "tru", "1e999", "{}x", "{\"a\" 1}", r#""\u+041""#] {
             let e = Json::parse(bad).unwrap_err();
             assert!(e.contains("JSON parse error"), "{bad}: {e}");
         }
@@ -502,6 +524,26 @@ mod tests {
             obj([("a", Json::Num(1.0)), ("b", Json::Str("x".into()))]).compact(),
             r#"{"a":1,"b":"x"}"#
         );
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_char() {
+        let parsed = |text: &str| Json::parse(text).unwrap().as_str().unwrap().to_string();
+        // Python's `json.dumps("😀 label")` spelling.
+        assert_eq!(parsed(r#""\ud83d\ude00 label""#), "\u{1F600} label");
+        assert_eq!(parsed(r#""\uD834\uDD1E""#), "\u{1D11E}");
+        // Lone and reversed surrogates stay replacement characters, and
+        // the escape after an unpaired high surrogate is still read.
+        assert_eq!(parsed(r#""\ud83d""#), "\u{FFFD}");
+        assert_eq!(parsed(r#""\ude00\ud83d""#), "\u{FFFD}\u{FFFD}");
+        assert_eq!(parsed(r#""\ud83dx\ude00""#), "\u{FFFD}x\u{FFFD}");
+        assert_eq!(parsed(r#""\ud83dA""#), "\u{FFFD}A");
+        assert_eq!(parsed(r#""\ud83d\n""#), "\u{FFFD}\n");
+        assert!(Json::parse(r#""\ud83d\ude0""#).is_err(), "a truncated low half is an error");
+        // The writer emits the character itself, which reads back whole.
+        let v = Json::parse(r#"{"name": "sweep \ud83d\ude00"}"#).unwrap();
+        assert_eq!(v.compact(), "{\"name\":\"sweep \u{1F600}\"}");
+        assert_eq!(Json::parse(&v.compact()).unwrap(), v);
     }
 
     #[test]

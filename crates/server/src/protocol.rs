@@ -24,7 +24,7 @@
 //! source tag) or `group_failed`, and sends `heartbeat` lines while
 //! idle so the coordinator can declare it dead and requeue.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 
 use dmdp_core::CommModel;
 use dmdp_harness::json::obj;
@@ -715,18 +715,24 @@ pub enum LineEvent {
     Idle,
 }
 
+/// Bytes [`LineReader`] asks the socket for at a time.
+const READ_CHUNK: usize = 64 * 1024;
+
 /// A newline-framed reader that tolerates read timeouts: bytes received
 /// before a timeout stay buffered, so a message split across TCP
-/// segments (or delivered slowly) is reassembled correctly.
+/// segments (or delivered slowly) is reassembled correctly. Each
+/// received byte is looked at once, so framing a line costs time linear
+/// in its length however many reads it arrives in.
 pub struct LineReader<R> {
-    inner: R,
-    buf: Vec<u8>,
+    inner: BufReader<R>,
+    /// The line so far, newline not yet seen.
+    line: Vec<u8>,
 }
 
 impl<R: Read> LineReader<R> {
     /// Wraps a raw byte stream.
     pub fn new(inner: R) -> LineReader<R> {
-        LineReader { inner, buf: Vec::new() }
+        LineReader { inner: BufReader::with_capacity(READ_CHUNK, inner), line: Vec::new() }
     }
 
     /// Reads until a newline, EOF, or a socket timeout.
@@ -736,41 +742,34 @@ impl<R: Read> LineReader<R> {
     /// Mid-line EOF (truncated message), a line over [`MAX_LINE_BYTES`],
     /// invalid UTF-8, or any other I/O error.
     pub fn read_line(&mut self) -> Result<LineEvent, String> {
-        loop {
-            if let Some(at) = self.buf.iter().position(|&b| b == b'\n') {
-                let rest = self.buf.split_off(at + 1);
-                let mut line = std::mem::replace(&mut self.buf, rest);
-                line.pop(); // the newline
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                let text = String::from_utf8(line)
-                    .map_err(|_| "protocol: invalid UTF-8 on the wire".to_string())?;
-                return Ok(LineEvent::Line(text));
+        // One byte past the cap tells a line that fits from one that does not.
+        let room = (MAX_LINE_BYTES + 1).saturating_sub(self.line.len()) as u64;
+        match (&mut self.inner).take(room).read_until(b'\n', &mut self.line) {
+            Ok(_) => {}
+            Err(e)
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::TimedOut =>
+            {
+                return Ok(LineEvent::Idle);
             }
-            if self.buf.len() > MAX_LINE_BYTES {
-                return Err(format!("protocol: line exceeds {MAX_LINE_BYTES} bytes"));
-            }
-            let mut chunk = [0u8; 8192];
-            match self.inner.read(&mut chunk) {
-                Ok(0) => {
-                    return if self.buf.is_empty() {
-                        Ok(LineEvent::Eof)
-                    } else {
-                        Err("protocol: connection closed mid-message".to_string())
-                    };
-                }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    return Ok(LineEvent::Idle);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(format!("read: {e}")),
-            }
+            Err(e) => return Err(format!("read: {e}")),
         }
+        if self.line.last() != Some(&b'\n') {
+            return if self.line.len() > MAX_LINE_BYTES {
+                Err(format!("protocol: line exceeds {MAX_LINE_BYTES} bytes"))
+            } else if self.line.is_empty() {
+                Ok(LineEvent::Eof)
+            } else {
+                Err("protocol: connection closed mid-message".to_string())
+            };
+        }
+        self.line.pop();
+        if self.line.last() == Some(&b'\r') {
+            self.line.pop();
+        }
+        String::from_utf8(std::mem::take(&mut self.line))
+            .map(LineEvent::Line)
+            .map_err(|_| "protocol: invalid UTF-8 on the wire".to_string())
     }
 }
 
@@ -1014,32 +1013,113 @@ mod tests {
         assert!(CoordMsg::from_json(&Json::parse(r#"{"type": "warp"}"#).unwrap()).is_err());
     }
 
-    #[test]
-    fn line_reader_reassembles_split_messages() {
-        // A reader whose source yields one byte at a time still frames
-        // whole lines.
-        struct Trickle(Vec<u8>, usize);
-        impl Read for Trickle {
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                if self.1 >= self.0.len() {
-                    return Ok(0);
+    /// Gives the inner reader at most `self.1` bytes of room per read.
+    struct Reads<R>(R, usize);
+    impl<R: Read> Read for Reads<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.1);
+            self.0.read(&mut buf[..n])
+        }
+    }
+
+    /// Replays one scripted read per entry: its bytes, or its error.
+    struct Script(std::collections::VecDeque<Result<&'static [u8], std::io::ErrorKind>>);
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(Err(kind)) => Err(kind.into()),
+                Some(Ok(bytes)) => {
+                    buf[..bytes.len()].copy_from_slice(bytes);
+                    Ok(bytes.len())
                 }
-                buf[0] = self.0[self.1];
-                self.1 += 1;
-                Ok(1)
             }
         }
-        let mut r = LineReader::new(Trickle(b"{\"a\":1}\r\n{\"b\":2}\n".to_vec(), 0));
-        let Ok(LineEvent::Line(a)) = r.read_line() else { panic!() };
-        assert_eq!(a, "{\"a\":1}");
-        let Ok(LineEvent::Line(b)) = r.read_line() else { panic!() };
-        assert_eq!(b, "{\"b\":2}");
-        assert!(matches!(r.read_line(), Ok(LineEvent::Eof)));
+    }
+
+    fn line(r: &mut LineReader<impl Read>) -> String {
+        match r.read_line() {
+            Ok(LineEvent::Line(text)) => text,
+            other => panic!("expected a line, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn line_reader_reassembles_split_messages() {
+        // One byte per read; and 8 bytes per read, where the first read
+        // ends on a newline and the third starts with `\r\n`.
+        for size in [1, 8] {
+            let src = std::io::Cursor::new(b"{\"a\":1}\n{\"b\":22}\r\n{}\n");
+            let mut r = LineReader::new(Reads(src, size));
+            assert_eq!(line(&mut r), "{\"a\":1}");
+            assert_eq!(line(&mut r), "{\"b\":22}");
+            assert_eq!(line(&mut r), "{}");
+            assert!(matches!(r.read_line(), Ok(LineEvent::Eof)));
+        }
     }
 
     #[test]
     fn mid_line_eof_is_an_error() {
         let mut r = LineReader::new(std::io::Cursor::new(b"{\"a\": 1".to_vec()));
         assert!(r.read_line().is_err());
+    }
+
+    #[test]
+    fn a_32_mib_line_in_8_kib_reads_is_framed_in_linear_time() {
+        // A reader that rescans the buffered line after every read needs
+        // about half a minute here; one look per byte takes milliseconds.
+        let len = 32 << 20;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = std::thread::spawn(move || {
+            let src = std::io::repeat(b'x').take(len).chain(&b"\n"[..]);
+            tx.send(LineReader::new(Reads(src, 8192)).read_line()).ok();
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(5)) {
+            Ok(Ok(LineEvent::Line(text))) => {
+                assert_eq!(text.len() as u64, len);
+                assert!(text.bytes().all(|b| b == b'x'));
+            }
+            Ok(other) => panic!("expected the line, got {other:?}"),
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("framing a 32 MiB line took over 5 s")
+            }
+            // The join below reports the reader thread's panic.
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {}
+        }
+        reader.join().expect("the reader thread panicked");
+    }
+
+    #[test]
+    fn lines_already_buffered_are_framed_without_another_read() {
+        // Four lines arrive in one read; the next read would fail, so
+        // every line after the first must come from carried-over bytes.
+        let mut r = LineReader::new(Script(
+            [Ok(&b"{\"a\":1}\n{\"b\":2}\r\n\n{\"c\":3}\n"[..]), Err(std::io::ErrorKind::ConnectionReset)]
+                .into(),
+        ));
+        assert_eq!(line(&mut r), "{\"a\":1}");
+        assert_eq!(line(&mut r), "{\"b\":2}");
+        assert_eq!(line(&mut r), "");
+        assert_eq!(line(&mut r), "{\"c\":3}");
+        assert!(r.read_line().unwrap_err().starts_with("read: "));
+    }
+
+    #[test]
+    fn a_partial_line_survives_read_timeouts() {
+        use std::io::ErrorKind::{TimedOut, WouldBlock};
+        let mut r = LineReader::new(Script(
+            [Ok(&b"{\"a\""[..]), Err(WouldBlock), Ok(b":1}\r"), Err(TimedOut), Ok(b"\n")].into(),
+        ));
+        assert!(matches!(r.read_line(), Ok(LineEvent::Idle)));
+        assert!(matches!(r.read_line(), Ok(LineEvent::Idle)));
+        assert_eq!(line(&mut r), "{\"a\":1}", "a `\\r\\n` split across reads still frames");
+        assert!(matches!(r.read_line(), Ok(LineEvent::Eof)));
+    }
+
+    #[test]
+    fn a_line_over_the_cap_is_refused() {
+        let src = std::io::repeat(b'x').take(MAX_LINE_BYTES as u64 + 2).chain(&b"\n"[..]);
+        let err = LineReader::new(src).read_line().unwrap_err();
+        assert!(err.contains(&format!("exceeds {MAX_LINE_BYTES} bytes")), "{err}");
     }
 }

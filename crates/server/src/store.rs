@@ -221,25 +221,32 @@ impl Store {
     /// Looks a result up by digest. The returned row is marked `cached`
     /// (it was not executed by the caller). An entry that has vanished
     /// or no longer parses is dropped from the index and reported as a
-    /// miss. An un-indexed digest whose file *is* on disk — a sibling
-    /// process sharing this directory wrote it — is adopted into the
-    /// index and reported as a hit, which is how a restarted worker
-    /// re-syncs its store view without a full rescan.
+    /// miss; any other read error is a miss that keeps the entry, so a
+    /// transient `EMFILE` or `EIO` never deletes a good row. An
+    /// un-indexed digest whose file *is* on disk — a sibling process
+    /// sharing this directory wrote it — is adopted into the index and
+    /// reported as a hit, which is how a restarted worker re-syncs its
+    /// store view without a full rescan.
     pub fn get(&self, digest: &str) -> Option<JobResult> {
         if !valid_digest(digest) {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            store_metrics().misses.inc();
-            return None;
+            return self.miss();
         }
         let indexed = self.index.lock().unwrap().entries.contains_key(digest);
-        let text = std::fs::read_to_string(self.path_of(digest)).ok();
-        let bytes = text.as_ref().map(|t| t.len() as u64).unwrap_or(0);
-        let loaded = text
-            .and_then(|text| Json::parse(&text).ok())
-            .and_then(|v| JobResult::from_json(&v).ok());
+        // `None` when the file has vanished or no longer parses as a row.
+        let loaded = match std::fs::read(self.path_of(digest)) {
+            Ok(raw) => std::str::from_utf8(&raw)
+                .ok()
+                .and_then(|text| Json::parse(text).ok())
+                .and_then(|v| JobResult::from_json(&v).ok())
+                .map(|result| (result, raw.len() as u64)),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            // Any other read error (`EMFILE`, `EIO`) says nothing about
+            // the entry: keep it for the next lookup.
+            Err(_) => return self.miss(),
+        };
         let mut index = self.index.lock().unwrap();
         match loaded {
-            Some(mut result) => {
+            Some((mut result, bytes)) => {
                 index.clock += 1;
                 let clock = index.clock;
                 match index.entries.get_mut(digest) {
@@ -267,11 +274,15 @@ impl Store {
                     }
                     std::fs::remove_file(self.path_of(digest)).ok();
                 }
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                store_metrics().misses.inc();
-                None
+                self.miss()
             }
         }
+    }
+
+    fn miss(&self) -> Option<JobResult> {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        store_metrics().misses.inc();
+        None
     }
 
     /// Persists a result under its digest. Returns `true` if the entry

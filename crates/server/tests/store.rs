@@ -274,3 +274,50 @@ fn eviction_spares_freshly_relanded_entries_and_ckpt_blobs() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A read that fails for any reason but absence (here `EISDIR`, standing
+/// in for `EMFILE` or `EIO`) is a miss that keeps the entry: the row on
+/// disk may be perfectly good, and the next lookup finds it.
+#[test]
+fn a_failed_read_misses_without_dropping_the_entry() {
+    let dir = tmp_dir("readerr");
+    let fresh = result_for("lib", CommModel::Dmdp);
+    let store = Store::open(&dir, None).unwrap();
+    store.put(&fresh).unwrap();
+    let path = store.path_of(&fresh.digest);
+    let text = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    std::fs::create_dir(&path).unwrap();
+
+    assert!(store.get(&fresh.digest).is_none(), "an unreadable entry misses");
+    assert!(store.contains(&fresh.digest), "an unreadable entry stays indexed");
+    assert!(path.is_dir(), "an unreadable entry is not deleted");
+
+    std::fs::remove_dir(&path).unwrap();
+    std::fs::write(&path, text).unwrap();
+    let hit = store.get(&fresh.digest).expect("the restored entry hits");
+    assert_eq!(hit.cycles, fresh.cycles);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A file that has vanished, or whose contents no longer parse as a row,
+/// leaves the index.
+#[test]
+fn a_vanished_or_corrupt_entry_leaves_the_index() {
+    let dir = tmp_dir("corrupt");
+    let gone = result_for("lib", CommModel::Dmdp);
+    let bad = result_for("mcf", CommModel::Dmdp);
+    let store = Store::open(&dir, None).unwrap();
+    store.put(&gone).unwrap();
+    store.put(&bad).unwrap();
+    std::fs::remove_file(store.path_of(&gone.digest)).unwrap();
+    std::fs::write(store.path_of(&bad.digest), b"{\"digest\": \xff").unwrap();
+
+    assert!(store.get(&gone.digest).is_none());
+    assert!(!store.contains(&gone.digest), "a vanished entry leaves the index");
+    assert!(store.get(&bad.digest).is_none());
+    assert!(!store.contains(&bad.digest), "a corrupt entry leaves the index");
+    assert!(!store.path_of(&bad.digest).exists(), "a corrupt entry's file is deleted");
+    assert_eq!(store.stats().bytes, 0);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -102,12 +102,12 @@ cargo run --release -q -p dmdp-bench --bin dmdp -- report "$out" \
 # Every paper table and figure renders from one Test-scale campaign over
 # all kernels, all models and the variants the figures read.
 fig_out=bench-results/ci-figures.json
+fig_variants="main= w4=width:4 rob512=rob:512,prf:640 prf160=prf:160 rmo=rmo sb32=sb:32
+    sb64=sb:64 balanced=balanced nosilent=nosilent"
 rm -f "$fig_out"
 cargo run --release -q -p dmdp-bench --bin dmdp -- \
     campaign --name ci-figures --scale test --model all \
-    --variant main= --variant w4=width:4 --variant rob512=rob:512,prf:640 \
-    --variant prf160=prf:160 --variant rmo=rmo --variant sb32=sb:32 \
-    --variant sb64=sb:64 --variant balanced=balanced --variant nosilent=nosilent \
+    $(printf -- '--variant %s ' $fig_variants) \
     --jobs "$(nproc)" --force --quiet --out "$fig_out"
 figures=$(cargo run --release -q -p dmdp-bench --bin dmdp -- report "$fig_out" --figure all) \
     || { echo "ci: FAIL: dmdp report --figure all failed"; exit 1; }
@@ -302,6 +302,20 @@ jq -e '.executed == 0 and .cached == (.jobs | length)' \
 digests_of() { jq -S '[.jobs[] | {digest, cycles, ipc}] | sort_by(.digest)' "$1"; }
 diff <(digests_of "$out") <(digests_of "$serve_dir/second.json") \
     || { echo "ci: FAIL: daemon results diverge from local campaign"; exit 1; }
+
+# A large artifact over the socket: the figure campaign's 756 rows, one
+# 0.5 MB line on the wire, submitted cold and then warm. Both artifacts
+# must carry the local figure campaign's numbers, and the warm one must
+# come entirely from the store.
+for n in 1 2; do
+    timeout 60 $submit --name "ci-serve-fig-$n" $(printf -- '--variant %s ' $fig_variants) \
+        --out "$serve_dir/fig-$n.json" \
+        || { echo "ci: FAIL: figure submission $n to the daemon failed"; exit 1; }
+    diff <(digests_of "$fig_out") <(digests_of "$serve_dir/fig-$n.json") \
+        || { echo "ci: FAIL: daemon figure artifact $n diverges from $fig_out"; exit 1; }
+done
+jq -e '.executed == 0 and .cached == (.jobs | length)' "$serve_dir/fig-2.json" >/dev/null \
+    || { echo "ci: FAIL: warm figure submission re-executed jobs"; exit 1; }
 
 # An impossible variant is a request error, and leaves the daemon able
 # to drain (the shutdown below is time-boxed, so a wedge fails CI).
