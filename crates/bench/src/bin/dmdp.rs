@@ -25,7 +25,7 @@ SUBCOMMANDS:
     run          Simulate one workload (or an .s/.img file) and print a report
     campaign     Run a parallel experiment campaign, write a JSON artifact
     serve        Run a campaign daemon with a persistent result store
-    worker       Run one shard of a sharded daemon (see `dmdp serve --workers`)
+    worker       One shard of a sharded daemon, spawned by `dmdp serve --workers`
     submit       Submit a campaign to a running daemon, save the artifact
     metrics      Fetch a running daemon's metrics snapshot (JSON or Prometheus)
     top          Live view of a daemon's metrics as refreshing deltas and rates
@@ -138,21 +138,16 @@ OPTIONS:
                       simulation wall clock reaches N milliseconds
     --workers <N>     spawn N `dmdp worker` shard processes with disjoint
                       core-affinity hints and dispatch job groups to
-                      them (implies --tcp 127.0.0.1:0 if --tcp is unset)
-    --accept-workers  accept externally started `dmdp worker --connect`
-                      registrations without spawning any
-    --worker-exe <BIN>
-                      binary to spawn for --workers  [default: this dmdp]
+                      them over their stdin and stdout
     -h, --help        print this help
 
-With --workers (or --accept-workers plus external `dmdp worker`
-processes) the daemon becomes a coordinator: job groups are placed on
-the least-loaded registered worker, every worker runs its own thread
-pool and resident workload images, and the store directory is the only
-shared state — so sharded artifacts stay byte-compatible with
-single-process ones. A worker that dies mid-group has its unfinished
-digests requeued; a restarted worker re-registers and re-syncs its
-store view lazily.
+With --workers the daemon becomes a coordinator over its own children:
+job groups are placed on the least-loaded worker, every worker runs its
+own thread pool and resident workload images, and the store directory
+is the only shared state — so sharded artifacts stay byte-compatible
+with single-process ones. A worker that dies mid-group has its
+unfinished digests requeued on the others, or run in-process once none
+is left. No other process can become a worker.
 
 The daemon keeps workload images and µop plan caches resident across
 requests, persists every job result under its content digest
@@ -172,31 +167,24 @@ const WORKER_HELP: &str = "\
 dmdp worker — one shard of a sharded `dmdp serve`
 
 USAGE:
-    dmdp worker --connect HOST:PORT [OPTIONS]
+    dmdp worker [OPTIONS]
 
 OPTIONS:
-    --connect <ADDR>  coordinator TCP address (required; the address
-                      `dmdp serve --tcp` printed in its listening event)
     --store <DIR>     shared result store directory  [default: dmdp-store]
                       must be the same directory the coordinator uses
     --jobs <N>        runner threads   [default: one per --cores core]
     --cores <LIST>    comma-separated cores to pin to (best-effort),
                       e.g. --cores 0,1
-    --name <NAME>     worker name, labels its coordinator metrics
-                                                     [default: worker]
-    --connect-retries <N>
-                      transient connect failures to retry with capped
-                      exponential backoff            [default: 10]
     --quiet           suppress per-group log lines
     -h, --help        print this help
 
-The worker registers over the daemon protocol (protocol and simulator
-versions must match), executes dispatched job groups against its own
-resident workload images, checks the shared store before simulating
-each member, and heartbeats while idle. It exits when the coordinator
-drains it (after `dmdp submit --shutdown`) or hangs up. Normally spawned
-by `dmdp serve --workers N`; run it by hand to add shards from other
-terminals or hosts that share the store directory.
+`dmdp serve --workers N` spawns its workers and links to each over the
+worker's stdin and stdout: job groups arrive on stdin, one JSON line
+each, and every group is answered on stdout. The worker executes each
+group against its own resident workload images and checks the shared
+store before simulating each member. End of file on stdin is the order
+to drain and exit. Its event log goes to stderr, since stdout is the
+link.
 ";
 
 const METRICS_HELP: &str = "\
@@ -236,8 +224,8 @@ OPTIONS:
 Counters show totals plus per-second rates over the last interval,
 histograms show the window's observation rate and approximate p50/p99
 from log2-bucket deltas, and gauges show their instantaneous level.
-Against a sharded daemon a WORKERS table summarises each registered
-worker's in-flight groups and dispatch totals from its labelled series.
+Against a sharded daemon a WORKERS table summarises each worker's
+in-flight groups and dispatch totals from its labelled series.
 ";
 
 const SUBMIT_HELP: &str = "\
@@ -821,8 +809,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
         log_level: dmdp_obs::log::Level::Info,
         slow_job_ms: None,
         workers: 0,
-        accept_workers: false,
-        worker_exe: None,
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -856,15 +842,8 @@ fn cmd_serve(args: &[String]) -> CliResult {
             "--workers" => {
                 opts.workers = val()?.parse().map_err(|e| format!("--workers: {e}"))?;
             }
-            "--accept-workers" => opts.accept_workers = true,
-            "--worker-exe" => opts.worker_exe = Some(PathBuf::from(val()?)),
             other => return Err(format!("unknown option `{other}` (see `dmdp serve --help`)").into()),
         }
-    }
-    if opts.workers > 0 && opts.tcp.is_none() {
-        // Spawned workers dial back over TCP; an ephemeral loopback port
-        // (printed in the `listening` event) keeps the flag optional.
-        opts.tcp = Some("127.0.0.1:0".to_string());
     }
     serve(&opts)?;
     Ok(())
@@ -872,19 +851,15 @@ fn cmd_serve(args: &[String]) -> CliResult {
 
 fn cmd_worker(args: &[String]) -> CliResult {
     let mut opts = dmdp_server::WorkerOptions {
-        connect: String::new(),
         store_dir: PathBuf::from("dmdp-store"),
         jobs: 0, // 0 = one thread per affinity core
         cores: Vec::new(),
-        name: "worker".to_string(),
-        connect_retries: 10,
         quiet: false,
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut val = || it.next().cloned().ok_or_else(|| format!("{a} needs a value"));
         match a.as_str() {
-            "--connect" => opts.connect = val()?,
             "--store" => opts.store_dir = PathBuf::from(val()?),
             "--jobs" => {
                 opts.jobs = val()?.parse().map_err(|e| format!("--jobs: {e}"))?;
@@ -897,25 +872,13 @@ fn cmd_worker(args: &[String]) -> CliResult {
                     opts.cores.push(part.parse().map_err(|e| format!("--cores `{part}`: {e}"))?);
                 }
             }
-            "--name" => opts.name = val()?,
-            "--connect-retries" => {
-                opts.connect_retries =
-                    val()?.parse().map_err(|e| format!("--connect-retries: {e}"))?;
-            }
             "--quiet" => opts.quiet = true,
             other => {
                 return Err(format!("unknown option `{other}` (see `dmdp worker --help`)").into())
             }
         }
     }
-    if opts.connect.is_empty() {
-        return Err("dmdp worker needs --connect HOST:PORT (see `dmdp worker --help`)".into());
-    }
-    let report = dmdp_server::run_worker(&opts)?;
-    println!(
-        "worker `{}` done: {} groups, {} executed, {} store hits",
-        opts.name, report.groups, report.executed, report.store_hits
-    );
+    dmdp_server::run_worker(&opts)?;
     Ok(())
 }
 

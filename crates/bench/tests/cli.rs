@@ -512,6 +512,12 @@ fn events_named(log: &std::path::Path, name: &str) -> Vec<dmdp_harness::Json> {
         .collect()
 }
 
+/// Sends `sig` (e.g. `-STOP`) to `pid`.
+fn signal(sig: &str, pid: u64) {
+    let status = Command::new("kill").args([sig, &pid.to_string()]).status().expect("kill runs");
+    assert!(status.success(), "kill {sig} {pid}: {status}");
+}
+
 /// True while `pid` names a live process.
 fn pid_alive(pid: u64) -> bool {
     std::process::Command::new("kill")
@@ -520,6 +526,42 @@ fn pid_alive(pid: u64) -> bool {
         .status()
         .map(|s| s.success())
         .unwrap_or(false)
+}
+
+/// Waits for a coordinator's two `worker_spawned` events. A worker is
+/// linked and placeable from the moment it is spawned.
+fn await_spawned(events: &std::path::Path) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while events_named(events, "worker_spawned").len() < 2 {
+        assert!(std::time::Instant::now() < deadline, "workers never spawned");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+}
+
+/// Starts `dmdp serve --workers 2` on `dir`, logging to `events`.
+fn sharded_daemon(dir: &std::path::Path, events: &std::path::Path) -> KillOnDrop {
+    let child = Command::new(env!("CARGO_BIN_EXE_dmdp"))
+        .args([
+            "serve",
+            "--socket",
+            dir.join("dmdp.sock").to_str().unwrap(),
+            "--store",
+            dir.join("store").to_str().unwrap(),
+            "--jobs",
+            "2",
+            "--workers",
+            "2",
+            "--log",
+            events.to_str().unwrap(),
+            "--log-level",
+            "debug",
+        ])
+        .current_dir(std::env::temp_dir())
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("coordinator spawns");
+    KillOnDrop(child)
 }
 
 #[test]
@@ -539,34 +581,9 @@ fn sharded_serve_matches_single_process_artifacts() {
     let out = dmdp(&[&["campaign"], spec, &["--force", "--out", local.to_str().unwrap()]].concat());
     assert!(out.status.success(), "{}", stderr(&out));
 
-    // A coordinator with two spawned worker shards (--tcp implied).
-    let child = Command::new(env!("CARGO_BIN_EXE_dmdp"))
-        .args([
-            "serve",
-            "--socket",
-            socket.to_str().unwrap(),
-            "--store",
-            dir.join("store").to_str().unwrap(),
-            "--jobs",
-            "2",
-            "--workers",
-            "2",
-            "--log",
-            events.to_str().unwrap(),
-            "--log-level",
-            "debug",
-        ])
-        .current_dir(std::env::temp_dir())
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("coordinator spawns");
-    let mut child = KillOnDrop(child);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    while events_named(&events, "worker_registered").len() < 2 {
-        assert!(std::time::Instant::now() < deadline, "workers never registered");
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
+    // A coordinator with two spawned worker shards.
+    let mut child = sharded_daemon(&dir, &events);
+    await_spawned(&events);
 
     // The submitted artifact must be byte-equal on digests and numbers.
     let submit: &[&str] =
@@ -584,7 +601,8 @@ fn sharded_serve_matches_single_process_artifacts() {
     assert!(stdout(&out).contains("0 executed, 8 cached"), "{}", stdout(&out));
     assert_eq!(job_triples(&remote), job_triples(&remote2));
 
-    // Shutdown drains the workers too: clean exit, no orphans.
+    // Shutdown drains the workers too: clean exit, both links ended
+    // with nothing owed, no orphans.
     let worker_pids: Vec<u64> = events_named(&events, "worker_spawned")
         .iter()
         .filter_map(|v| v.get("pid").and_then(dmdp_harness::Json::as_u64))
@@ -594,6 +612,8 @@ fn sharded_serve_matches_single_process_artifacts() {
     assert!(out.status.success(), "{}", stderr(&out));
     let status = child.0.wait().expect("coordinator reaps");
     assert!(status.success(), "coordinator exited with {status}");
+    assert_eq!(events_named(&events, "worker_gone").len(), 2, "both links ended cleanly");
+    assert!(events_named(&events, "worker_lost").is_empty(), "a worker died owing groups");
     for pid in worker_pids {
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         while pid_alive(pid) {
@@ -618,36 +638,18 @@ fn killed_worker_mid_campaign_loses_no_jobs() {
     let out = dmdp(&[&["campaign"], spec, &["--force", "--out", local.to_str().unwrap()]].concat());
     assert!(out.status.success(), "{}", stderr(&out));
 
-    let child = Command::new(env!("CARGO_BIN_EXE_dmdp"))
-        .args([
-            "serve",
-            "--socket",
-            socket.to_str().unwrap(),
-            "--store",
-            dir.join("store").to_str().unwrap(),
-            "--jobs",
-            "2",
-            "--workers",
-            "2",
-            "--log",
-            events.to_str().unwrap(),
-            "--log-level",
-            "debug",
-        ])
-        .current_dir(std::env::temp_dir())
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("coordinator spawns");
-    let mut child = KillOnDrop(child);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    while events_named(&events, "worker_registered").len() < 2 {
-        assert!(std::time::Instant::now() < deadline, "workers never registered");
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
+    let mut child = sharded_daemon(&dir, &events);
+    await_spawned(&events);
 
-    // Submit the full 21-kernel sweep in the background, and SIGKILL the
-    // worker holding the first dispatched group as soon as it appears.
+    // Stop worker w0, so that it keeps every group it is dispatched,
+    // submit the full 21-kernel sweep in the background, and SIGKILL w0
+    // once it holds a group: it dies owing work.
+    let victim_pid = events_named(&events, "worker_spawned")
+        .iter()
+        .find(|v| v.get("name").and_then(dmdp_harness::Json::as_str) == Some("w0"))
+        .and_then(|v| v.get("pid").and_then(dmdp_harness::Json::as_u64))
+        .expect("w0's spawn event carries its pid");
+    signal("-STOP", victim_pid);
     let submit_child = Command::new(env!("CARGO_BIN_EXE_dmdp"))
         .args(
             [
@@ -664,22 +666,14 @@ fn killed_worker_mid_campaign_loses_no_jobs() {
         .expect("submit spawns");
 
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-    let victim_name = loop {
-        if let Some(d) = events_named(&events, "dispatch").first() {
-            break d.get("worker").and_then(dmdp_harness::Json::as_str).unwrap().to_string();
-        }
-        assert!(std::time::Instant::now() < deadline, "no dispatch before the deadline");
-        std::thread::sleep(std::time::Duration::from_millis(2));
-    };
-    let victim_pid = events_named(&events, "worker_spawned")
+    while !events_named(&events, "dispatch")
         .iter()
-        .find(|v| v.get("name").and_then(dmdp_harness::Json::as_str) == Some(victim_name.as_str()))
-        .and_then(|v| v.get("pid").and_then(dmdp_harness::Json::as_u64))
-        .expect("victim's spawn event carries its pid");
-    std::process::Command::new("kill")
-        .args(["-9", &victim_pid.to_string()])
-        .status()
-        .expect("kill runs");
+        .any(|d| d.get("worker").and_then(dmdp_harness::Json::as_str) == Some("w0"))
+    {
+        assert!(std::time::Instant::now() < deadline, "no dispatch to w0 before the deadline");
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+    signal("-KILL", victim_pid);
 
     // The submit still completes, with every job accounted for exactly
     // once and digits identical to the single-process golden run.
@@ -702,14 +696,72 @@ fn killed_worker_mid_campaign_loses_no_jobs() {
     digests.dedup();
     assert_eq!(digests.len(), 21, "a digest landed twice");
 
-    // The coordinator noticed the death and kept serving on the
-    // remaining shard (or in-process). (The victim stays a zombie until
-    // the coordinator reaps it at shutdown, so no liveness probe here.)
-    let lost = events_named(&events, "worker_lost").len()
-        + events_named(&events, "worker_gone").len();
-    assert!(lost >= 1, "the coordinator never noticed the dead worker");
+    // The coordinator noticed that w0 died owing groups and requeued
+    // them on the remaining shard (or in-process). (The victim stays a
+    // zombie until the coordinator reaps it at shutdown, so no liveness
+    // probe here.)
+    let lost = events_named(&events, "worker_lost");
+    assert_eq!(lost.len(), 1, "the coordinator never noticed the dead worker");
+    assert_eq!(lost[0].get("name").and_then(dmdp_harness::Json::as_str), Some("w0"));
+    let requeues = events_named(&events, "requeue");
+    assert!(!requeues.is_empty(), "w0's groups were not requeued");
+    assert!(requeues.iter().all(|r| r.get("worker").and_then(dmdp_harness::Json::as_str) == Some("w0")));
 
     let out = dmdp(&["submit", "--socket", socket.to_str().unwrap(), "--shutdown"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let status = child.0.wait().expect("coordinator reaps");
+    assert!(status.success(), "coordinator exited with {status}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Only the coordinator's own children are workers: a `register` line
+/// carrying the right versions is just an unknown request on the
+/// daemon's socket, it gets no work, and `--workers` opens no TCP port.
+#[test]
+fn only_spawned_children_are_workers() {
+    use std::io::{BufRead, BufReader, Write};
+    let dir = temp("impostor");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let socket = dir.join("dmdp.sock");
+    let events = dir.join("events.jsonl");
+    let local = dir.join("local.json");
+    let remote = dir.join("remote.json");
+
+    let spec: &[&str] =
+        &["--name", "impostor", "--scale", "test", "--kernel", "gcc", "--kernel", "lib", "--quiet"];
+    let out = dmdp(&[&["campaign"], spec, &["--force", "--out", local.to_str().unwrap()]].concat());
+    assert!(out.status.success(), "{}", stderr(&out));
+
+    let mut child = sharded_daemon(&dir, &events);
+    await_spawned(&events);
+    let listening = events_named(&events, "listening");
+    assert_eq!(listening.len(), 1);
+    assert!(listening[0].get("tcp").is_none(), "--workers bound a TCP port");
+
+    let hello = format!(
+        r#"{{"type": "register", "protocol": {}, "sim_version": "{}", "name": "impostor", "jobs": 4, "cores": []}}"#,
+        dmdp_server::PROTOCOL_VERSION,
+        dmdp_core::SIM_VERSION
+    );
+    let mut raw = std::os::unix::net::UnixStream::connect(&socket).expect("socket is bound");
+    raw.write_all((hello + "\n").as_bytes()).unwrap();
+    let mut line = String::new();
+    BufReader::new(&raw).read_line(&mut line).unwrap();
+    let reply = dmdp_harness::Json::parse(line.trim_end()).unwrap();
+    assert_eq!(reply.get("type").and_then(dmdp_harness::Json::as_str), Some("error"), "{line}");
+
+    let submit: &[&str] = &["submit", "--socket", socket.to_str().unwrap()];
+    let out = dmdp(&[submit, &["--stats"]].concat());
+    assert!(out.status.success(), "{}", stderr(&out));
+    let stats = dmdp_harness::Json::parse(&stdout(&out)).expect("stats parse");
+    assert_eq!(stats.get("workers").and_then(dmdp_harness::Json::as_u64), Some(2), "{stats:?}");
+
+    let out = dmdp(&[submit, spec, &["--out", remote.to_str().unwrap()]].concat());
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert_eq!(job_triples(&local), job_triples(&remote), "served rows diverge from local");
+
+    let out = dmdp(&[submit, &["--shutdown"]].concat());
     assert!(out.status.success(), "{}", stderr(&out));
     let status = child.0.wait().expect("coordinator reaps");
     assert!(status.success(), "coordinator exited with {status}");

@@ -32,10 +32,9 @@ use std::error::Error;
 use std::fmt;
 
 use crate::insn::Insn;
-use crate::op::MemWidth;
 use crate::program::{Program, DATA_BASE};
 use crate::reg::Reg;
-use crate::{Addr, Pc};
+use crate::Pc;
 
 /// An assembly error, carrying the 1-based source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -449,13 +448,6 @@ fn parse_mem_operand(s: &str) -> Option<(&str, &str)> {
     let off = s[..open].trim();
     let base = s[open + 1..close].trim();
     Some((if off.is_empty() { "0" } else { off }, base))
-}
-
-/// Checks that a width/offset combination is naturally aligned; used by
-/// callers that build programs dynamically. Exposed for workload
-/// generators.
-pub fn check_alignment(addr: Addr, width: MemWidth) -> bool {
-    width.is_aligned(addr)
 }
 
 #[cfg(test)]

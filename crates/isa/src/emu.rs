@@ -208,18 +208,6 @@ impl Emulator {
         self.regs[r.index()]
     }
 
-    /// Sets an architectural register (for test setup).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is hidden. Writes to `$0` are ignored.
-    pub fn set_reg(&mut self, r: Reg, value: Word) {
-        assert!(!r.is_hidden());
-        if !r.is_zero() {
-            self.regs[r.index()] = value;
-        }
-    }
-
     /// A copy of all 32 architectural registers.
     pub fn regs(&self) -> [Word; Reg::NUM_ARCH] {
         self.regs

@@ -136,12 +136,6 @@ impl ProgramBuilder {
         (self.text.len() - 1) as Pc
     }
 
-    /// Appends every instruction in the slice.
-    pub fn push_all(&mut self, insns: &[Insn]) -> &mut Self {
-        self.text.extend_from_slice(insns);
-        self
-    }
-
     /// The PC the next pushed instruction will occupy.
     pub fn here(&self) -> Pc {
         self.text.len() as Pc

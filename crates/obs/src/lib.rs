@@ -93,9 +93,8 @@ impl Gauge {
 /// about 76 hours when observations are microseconds.
 pub const HISTOGRAM_BUCKETS: usize = 40;
 
-/// Lock-free log₂-bucketed histogram. Same bucketing semantics as the
-/// simulator-side `dmdp_stats::Histogram` percentile tables, but backed
-/// by atomics so concurrent writers never block a snapshot reader.
+/// Lock-free log₂-bucketed histogram, backed by atomics so concurrent
+/// writers never block a snapshot reader.
 ///
 /// The observation count is derived from the bucket array at snapshot
 /// time (never stored separately), so a snapshot can lag individual

@@ -34,6 +34,7 @@ use std::io::{Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
+use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::Scope;
@@ -49,7 +50,8 @@ use dmdp_obs::log::{next_trace_id, EventLog, Level, Value};
 use dmdp_obs::{Counter, Gauge, LogHistogram};
 
 use crate::protocol::{
-    self, write_locked, LineEvent, LineReader, Request, SubmitRequest, WorkerMsg, PROTOCOL_VERSION,
+    self, write_locked, write_msg, LineEvent, LineReader, Request, SubmitRequest, WorkerMsg,
+    PROTOCOL_VERSION,
 };
 use crate::store::{warn_write, Store};
 
@@ -77,14 +79,9 @@ pub struct ServeOptions {
     /// Warn (as a `slow_job` event) about executed jobs whose simulation
     /// wall clock meets this many milliseconds. `None` disables.
     pub slow_job_ms: Option<u64>,
-    /// Worker processes to spawn (`dmdp worker --connect <tcp>`), each
-    /// pinned to a disjoint core slice. Requires a TCP listener.
-    /// Spawning any workers implies accepting registrations.
+    /// Worker processes to spawn (`dmdp worker`), each linked over its
+    /// stdin and stdout and pinned to a disjoint core slice.
     pub workers: usize,
-    /// Accept `register` handshakes from externally-launched workers.
-    pub accept_workers: bool,
-    /// Executable to spawn workers from (`None` = this binary).
-    pub worker_exe: Option<PathBuf>,
 }
 
 /// Final counters, returned when the daemon drains and exits.
@@ -130,8 +127,6 @@ struct DaemonMetrics {
     queue_wait_us: &'static LogHistogram,
     submit_wall_us: &'static LogHistogram,
     workers: &'static Gauge,
-    registrations: &'static Counter,
-    heartbeats: &'static Counter,
     worker_deaths: &'static Counter,
     requeues: &'static Counter,
     placement_us: &'static LogHistogram,
@@ -183,10 +178,7 @@ fn daemon_metrics() -> &'static DaemonMetrics {
             ),
             submit_wall_us: r
                 .histogram("dmdp_submit_wall_us", "submit wall clock in microseconds"),
-            workers: r.gauge("dmdp_workers", "worker processes currently registered"),
-            registrations: r
-                .counter("dmdp_worker_registrations_total", "worker register handshakes accepted"),
-            heartbeats: r.counter("dmdp_worker_heartbeats_total", "worker heartbeat lines"),
+            workers: r.gauge("dmdp_workers", "worker processes currently linked"),
             worker_deaths: r.counter(
                 "dmdp_worker_deaths_total",
                 "workers lost with groups still in flight",
@@ -233,7 +225,7 @@ enum GroupFail {
 /// (each with its source tag), or the reason there are none.
 type GroupOutcome = Result<Vec<(JobResult, Source)>, GroupFail>;
 
-/// A dispatched group's result slot: the worker-connection thread
+/// A dispatched group's result slot: the worker's link thread
 /// publishes, the submitting thread waits.
 #[derive(Default)]
 struct GroupSlot {
@@ -248,26 +240,66 @@ struct PendingGroup {
     digests: Vec<String>,
 }
 
-/// One registered worker process, shared between its connection thread
-/// (reads completions, detects death) and submitting threads (dispatch).
+/// One spawned worker process, shared between its link thread (reads
+/// completions, detects death) and submitting threads (dispatch).
 struct WorkerHandle {
     id: u64,
     name: String,
     /// The worker's pool width — the capacity unit for placement.
     capacity: usize,
-    writer: Mutex<Box<dyn Write + Send>>,
+    /// The child's stdin, where dispatches go; `None` once closed, which
+    /// the child reads as the order to drain.
+    stdin: Mutex<Option<ChildStdin>>,
     pending: Mutex<HashMap<u64, PendingGroup>>,
     inflight_groups: AtomicUsize,
     alive: AtomicBool,
-    last_seen: Mutex<Instant>,
     inflight_gauge: &'static Gauge,
     dispatch_counter: &'static Counter,
 }
 
-/// A worker that stops heartbeating (and completing) for this long is
-/// declared dead and its pending groups are requeued. Workers heartbeat
-/// every ~2s while connected, even mid-group.
-const WORKER_TIMEOUT: Duration = Duration::from_secs(10);
+impl WorkerHandle {
+    fn new(id: u64, name: String, capacity: usize, stdin: Option<ChildStdin>) -> WorkerHandle {
+        let r = dmdp_obs::registry();
+        WorkerHandle {
+            id,
+            capacity,
+            stdin: Mutex::new(stdin),
+            pending: Mutex::new(HashMap::new()),
+            inflight_groups: AtomicUsize::new(0),
+            alive: AtomicBool::new(true),
+            inflight_gauge: r.gauge_with(
+                "dmdp_worker_inflight",
+                &[("worker", &name)],
+                "job groups in flight on this worker",
+            ),
+            dispatch_counter: r.counter_with(
+                "dmdp_dispatch_total",
+                &[("worker", &name)],
+                "job groups dispatched to this worker",
+            ),
+            name,
+        }
+    }
+
+    /// The child's stdin, locked. Every update is one step, so a
+    /// poisoned lock still holds a valid link.
+    fn stdin(&self) -> MutexGuard<'_, Option<ChildStdin>> {
+        self.stdin.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Writes one message to the child's stdin.
+    fn send(&self, msg: &Json) -> Result<(), String> {
+        match self.stdin().as_mut() {
+            Some(stdin) => write_msg(stdin, msg),
+            None => Err(format!("worker {}: link closed", self.name)),
+        }
+    }
+
+    /// Closes the child's stdin: its order to drain and exit.
+    fn close(&self) {
+        self.stdin().take();
+    }
+}
 
 struct Shared {
     store: Store,
@@ -279,8 +311,6 @@ struct Shared {
     images: ResidentImages,
     inflight: Inflight,
     workers: Mutex<HashMap<u64, Arc<WorkerHandle>>>,
-    accept_workers: bool,
-    next_worker_id: AtomicU64,
     next_group_id: AtomicU64,
     shutdown: AtomicBool,
     /// Submits in progress. The shutdown flag is set under this lock and
@@ -308,12 +338,6 @@ struct Shared {
 ///
 /// Socket/store setup failures, or another live daemon on the socket.
 pub fn serve(opts: &ServeOptions) -> Result<DaemonReport, String> {
-    if opts.workers > 0 && opts.tcp.is_none() {
-        return Err(
-            "serve: spawning workers needs a TCP listener (pass --tcp, e.g. 127.0.0.1:0)"
-                .to_string(),
-        );
-    }
     let store = Store::open(&opts.store_dir, opts.store_cap_bytes)?;
     if opts.socket.exists() {
         if UnixStream::connect(&opts.socket).is_ok() {
@@ -354,8 +378,6 @@ pub fn serve(opts: &ServeOptions) -> Result<DaemonReport, String> {
         images: ResidentImages::default(),
         inflight: Inflight::default(),
         workers: Mutex::new(HashMap::new()),
-        accept_workers: opts.accept_workers || opts.workers > 0,
-        next_worker_id: AtomicU64::new(0),
         next_group_id: AtomicU64::new(0),
         shutdown: AtomicBool::new(false),
         active_submits: Mutex::new(0),
@@ -390,8 +412,8 @@ pub fn serve(opts: &ServeOptions) -> Result<DaemonReport, String> {
             shared.jobs
         );
     }
-    let mut children = match spawn_workers(opts, &shared, tcp_addr.as_deref()) {
-        Ok(children) => children,
+    let (mut children, links) = match spawn_workers(opts, &shared) {
+        Ok(spawned) => spawned,
         Err(e) => {
             std::fs::remove_file(&opts.socket).ok();
             return Err(e);
@@ -399,30 +421,24 @@ pub fn serve(opts: &ServeOptions) -> Result<DaemonReport, String> {
     };
     std::thread::scope(|scope| {
         let shared = &shared;
+        for (worker, stdout) in links {
+            scope.spawn(move || link_worker(shared, &worker, stdout));
+        }
         if let Some(tcp) = &tcp {
             scope.spawn(move || accept_loop(shared, scope, tcp.incoming(), handle_tcp));
         }
         accept_loop(shared, scope, listener.incoming(), handle_unix);
+        // A shutdown ended the accept loops. Once no submit is left
+        // running, close every child's stdin, its order to drain; then
+        // give each child a grace period to exit and make sure of it, so
+        // no link thread outlives the daemon.
+        shared.wait_drained();
+        for worker in shared.workers.lock().unwrap().values() {
+            worker.close();
+        }
+        reap(&mut children);
     });
     std::fs::remove_file(&opts.socket).ok();
-    // Spawned workers were told to drain by their connection threads;
-    // give each a grace period to exit, then make sure of it.
-    for child in &mut children {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            match child.try_wait() {
-                Ok(Some(_)) => break,
-                Ok(None) if Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-                _ => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    break;
-                }
-            }
-        }
-    }
     let report = DaemonReport {
         requests: shared.requests.load(Ordering::Relaxed),
         submits: shared.submits.load(Ordering::Relaxed),
@@ -449,25 +465,22 @@ pub fn serve(opts: &ServeOptions) -> Result<DaemonReport, String> {
     Ok(report)
 }
 
-/// Spawns `opts.workers` child `dmdp worker` processes pointed at the
-/// TCP listener, each pinned to a disjoint core slice (when the host
-/// has at least one core per worker) with a matching pool width. The
-/// children register over the ordinary protocol like any external
-/// worker would.
-fn spawn_workers(
-    opts: &ServeOptions,
-    shared: &Shared,
-    tcp_addr: Option<&str>,
-) -> Result<Vec<std::process::Child>, String> {
+/// A spawned worker and the stdout its link thread reads.
+type Link = (Arc<WorkerHandle>, ChildStdout);
+
+/// Spawns `opts.workers` child `dmdp worker` processes of this
+/// executable, each pinned to a disjoint core slice (when the host has
+/// at least one core per worker) with a matching pool width, and
+/// registers each as a worker at once. Both ends of a child's link are
+/// pipes: its stdin stays with its [`WorkerHandle`], and its stdout is
+/// returned for the link thread to read.
+fn spawn_workers(opts: &ServeOptions, shared: &Shared) -> Result<(Vec<Child>, Vec<Link>), String> {
     let mut children = Vec::new();
+    let mut links = Vec::new();
     if opts.workers == 0 {
-        return Ok(children);
+        return Ok((children, links));
     }
-    let addr = tcp_addr.ok_or("serve: workers need a TCP listener")?;
-    let exe = match &opts.worker_exe {
-        Some(p) => p.clone(),
-        None => std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?,
-    };
+    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let ncores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     for i in 0..opts.workers {
         // Disjoint slices when the host is wide enough; round-robin
@@ -480,33 +493,20 @@ fn spawn_workers(
         let cores_csv =
             cores.iter().map(ToString::to_string).collect::<Vec<_>>().join(",");
         let name = format!("w{i}");
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.arg("worker")
-            .arg("--connect")
-            .arg(addr)
+        let spawned = Command::new(&exe)
+            .arg("worker")
             .arg("--store")
             .arg(&opts.store_dir)
             .arg("--jobs")
             .arg(cores.len().max(1).to_string())
             .arg("--cores")
             .arg(&cores_csv)
-            .arg("--name")
-            .arg(&name)
-            .arg("--connect-retries")
-            .arg("10")
-            .arg("--quiet");
-        match cmd.spawn() {
-            Ok(child) => {
-                shared.log.info(
-                    "worker_spawned",
-                    &[
-                        ("name", (&name).into()),
-                        ("pid", child.id().into()),
-                        ("cores", (&cores_csv).into()),
-                    ],
-                );
-                children.push(child);
-            }
+            .arg("--quiet")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .spawn();
+        let mut child = match spawned {
+            Ok(child) => child,
             Err(e) => {
                 for mut c in children {
                     let _ = c.kill();
@@ -514,9 +514,39 @@ fn spawn_workers(
                 }
                 return Err(format!("spawn worker {name}: {e}"));
             }
+        };
+        shared.log.info(
+            "worker_spawned",
+            &[("name", (&name).into()), ("pid", child.id().into()), ("cores", (&cores_csv).into())],
+        );
+        let stdout = child.stdout.take().expect("stdout is piped");
+        let worker = Arc::new(WorkerHandle::new(i as u64, name, cores.len().max(1), child.stdin.take()));
+        shared.workers.lock().unwrap().insert(worker.id, Arc::clone(&worker));
+        links.push((worker, stdout));
+        children.push(child);
+    }
+    shared.metrics.workers.set(links.len() as i64);
+    Ok((children, links))
+}
+
+/// Gives each child a grace period to exit, then kills it.
+fn reap(children: &mut [Child]) {
+    for child in children {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            match child.try_wait() {
+                Ok(Some(_)) => break,
+                Ok(None) if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+                _ => {
+                    let _ = child.kill();
+                    let _ = child.wait();
+                    break;
+                }
+            }
         }
     }
-    Ok(children)
 }
 
 /// How long an accept loop waits after a failed accept before the next
@@ -665,10 +695,8 @@ fn handle_http<R: Read, W: Write>(
 /// get an `error` reply and close the connection; request-level failures
 /// (unknown kernel, aborted job) get an `error` reply and the
 /// conversation continues. A connection whose first line is an HTTP
-/// request line is handed to [`handle_http`] instead, and one whose
-/// first message is a worker `register` handshake becomes a worker
-/// connection ([`handle_worker`]) for its remaining lifetime.
-fn handle<R: Read, W: Write + Send + 'static>(shared: &Shared, reader: R, writer: W) {
+/// request line is handed to [`handle_http`] instead.
+fn handle<R: Read, W: Write + Send>(shared: &Shared, reader: R, writer: W) {
     let m = shared.metrics;
     m.connections_total.inc();
     m.connections.inc();
@@ -699,16 +727,7 @@ fn handle<R: Read, W: Write + Send + 'static>(shared: &Shared, reader: R, writer
                 }
                 shared.requests.fetch_add(1, Ordering::Relaxed);
                 let parse_start = Instant::now();
-                let parsed = Json::parse(&text);
-                if let Ok(v) = &parsed {
-                    if v.get("type").and_then(Json::as_str) == Some("register") {
-                        // The connection switches dialects: it is a
-                        // worker from here on (or gets refused).
-                        m.parse_us.observe(elapsed_us(parse_start));
-                        return handle_register(shared, reader, writer, v);
-                    }
-                }
-                let request = parsed.and_then(|v| Request::from_json(&v));
+                let request = Json::parse(&text).and_then(|v| Request::from_json(&v));
                 m.parse_us.observe(elapsed_us(parse_start));
                 let trace = next_trace_id();
                 match request {
@@ -789,94 +808,41 @@ fn handle<R: Read, W: Write + Send + 'static>(shared: &Shared, reader: R, writer
     }
 }
 
-/// Validates a worker's `register` handshake and, when it checks out,
-/// runs the connection as a worker link until the worker dies or the
-/// daemon drains. Refusals (`error` reply, then close): registrations
-/// disabled, a protocol-version gap, or a [`SIM_VERSION`] gap — the
-/// latter two would silently disagree on digests, the one thing the
-/// sharded service must never do.
-fn handle_register<R: Read, W: Write + Send + 'static>(
-    shared: &Shared,
-    reader: LineReader<R>,
-    writer: Mutex<W>,
-    v: &Json,
-) {
-    let refuse = |why: &str| {
-        shared.metrics.err_protocol.inc();
-        shared.log.warn("register_refused", &[("error", why.into())]);
-        let _ = write_locked(&writer, &protocol::error_msg(why));
-    };
-    let hello = match WorkerMsg::from_json(v) {
-        Ok(WorkerMsg::Register(hello)) => hello,
-        Ok(_) => unreachable!("caller matched type == register"),
-        Err(e) => return refuse(&e),
-    };
-    if !shared.accept_workers {
-        return refuse("daemon is not accepting worker registrations");
+/// Serves one child's link until its stdout ends or carries a line that
+/// is not a worker message: completed groups resolve their pending
+/// slots. However the link ended, the child is no longer a worker: close
+/// its stdin, deregister it, then requeue whatever it still owed so
+/// submitting threads re-place it.
+fn link_worker(shared: &Shared, worker: &WorkerHandle, stdout: ChildStdout) {
+    let mut reader = LineReader::new(stdout);
+    loop {
+        match reader.read_line() {
+            Ok(LineEvent::Line(text)) => {
+                match Json::parse(&text).and_then(|v| WorkerMsg::from_json(&v)) {
+                    Ok(WorkerMsg::GroupDone { id, rows }) => {
+                        resolve_group(&shared.log, worker, id, Ok(rows));
+                    }
+                    Ok(WorkerMsg::GroupFailed { id, error }) => {
+                        resolve_group(&shared.log, worker, id, Err(error));
+                    }
+                    Err(e) => {
+                        shared.metrics.err_protocol.inc();
+                        shared.log.warn(
+                            "bad_line",
+                            &[("worker", (&worker.name).into()), ("error", (&e).into())],
+                        );
+                        break;
+                    }
+                }
+            }
+            // A pipe has no read timeout, so it never idles.
+            Ok(LineEvent::Idle) => {}
+            Ok(LineEvent::Eof) | Err(_) => break,
+        }
     }
-    if hello.protocol != PROTOCOL_VERSION {
-        return refuse(&format!(
-            "protocol mismatch: worker speaks {}, coordinator speaks {PROTOCOL_VERSION}",
-            hello.protocol
-        ));
-    }
-    if hello.sim_version != SIM_VERSION {
-        return refuse(&format!(
-            "sim_version mismatch: worker has {}, coordinator has {SIM_VERSION}",
-            hello.sim_version
-        ));
-    }
-    let id = shared.next_worker_id.fetch_add(1, Ordering::SeqCst) + 1;
-    let r = dmdp_obs::registry();
-    let worker = Arc::new(WorkerHandle {
-        id,
-        name: hello.name.clone(),
-        capacity: hello.jobs.max(1),
-        writer: Mutex::new(Box::new(writer.into_inner().unwrap()) as Box<dyn Write + Send>),
-        pending: Mutex::new(HashMap::new()),
-        inflight_groups: AtomicUsize::new(0),
-        alive: AtomicBool::new(true),
-        last_seen: Mutex::new(Instant::now()),
-        inflight_gauge: r.gauge_with(
-            "dmdp_worker_inflight",
-            &[("worker", &hello.name)],
-            "job groups in flight on this worker",
-        ),
-        dispatch_counter: r.counter_with(
-            "dmdp_dispatch_total",
-            &[("worker", &hello.name)],
-            "job groups dispatched to this worker",
-        ),
-    });
-    if write_locked(&worker.writer, &protocol::registered_msg(id)).is_err() {
-        return;
-    }
-    shared.workers.lock().unwrap().insert(id, Arc::clone(&worker));
-    shared.metrics.registrations.inc();
-    shared.metrics.workers.set(shared.workers.lock().unwrap().len() as i64);
-    shared.log.info(
-        "worker_registered",
-        &[
-            ("worker", id.into()),
-            ("name", (&hello.name).into()),
-            ("jobs", hello.jobs.into()),
-            (
-                "cores",
-                hello
-                    .cores
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join(",")
-                    .into(),
-            ),
-        ],
-    );
-    handle_worker(shared, reader, &worker);
-    // However the link ended, the worker is gone: deregister, then
-    // requeue whatever it still owed so submitting threads re-place it.
+    worker.close();
     worker.alive.store(false, Ordering::SeqCst);
-    shared.workers.lock().unwrap().remove(&id);
+    shared.workers.lock().unwrap().remove(&worker.id);
     shared.metrics.workers.set(shared.workers.lock().unwrap().len() as i64);
     let orphans: Vec<PendingGroup> =
         worker.pending.lock().unwrap().drain().map(|(_, pg)| pg).collect();
@@ -885,7 +851,7 @@ fn handle_register<R: Read, W: Write + Send + 'static>(
         shared.log.warn(
             "worker_lost",
             &[
-                ("worker", id.into()),
+                ("worker", worker.id.into()),
                 ("name", (&worker.name).into()),
                 ("requeued_groups", orphans.len().into()),
             ],
@@ -893,7 +859,7 @@ fn handle_register<R: Read, W: Write + Send + 'static>(
     } else {
         shared.log.info(
             "worker_gone",
-            &[("worker", id.into()), ("name", (&worker.name).into())],
+            &[("worker", worker.id.into()), ("name", (&worker.name).into())],
         );
     }
     for pg in orphans {
@@ -904,75 +870,20 @@ fn handle_register<R: Read, W: Write + Send + 'static>(
     }
 }
 
-/// The worker link's read loop: heartbeats refresh liveness, completed
-/// groups resolve their pending slots, and idleness past
-/// [`WORKER_TIMEOUT`] (or EOF, or garbage) ends the link. On daemon
-/// shutdown the worker is sent a drain order once it owes nothing.
-fn handle_worker<R: Read>(shared: &Shared, mut reader: LineReader<R>, worker: &Arc<WorkerHandle>) {
-    loop {
-        match reader.read_line() {
-            Ok(LineEvent::Line(text)) => {
-                *worker.last_seen.lock().unwrap() = Instant::now();
-                match Json::parse(&text).and_then(|v| WorkerMsg::from_json(&v)) {
-                    Ok(WorkerMsg::Heartbeat) => shared.metrics.heartbeats.inc(),
-                    Ok(WorkerMsg::GroupDone { id, rows }) => {
-                        resolve_group(shared, worker, id, Ok(rows));
-                    }
-                    Ok(WorkerMsg::GroupFailed { id, error }) => {
-                        resolve_group(shared, worker, id, Err(error));
-                    }
-                    Ok(WorkerMsg::Register(_)) => {
-                        shared.log.warn(
-                            "bad_line",
-                            &[("worker", worker.id.into()), ("error", "double register".into())],
-                        );
-                        return;
-                    }
-                    Err(e) => {
-                        shared.metrics.err_protocol.inc();
-                        shared.log.warn(
-                            "bad_line",
-                            &[("worker", worker.id.into()), ("error", (&e).into())],
-                        );
-                        return;
-                    }
-                }
-            }
-            Ok(LineEvent::Idle) => {
-                if shared.shutdown.load(Ordering::SeqCst)
-                    && *shared.submits() == 0
-                    && worker.pending.lock().unwrap().is_empty()
-                {
-                    let _ = write_locked(&worker.writer, &protocol::worker_shutdown_msg());
-                    return;
-                }
-                if worker.last_seen.lock().unwrap().elapsed() > WORKER_TIMEOUT {
-                    shared.log.warn(
-                        "worker_timeout",
-                        &[("worker", worker.id.into()), ("name", (&worker.name).into())],
-                    );
-                    return;
-                }
-            }
-            Ok(LineEvent::Eof) | Err(_) => return,
-        }
-    }
-}
-
 /// Resolves one dispatched group: pops its pending entry, verifies the
 /// returned rows line up digest-for-digest with what was dispatched
 /// (any divergence fails the group — a digest mismatch would corrupt
 /// the store's content addressing), and wakes the submitting thread.
 fn resolve_group(
-    shared: &Shared,
-    worker: &Arc<WorkerHandle>,
+    log: &EventLog,
+    worker: &WorkerHandle,
     gid: u64,
     rows: Result<Vec<(JobResult, String)>, String>,
 ) {
     let Some(pg) = worker.pending.lock().unwrap().remove(&gid) else {
         // A requeued group completing on a worker we already declared
         // dead-and-recovered; its rows are in the store, drop them.
-        shared.log.warn(
+        log.warn(
             "late_group",
             &[("worker", worker.id.into()), ("group", gid.into())],
         );
@@ -1017,7 +928,7 @@ fn pick_worker(shared: &Shared) -> Option<Arc<WorkerHandle>> {
 }
 
 /// A submit's executor: a unit's claimed misses go to the least-loaded
-/// registered worker when there is one, in-process otherwise. A worker
+/// live worker when there is one, in-process otherwise. A worker
 /// that dies mid-group gets its unit re-placed (on the next candidate,
 /// or in-process once no workers remain), so a crash costs a re-run,
 /// never a hole in the artifact.
@@ -1056,7 +967,7 @@ fn execute_unit(
         );
         worker.inflight_groups.fetch_add(1, Ordering::SeqCst);
         worker.inflight_gauge.inc();
-        // The connection thread may have declared this worker dead
+        // The link thread may have declared this worker dead
         // between pick and insert; if our entry is still in the map we
         // own the cleanup, otherwise the drain took it and will requeue.
         if !worker.alive.load(Ordering::SeqCst)
@@ -1066,7 +977,7 @@ fn execute_unit(
             worker.inflight_gauge.dec();
             continue;
         }
-        if write_locked(&worker.writer, &protocol::group_msg(gid, &group)).is_err() {
+        if worker.send(&protocol::group_msg(gid, &group)).is_err() {
             worker.alive.store(false, Ordering::SeqCst);
             if worker.pending.lock().unwrap().remove(&gid).is_some() {
                 worker.inflight_groups.fetch_sub(1, Ordering::SeqCst);
@@ -1088,7 +999,7 @@ fn execute_unit(
             ],
         );
         let published = slot.cv.wait_while(slot.slot.lock().unwrap(), |o| o.is_none());
-        let outcome = published.unwrap().take().expect("published by the connection thread");
+        let outcome = published.unwrap().take().expect("published by the link thread");
         match outcome {
             Ok(rows) => return rows.into_iter().map(Ok).collect(),
             Err(GroupFail::Requeue) => {
@@ -1177,6 +1088,11 @@ impl Shared {
     fn submits(&self) -> MutexGuard<'_, usize> {
         self.active_submits.lock().unwrap_or_else(PoisonError::into_inner)
     }
+
+    /// Waits until no submit is left running.
+    fn wait_drained(&self) {
+        drop(self.drained.wait_while(self.submits(), |n| *n > 0));
+    }
 }
 
 /// Starts a shutdown: sets the flag under the submit count's lock, so
@@ -1188,7 +1104,7 @@ fn drain(shared: &Shared) {
         shared.shutdown.store(true, Ordering::SeqCst);
     }
     wake_listeners(shared);
-    drop(shared.drained.wait_while(shared.submits(), |n| *n > 0));
+    shared.wait_drained();
 }
 
 /// Holds one `active_submits` count and releases it however the submit
@@ -1266,7 +1182,6 @@ fn run_submit<W: Write + Send>(
     let mut campaign = Campaign::new(&spec, rows, start.elapsed().as_secs_f64(), stages);
     campaign.trace_id = Some(trace.to_string());
     campaign.stages.aggregate_s = agg_start.elapsed().as_secs_f64();
-    m.submit_wall_us.observe(elapsed_us(start));
     shared.submits.fetch_add(1, Ordering::Relaxed);
     shared.log.info(
         "submit_done",
@@ -1288,7 +1203,10 @@ fn run_submit<W: Write + Send>(
             campaign.wall_s
         );
     }
-    write_locked(writer, &protocol::artifact_msg(campaign.to_json()))
+    let sent = write_locked(writer, &protocol::artifact_msg(campaign.to_json()));
+    // The wall ends once the reply is serialized and written.
+    m.submit_wall_us.observe(elapsed_us(start));
+    sent
 }
 
 fn stats_msg(shared: &Shared) -> Json {
@@ -1318,4 +1236,72 @@ fn stats_msg(shared: &Shared) -> Json {
             ]),
         ),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dmdp_core::{CommModel, CoreConfig};
+    use dmdp_harness::PlannedImage;
+    use dmdp_workloads::Scale;
+
+    /// One real row, relabelled under each of `digests`.
+    fn rows_as(digests: &[&str], sources: &[&str]) -> Vec<(JobResult, String)> {
+        let w = dmdp_workloads::by_name("lib", Scale::Test).unwrap();
+        let image = PlannedImage::new(Arc::new(w.program));
+        let cfg = CoreConfig::new(CommModel::Dmdp);
+        let row = JobSpec::new("lib", w.suite, CommModel::Dmdp, Scale::Test, "main", cfg, &image)
+            .execute()
+            .unwrap();
+        digests
+            .iter()
+            .zip(sources)
+            .map(|(d, s)| (JobResult { digest: d.to_string(), ..row.clone() }, s.to_string()))
+            .collect()
+    }
+
+    /// Dispatches a group of digests `[a, b]` to `worker`, answers it
+    /// with `reply`, and returns what the submitting thread would see.
+    fn answer(worker: &WorkerHandle, reply: Result<Vec<(JobResult, String)>, String>) -> GroupOutcome {
+        let log = EventLog::stderr(Level::Error);
+        let slot = Arc::new(GroupSlot::default());
+        let digests = vec!["a".to_string(), "b".to_string()];
+        worker.pending.lock().unwrap().insert(7, PendingGroup { slot: Arc::clone(&slot), digests });
+        worker.inflight_groups.fetch_add(1, Ordering::SeqCst);
+        worker.inflight_gauge.inc();
+        resolve_group(&log, worker, 7, reply);
+        assert!(worker.pending.lock().unwrap().is_empty(), "the group is no longer pending");
+        assert_eq!(worker.inflight_groups.load(Ordering::SeqCst), 0);
+        let outcome = slot.slot.lock().unwrap().take();
+        outcome.expect("the group's slot is filled")
+    }
+
+    #[test]
+    fn a_lying_worker_fails_its_group_naming_itself() {
+        let worker = WorkerHandle::new(0, "liar".to_string(), 1, None);
+        for (what, digests) in [
+            ("swapped", &["b", "a"][..]),
+            ("short", &["a"][..]),
+            ("foreign", &["a", "c"][..]),
+            ("long", &["a", "b", "c"][..]),
+        ] {
+            match answer(&worker, Ok(rows_as(digests, &["executed"; 3]))) {
+                Err(GroupFail::Error(e)) => {
+                    assert!(e.contains("worker liar"), "{what}: {e}");
+                    assert!(e.contains("do not match the dispatched digests"), "{what}: {e}");
+                }
+                Err(GroupFail::Requeue) => panic!("{what}: a lie is not a requeue"),
+                Ok(_) => panic!("{what}: rows {digests:?} were accepted for [a, b]"),
+            }
+        }
+        match answer(&worker, Err("cycle limit".to_string())) {
+            Err(GroupFail::Error(e)) => assert_eq!(e, "cycle limit"),
+            _ => panic!("a failed group must carry the worker's error"),
+        }
+        let Ok(rows) = answer(&worker, Ok(rows_as(&["a", "b"], &["executed", "store"]))) else {
+            panic!("rows matching the dispatch were refused");
+        };
+        let got: Vec<(&str, Source)> = rows.iter().map(|(r, s)| (r.digest.as_str(), *s)).collect();
+        assert_eq!(got, [("a", Source::Executed), ("b", Source::Store)]);
+    }
 }

@@ -14,12 +14,13 @@
 //! byte-compatible with `dmdp campaign` output, so `dmdp report` works
 //! on them unchanged.
 //!
-//! The daemon also scales out: `dmdp worker` processes ([`run_worker`])
-//! register over the same protocol and the daemon becomes a coordinator,
-//! placing job groups on the least-loaded worker and requeueing the
-//! work of any worker that dies mid-group. The store directory is the
-//! only shared state, so sharded artifacts stay bit-identical to
-//! single-process ones.
+//! The daemon also scales out: `dmdp serve --workers N` spawns N
+//! `dmdp worker` children ([`run_worker`]) and becomes their
+//! coordinator, placing job groups on the least-loaded child over its
+//! stdin and reading the rows back from its stdout, and requeueing the
+//! work of any child that dies mid-group. Only the coordinator's own
+//! children are workers. The store directory is the only shared state,
+//! so sharded artifacts stay bit-identical to single-process ones.
 
 pub mod client;
 pub mod daemon;
@@ -31,4 +32,4 @@ pub use client::{retry_transient, scrape_metrics_tcp, scrape_metrics_unix, Clien
 pub use daemon::{serve, DaemonReport, ServeOptions};
 pub use protocol::{Request, SubmitRequest, PROTOCOL_VERSION};
 pub use store::{Store, StoreStats};
-pub use worker::{run_worker, WorkerOptions, WorkerReport};
+pub use worker::{run_worker, WorkerOptions};

@@ -1,5 +1,5 @@
 //! The newline-delimited JSON wire protocol between `dmdp submit` and
-//! `dmdp serve`.
+//! `dmdp serve`, and between `dmdp serve --workers` and its children.
 //!
 //! Framing is one JSON document per line ([`Json::compact`] never emits
 //! an embedded newline), read back with a [`LineReader`] that survives
@@ -13,16 +13,14 @@
 //! carrying the complete assembled campaign, `stats`, `metrics`, `ok`,
 //! `pong`, or `error`.
 //!
-//! Protocol 2 adds the coordinator ↔ worker dialect for the sharded
-//! service: a worker opens an ordinary connection and sends `register`
-//! (carrying its protocol and [`dmdp_core::SIM_VERSION`] — the
-//! handshake; a mismatch on either is answered with `error` and the
-//! connection closes), the coordinator replies `registered` and then
-//! streams `group` dispatches ([`GroupSpec`] — one batch unit or
-//! singleton job group, keyed by a dispatch id). The worker answers
-//! each with `group_done` (per-job rows: full [`JobResult`] plus its
-//! source tag) or `group_failed`, and sends `heartbeat` lines while
-//! idle so the coordinator can declare it dead and requeue.
+//! The worker dialect runs over a spawned child's stdin and stdout,
+//! never over a daemon socket. The coordinator writes `group`
+//! dispatches ([`GroupSpec`] — one batch unit or singleton job group,
+//! keyed by a dispatch id) to the child's stdin, and the child answers
+//! each on its stdout with `group_done` (per-job rows: full
+//! [`JobResult`] plus its source tag) or `group_failed`. End of file
+//! ends the link either way: on stdin it is the drain order, on stdout
+//! it means the child is gone.
 
 use std::io::{BufRead, BufReader, Read, Write};
 
@@ -32,9 +30,8 @@ use dmdp_harness::{CampaignSpec, CfgPatch, JobResult, Json, Sampling};
 use dmdp_workloads::Scale;
 
 /// Bumped when the wire format changes incompatibly. The daemon answers
-/// `ping` with its version so clients can refuse to talk across a gap;
-/// workers send theirs in `register` and are refused on a mismatch.
-/// 2 = sharded-service worker dialect (PR 10).
+/// `ping` with its version so clients can refuse to talk across a gap.
+/// 2 = sharded-service worker dialect.
 pub const PROTOCOL_VERSION: u64 = 2;
 
 /// A line longer than this is a protocol violation, not a message —
@@ -444,43 +441,6 @@ impl GroupSpec {
     }
 }
 
-/// A worker's opening handshake.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkerHello {
-    /// The worker's [`PROTOCOL_VERSION`]; must equal the coordinator's.
-    pub protocol: u64,
-    /// The worker's [`dmdp_core::SIM_VERSION`]; must equal the
-    /// coordinator's, or digests would silently disagree.
-    pub sim_version: String,
-    /// Display name (unique per worker; labels its metrics).
-    pub name: String,
-    /// Pool width — the coordinator's capacity unit for placement.
-    pub jobs: usize,
-    /// Core-affinity hint the worker pinned itself to (informational).
-    pub cores: Vec<usize>,
-}
-
-/// `register`: worker → coordinator handshake.
-pub fn register_msg(hello: &WorkerHello) -> Json {
-    obj([
-        ("type", Json::Str("register".into())),
-        ("protocol", Json::Num(hello.protocol as f64)),
-        ("sim_version", Json::Str(hello.sim_version.clone())),
-        ("name", Json::Str(hello.name.clone())),
-        ("jobs", Json::Num(hello.jobs as f64)),
-        ("cores", Json::Arr(hello.cores.iter().map(|&c| Json::Num(c as f64)).collect())),
-    ])
-}
-
-/// `registered`: coordinator → worker handshake acknowledgement.
-pub fn registered_msg(worker_id: u64) -> Json {
-    obj([
-        ("type", Json::Str("registered".into())),
-        ("worker", Json::Num(worker_id as f64)),
-        ("protocol", Json::Num(PROTOCOL_VERSION as f64)),
-    ])
-}
-
 /// `group`: coordinator → worker job-group dispatch.
 pub fn group_msg(id: u64, spec: &GroupSpec) -> Json {
     obj([
@@ -520,18 +480,9 @@ pub fn group_failed_msg(id: u64, error: &str) -> Json {
     ])
 }
 
-/// `heartbeat`: worker → coordinator liveness while idle.
-pub fn heartbeat_msg() -> Json {
-    obj([("type", Json::Str("heartbeat".into()))])
-}
-
-/// A parsed worker → coordinator message (after `register`).
+/// A parsed worker → coordinator message.
 #[derive(Debug, Clone)]
 pub enum WorkerMsg {
-    /// The opening handshake.
-    Register(WorkerHello),
-    /// Idle liveness.
-    Heartbeat,
     /// A dispatched group completed; rows are `(result, source)`.
     GroupDone {
         /// The dispatch id from the `group` message.
@@ -549,37 +500,13 @@ pub enum WorkerMsg {
 }
 
 impl WorkerMsg {
-    /// Parses one wire document from a worker connection.
+    /// Parses one line of a worker's stdout.
     ///
     /// # Errors
     ///
     /// A message naming the missing or malformed field.
     pub fn from_json(v: &Json) -> Result<WorkerMsg, String> {
         match v.get("type").and_then(Json::as_str) {
-            Some("register") => {
-                let protocol = v
-                    .get("protocol")
-                    .and_then(Json::as_u64)
-                    .ok_or("register: missing `protocol`")?;
-                let sim_version = v
-                    .get("sim_version")
-                    .and_then(Json::as_str)
-                    .ok_or("register: missing `sim_version`")?
-                    .to_string();
-                let name = v
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or("register: missing `name`")?
-                    .to_string();
-                let jobs = v.get("jobs").and_then(Json::as_u64).unwrap_or(1).max(1) as usize;
-                let cores = v
-                    .get("cores")
-                    .and_then(Json::as_arr)
-                    .map(|arr| arr.iter().filter_map(Json::as_u64).map(|c| c as usize).collect())
-                    .unwrap_or_default();
-                Ok(WorkerMsg::Register(WorkerHello { protocol, sim_version, name, jobs, cores }))
-            }
-            Some("heartbeat") => Ok(WorkerMsg::Heartbeat),
             Some("group_done") => {
                 let id = v.get("id").and_then(Json::as_u64).ok_or("group_done: missing `id`")?;
                 let rows = v
@@ -615,57 +542,22 @@ impl WorkerMsg {
     }
 }
 
-/// A parsed coordinator → worker message (after `register`).
-#[derive(Debug, Clone, PartialEq)]
-pub enum CoordMsg {
-    /// Registration accepted.
-    Registered {
-        /// The id the coordinator assigned this worker.
-        worker: u64,
-    },
-    /// A job-group dispatch.
-    Group {
-        /// Dispatch id to echo in `group_done`/`group_failed`.
-        id: u64,
-        /// The group to execute.
-        spec: GroupSpec,
-    },
-    /// Drain and exit.
-    Shutdown,
-    /// Protocol-level refusal (handshake mismatch); connection closes.
-    Error(String),
-}
-
-impl CoordMsg {
-    /// Parses one wire document from the coordinator connection.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the missing or malformed field.
-    pub fn from_json(v: &Json) -> Result<CoordMsg, String> {
-        match v.get("type").and_then(Json::as_str) {
-            Some("registered") => Ok(CoordMsg::Registered {
-                worker: v.get("worker").and_then(Json::as_u64).ok_or("registered: missing `worker`")?,
-            }),
-            Some("group") => Ok(CoordMsg::Group {
-                id: v.get("id").and_then(Json::as_u64).ok_or("group: missing `id`")?,
-                spec: GroupSpec::from_json(v.get("group").ok_or("group: missing `group` body")?)?,
-            }),
-            Some("shutdown") => Ok(CoordMsg::Shutdown),
-            Some("error") => Ok(CoordMsg::Error(
-                v.get("message").and_then(Json::as_str).unwrap_or("unnamed error").to_string(),
-            )),
-            Some(other) => Err(format!("unknown coordinator message type `{other}`")),
-            None => Err("coordinator message has no `type`".to_string()),
-        }
+/// Parses one line of a worker's stdin: a `group` dispatch, as its
+/// dispatch id and group.
+///
+/// # Errors
+///
+/// Any other message type, or a message naming the missing or malformed
+/// field.
+pub fn parse_group_msg(v: &Json) -> Result<(u64, GroupSpec), String> {
+    match v.get("type").and_then(Json::as_str) {
+        Some("group") => Ok((
+            v.get("id").and_then(Json::as_u64).ok_or("group: missing `id`")?,
+            GroupSpec::from_json(v.get("group").ok_or("group: missing `group` body")?)?,
+        )),
+        Some(other) => Err(format!("unknown coordinator message type `{other}`")),
+        None => Err("coordinator message has no `type`".to_string()),
     }
-}
-
-/// `shutdown`: coordinator → worker drain order (same shape as the
-/// client request — the worker-side parser maps it to
-/// [`CoordMsg::Shutdown`]).
-pub fn worker_shutdown_msg() -> Json {
-    obj([("type", Json::Str("shutdown".into()))])
 }
 
 /// Error response. The connection may close after a protocol-level error.
@@ -922,8 +814,11 @@ mod tests {
         ];
         for spec in specs {
             let wire = group_msg(42, &spec).compact();
-            let back = CoordMsg::from_json(&Json::parse(&wire).unwrap()).unwrap();
-            assert_eq!(back, CoordMsg::Group { id: 42, spec: spec.clone() }, "{wire}");
+            let back = parse_group_msg(&Json::parse(&wire).unwrap()).unwrap();
+            assert_eq!(back, (42, spec.clone()), "{wire}");
+        }
+        for other in [r#"{"type": "shutdown"}"#, r#"{"type": "warp"}"#, "{}"] {
+            assert!(parse_group_msg(&Json::parse(other).unwrap()).is_err(), "accepted: {other}");
         }
         for bad in [
             "{}",
@@ -936,26 +831,6 @@ mod tests {
 
     #[test]
     fn worker_messages_round_trip() {
-        let hello = WorkerHello {
-            protocol: PROTOCOL_VERSION,
-            sim_version: dmdp_core::SIM_VERSION.to_string(),
-            name: "w0".into(),
-            jobs: 4,
-            cores: vec![0, 1],
-        };
-        let wire = register_msg(&hello).compact();
-        let WorkerMsg::Register(back) = WorkerMsg::from_json(&Json::parse(&wire).unwrap()).unwrap()
-        else {
-            panic!("register should parse");
-        };
-        assert_eq!(back, hello);
-
-        let wire = heartbeat_msg().compact();
-        assert!(matches!(
-            WorkerMsg::from_json(&Json::parse(&wire).unwrap()).unwrap(),
-            WorkerMsg::Heartbeat
-        ));
-
         // A group_done row carries the full summary result; parse it
         // back and check identity fields survive the wire.
         let w = dmdp_workloads::by_name("lib", Scale::Test).unwrap();
@@ -991,26 +866,10 @@ mod tests {
             panic!("group_failed should parse");
         };
         assert_eq!((id, error.as_str()), (9, "cycle limit"));
-    }
 
-    #[test]
-    fn coordinator_messages_round_trip() {
-        let wire = registered_msg(3).compact();
-        assert_eq!(
-            CoordMsg::from_json(&Json::parse(&wire).unwrap()).unwrap(),
-            CoordMsg::Registered { worker: 3 }
-        );
-        let wire = worker_shutdown_msg().compact();
-        assert_eq!(
-            CoordMsg::from_json(&Json::parse(&wire).unwrap()).unwrap(),
-            CoordMsg::Shutdown
-        );
-        let wire = error_msg("sim_version mismatch").compact();
-        assert_eq!(
-            CoordMsg::from_json(&Json::parse(&wire).unwrap()).unwrap(),
-            CoordMsg::Error("sim_version mismatch".into())
-        );
-        assert!(CoordMsg::from_json(&Json::parse(r#"{"type": "warp"}"#).unwrap()).is_err());
+        // There is no handshake in the dialect.
+        let hello = Json::parse(r#"{"type": "register"}"#).unwrap();
+        assert!(WorkerMsg::from_json(&hello).is_err());
     }
 
     /// Gives the inner reader at most `self.1` bytes of room per read.

@@ -1,71 +1,46 @@
-//! The `dmdp worker` process: one shard of a sharded `dmdp serve`.
+//! The `dmdp worker` process: one shard of `dmdp serve --workers N`.
 //!
-//! A worker dials the coordinator's TCP listener, performs the
-//! `register` handshake (protocol version and [`SIM_VERSION`] must both
-//! match — digests would silently disagree otherwise), then executes
-//! the job groups the coordinator dispatches, each on its own pool of
-//! runner threads with its own resident images. The
-//! content-addressed [`Store`] directory is the only state shared with
-//! the coordinator and the other workers: every executed result is
+//! The coordinator spawns each worker as a child of its own executable
+//! and links to it over the child's stdin and stdout: `group`
+//! dispatches arrive on stdin, one per line, and the worker answers each
+//! on stdout with `group_done` or `group_failed`. Each group runs on one
+//! of the worker's runner threads, against its own resident images.
+//! End of file on stdin is the drain order; the event log goes to
+//! stderr, because stdout is the link.
+//!
+//! The content-addressed [`Store`] directory is the only state shared
+//! with the coordinator and the other workers: every executed result is
 //! persisted there, and every dispatched member is checked against it
 //! first, so a row another process already landed is never simulated
 //! twice.
-//!
-//! Liveness is a `heartbeat` line every couple of idle seconds; if the
-//! process dies mid-group the coordinator notices the dropped
-//! connection, requeues the unfinished digests on another worker (or
-//! runs them in-process), and a restarted worker simply re-registers —
-//! its store view re-syncs lazily through on-disk adoption.
 
 use std::collections::VecDeque;
-use std::net::TcpStream;
+use std::io::Stdout;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use dmdp_core::SIM_VERSION;
 use dmdp_harness::{
     execute_here, resolve, Inflight, JobResult, JobSpec, Json, Outcome, ResidentImages, Resolve,
     Source,
 };
 use dmdp_obs::log::{EventLog, Level};
 
-use crate::client::retry_transient;
-use crate::protocol::{
-    self, write_locked, CoordMsg, GroupSpec, LineEvent, LineReader, WorkerHello, PROTOCOL_VERSION,
-};
+use crate::protocol::{self, write_locked, GroupSpec, LineEvent, LineReader};
 use crate::store::{warn_write, Store};
 
 /// Configuration of one [`run_worker`] invocation.
 #[derive(Debug, Clone)]
 pub struct WorkerOptions {
-    /// Coordinator TCP address (e.g. `127.0.0.1:7199`).
-    pub connect: String,
     /// Root directory of the shared content-addressed result store.
     pub store_dir: PathBuf,
     /// Runner threads (0 = one per affinity core, minimum 1).
     pub jobs: usize,
     /// Cores to pin this process to (best-effort; empty = no pinning).
     pub cores: Vec<usize>,
-    /// Display name; labels this worker's rows in coordinator metrics.
-    pub name: String,
-    /// Transient connect failures to retry ([`retry_transient`]) — a
-    /// worker usually races the coordinator's bind.
-    pub connect_retries: u32,
     /// Suppress per-group log lines (warnings still surface).
     pub quiet: bool,
-}
-
-/// Final worker-side counters, returned when the coordinator hangs up.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkerReport {
-    /// Job groups completed (including failed ones).
-    pub groups: u64,
-    /// Jobs actually simulated here.
-    pub executed: u64,
-    /// Dispatched jobs satisfied from the shared store.
-    pub store_hits: u64,
 }
 
 /// Pins the calling process to `cores` via a raw `sched_setaffinity`
@@ -142,86 +117,30 @@ impl WorkerCtx {
     }
 }
 
-/// Runs one worker until the coordinator shuts it down or the
-/// connection drops: connect (with retries), register, then drain
-/// dispatched groups on `jobs` runner threads while the main thread
-/// keeps reading the socket and heartbeating.
+/// Runs one worker until its stdin ends: the main thread reads
+/// dispatched groups from stdin and queues them, and `jobs` runner
+/// threads execute them and answer on stdout. A line that is not a
+/// `group` dispatch ends the link as well. Either way, queued groups are
+/// dropped (the coordinator requeues what it still waits for) and the
+/// running ones finish before the worker returns.
 ///
 /// # Errors
 ///
-/// Connect/handshake failures, a coordinator refusal (protocol or
-/// `SIM_VERSION` mismatch), or store setup failures.
-pub fn run_worker(opts: &WorkerOptions) -> Result<WorkerReport, String> {
+/// Store setup failures.
+pub fn run_worker(opts: &WorkerOptions) -> Result<(), String> {
     pin_cores(&opts.cores);
     let jobs = if opts.jobs == 0 { opts.cores.len().max(1) } else { opts.jobs };
-    let log = EventLog::stderr(if opts.quiet { Level::Warn } else { Level::Info });
-    let stream = retry_transient(opts.connect_retries, || TcpStream::connect(&opts.connect))
-        .map_err(|e| format!("{}: {e}", opts.connect))?;
-    let read_half = stream.try_clone().map_err(|e| format!("{}: {e}", opts.connect))?;
-    read_half
-        .set_read_timeout(Some(Duration::from_millis(100)))
-        .map_err(|e| format!("{}: {e}", opts.connect))?;
-    let mut reader = LineReader::new(read_half);
-    let writer = Mutex::new(stream);
-
-    let hello = WorkerHello {
-        protocol: PROTOCOL_VERSION,
-        sim_version: SIM_VERSION.to_string(),
-        name: opts.name.clone(),
-        jobs,
-        cores: opts.cores.clone(),
-    };
-    write_locked(&writer, &protocol::register_msg(&hello))?;
-    let worker_id = {
-        let mut idle = 0;
-        loop {
-            match reader.read_line()? {
-                LineEvent::Line(text) => {
-                    let v = Json::parse(&text)?;
-                    match CoordMsg::from_json(&v)? {
-                        CoordMsg::Registered { worker } => break worker,
-                        CoordMsg::Error(e) => {
-                            return Err(format!("coordinator refused registration: {e}"));
-                        }
-                        other => {
-                            return Err(format!(
-                                "unexpected coordinator message before registration: {other:?}"
-                            ));
-                        }
-                    }
-                }
-                LineEvent::Idle => {
-                    idle += 1;
-                    if idle > 100 {
-                        return Err("coordinator did not answer the handshake".to_string());
-                    }
-                }
-                LineEvent::Eof => {
-                    return Err("coordinator closed the connection during registration"
-                        .to_string());
-                }
-            }
-        }
-    };
     let ctx = WorkerCtx {
         store: Store::open(&opts.store_dir, None)?,
-        log,
+        log: EventLog::stderr(if opts.quiet { Level::Warn } else { Level::Info }),
         images: ResidentImages::default(),
         inflight: Inflight::default(),
         groups: AtomicU64::new(0),
         executed: AtomicU64::new(0),
         store_hits: AtomicU64::new(0),
     };
-    ctx.log.info(
-        "worker_registered",
-        &[
-            ("name", (&opts.name).into()),
-            ("worker", worker_id.into()),
-            ("coordinator", (&opts.connect).into()),
-            ("jobs", jobs.into()),
-            ("pid", std::process::id().into()),
-        ],
-    );
+    let mut reader = LineReader::new(std::io::stdin());
+    let writer: Mutex<Stdout> = Mutex::new(std::io::stdout());
 
     let queue: Mutex<VecDeque<(u64, GroupSpec)>> = Mutex::new(VecDeque::new());
     let queue_cv = Condvar::new();
@@ -264,66 +183,41 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<WorkerReport, String> {
                     ],
                 );
                 if write_locked(&writer, &msg).is_err() {
-                    done.store(true, Ordering::SeqCst);
-                    queue_cv.notify_all();
-                    return;
+                    break;
                 }
             });
         }
-        let mut last_beat = Instant::now();
         loop {
-            if done.load(Ordering::SeqCst) {
-                break;
-            }
-            match reader.read_line() {
-                Ok(LineEvent::Line(text)) => {
-                    match Json::parse(&text).and_then(|v| CoordMsg::from_json(&v)) {
-                        Ok(CoordMsg::Group { id, spec }) => {
-                            queue.lock().unwrap().push_back((id, spec));
-                            queue_cv.notify_one();
-                        }
-                        Ok(CoordMsg::Shutdown) => {
-                            ctx.log.info("worker_shutdown", &[("worker", worker_id.into())]);
-                            break;
-                        }
-                        Ok(CoordMsg::Registered { .. }) => {}
-                        Ok(CoordMsg::Error(e)) => {
-                            ctx.log.warn("coordinator_error", &[("error", (&e).into())]);
-                            break;
-                        }
-                        Err(e) => {
-                            ctx.log.warn("bad_line", &[("error", (&e).into())]);
-                            break;
-                        }
-                    }
+            let dispatch = match reader.read_line() {
+                Ok(LineEvent::Line(text)) => Json::parse(&text).and_then(|v| protocol::parse_group_msg(&v)),
+                // A pipe has no read timeout, so it never idles.
+                Ok(LineEvent::Idle) => continue,
+                Ok(LineEvent::Eof) => break,
+                Err(e) => Err(e),
+            };
+            match dispatch {
+                Ok(item) => {
+                    queue.lock().unwrap().push_back(item);
+                    queue_cv.notify_one();
                 }
-                Ok(LineEvent::Idle) => {
-                    if last_beat.elapsed() >= Duration::from_secs(2) {
-                        if write_locked(&writer, &protocol::heartbeat_msg()).is_err() {
-                            break;
-                        }
-                        last_beat = Instant::now();
-                    }
+                Err(e) => {
+                    ctx.log.warn("bad_line", &[("error", (&e).into())]);
+                    break;
                 }
-                Ok(LineEvent::Eof) | Err(_) => break,
             }
         }
+        queue.lock().unwrap().clear();
         done.store(true, Ordering::SeqCst);
         queue_cv.notify_all();
     });
-    let report = WorkerReport {
-        groups: ctx.groups.load(Ordering::Relaxed),
-        executed: ctx.executed.load(Ordering::Relaxed),
-        store_hits: ctx.store_hits.load(Ordering::Relaxed),
-    };
     ctx.log.info(
         "worker_stopped",
         &[
-            ("name", (&opts.name).into()),
-            ("groups", report.groups.into()),
-            ("executed", report.executed.into()),
-            ("store_hits", report.store_hits.into()),
+            ("pid", std::process::id().into()),
+            ("groups", ctx.groups.load(Ordering::Relaxed).into()),
+            ("executed", ctx.executed.load(Ordering::Relaxed).into()),
+            ("store_hits", ctx.store_hits.load(Ordering::Relaxed).into()),
         ],
     );
-    Ok(report)
+    Ok(())
 }

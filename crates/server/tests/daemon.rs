@@ -32,8 +32,6 @@ fn serve_opts(dir: &Path) -> ServeOptions {
         log_level: dmdp_obs::log::Level::Debug,
         slow_job_ms: None,
         workers: 0,
-        accept_workers: false,
-        worker_exe: None,
     }
 }
 
@@ -699,7 +697,6 @@ fn shutdown_wakes_every_idle_listener() {
     let dir = tmp_dir("wakeall");
     let mut opts = serve_opts(&dir);
     opts.tcp = Some("127.0.0.1:0".into());
-    opts.accept_workers = true;
     let daemon = std::thread::spawn({
         let opts = opts.clone();
         move || serve(&opts).unwrap()
@@ -713,200 +710,5 @@ fn shutdown_wakes_every_idle_listener() {
     assert!(!opts.socket.exists(), "socket file is removed on exit");
     assert!(Client::connect_unix(&opts.socket).is_err());
     assert!(Client::connect_tcp(&addr).is_err());
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A real in-process worker (the exact `dmdp worker` code path) against
-/// an accepting coordinator: jobs flow out as dispatched groups, results
-/// flow back, the drain order stops the worker cleanly.
-#[test]
-fn registered_worker_executes_the_dispatched_groups() {
-    let dir = tmp_dir("realworker");
-    let mut opts = serve_opts(&dir);
-    opts.tcp = Some("127.0.0.1:0".into());
-    opts.accept_workers = true;
-    let daemon = std::thread::spawn({
-        let opts = opts.clone();
-        move || serve(&opts).unwrap()
-    });
-    let mut client = connect(&opts.socket);
-    let addr = tcp_addr_of(&dir.join("events.jsonl"));
-
-    let worker = std::thread::spawn({
-        let worker_opts = dmdp_server::WorkerOptions {
-            connect: addr,
-            store_dir: opts.store_dir.clone(),
-            jobs: 2,
-            cores: Vec::new(),
-            name: "test-worker".into(),
-            connect_retries: 5,
-            quiet: true,
-        };
-        move || dmdp_server::run_worker(&worker_opts).unwrap()
-    });
-
-    // Give the registration a moment; dispatch only needs it to be in
-    // the worker table by the time `execute_unit` picks a placement, and
-    // the submit below busy-waits on that through the stats document.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let stats = client.stats().unwrap();
-        if stats.get("workers").and_then(Json::as_u64) == Some(1) {
-            break;
-        }
-        assert!(Instant::now() < deadline, "worker never registered");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-
-    let campaign = client.submit(&small_request("sharded"), |_| {}).unwrap();
-    assert_eq!(campaign.jobs.len(), 4);
-    assert_eq!(campaign.executed, 4);
-    assert!(campaign.jobs.iter().all(|j| !j.cached));
-
-    // A second submit is pure store hits — the worker's writes landed in
-    // the shared store under the same digests.
-    let warm = client.submit(&small_request("sharded-warm"), |_| {}).unwrap();
-    assert_eq!(warm.executed, 0);
-    assert_eq!(warm.cached, 4);
-
-    client.shutdown().unwrap();
-    let report = daemon.join().unwrap();
-    let worker_report = worker.join().unwrap();
-    assert_eq!(report.executed, 4, "coordinator counted the worker's executions");
-    assert!(worker_report.groups >= 1, "the worker saw at least one group");
-    assert_eq!(worker_report.executed, 4, "every execution happened on the worker");
-
-    let events = std::fs::read_to_string(dir.join("events.jsonl")).unwrap();
-    for ev in ["worker_registered", "dispatch", "worker_gone"] {
-        assert!(events.lines().any(|l| l.contains(ev)), "no {ev} event:\n{events}");
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A worker that dies holding a dispatched group: the coordinator
-/// requeues the orphaned digests and the submit still completes — here
-/// by falling back in-process, since no other worker is registered.
-#[test]
-fn dead_workers_groups_are_requeued() {
-    use dmdp_server::protocol::{register_msg, WorkerHello, PROTOCOL_VERSION};
-    let dir = tmp_dir("deadworker");
-    let mut opts = serve_opts(&dir);
-    opts.accept_workers = true;
-    let daemon = std::thread::spawn({
-        let opts = opts.clone();
-        move || serve(&opts).unwrap()
-    });
-    connect(&opts.socket);
-
-    // A hand-rolled worker over a raw socket: registers correctly, reads
-    // its first group dispatch, then drops dead without answering.
-    let mut raw = UnixStream::connect(&opts.socket).unwrap();
-    let hello = WorkerHello {
-        protocol: PROTOCOL_VERSION,
-        sim_version: dmdp_core::SIM_VERSION.to_string(),
-        name: "doomed".into(),
-        jobs: 2,
-        cores: Vec::new(),
-    };
-    raw.write_all((register_msg(&hello).compact() + "\n").as_bytes()).unwrap();
-    raw.flush().unwrap();
-    let mut lines = BufReader::new(raw.try_clone().unwrap());
-    let mut line = String::new();
-    lines.read_line(&mut line).unwrap();
-    let reply = Json::parse(line.trim_end()).unwrap();
-    assert_eq!(reply.get("type").and_then(Json::as_str), Some("registered"));
-
-    let submitter = std::thread::spawn({
-        let socket = opts.socket.clone();
-        move || {
-            let mut client = connect(&socket);
-            client.submit(&small_request("survives"), |_| {}).unwrap()
-        }
-    });
-
-    // Wait for a group to land on the doomed worker, then kill it.
-    line.clear();
-    lines.read_line(&mut line).unwrap();
-    let group = Json::parse(line.trim_end()).unwrap();
-    assert_eq!(group.get("type").and_then(Json::as_str), Some("group"));
-    drop(lines);
-    drop(raw);
-
-    let campaign = submitter.join().unwrap();
-    assert_eq!(campaign.jobs.len(), 4, "the submit completed despite the dead worker");
-    assert_eq!(campaign.executed, 4);
-
-    let mut client = connect(&opts.socket);
-    client.shutdown().unwrap();
-    daemon.join().unwrap();
-    let events = std::fs::read_to_string(dir.join("events.jsonl")).unwrap();
-    assert!(events.lines().any(|l| l.contains("worker_lost")), "{events}");
-    assert!(events.lines().any(|l| l.contains("requeue")), "{events}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Version-skewed or unexpected registrations are refused with a
-/// structured error — a mismatched worker must never receive work, or
-/// digests would silently disagree.
-#[test]
-fn mismatched_worker_registrations_are_refused() {
-    use dmdp_server::protocol::{register_msg, WorkerHello, PROTOCOL_VERSION};
-    let try_register = |socket: &Path, hello: &WorkerHello| -> String {
-        let mut raw = UnixStream::connect(socket).unwrap();
-        raw.write_all((register_msg(hello).compact() + "\n").as_bytes()).unwrap();
-        raw.flush().unwrap();
-        let mut line = String::new();
-        BufReader::new(raw).read_line(&mut line).unwrap();
-        let reply = Json::parse(line.trim_end()).unwrap();
-        assert_eq!(reply.get("type").and_then(Json::as_str), Some("error"), "{line}");
-        reply.get("message").and_then(Json::as_str).unwrap().to_string()
-    };
-    let good = WorkerHello {
-        protocol: PROTOCOL_VERSION,
-        sim_version: dmdp_core::SIM_VERSION.to_string(),
-        name: "w".into(),
-        jobs: 1,
-        cores: Vec::new(),
-    };
-
-    // A daemon not started with --workers/--accept-workers refuses even
-    // a well-formed registration.
-    let dir = tmp_dir("noworkers");
-    let opts = serve_opts(&dir);
-    let daemon = std::thread::spawn({
-        let opts = opts.clone();
-        move || serve(&opts).unwrap()
-    });
-    let mut client = connect(&opts.socket);
-    let msg = try_register(&opts.socket, &good);
-    assert!(msg.contains("not accepting"), "{msg}");
-    client.shutdown().unwrap();
-    daemon.join().unwrap();
-    std::fs::remove_dir_all(&dir).ok();
-
-    // An accepting daemon still refuses version skew, on either axis.
-    let dir = tmp_dir("skew");
-    let mut opts = serve_opts(&dir);
-    opts.accept_workers = true;
-    let daemon = std::thread::spawn({
-        let opts = opts.clone();
-        move || serve(&opts).unwrap()
-    });
-    let mut client = connect(&opts.socket);
-    let msg = try_register(
-        &opts.socket,
-        &WorkerHello { protocol: PROTOCOL_VERSION + 1, ..good.clone() },
-    );
-    assert!(msg.contains("protocol"), "{msg}");
-    let msg = try_register(
-        &opts.socket,
-        &WorkerHello { sim_version: "sim-0.0-bogus".into(), ..good.clone() },
-    );
-    assert!(msg.contains("sim"), "{msg}");
-
-    // The daemon shrugged all of it off and still serves clients.
-    assert!(client.ping().is_ok());
-    client.shutdown().unwrap();
-    daemon.join().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -10,18 +10,15 @@
 //! (Figure 15). This crate provides the corresponding building blocks:
 //!
 //! * [`Mean`] — a running arithmetic mean,
-//! * [`Histogram`] — a bounded integer histogram with percentile queries,
 //! * [`LoadSource`] / [`LoadLatencyStats`] — the paper's load
 //!   classification (direct / bypassing / delayed / predicated) with
 //!   per-class latency tracking,
 //! * [`geomean`] and [`mpki`] — the summary statistics the paper reports,
 //! * [`Table`] — fixed-width text tables for the paper-figure views.
 
-mod histogram;
 mod loadlat;
 mod table;
 
-pub use histogram::Histogram;
 pub use loadlat::{LoadLatencyStats, LoadSource};
 pub use table::Table;
 
@@ -131,24 +128,6 @@ pub fn mpki(events: u64, instructions: u64) -> f64 {
     }
 }
 
-/// Relative change `(new - old) / old`, reported by the paper as
-/// percentage speedups; positive means `new` is larger.
-///
-/// # Panics
-///
-/// Panics if `old` is zero.
-///
-/// # Example
-///
-/// ```
-/// use dmdp_stats::rel_change;
-/// assert!((rel_change(1.0, 1.07) - 0.07).abs() < 1e-12);
-/// ```
-pub fn rel_change(old: f64, new: f64) -> f64 {
-    assert!(old != 0.0, "relative change from zero is undefined");
-    (new - old) / old
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,11 +170,5 @@ mod tests {
     fn mpki_scales() {
         assert_eq!(mpki(1, 1000), 1.0);
         assert_eq!(mpki(3060, 1_000_000), 3.06);
-    }
-
-    #[test]
-    fn rel_change_signs() {
-        assert!(rel_change(2.0, 1.0) < 0.0);
-        assert_eq!(rel_change(2.0, 2.0), 0.0);
     }
 }

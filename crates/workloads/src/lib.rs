@@ -168,16 +168,6 @@ pub fn names() -> [&'static str; 21] {
     ]
 }
 
-/// The Int-suite workloads.
-pub fn int_suite(scale: Scale) -> Vec<Workload> {
-    all(scale).into_iter().filter(|w| w.suite == Suite::Int).collect()
-}
-
-/// The FP-suite workloads.
-pub fn fp_suite(scale: Scale) -> Vec<Workload> {
-    all(scale).into_iter().filter(|w| w.suite == Suite::Fp).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -357,12 +357,16 @@ trap 'cleanup_serve; cleanup_shard' EXIT
     --workers 2 --quiet --log "$shard_log" --log-level debug &
 shard_pid=$!
 for _ in $(seq 1 200); do
-    n=$(jq -rn '[inputs | select(.event == "worker_registered")] | length' \
+    n=$(jq -rn '[inputs | select(.event == "worker_spawned")] | length' \
         "$shard_log" 2>/dev/null || echo 0)
     [ "$n" = 2 ] && break
     sleep 0.05
 done
-[ "$n" = 2 ] || { echo "ci: FAIL: workers never registered ($shard_log)"; exit 1; }
+[ "$n" = 2 ] || { echo "ci: FAIL: workers never spawned ($shard_log)"; exit 1; }
+# Workers are linked over their stdin and stdout: no TCP listener.
+jq -en '[inputs | select(.event == "listening")] | length == 1 and all(has("tcp") | not)' \
+    "$shard_log" >/dev/null \
+    || { echo "ci: FAIL: sharded daemon listens on TCP ($shard_log)"; exit 1; }
 
 shard_submit="$dmdp_bin submit --socket $shard_sock --scale test --model all --quiet"
 $shard_submit --name ci-shard-1 --out "$shard_dir/first.json"
