@@ -14,7 +14,7 @@ use dmdp_workloads::{Scale, Suite};
 
 use crate::group::{execute_here, resolve, Inflight, Outcome, Resolve, Source};
 use crate::job::{CfgPatch, JobConfig, JobResult, JobSpec, WorkloadImage};
-use crate::json::{obj, Json};
+use crate::json::{Field, Parser, Writer};
 use crate::pool;
 use crate::sampled::{build_bundle, Sampling, SamplingSpec};
 
@@ -476,143 +476,135 @@ impl Campaign {
             .collect()
     }
 
-    /// Serializes the campaign, including derived per-suite aggregates
-    /// (informational — the reader recomputes nothing from them).
-    pub fn to_json(&self) -> Json {
-        let mut aggregates = Vec::new();
-        for model in self.models() {
-            for suite in [Suite::Int, Suite::Fp] {
-                if let Some(g) = self.geomean_ipc(model, suite) {
-                    let mut entry = vec![
-                        ("model".to_string(), Json::Str(model.name().to_string())),
-                        ("suite".to_string(), Json::Str(suite.name().to_string())),
-                        ("geomean_ipc".to_string(), Json::Num(g)),
-                    ];
-                    if model != CommModel::Baseline {
-                        if let Some(s) = self.geomean_speedup(CommModel::Baseline, model, suite) {
-                            entry.push(("geomean_speedup".to_string(), Json::Num(s)));
-                        }
-                    }
-                    aggregates.push(Json::Obj(entry));
-                }
+    /// Writes the campaign, including derived per-suite aggregates and the
+    /// five slowest jobs (informational: the reader recomputes nothing
+    /// from them, and `dmdp report` recomputes both from the rows).
+    pub fn write(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.key("schema").count(1);
+            w.key("campaign").str(&self.name);
+            w.key("sim_version").str(&self.sim_version);
+            w.key("scale").str(self.scale.name());
+            w.key("created_unix").count(self.created_unix);
+            w.key("wall_s").num(self.wall_s);
+            w.key("stages").object(|w| {
+                w.key("build_s").num(self.stages.build_s);
+                w.key("cache_s").num(self.stages.cache_s);
+                w.key("exec_s").num(self.stages.exec_s);
+                w.key("aggregate_s").num(self.stages.aggregate_s);
+            });
+            w.key("executed").count(self.executed as u64);
+            w.key("cached").count(self.cached as u64);
+            if let Some(trace) = &self.trace_id {
+                w.key("trace_id").str(trace);
             }
-        }
-        // Informational top-5 (derived from `jobs`; the reader ignores
-        // it, `dmdp report` recomputes from the rows).
-        let slowest = Json::Arr(
-            self.slowest_jobs(5)
-                .into_iter()
-                .map(|r| {
-                    obj([
-                        ("workload", Json::Str(r.workload.clone())),
-                        ("model", Json::Str(r.model.name().to_string())),
-                        ("variant", Json::Str(r.variant.clone())),
-                        ("wall_s", Json::Num(r.wall_s)),
-                        ("mips", Json::Num(r.mips)),
-                    ])
-                })
-                .collect(),
-        );
-        let mut members = vec![
-            ("schema", Json::Num(1.0)),
-            ("campaign", Json::Str(self.name.clone())),
-            ("sim_version", Json::Str(self.sim_version.clone())),
-            ("scale", Json::Str(self.scale.name().to_string())),
-            ("created_unix", Json::Num(self.created_unix as f64)),
-            ("wall_s", Json::Num(self.wall_s)),
-            (
-                "stages",
-                obj([
-                    ("build_s", Json::Num(self.stages.build_s)),
-                    ("cache_s", Json::Num(self.stages.cache_s)),
-                    ("exec_s", Json::Num(self.stages.exec_s)),
-                    ("aggregate_s", Json::Num(self.stages.aggregate_s)),
-                ]),
-            ),
-            ("executed", Json::Num(self.executed as f64)),
-            ("cached", Json::Num(self.cached as f64)),
-        ];
-        if let Some(trace) = &self.trace_id {
-            members.push(("trace_id", Json::Str(trace.clone())));
-        }
-        if let Some(s) = self.sampling {
-            members.push((
-                "sampling",
-                obj([
-                    ("interval_insns", Json::Num(s.interval_insns as f64)),
-                    ("warmup_intervals", Json::Num(s.warmup_intervals as f64)),
-                ]),
-            ));
-        }
-        members.extend([
-            ("jobs", Json::Arr(self.jobs.iter().map(JobResult::to_json).collect())),
-            ("slowest_jobs", slowest),
-            ("aggregates", Json::Arr(aggregates)),
-        ]);
-        obj(members)
+            if let Some(s) = self.sampling {
+                w.key("sampling").object(|w| {
+                    w.key("interval_insns").count(s.interval_insns);
+                    w.key("warmup_intervals").count(u64::from(s.warmup_intervals));
+                });
+            }
+            w.key("jobs").array(|w| self.jobs.iter().for_each(|r| r.write(w.elem())));
+            w.key("slowest_jobs").array(|w| {
+                for r in self.slowest_jobs(5) {
+                    w.elem().object(|w| {
+                        w.key("workload").str(&r.workload);
+                        w.key("model").str(r.model.name());
+                        w.key("variant").str(&r.variant);
+                        w.key("wall_s").num(r.wall_s);
+                        w.key("mips").num(r.mips);
+                    });
+                }
+            });
+            w.key("aggregates").array(|w| {
+                for model in self.models() {
+                    for suite in [Suite::Int, Suite::Fp] {
+                        let Some(g) = self.geomean_ipc(model, suite) else { continue };
+                        w.elem().object(|w| {
+                            w.key("model").str(model.name());
+                            w.key("suite").str(suite.name());
+                            w.key("geomean_ipc").num(g);
+                            if model != CommModel::Baseline {
+                                if let Some(s) = self.geomean_speedup(CommModel::Baseline, model, suite) {
+                                    w.key("geomean_speedup").num(s);
+                                }
+                            }
+                        });
+                    }
+                }
+            });
+        });
     }
 
-    /// Deserializes a campaign artifact.
+    /// Reads a campaign artifact: the head members and each `jobs` row
+    /// (through [`JobResult::read`]), skipping `slowest_jobs`,
+    /// `aggregates` and any unknown member. As in a row, the first of two
+    /// duplicate keys wins and the members added after the first
+    /// artifacts default when absent.
     ///
     /// # Errors
     ///
-    /// A message naming the missing or malformed field.
-    pub fn from_json(v: &Json) -> Result<Campaign, String> {
-        let schema = v.get("schema").and_then(Json::as_u64).unwrap_or(0);
-        if schema != 1 {
-            return Err(format!("unsupported campaign schema {schema}"));
+    /// A syntax error, a schema other than 1, or a message naming the
+    /// missing or malformed field.
+    pub fn read(p: &mut Parser) -> Result<Campaign, String> {
+        let unsupported = |schema: u64| format!("unsupported campaign schema {schema}");
+        let mut schema_seen = false;
+        let [mut name, mut sim_version, mut scale, mut trace_id] = <[Field<String>; 4]>::default();
+        let [mut created_unix, mut executed, mut cached] = <[Field<u64>; 3]>::default();
+        let mut wall_s = Field::default();
+        let mut stages = Field::default();
+        let mut sampling = Field::default();
+        let mut jobs = Field::default();
+        p.members(|p, key| match key {
+            // The first `schema` decides, before any row is read.
+            "schema" if !schema_seen => {
+                schema_seen = true;
+                match p.count()?.unwrap_or(0) {
+                    1 => Ok(()),
+                    other => Err(unsupported(other)),
+                }
+            }
+            "campaign" => name.read(p, Parser::string),
+            "sim_version" => sim_version.read(p, Parser::string),
+            "scale" => scale.read(p, Parser::string),
+            "created_unix" => created_unix.read(p, Parser::count),
+            "wall_s" => wall_s.read(p, Parser::number),
+            "stages" => stages.read(p, read_stages),
+            "executed" => executed.read(p, Parser::count),
+            "cached" => cached.read(p, Parser::count),
+            "trace_id" => trace_id.read(p, Parser::string),
+            "sampling" => sampling.read(p, read_sampling),
+            "jobs" => jobs.read(p, |p| {
+                let mut rows = Vec::new();
+                let found = p.elements(|p| {
+                    rows.push(JobResult::read(p)?);
+                    Ok(())
+                })?;
+                Ok(found.then_some(rows))
+            }),
+            _ => p.skip(),
+        })?;
+        if !schema_seen {
+            return Err(unsupported(0));
         }
-        let scale_name = v
-            .get("scale")
-            .and_then(Json::as_str)
-            .ok_or("campaign: missing `scale`")?
-            .to_string();
-        let jobs = v
-            .get("jobs")
-            .and_then(Json::as_arr)
-            .ok_or("campaign: missing `jobs` array")?
-            .iter()
-            .map(JobResult::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
+        let scale_name = scale.get().ok_or("campaign: missing `scale`")?;
+        let jobs = jobs.get().ok_or("campaign: missing `jobs` array")?;
         Ok(Campaign {
-            name: v
-                .get("campaign")
-                .and_then(Json::as_str)
-                .ok_or("campaign: missing `campaign`")?
-                .to_string(),
+            name: name.get().ok_or("campaign: missing `campaign`")?,
             scale: Scale::from_name(&scale_name)
                 .ok_or_else(|| format!("campaign: unknown scale `{scale_name}`"))?,
-            sim_version: v
-                .get("sim_version")
-                .and_then(Json::as_str)
-                .ok_or("campaign: missing `sim_version`")?
-                .to_string(),
-            created_unix: v.get("created_unix").and_then(Json::as_u64).unwrap_or(0),
-            wall_s: v.get("wall_s").and_then(Json::as_f64).unwrap_or(0.0),
+            sim_version: sim_version.get().ok_or("campaign: missing `sim_version`")?,
+            created_unix: created_unix.get().unwrap_or(0),
+            wall_s: wall_s.get().unwrap_or(0.0),
             // Stage breakdown: tolerate pre-PR 3 artifacts (all zero).
-            stages: {
-                let f = |k: &str| {
-                    v.get("stages").and_then(|s| s.get(k)).and_then(Json::as_f64).unwrap_or(0.0)
-                };
-                StageWall {
-                    build_s: f("build_s"),
-                    cache_s: f("cache_s"),
-                    exec_s: f("exec_s"),
-                    aggregate_s: f("aggregate_s"),
-                }
-            },
-            executed: v.get("executed").and_then(Json::as_u64).unwrap_or(0) as usize,
-            cached: v.get("cached").and_then(Json::as_u64).unwrap_or(0) as usize,
+            stages: stages.get().unwrap_or_default(),
+            executed: executed.get().unwrap_or(0) as usize,
+            cached: cached.get().unwrap_or(0) as usize,
             cache_warning: None,
             // Daemon-request trace id (PR 8): tolerate older artifacts.
-            trace_id: v.get("trace_id").and_then(Json::as_str).map(str::to_string),
+            trace_id: trace_id.get(),
             // Sampling echo (PR 9): absent means full simulation.
-            sampling: v.get("sampling").and_then(|s| {
-                Some(Sampling {
-                    interval_insns: s.get("interval_insns").and_then(Json::as_u64)?,
-                    warmup_intervals: s.get("warmup_intervals").and_then(Json::as_u64)? as u32,
-                })
-            }),
+            sampling: sampling.get(),
             jobs,
         })
     }
@@ -628,7 +620,7 @@ impl Campaign {
                 std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
             }
         }
-        std::fs::write(path, self.to_json().pretty())
+        std::fs::write(path, Writer::pretty(|w| self.write(w)))
             .map_err(|e| format!("{}: {e}", path.display()))
     }
 
@@ -640,8 +632,40 @@ impl Campaign {
     pub fn load(path: &Path) -> Result<Campaign, String> {
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        Campaign::from_json(&Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?)
+        Parser::document(&text, Campaign::read).map_err(|e| format!("{}: {e}", path.display()))
     }
+}
+
+/// The `stages` member: each stage first-wins, zero when absent or
+/// mistyped; `None` when the member is not an object.
+fn read_stages(p: &mut Parser) -> Result<Option<StageWall>, String> {
+    let [mut build_s, mut cache_s, mut exec_s, mut aggregate_s] = <[Field<f64>; 4]>::default();
+    let found = p.members(|p, key| match key {
+        "build_s" => build_s.read(p, Parser::number),
+        "cache_s" => cache_s.read(p, Parser::number),
+        "exec_s" => exec_s.read(p, Parser::number),
+        "aggregate_s" => aggregate_s.read(p, Parser::number),
+        _ => p.skip(),
+    })?;
+    Ok(found.then(|| StageWall {
+        build_s: build_s.get().unwrap_or(0.0),
+        cache_s: cache_s.get().unwrap_or(0.0),
+        exec_s: exec_s.get().unwrap_or(0.0),
+        aggregate_s: aggregate_s.get().unwrap_or(0.0),
+    }))
+}
+
+/// The `sampling` member: `None` unless it is an object with both knobs
+/// as counts.
+fn read_sampling(p: &mut Parser) -> Result<Option<Sampling>, String> {
+    let [mut interval_insns, mut warmup_intervals] = <[Field<u64>; 2]>::default();
+    p.members(|p, key| match key {
+        "interval_insns" => interval_insns.read(p, Parser::count),
+        "warmup_intervals" => warmup_intervals.read(p, Parser::count),
+        _ => p.skip(),
+    })?;
+    let knobs = interval_insns.get().zip(warmup_intervals.get());
+    Ok(knobs.map(|(interval_insns, warmup)| Sampling { interval_insns, warmup_intervals: warmup as u32 }))
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@ use dmdp_stats::LoadSource;
 use dmdp_workloads::{Scale, Suite};
 
 use crate::digest::Digest64;
-use crate::json::{obj, Json};
+use crate::json::{Field, Json, Parser, Writer};
 use crate::sampled::{sampled_metrics, SamplingSpec};
 
 /// Process-wide simulation-path metrics, registered lazily on first
@@ -820,123 +820,149 @@ impl JobResult {
         }
     }
 
-    /// Serializes the summary row (full `stats` are not persisted).
-    /// Figure counters are emitted only when the row has them, sampling
-    /// columns only on sampled rows.
-    pub fn to_json(&self) -> Json {
-        let mut row = obj([
-            ("workload", Json::Str(self.workload.clone())),
-            ("suite", Json::Str(self.suite.name().to_string())),
-            ("model", Json::Str(self.model.name().to_string())),
-            ("variant", Json::Str(self.variant.clone())),
-            ("digest", Json::Str(self.digest.clone())),
-            ("wall_s", Json::Num(self.wall_s)),
-            ("started_s", Json::Num(self.started_s)),
-            ("finished_s", Json::Num(self.finished_s)),
-            ("mips", Json::Num(self.mips)),
-            ("cycles", Json::Num(self.cycles as f64)),
-            ("retired_insns", Json::Num(self.retired_insns as f64)),
-            ("retired_uops", Json::Num(self.retired_uops as f64)),
-            ("ipc", Json::Num(self.ipc)),
-            ("mem_dep_mpki", Json::Num(self.mem_dep_mpki)),
-            ("load_mean_latency", Json::Num(self.load_mean_latency)),
-            ("branch_mispredicts", Json::Num(self.branch_mispredicts as f64)),
-            ("mem_dep_mispredicts", Json::Num(self.mem_dep_mispredicts as f64)),
-            ("reexecutions", Json::Num(self.reexecutions as f64)),
-            ("reexec_stalls_per_ki", Json::Num(self.reexec_stalls_per_ki)),
-            ("mean_ready_len", Json::Num(self.mean_ready_len)),
-            ("wakeups_per_kilocycle", Json::Num(self.wakeups_per_kilocycle)),
-            ("calendar_pops", Json::Num(self.calendar_pops as f64)),
-            ("plan_builds", Json::Num(self.plan_builds as f64)),
-            ("plan_hits", Json::Num(self.plan_hits as f64)),
-            ("cached", Json::Bool(self.cached)),
-        ]
-        .into_iter()
-        // Chained rather than pushed, so the member list is allocated once.
-        .chain(self.figures.as_ref().map(|f| ("figures", Json::Str(f.0.clone())))));
-        if self.sampled {
-            if let Json::Obj(members) = &mut row {
-                members.extend([
-                    ("sampled".to_string(), Json::Bool(true)),
-                    ("interval_insns".to_string(), Json::Num(self.interval_insns as f64)),
-                    ("warmup_intervals".to_string(), Json::Num(self.warmup_intervals as f64)),
-                    ("intervals_total".to_string(), Json::Num(self.intervals_total as f64)),
-                    (
-                        "intervals_simulated".to_string(),
-                        Json::Num(self.intervals_simulated as f64),
-                    ),
-                ]);
+    /// Writes the summary row (full `stats` are not persisted). Figure
+    /// counters are emitted only when the row has them, sampling columns
+    /// only on sampled rows.
+    pub fn write(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.key("workload").str(&self.workload);
+            w.key("suite").str(self.suite.name());
+            w.key("model").str(self.model.name());
+            w.key("variant").str(&self.variant);
+            w.key("digest").str(&self.digest);
+            w.key("wall_s").num(self.wall_s);
+            w.key("started_s").num(self.started_s);
+            w.key("finished_s").num(self.finished_s);
+            w.key("mips").num(self.mips);
+            w.key("cycles").count(self.cycles);
+            w.key("retired_insns").count(self.retired_insns);
+            w.key("retired_uops").count(self.retired_uops);
+            w.key("ipc").num(self.ipc);
+            w.key("mem_dep_mpki").num(self.mem_dep_mpki);
+            w.key("load_mean_latency").num(self.load_mean_latency);
+            w.key("branch_mispredicts").count(self.branch_mispredicts);
+            w.key("mem_dep_mispredicts").count(self.mem_dep_mispredicts);
+            w.key("reexecutions").count(self.reexecutions);
+            w.key("reexec_stalls_per_ki").num(self.reexec_stalls_per_ki);
+            w.key("mean_ready_len").num(self.mean_ready_len);
+            w.key("wakeups_per_kilocycle").num(self.wakeups_per_kilocycle);
+            w.key("calendar_pops").count(self.calendar_pops);
+            w.key("plan_builds").count(self.plan_builds);
+            w.key("plan_hits").count(self.plan_hits);
+            w.key("cached").bool(self.cached);
+            if let Some(f) = &self.figures {
+                w.key("figures").str(&f.0);
             }
-        }
-        row
+            if self.sampled {
+                w.key("sampled").bool(true);
+                w.key("interval_insns").count(self.interval_insns);
+                w.key("warmup_intervals").count(self.warmup_intervals);
+                w.key("intervals_total").count(self.intervals_total);
+                w.key("intervals_simulated").count(self.intervals_simulated);
+            }
+        });
     }
 
-    /// Deserializes a summary row.
+    /// Reads a summary row, member by member. Members may come in any
+    /// order, unknown ones are skipped, and the first of two duplicate
+    /// keys wins. Members added after the first artifacts (lifecycle
+    /// timestamps, scheduler and plan-cache counters, sampling columns,
+    /// figure counters) default when absent or mistyped.
     ///
     /// # Errors
     ///
-    /// A message naming the missing or malformed field.
-    pub fn from_json(v: &Json) -> Result<JobResult, String> {
-        let str_field = |k: &str| {
-            v.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("job row: missing string `{k}`"))
-        };
-        let num = |k: &str| {
-            v.get(k).and_then(Json::as_f64).ok_or_else(|| format!("job row: missing number `{k}`"))
-        };
-        let int = |k: &str| {
-            v.get(k).and_then(Json::as_u64).ok_or_else(|| format!("job row: missing count `{k}`"))
-        };
-        let suite_name = str_field("suite")?;
-        let model_name = str_field("model")?;
+    /// A syntax error, or a message naming the missing or malformed
+    /// field.
+    pub fn read(p: &mut Parser) -> Result<JobResult, String> {
+        let [mut workload, mut suite, mut model, mut variant, mut digest, mut figures] =
+            <[Field<String>; 6]>::default();
+        let [mut wall_s, mut started_s, mut finished_s, mut mips, mut ipc, mut mem_dep_mpki, mut load_mean_latency, mut reexec_stalls_per_ki, mut mean_ready_len, mut wakeups_per_kilocycle] =
+            <[Field<f64>; 10]>::default();
+        let [mut cycles, mut retired_insns, mut retired_uops, mut branch_mispredicts, mut mem_dep_mispredicts, mut reexecutions, mut calendar_pops, mut plan_builds, mut plan_hits, mut interval_insns, mut warmup_intervals, mut intervals_total, mut intervals_simulated] =
+            <[Field<u64>; 13]>::default();
+        let [mut cached, mut sampled] = <[Field<bool>; 2]>::default();
+        p.members(|p, key| match key {
+            "workload" => workload.read(p, Parser::string),
+            "suite" => suite.read(p, Parser::string),
+            "model" => model.read(p, Parser::string),
+            "variant" => variant.read(p, Parser::string),
+            "digest" => digest.read(p, Parser::string),
+            "wall_s" => wall_s.read(p, Parser::number),
+            "started_s" => started_s.read(p, Parser::number),
+            "finished_s" => finished_s.read(p, Parser::number),
+            "mips" => mips.read(p, Parser::number),
+            "cycles" => cycles.read(p, Parser::count),
+            "retired_insns" => retired_insns.read(p, Parser::count),
+            "retired_uops" => retired_uops.read(p, Parser::count),
+            "ipc" => ipc.read(p, Parser::number),
+            "mem_dep_mpki" => mem_dep_mpki.read(p, Parser::number),
+            "load_mean_latency" => load_mean_latency.read(p, Parser::number),
+            "branch_mispredicts" => branch_mispredicts.read(p, Parser::count),
+            "mem_dep_mispredicts" => mem_dep_mispredicts.read(p, Parser::count),
+            "reexecutions" => reexecutions.read(p, Parser::count),
+            "reexec_stalls_per_ki" => reexec_stalls_per_ki.read(p, Parser::number),
+            "mean_ready_len" => mean_ready_len.read(p, Parser::number),
+            "wakeups_per_kilocycle" => wakeups_per_kilocycle.read(p, Parser::number),
+            "calendar_pops" => calendar_pops.read(p, Parser::count),
+            "plan_builds" => plan_builds.read(p, Parser::count),
+            "plan_hits" => plan_hits.read(p, Parser::count),
+            "cached" => cached.read(p, Parser::bool),
+            "figures" => figures.read(p, Parser::string),
+            "sampled" => sampled.read(p, Parser::bool),
+            "interval_insns" => interval_insns.read(p, Parser::count),
+            "warmup_intervals" => warmup_intervals.read(p, Parser::count),
+            "intervals_total" => intervals_total.read(p, Parser::count),
+            "intervals_simulated" => intervals_simulated.read(p, Parser::count),
+            _ => p.skip(),
+        })?;
+        let string = |f: Field<String>, k: &str| f.get().ok_or_else(|| format!("job row: missing string `{k}`"));
+        let num = |f: Field<f64>, k: &str| f.get().ok_or_else(|| format!("job row: missing number `{k}`"));
+        let int = |f: Field<u64>, k: &str| f.get().ok_or_else(|| format!("job row: missing count `{k}`"));
+        let suite_name = string(suite, "suite")?;
+        let model_name = string(model, "model")?;
         Ok(JobResult {
-            workload: str_field("workload")?,
+            workload: string(workload, "workload")?,
             suite: Suite::from_name(&suite_name)
                 .ok_or_else(|| format!("job row: unknown suite `{suite_name}`"))?,
             model: CommModel::from_name(&model_name)
                 .ok_or_else(|| format!("job row: unknown model `{model_name}`"))?,
-            variant: str_field("variant")?,
-            digest: str_field("digest")?,
-            wall_s: num("wall_s")?,
+            variant: string(variant, "variant")?,
+            digest: string(digest, "digest")?,
+            wall_s: num(wall_s, "wall_s")?,
             // Job lifecycle timestamps (PR 3 reporter): tolerate older
             // artifacts, like the scheduler counters below.
-            started_s: v.get("started_s").and_then(Json::as_f64).unwrap_or(0.0),
-            finished_s: v.get("finished_s").and_then(Json::as_f64).unwrap_or(0.0),
-            mips: num("mips")?,
-            cycles: int("cycles")?,
-            retired_insns: int("retired_insns")?,
-            retired_uops: int("retired_uops")?,
-            ipc: num("ipc")?,
-            mem_dep_mpki: num("mem_dep_mpki")?,
-            load_mean_latency: num("load_mean_latency")?,
-            branch_mispredicts: int("branch_mispredicts")?,
-            mem_dep_mispredicts: int("mem_dep_mispredicts")?,
-            reexecutions: int("reexecutions")?,
-            reexec_stalls_per_ki: num("reexec_stalls_per_ki")?,
+            started_s: started_s.get().unwrap_or(0.0),
+            finished_s: finished_s.get().unwrap_or(0.0),
+            mips: num(mips, "mips")?,
+            cycles: int(cycles, "cycles")?,
+            retired_insns: int(retired_insns, "retired_insns")?,
+            retired_uops: int(retired_uops, "retired_uops")?,
+            ipc: num(ipc, "ipc")?,
+            mem_dep_mpki: num(mem_dep_mpki, "mem_dep_mpki")?,
+            load_mean_latency: num(load_mean_latency, "load_mean_latency")?,
+            branch_mispredicts: int(branch_mispredicts, "branch_mispredicts")?,
+            mem_dep_mispredicts: int(mem_dep_mispredicts, "mem_dep_mispredicts")?,
+            reexecutions: int(reexecutions, "reexecutions")?,
+            reexec_stalls_per_ki: num(reexec_stalls_per_ki, "reexec_stalls_per_ki")?,
             // Scheduler-occupancy counters: tolerate artifacts written
             // before PR 2 (they carry the same timing, just not these
             // observability fields).
-            mean_ready_len: v.get("mean_ready_len").and_then(Json::as_f64).unwrap_or(0.0),
-            wakeups_per_kilocycle: v
-                .get("wakeups_per_kilocycle")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0),
-            calendar_pops: v.get("calendar_pops").and_then(Json::as_u64).unwrap_or(0),
+            mean_ready_len: mean_ready_len.get().unwrap_or(0.0),
+            wakeups_per_kilocycle: wakeups_per_kilocycle.get().unwrap_or(0.0),
+            calendar_pops: calendar_pops.get().unwrap_or(0),
             // Plan-cache counters (PR 4): tolerate older artifacts.
-            plan_builds: v.get("plan_builds").and_then(Json::as_u64).unwrap_or(0),
-            plan_hits: v.get("plan_hits").and_then(Json::as_u64).unwrap_or(0),
-            cached: v.get("cached").and_then(Json::as_bool).unwrap_or(false),
+            plan_builds: plan_builds.get().unwrap_or(0),
+            plan_hits: plan_hits.get().unwrap_or(0),
+            cached: cached.get().unwrap_or(false),
             // Sampling columns (PR 9): absent means a full-simulation
             // row, including every older artifact.
-            sampled: v.get("sampled").and_then(Json::as_bool).unwrap_or(false),
-            interval_insns: v.get("interval_insns").and_then(Json::as_u64).unwrap_or(0),
-            warmup_intervals: v.get("warmup_intervals").and_then(Json::as_u64).unwrap_or(0),
-            intervals_total: v.get("intervals_total").and_then(Json::as_u64).unwrap_or(0),
-            intervals_simulated: v.get("intervals_simulated").and_then(Json::as_u64).unwrap_or(0),
+            sampled: sampled.get().unwrap_or(false),
+            interval_insns: interval_insns.get().unwrap_or(0),
+            warmup_intervals: warmup_intervals.get().unwrap_or(0),
+            intervals_total: intervals_total.get().unwrap_or(0),
+            intervals_simulated: intervals_simulated.get().unwrap_or(0),
             // Figure counters: absent on sampled rows and older ones.
-            figures: v.get("figures").and_then(Json::as_str).map(|s| FigureText(s.to_string())),
+            figures: figures.get().map(FigureText),
             stats: None,
         })
     }
@@ -1024,7 +1050,10 @@ mod tests {
     #[test]
     fn result_json_round_trips() {
         let r = tiny_spec(CommModel::Baseline).execute().unwrap();
-        let back = JobResult::from_json(&r.to_json()).unwrap();
+        let read = |row: &JobResult| {
+            Parser::document(&Writer::compact(|w| row.write(w)), JobResult::read).unwrap()
+        };
+        let back = read(&r);
         assert_eq!(back.workload, r.workload);
         assert_eq!(back.model, r.model);
         assert_eq!(back.digest, r.digest);
@@ -1041,7 +1070,7 @@ mod tests {
         // A row without them (sampled, or written before they existed)
         // reads back without them, never as zeros.
         let bare = JobResult { figures: None, ..r };
-        assert_eq!(JobResult::from_json(&bare.to_json()).unwrap().figures, None);
+        assert_eq!(read(&bare).figures, None);
     }
 
     #[test]

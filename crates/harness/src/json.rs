@@ -7,11 +7,23 @@
 //! `f64`; every count the harness serializes is far below 2^53, where
 //! `f64` is exact.
 //!
+//! There is one writer and one parser. The [`Writer`] emits members
+//! straight into a `String`, compact (one line, the `dmdp serve`
+//! framing) or pretty (two-space indentation, the artifact and store
+//! files). The [`Parser`] walks the text: [`Parser::members`] and
+//! [`Parser::elements`] hand each object member or array element to a
+//! callback, and the typed reads ([`Parser::string`], [`Parser::number`],
+//! [`Parser::count`], [`Parser::bool`], [`Parser::skip`]) consume one
+//! value each. [`Json`] trees are built on the same loops, and result
+//! rows and campaigns are read and written through them directly,
+//! without a tree (`JobResult::read`/`write`, `Campaign::read`/`write`).
+//!
 //! The parser also reads bytes off a socket (the `dmdp serve` protocol),
 //! so it must reject — never panic on — arbitrary garbage: every
 //! malformed document returns a positioned error, and nesting depth is
 //! capped so a bracket bomb cannot overflow the parse recursion.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A JSON value. Object keys keep insertion order so artifacts are
@@ -59,10 +71,7 @@ impl Json {
 
     /// The numeric payload as `u64` (must be a non-negative integer).
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            _ => None,
-        }
+        self.as_f64().and_then(as_count)
     }
 
     /// The boolean payload, if this is a boolean.
@@ -83,125 +92,167 @@ impl Json {
 
     /// Serializes with two-space indentation and a trailing newline.
     pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
+        Writer::pretty(|w| self.write(w))
     }
 
     /// Serializes onto a single line with no whitespace — the framing
     /// the newline-delimited `dmdp serve` protocol needs (one document
     /// per line, never an embedded `\n`).
     pub fn compact(&self) -> String {
-        let mut out = String::new();
-        self.write_compact(&mut out);
-        out
+        Writer::compact(|w| self.write(w))
     }
 
-    fn write_compact(&self, out: &mut String) {
+    /// Writes the value through `w`.
+    pub fn write(&self, w: &mut Writer) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => write_num(out, *n),
-            Json::Str(s) => write_str(out, s),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_compact(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(members) => {
-                out.push('{');
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_str(out, k);
-                    out.push(':');
-                    v.write_compact(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    fn write(&self, out: &mut String, depth: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => write_num(out, *n),
-            Json::Str(s) => write_str(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    indent(out, depth + 1);
-                    item.write(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push(']');
-            }
-            Json::Obj(members) => {
-                if members.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    indent(out, depth + 1);
-                    write_str(out, k);
-                    out.push_str(": ");
-                    v.write(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push('}');
-            }
+            Json::Null => w.null(),
+            Json::Bool(b) => w.bool(*b),
+            Json::Num(n) => w.num(*n),
+            Json::Str(s) => w.str(s),
+            Json::Arr(items) => w.array(|w| items.iter().for_each(|item| item.write(w.elem()))),
+            Json::Obj(members) => w.object(|w| members.iter().for_each(|(k, v)| v.write(w.key(k)))),
         }
     }
 
     /// Parses a complete JSON document (trailing whitespace allowed).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing garbage after the document"));
+        Parser::document(text, Parser::value)
+    }
+}
+
+/// The `as_u64` rule: a non-negative integral number is a count.
+fn as_count(n: f64) -> Option<u64> {
+    (n >= 0.0 && n.fract() == 0.0).then_some(n as u64)
+}
+
+/// Convenience: an ordered object from `(key, value)` pairs.
+pub fn obj(members: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
+    Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+/// Writes JSON straight into a `String`, in one of two styles: compact
+/// (no whitespace at all) or pretty (each member and element on its own
+/// line, indented two spaces per level; an empty container stays `{}` or
+/// `[]`). A container is written by [`Writer::object`] or
+/// [`Writer::array`] around a body that starts each member with
+/// [`Writer::key`] and each element with [`Writer::elem`], then writes
+/// its value.
+pub struct Writer<'a> {
+    out: &'a mut String,
+    pretty: bool,
+    /// Containers open around the write position.
+    depth: usize,
+    /// Nothing written yet in the innermost open container.
+    fresh: bool,
+}
+
+impl<'a> Writer<'a> {
+    /// A writer appending to `out`, pretty or compact.
+    pub fn new(out: &'a mut String, pretty: bool) -> Writer<'a> {
+        Writer { out, pretty, depth: 0, fresh: true }
+    }
+
+    /// The compact text of what `write` writes.
+    pub fn compact(write: impl FnOnce(&mut Writer)) -> String {
+        let mut out = String::new();
+        write(&mut Writer::new(&mut out, false));
+        out
+    }
+
+    /// The pretty text of what `write` writes, with a trailing newline.
+    pub fn pretty(write: impl FnOnce(&mut Writer)) -> String {
+        let mut out = String::new();
+        write(&mut Writer::new(&mut out, true));
+        out.push('\n');
+        out
+    }
+
+    /// `{`, the members `body` writes, `}`.
+    pub fn object(&mut self, body: impl FnOnce(&mut Self)) {
+        self.container('{', '}', body);
+    }
+
+    /// `[`, the elements `body` writes, `]`.
+    pub fn array(&mut self, body: impl FnOnce(&mut Self)) {
+        self.container('[', ']', body);
+    }
+
+    fn container(&mut self, open: char, close: char, body: impl FnOnce(&mut Self)) {
+        self.out.push(open);
+        self.depth += 1;
+        self.fresh = true;
+        body(self);
+        self.depth -= 1;
+        if !self.fresh && self.pretty {
+            self.newline();
         }
-        Ok(v)
+        self.fresh = false;
+        self.out.push(close);
     }
-}
 
-fn indent(out: &mut String, depth: usize) {
-    for _ in 0..depth {
-        out.push_str("  ");
+    fn newline(&mut self) {
+        self.out.push('\n');
+        for _ in 0..self.depth {
+            self.out.push_str("  ");
+        }
     }
-}
 
-fn write_num(out: &mut String, n: f64) {
-    assert!(n.is_finite(), "JSON cannot represent {n}");
-    if n.fract() == 0.0 && n.abs() < 9.0e15 {
-        let _ = write!(out, "{}", n as i64);
-    } else {
-        // `{:?}` prints the shortest representation that round-trips.
-        let _ = write!(out, "{n:?}");
+    /// Starts the next element of the open array; write its value next.
+    pub fn elem(&mut self) -> &mut Self {
+        if !self.fresh {
+            self.out.push(',');
+        }
+        self.fresh = false;
+        if self.pretty {
+            self.newline();
+        }
+        self
+    }
+
+    /// Starts the next member of the open object: its key and the colon.
+    /// Write its value next.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.elem();
+        write_str(self.out, key);
+        self.out.push_str(if self.pretty { ": " } else { ":" });
+        self
+    }
+
+    /// A string, escaped.
+    pub fn str(&mut self, s: &str) {
+        write_str(self.out, s);
+    }
+
+    /// A finite number: an integral value below 9e15 prints as an
+    /// integer, anything else in the shortest form that reads back
+    /// exactly.
+    ///
+    /// # Panics
+    ///
+    /// On a NaN or an infinity, which JSON cannot represent.
+    pub fn num(&mut self, n: f64) {
+        assert!(n.is_finite(), "JSON cannot represent {n}");
+        if n.fract() == 0.0 && n.abs() < 9.0e15 {
+            let _ = write!(self.out, "{}", n as i64);
+        } else {
+            // `{:?}` prints the shortest representation that round-trips.
+            let _ = write!(self.out, "{n:?}");
+        }
+    }
+
+    /// A count, printed as [`Writer::num`] prints it as an `f64`.
+    pub fn count(&mut self, n: u64) {
+        self.num(n as f64);
+    }
+
+    /// `true` or `false`.
+    pub fn bool(&mut self, b: bool) {
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// `null`.
+    pub fn null(&mut self) {
+        self.out.push_str("null");
     }
 }
 
@@ -237,7 +288,11 @@ const MAX_DEPTH: usize = 128;
 /// A recursive-descent reader over `text`. Every token boundary it
 /// slices at is an ASCII delimiter, so slices of the already-valid
 /// `&str` are taken as they are, never re-validated.
-struct Parser<'a> {
+///
+/// Each read consumes exactly one value. The typed reads return
+/// `Ok(None)` for a well-formed value of another type, which they skip;
+/// every syntax error is an `Err` naming its byte offset.
+pub struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
@@ -245,16 +300,25 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> String {
-        format!("JSON parse error at byte {}: {msg}", self.pos)
+    /// Reads one complete document from `text` with `read`; only
+    /// whitespace may surround it.
+    ///
+    /// # Errors
+    ///
+    /// What `read` returns, or trailing garbage after the document.
+    pub fn document<T>(text: &'a str, read: impl FnOnce(&mut Parser<'a>) -> Result<T, String>) -> Result<T, String> {
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
+        p.skip_ws();
+        let v = read(&mut p)?;
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(p.err("trailing garbage after the document"));
+        }
+        Ok(v)
     }
 
-    fn descend(&mut self) -> Result<(), String> {
-        self.depth += 1;
-        if self.depth > MAX_DEPTH {
-            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
-        }
-        Ok(())
+    fn err(&self, msg: &str) -> String {
+        format!("JSON parse error at byte {}: {msg}", self.pos)
     }
 
     fn peek(&self) -> Option<u8> {
@@ -276,45 +340,198 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
+    fn literal(&mut self, word: &str) -> Result<(), String> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(self.err(&format!("expected `{word}`")))
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// Reads any value as a tree.
+    ///
+    /// # Errors
+    ///
+    /// A positioned syntax error.
+    pub fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(b'n') => self.literal("null").map(|()| Json::Null),
+            Some(b't' | b'f') => Ok(Json::Bool(self.boolean()?)),
+            Some(b'"') => Ok(Json::Str(self.text()?.into_owned())),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.elements(|p| {
+                    items.push(p.value()?);
+                    Ok(())
+                })?;
+                Ok(Json::Arr(items))
+            }
+            Some(b'{') => {
+                let mut members = Vec::new();
+                self.members(|p, key| {
+                    members.push((key.to_string(), p.value()?));
+                    Ok(())
+                })?;
+                Ok(Json::Obj(members))
+            }
+            Some(c) if c == b'-' || c.is_ascii_digit() => Ok(Json::Num(self.num()?)),
             Some(c) => Err(self.err(&format!("unexpected `{}`", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
+    /// Skips one value of any type, checking its syntax as
+    /// [`Parser::value`] does but building nothing.
+    ///
+    /// # Errors
+    ///
+    /// A positioned syntax error.
+    pub fn skip(&mut self) -> Result<(), String> {
+        match self.peek() {
+            Some(b'"') => self.text().map(drop),
+            Some(b'[') => self.elements(Parser::skip).map(drop),
+            Some(b'{') => self.members(|p, _| p.skip()).map(drop),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.num().map(drop),
+            _ => self.value().map(drop),
+        }
+    }
+
+    /// A string, or `None` (skipped) for a value of another type.
+    ///
+    /// # Errors
+    ///
+    /// A positioned syntax error.
+    pub fn string(&mut self) -> Result<Option<String>, String> {
+        match self.peek() {
+            Some(b'"') => Ok(Some(self.text()?.into_owned())),
+            _ => self.skip().map(|()| None),
+        }
+    }
+
+    /// A number, or `None` (skipped) for a value of another type.
+    ///
+    /// # Errors
+    ///
+    /// A positioned syntax error.
+    pub fn number(&mut self) -> Result<Option<f64>, String> {
+        match self.peek() {
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.num().map(Some),
+            _ => self.skip().map(|()| None),
+        }
+    }
+
+    /// A count — a non-negative integral number, the rule of
+    /// [`Json::as_u64`] — or `None` (skipped) for any other value.
+    ///
+    /// # Errors
+    ///
+    /// A positioned syntax error.
+    pub fn count(&mut self) -> Result<Option<u64>, String> {
+        Ok(self.number()?.and_then(as_count))
+    }
+
+    /// A boolean, or `None` (skipped) for a value of another type.
+    ///
+    /// # Errors
+    ///
+    /// A positioned syntax error.
+    pub fn bool(&mut self) -> Result<Option<bool>, String> {
+        match self.peek() {
+            Some(b't' | b'f') => self.boolean().map(Some),
+            _ => self.skip().map(|()| None),
+        }
+    }
+
+    fn boolean(&mut self) -> Result<bool, String> {
+        if self.peek() == Some(b't') {
+            self.literal("true").map(|()| true)
+        } else {
+            self.literal("false").map(|()| false)
+        }
+    }
+
+    /// Reads an object, handing `member` each key with the parser on its
+    /// value; `member` must consume that value. Returns `false` for a
+    /// value of another type, which is skipped.
+    ///
+    /// # Errors
+    ///
+    /// A positioned syntax error, or what `member` returns.
+    pub fn members(&mut self, mut member: impl FnMut(&mut Self, &str) -> Result<(), String>) -> Result<bool, String> {
+        if self.peek() != Some(b'{') {
+            return self.skip().map(|()| false);
+        }
+        self.container(b'}', |p| {
+            let key = p.text()?;
+            p.skip_ws();
+            p.expect(b':')?;
+            p.skip_ws();
+            member(p, &key)
+        })?;
+        Ok(true)
+    }
+
+    /// Reads an array, calling `element` with the parser on each element;
+    /// `element` must consume it. Returns `false` for a value of another
+    /// type, which is skipped.
+    ///
+    /// # Errors
+    ///
+    /// A positioned syntax error, or what `element` returns.
+    pub fn elements(&mut self, element: impl FnMut(&mut Self) -> Result<(), String>) -> Result<bool, String> {
+        if self.peek() != Some(b'[') {
+            return self.skip().map(|()| false);
+        }
+        self.container(b']', element)?;
+        Ok(true)
+    }
+
+    /// The loop of both containers, with `pos` on the opening bracket:
+    /// `item` reads each entry, separated by commas, up to `close`.
+    fn container(&mut self, close: u8, mut item: impl FnMut(&mut Self) -> Result<(), String>) -> Result<(), String> {
+        self.pos += 1;
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            self.depth -= 1;
+            return Ok(());
+        }
         loop {
-            let start = self.pos;
-            while let Some(c) = self.peek() {
-                if c == b'"' || c == b'\\' {
-                    break;
+            self.skip_ws();
+            item(self)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(c) if c == close => {
+                    self.pos += 1;
+                    self.depth -= 1;
+                    return Ok(());
                 }
-                self.pos += 1;
+                _ => return Err(self.err(&format!("expected `,` or `{}`", close as char))),
             }
-            out.push_str(&self.text[start..self.pos]);
+        }
+    }
+
+    /// A string's text. One without escapes is borrowed from the input.
+    fn text(&mut self) -> Result<Cow<'a, str>, String> {
+        self.expect(b'"')?;
+        let start = self.pos;
+        self.scan_plain();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+        }
+        let mut out = self.text[start..self.pos].to_string();
+        loop {
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -334,6 +551,19 @@ impl<'a> Parser<'a> {
                 }
                 _ => return Err(self.err("unterminated string")),
             }
+            let start = self.pos;
+            self.scan_plain();
+            out.push_str(&self.text[start..self.pos]);
+        }
+    }
+
+    /// Advances over string bytes up to the next `"` or `\`.
+    fn scan_plain(&mut self) {
+        while let Some(c) = self.peek() {
+            if c == b'"' || c == b'\\' {
+                break;
+            }
+            self.pos += 1;
         }
     }
 
@@ -371,7 +601,7 @@ impl<'a> Parser<'a> {
         Ok(char::from_u32(code).unwrap_or('\u{FFFD}'))
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    fn num(&mut self) -> Result<f64, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -385,70 +615,45 @@ impl<'a> Parser<'a> {
         if !n.is_finite() {
             return Err(self.err(&format!("non-finite number `{text}`")));
         }
-        Ok(Json::Num(n))
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        self.descend()?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        self.descend()?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Json::Obj(members));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
+        Ok(n)
     }
 }
 
-/// Convenience: an ordered object from `(key, value)` pairs.
-pub fn obj(members: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-    Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+/// One member of an object read key by key: unseen until its key turns
+/// up, then the first occurrence's typed value, `None` when that value
+/// had another type. Later members under the same key are skipped, so
+/// the first of two duplicate keys wins, as [`Json::get`] does.
+pub struct Field<T>(Option<Option<T>>);
+
+impl<T> Default for Field<T> {
+    fn default() -> Field<T> {
+        Field(None)
+    }
+}
+
+impl<T> Field<T> {
+    /// Reads this member's value with `read`, or skips it if the key was
+    /// seen before.
+    ///
+    /// # Errors
+    ///
+    /// What `read` (or the skip) returns.
+    pub fn read<'a>(
+        &mut self,
+        p: &mut Parser<'a>,
+        read: impl FnOnce(&mut Parser<'a>) -> Result<Option<T>, String>,
+    ) -> Result<(), String> {
+        if self.0.is_some() {
+            return p.skip();
+        }
+        self.0 = Some(read(p)?);
+        Ok(())
+    }
+
+    /// The value, if the member was present with the right type.
+    pub fn get(self) -> Option<T> {
+        self.0.flatten()
+    }
 }
 
 #[cfg(test)]
@@ -555,6 +760,49 @@ mod tests {
         // Deep-but-legal nesting still parses.
         let ok = format!("{}1{}", "[".repeat(100), "]".repeat(100));
         assert!(Json::parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn typed_reads_consume_one_value_and_skip_other_types() {
+        let text = r#"{"s": "a\"b", "n": -2.5, "c": 7, "b": false, "x": {"k": [1, "2", null]}, "c": 9}"#;
+        let mut got = Vec::new();
+        let (mut c, mut wrong) = (Field::default(), Field::default());
+        let found = Parser::document(text, |p| {
+            p.members(|p, key| {
+                match key {
+                    "s" => got.push(format!("{:?}", p.string()?)),
+                    "n" => got.push(format!("{:?}", p.number()?)),
+                    "c" => c.read(p, Parser::count)?,
+                    "b" => wrong.read(p, Parser::number)?,
+                    _ => p.skip()?,
+                }
+                Ok(())
+            })
+        })
+        .unwrap();
+        assert!(found);
+        assert_eq!(got, [r#"Some("a\"b")"#, "Some(-2.5)"]);
+        assert_eq!(c.get(), Some(7), "the first of two duplicate keys wins");
+        assert_eq!(wrong.get(), None, "a value of another type is skipped");
+        // Counts follow `as_u64`; containers of another type are skipped.
+        for (text, want) in [("3", Some(3)), ("3.5", None), ("-1", None), ("\"3\"", None)] {
+            assert_eq!(Parser::document(text, Parser::count).unwrap(), want, "{text}");
+        }
+        assert_eq!(Parser::document("[1, {}]", |p| p.members(|p, _| p.skip())), Ok(false));
+        assert_eq!(Parser::document("{\"a\": 1}", |p| p.elements(Parser::skip)), Ok(false));
+        // Escaped keys decode; syntax errors stay positioned.
+        let keys = Parser::document(r#"{"a\u00e9\n": 1, "plain": 2}"#, |p| {
+            let mut keys = Vec::new();
+            p.members(|p, key| {
+                keys.push(key.to_string());
+                p.skip()
+            })?;
+            Ok(keys)
+        });
+        assert_eq!(keys.unwrap(), ["a\u{e9}\n", "plain"]);
+        let e = Parser::document(r#"{"a": [1 2]}"#, Parser::skip).unwrap_err();
+        assert!(e.starts_with("JSON parse error at byte 9"), "{e}");
+        assert!(Parser::document("1e999", Parser::skip).is_err(), "a skip checks numbers too");
     }
 
     #[test]

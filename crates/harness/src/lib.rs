@@ -11,7 +11,8 @@
 //!
 //! Campaigns serialize to human-diffable JSON artifacts
 //! (`bench-results/<campaign>.json`) through a hand-rolled, offline
-//! writer/reader ([`json::Json`] — no serde). Every job carries a
+//! writer and reader ([`json`] — no serde) that rows and campaigns use
+//! directly, without building a [`Json`] tree. Every job carries a
 //! content digest over the simulator's timing version, the full core
 //! configuration and the assembled workload image; re-running a campaign
 //! against an existing artifact skips every digest-matched job, so an
@@ -56,6 +57,6 @@ pub use figures::render_figure;
 pub use group::{execute_here, partition_units, resolve, Inflight, Outcome, Resolve, Source};
 pub use job::{CfgPatch, FigureCounters, FigureText, JobResult, JobSpec, PlannedImage, ResidentImages, WorkloadImage};
 pub use sampled::{build_bundle, record_bundle, Sampling, SamplingSpec};
-pub use json::Json;
+pub use json::{Field, Json, Parser, Writer};
 pub use pool::{default_workers, map_ordered};
 pub use report::{error_table, render_campaign, render_error_table, ErrorRow, ErrorTable};

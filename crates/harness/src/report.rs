@@ -555,7 +555,8 @@ mod tests {
             .kernels(["lib"])
             .run(&RunOptions { jobs: 1, ..RunOptions::default() })
             .unwrap();
-        let back = Campaign::from_json(&campaign.to_json()).unwrap();
+        let text = crate::Writer::compact(|w| campaign.write(w));
+        let back = crate::Parser::document(&text, Campaign::read).unwrap();
         assert_eq!(back.stages, campaign.stages);
         let text = render_campaign(&back);
         // Single-model campaign: deltas are measured against dmdp itself.

@@ -18,7 +18,7 @@ use std::sync::OnceLock;
 
 use dmdp_core::{CommModel, SimStats};
 use dmdp_harness::figures::{figure_ids, UNION_VARIANTS};
-use dmdp_harness::{render_figure, Campaign, CampaignSpec, CfgPatch, Json, RunOptions};
+use dmdp_harness::{render_figure, Campaign, CampaignSpec, CfgPatch, Json, Parser, RunOptions, Writer};
 use dmdp_stats::{mpki, LoadSource};
 use dmdp_workloads::Scale;
 
@@ -202,7 +202,7 @@ fn rows_are_found_by_configuration_not_by_label() {
 fn rows_without_figure_counters_are_refused() {
     // An artifact written before the counters were recorded: every row
     // ends at `cached`, where the figure keys now follow.
-    let mut v = union().to_json();
+    let mut v = Json::parse(&Writer::compact(|w| union().write(w))).unwrap();
     let Some(Json::Arr(rows)) = (match &mut v {
         Json::Obj(members) => members.iter_mut().find(|(k, _)| k == "jobs").map(|(_, v)| v),
         _ => None,
@@ -215,7 +215,7 @@ fn rows_without_figure_counters_are_refused() {
             members.truncate(cached + 1);
         }
     }
-    let old = Campaign::from_json(&v).unwrap();
+    let old = Parser::document(&v.compact(), Campaign::read).unwrap();
     assert!(old.jobs.iter().all(|r| r.figures.is_none()));
     let err = render("fig02_load_distribution", &old).unwrap_err();
     assert!(err.contains("without figure counters") && err.contains("--force"), "{err}");

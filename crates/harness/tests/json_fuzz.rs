@@ -3,11 +3,13 @@
 //! The parser now reads bytes off the `dmdp serve` socket, so any input
 //! — truncated, bit-flipped, spliced, or outright garbage — must come
 //! back as `Ok` or a positioned `Err`, never a panic or a stack
-//! overflow. The mutations are deterministic (in-repo xoshiro PRNG), so
-//! a failure reproduces exactly.
+//! overflow. The same holds for the row codec: every mutant of a real
+//! campaign document also goes through `Campaign::read` and
+//! `JobResult::read`. The mutations are deterministic (in-repo xoshiro
+//! PRNG), so a failure reproduces exactly.
 
 use dmdp_harness::json::obj;
-use dmdp_harness::Json;
+use dmdp_harness::{Campaign, JobResult, Json, Parser};
 use dmdp_prng::Prng;
 
 /// A document shaped like the real wire traffic: nested objects, arrays,
@@ -40,30 +42,56 @@ fn seed_document() -> String {
     .pretty()
 }
 
+/// A real campaign artifact: four rows (one sampled, one under an
+/// escaped label) and every optional head member.
+fn campaign_document() -> String {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/campaign.json");
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
 /// Asserts the contract: the parser returns, and failures carry the
-/// standard positioned message.
+/// standard positioned message. The campaign and row readers return
+/// too, with a syntax error or a message naming a member.
 fn must_not_panic(text: &str) {
     if let Err(e) = Json::parse(text) {
         assert!(e.contains("JSON parse error"), "unpositioned error for {text:?}: {e}");
     }
+    let _ = Parser::document(text, Campaign::read);
+    let _ = Parser::document(text, JobResult::read);
 }
 
 #[test]
 fn every_truncation_of_a_valid_document_is_handled() {
-    let doc = seed_document();
-    for cut in 0..doc.len() {
-        if doc.is_char_boundary(cut) {
-            must_not_panic(&doc[..cut]);
+    for doc in [seed_document(), campaign_document()] {
+        for cut in 0..doc.len() {
+            if doc.is_char_boundary(cut) {
+                must_not_panic(&doc[..cut]);
+            }
         }
     }
 }
 
 #[test]
+fn the_campaign_document_reads() {
+    let doc = campaign_document();
+    assert_eq!(Parser::document(&doc, Campaign::read).unwrap().jobs.len(), 4);
+    // A row cut out of it reads on its own.
+    let start = doc.find("{\n      \"workload\"").unwrap();
+    let end = start + doc[start..].find("\n    }").unwrap() + 6;
+    assert_eq!(Parser::document(&doc[start..end], JobResult::read).unwrap().workload, "mcf");
+}
+
+#[test]
 fn random_byte_mutations_are_handled() {
-    let doc = seed_document();
-    let mut rng = Prng::new(0xf00d_2026);
+    for (doc, seed) in [(seed_document(), 0xf00d_2026), (campaign_document(), 0xc0de_c023)] {
+        mutate(&doc, seed);
+    }
+}
+
+fn mutate(doc: &str, seed: u64) {
+    let mut rng = Prng::new(seed);
     for _ in 0..2_000 {
-        let mut bytes = doc.clone().into_bytes();
+        let mut bytes = doc.as_bytes().to_vec();
         // 1–4 point mutations: overwrite, insert, or delete a byte.
         for _ in 0..1 + rng.index(4) {
             let kind = rng.index(3);
@@ -93,8 +121,13 @@ fn random_byte_mutations_are_handled() {
 
 #[test]
 fn random_document_splices_are_handled() {
-    let doc = seed_document();
-    let mut rng = Prng::new(0xbeef_cafe);
+    for (doc, seed) in [(seed_document(), 0xbeef_cafe), (campaign_document(), 0x5b1c_e023)] {
+        splice(&doc, seed);
+    }
+}
+
+fn splice(doc: &str, seed: u64) {
+    let mut rng = Prng::new(seed);
     for _ in 0..2_000 {
         let a = rng.index(doc.len() + 1);
         let b = rng.index(doc.len() + 1);

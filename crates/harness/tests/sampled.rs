@@ -1,7 +1,7 @@
 //! End-to-end sampled-simulation accuracy and artifact round-trips.
 
 use dmdp_core::CommModel;
-use dmdp_harness::{Campaign, CampaignSpec, RunOptions};
+use dmdp_harness::{Campaign, CampaignSpec, Parser, RunOptions, Writer};
 use dmdp_workloads::Scale;
 
 fn opts() -> RunOptions {
@@ -50,7 +50,8 @@ fn sampled_rows_and_campaign_meta_round_trip() {
         .sampled(500, 1)
         .run(&opts())
         .unwrap();
-    let back = Campaign::from_json(&sampled.to_json()).unwrap();
+    let text = Writer::pretty(|w| sampled.write(w));
+    let back = Parser::document(&text, Campaign::read).unwrap();
     assert_eq!(back.sampling, sampled.sampling);
     let (b, s) = (&back.jobs[0], &sampled.jobs[0]);
     assert!(b.sampled);

@@ -4,7 +4,7 @@ use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 
-use dmdp_harness::{Campaign, Json};
+use dmdp_harness::{Campaign, Field, Json, Parser};
 
 use crate::protocol::{self, LineEvent, LineReader, Request, SubmitRequest};
 
@@ -90,19 +90,21 @@ impl Client {
         protocol::write_msg(&mut self.writer, &req.to_json())
     }
 
-    /// The next complete message from the daemon. Blocks; `Idle` never
+    /// The next complete line from the daemon. Blocks; `Idle` never
     /// surfaces here because client sockets have no read timeout.
-    fn next_msg(&mut self) -> Result<Json, String> {
+    fn next_line(&mut self) -> Result<String, String> {
         loop {
             match self.reader.read_line()? {
-                LineEvent::Line(text) => {
-                    return Json::parse(&text)
-                        .map_err(|e| format!("daemon sent a malformed message: {e}"));
-                }
+                LineEvent::Line(text) => return Ok(text),
                 LineEvent::Eof => return Err("daemon closed the connection".to_string()),
                 LineEvent::Idle => continue,
             }
         }
+    }
+
+    /// The next complete message from the daemon, as a tree.
+    fn next_msg(&mut self) -> Result<Json, String> {
+        Json::parse(&self.next_line()?).map_err(malformed)
     }
 
     /// If the message is an `error`, surfaces it as `Err`.
@@ -193,14 +195,29 @@ impl Client {
     ) -> Result<Campaign, String> {
         self.send(&Request::Submit(req.clone()))?;
         loop {
-            let msg = self.next_msg()?;
+            // A `campaign` member is read straight into its rows; every
+            // other member is a tree.
+            let line = self.next_line()?;
+            let mut campaign = Field::default();
+            let mut members = Vec::new();
+            Parser::document(&line, |p| {
+                p.members(|p, key| match key {
+                    "campaign" => campaign.read(p, |p| Campaign::read(p).map(Some)),
+                    _ => {
+                        members.push((key.to_string(), p.value()?));
+                        Ok(())
+                    }
+                })
+            })
+            .map_err(malformed)?;
+            let msg = Json::Obj(members);
             Self::check_error(&msg)?;
             match msg.get("type").and_then(Json::as_str) {
                 Some("started") | Some("finished") => on_event(&msg),
                 Some("artifact") => {
-                    let campaign =
-                        msg.get("campaign").ok_or("artifact reply without a campaign")?;
-                    return Campaign::from_json(campaign);
+                    return campaign
+                        .get()
+                        .ok_or_else(|| "artifact reply without a campaign".to_string());
                 }
                 other => {
                     return Err(format!(
@@ -211,6 +228,10 @@ impl Client {
             }
         }
     }
+}
+
+fn malformed(e: String) -> String {
+    format!("daemon sent a malformed message: {e}")
 }
 
 /// Retries `op` across *transient* connection failures — the daemon not

@@ -44,14 +44,14 @@ use dmdp_core::SIM_VERSION;
 use dmdp_harness::json::obj;
 use dmdp_harness::{
     execute_here, pool, resolve, Campaign, CampaignSpec, CfgPatch, Inflight, JobResult, JobSpec,
-    Json, Outcome, ResidentImages, Resolve, Source, StageWall,
+    Json, Outcome, ResidentImages, Resolve, Source, StageWall, Writer,
 };
 use dmdp_obs::log::{next_trace_id, EventLog, Level, Value};
 use dmdp_obs::{Counter, Gauge, LogHistogram};
 
 use crate::protocol::{
-    self, write_locked, write_msg, LineEvent, LineReader, Request, SubmitRequest, WorkerMsg,
-    PROTOCOL_VERSION,
+    self, write_line, write_locked, write_msg, LineEvent, LineReader, Request, SubmitRequest,
+    WorkerMsg, PROTOCOL_VERSION, ROW_LINE_BYTES,
 };
 use crate::store::{warn_write, Store};
 
@@ -818,7 +818,7 @@ fn link_worker(shared: &Shared, worker: &WorkerHandle, stdout: ChildStdout) {
     loop {
         match reader.read_line() {
             Ok(LineEvent::Line(text)) => {
-                match Json::parse(&text).and_then(|v| WorkerMsg::from_json(&v)) {
+                match WorkerMsg::parse(&text) {
                     Ok(WorkerMsg::GroupDone { id, rows }) => {
                         resolve_group(&shared.log, worker, id, Ok(rows));
                     }
@@ -1203,7 +1203,15 @@ fn run_submit<W: Write + Send>(
             campaign.wall_s
         );
     }
-    let sent = write_locked(writer, &protocol::artifact_msg(campaign.to_json()));
+    // The reply is written member by member into one line allocated up
+    // front: `{"type":"artifact","campaign":<campaign>}`.
+    let mut line = String::with_capacity(ROW_LINE_BYTES * (campaign.jobs.len() + 1));
+    Writer::new(&mut line, false).object(|w| {
+        w.key("type").str("artifact");
+        campaign.write(w.key("campaign"));
+    });
+    line.push('\n');
+    let sent = write_line(&mut *writer.lock().expect("no writer holder panics"), &line);
     // The wall ends once the reply is serialized and written.
     m.submit_wall_us.observe(elapsed_us(start));
     sent

@@ -1,11 +1,14 @@
 //! The newline-delimited JSON wire protocol between `dmdp submit` and
 //! `dmdp serve`, and between `dmdp serve --workers` and its children.
 //!
-//! Framing is one JSON document per line ([`Json::compact`] never emits
+//! Framing is one JSON document per line (the compact writer never emits
 //! an embedded newline), read back with a [`LineReader`] that survives
 //! socket read timeouts without losing partial lines. Everything rides
 //! on `harness::json` — no new dependencies, and the documents are the
-//! same shapes the campaign artifacts already use.
+//! same shapes the campaign artifacts already use. Messages that carry
+//! result rows (the `artifact` reply and `group_done`) are written and
+//! read member by member through `JobResult::write`/`read`, never as a
+//! [`Json`] tree; every other message is a tree.
 //!
 //! Requests (client → daemon): `submit`, `stats`, `metrics`,
 //! `shutdown`, `ping`. Responses (daemon → client): `started`/`finished`
@@ -26,7 +29,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 
 use dmdp_core::CommModel;
 use dmdp_harness::json::obj;
-use dmdp_harness::{CampaignSpec, CfgPatch, JobResult, Json, Sampling};
+use dmdp_harness::{CampaignSpec, CfgPatch, Field, JobResult, Json, Parser, Sampling, Writer};
 use dmdp_workloads::Scale;
 
 /// Bumped when the wire format changes incompatibly. The daemon answers
@@ -297,11 +300,6 @@ pub fn finished_msg(index: usize, result: &JobResult, source: &str) -> Json {
     ])
 }
 
-/// Final submit response: the complete assembled campaign artifact.
-pub fn artifact_msg(campaign: Json) -> Json {
-    obj([("type", Json::Str("artifact".into())), ("campaign", campaign)])
-}
-
 /// `metrics` response: the full registry snapshot as one wire document.
 /// Counters and gauges carry a scalar `value`; histograms carry `count`,
 /// `sum`, and the non-empty log₂ `buckets` as `[le, cumulative_count]`
@@ -450,25 +448,30 @@ pub fn group_msg(id: u64, spec: &GroupSpec) -> Json {
     ])
 }
 
-/// `group_done`: worker → coordinator, all members finished. Each row
-/// carries the full result plus how the worker satisfied it
-/// (`"executed"` or `"store"` — its own store view may already hold a
-/// row another worker published).
-pub fn group_done_msg(id: u64, rows: &[(JobResult, String)]) -> Json {
-    obj([
-        ("type", Json::Str("group_done".into())),
-        ("id", Json::Num(id as f64)),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|(r, source)| {
-                        obj([("source", Json::Str(source.clone())), ("result", r.to_json())])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+/// Room reserved per result row in a line that carries rows, above the
+/// 600–700 bytes of a compact row, so the line is allocated once.
+pub(crate) const ROW_LINE_BYTES: usize = 1024;
+
+/// `group_done`: worker → coordinator, all members finished, as one line
+/// with its newline. Each row carries the full result plus how the
+/// worker satisfied it (`"executed"` or `"store"` — its own store view
+/// may already hold a row another worker published).
+pub fn group_done_line(id: u64, rows: &[(JobResult, String)]) -> String {
+    let mut line = String::with_capacity(ROW_LINE_BYTES * (rows.len() + 1));
+    Writer::new(&mut line, false).object(|w| {
+        w.key("type").str("group_done");
+        w.key("id").count(id);
+        w.key("rows").array(|w| {
+            for (r, source) in rows {
+                w.elem().object(|w| {
+                    w.key("source").str(source);
+                    r.write(w.key("result"));
+                });
+            }
+        });
+    });
+    line.push('\n');
+    line
 }
 
 /// `group_failed`: worker → coordinator, the group errored as a whole.
@@ -500,46 +503,55 @@ pub enum WorkerMsg {
 }
 
 impl WorkerMsg {
-    /// Parses one line of a worker's stdout.
+    /// Parses one line of a worker's stdout, reading each row with
+    /// [`JobResult::read`].
     ///
     /// # Errors
     ///
-    /// A message naming the missing or malformed field.
-    pub fn from_json(v: &Json) -> Result<WorkerMsg, String> {
-        match v.get("type").and_then(Json::as_str) {
-            Some("group_done") => {
-                let id = v.get("id").and_then(Json::as_u64).ok_or("group_done: missing `id`")?;
-                let rows = v
-                    .get("rows")
-                    .and_then(Json::as_arr)
-                    .ok_or("group_done: missing `rows` array")?
-                    .iter()
-                    .map(|row| {
-                        let source = row
-                            .get("source")
-                            .and_then(Json::as_str)
-                            .ok_or("group_done: row missing `source`")?
-                            .to_string();
-                        let result = JobResult::from_json(
-                            row.get("result").ok_or("group_done: row missing `result`")?,
-                        )?;
-                        Ok((result, source))
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                Ok(WorkerMsg::GroupDone { id, rows })
-            }
+    /// A syntax error, or a message naming the missing or malformed
+    /// field.
+    pub fn parse(line: &str) -> Result<WorkerMsg, String> {
+        let (mut kind, mut id, mut rows, mut error) =
+            (Field::default(), Field::default(), Field::default(), Field::default());
+        Parser::document(line, |p| {
+            p.members(|p, key| match key {
+                "type" => kind.read(p, Parser::string),
+                "id" => id.read(p, Parser::count),
+                "rows" => rows.read(p, read_group_rows),
+                "error" => error.read(p, Parser::string),
+                _ => p.skip(),
+            })
+        })?;
+        match kind.get().as_deref() {
+            Some("group_done") => Ok(WorkerMsg::GroupDone {
+                id: id.get().ok_or("group_done: missing `id`")?,
+                rows: rows.get().ok_or("group_done: missing `rows` array")?,
+            }),
             Some("group_failed") => Ok(WorkerMsg::GroupFailed {
-                id: v.get("id").and_then(Json::as_u64).ok_or("group_failed: missing `id`")?,
-                error: v
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or("worker reported an unnamed failure")
-                    .to_string(),
+                id: id.get().ok_or("group_failed: missing `id`")?,
+                error: error.get().unwrap_or_else(|| "worker reported an unnamed failure".to_string()),
             }),
             Some(other) => Err(format!("unknown worker message type `{other}`")),
             None => Err("worker message has no `type`".to_string()),
         }
     }
+}
+
+/// A `group_done` message's `rows`: `None` when it is not an array.
+fn read_group_rows(p: &mut Parser) -> Result<Option<Vec<(JobResult, String)>>, String> {
+    let mut rows = Vec::new();
+    let found = p.elements(|p| {
+        let (mut source, mut result) = (Field::default(), Field::default());
+        p.members(|p, key| match key {
+            "source" => source.read(p, Parser::string),
+            "result" => result.read(p, |p| JobResult::read(p).map(Some)),
+            _ => p.skip(),
+        })?;
+        let source = source.get().ok_or("group_done: row missing `source`")?;
+        rows.push((result.get().ok_or("group_done: row missing `result`")?, source));
+        Ok(())
+    })?;
+    Ok(found.then_some(rows))
 }
 
 /// Parses one line of a worker's stdin: a `group` dispatch, as its
@@ -586,6 +598,16 @@ pub fn pong_msg() -> Json {
 pub fn write_msg<W: Write>(w: &mut W, msg: &Json) -> Result<(), String> {
     let mut line = msg.compact();
     line.push('\n');
+    write_line(w, &line)
+}
+
+/// Writes one complete line, its newline included, in a single write and
+/// flushes it onto the wire.
+///
+/// # Errors
+///
+/// Propagates I/O errors, stringified.
+pub(crate) fn write_line<W: Write>(w: &mut W, line: &str) -> Result<(), String> {
     w.write_all(line.as_bytes()).and_then(|()| w.flush()).map_err(|e| format!("write: {e}"))
 }
 
@@ -846,10 +868,9 @@ mod tests {
         )
         .execute()
         .unwrap();
-        let wire = group_done_msg(7, &[(result.clone(), "executed".to_string())]).compact();
-        let WorkerMsg::GroupDone { id, rows } =
-            WorkerMsg::from_json(&Json::parse(&wire).unwrap()).unwrap()
-        else {
+        let wire = group_done_line(7, &[(result.clone(), "executed".to_string())]);
+        assert!(wire.ends_with('\n') && !wire.trim_end().contains('\n'), "one line: {wire}");
+        let WorkerMsg::GroupDone { id, rows } = WorkerMsg::parse(&wire).unwrap() else {
             panic!("group_done should parse");
         };
         assert_eq!(id, 7);
@@ -860,16 +881,21 @@ mod tests {
         assert_eq!(rows[0].0.ipc, result.ipc);
 
         let wire = group_failed_msg(9, "cycle limit").compact();
-        let WorkerMsg::GroupFailed { id, error } =
-            WorkerMsg::from_json(&Json::parse(&wire).unwrap()).unwrap()
-        else {
+        let WorkerMsg::GroupFailed { id, error } = WorkerMsg::parse(&wire).unwrap() else {
             panic!("group_failed should parse");
         };
         assert_eq!((id, error.as_str()), (9, "cycle limit"));
 
         // There is no handshake in the dialect.
-        let hello = Json::parse(r#"{"type": "register"}"#).unwrap();
-        assert!(WorkerMsg::from_json(&hello).is_err());
+        assert!(WorkerMsg::parse(r#"{"type": "register"}"#).is_err());
+        // A row that does not read is an error naming what is missing.
+        for (rows, want) in [("[{}]", "row missing `source`"), (r#"[{"source": "store"}]"#, "row missing `result`"), ("{}", "missing `rows` array")] {
+            let err = WorkerMsg::parse(&format!(r#"{{"type": "group_done", "id": 1, "rows": {rows}}}"#)).unwrap_err();
+            assert!(err.contains(want), "{rows}: {err}");
+        }
+        let err = WorkerMsg::parse(r#"{"type": "group_done", "id": 1, "rows": [{"source": "store", "result": {}}]}"#)
+            .unwrap_err();
+        assert!(err.contains("job row: missing string `suite`"), "{err}");
     }
 
     /// Gives the inner reader at most `self.1` bytes of room per read.

@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Instant, SystemTime};
 
-use dmdp_harness::{JobResult, Json, Sampling, WorkloadImage};
+use dmdp_harness::{JobResult, Parser, Sampling, WorkloadImage, Writer};
 use dmdp_obs::log::EventLog;
 use dmdp_sample::SampledBundle;
 
@@ -219,10 +219,11 @@ impl Store {
     }
 
     /// Looks a result up by digest. The returned row is marked `cached`
-    /// (it was not executed by the caller). An entry that has vanished
-    /// or no longer parses is dropped from the index and reported as a
-    /// miss; any other read error is a miss that keeps the entry, so a
-    /// transient `EMFILE` or `EIO` never deletes a good row. An
+    /// (it was not executed by the caller). An entry that has vanished,
+    /// no longer parses as a row, or holds the row of another digest is
+    /// dropped from the index and reported as a miss; any other read
+    /// error is a miss that keeps the entry, so a transient `EMFILE` or
+    /// `EIO` never deletes a good row. An
     /// un-indexed digest whose file *is* on disk — a sibling process
     /// sharing this directory wrote it — is adopted into the index and
     /// reported as a hit, which is how a restarted worker re-syncs its
@@ -232,12 +233,13 @@ impl Store {
             return self.miss();
         }
         let indexed = self.index.lock().unwrap().entries.contains_key(digest);
-        // `None` when the file has vanished or no longer parses as a row.
+        // `None` when the file has vanished, no longer parses as a row,
+        // or holds a row filed under another digest.
         let loaded = match std::fs::read(self.path_of(digest)) {
             Ok(raw) => std::str::from_utf8(&raw)
                 .ok()
-                .and_then(|text| Json::parse(text).ok())
-                .and_then(|v| JobResult::from_json(&v).ok())
+                .and_then(|text| Parser::document(text, JobResult::read).ok())
+                .filter(|result| result.digest == digest)
                 .map(|result| (result, raw.len() as u64)),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
             // Any other read error (`EMFILE`, `EIO`) says nothing about
@@ -267,7 +269,8 @@ impl Store {
                 Some(result)
             }
             None => {
-                // Deleted or corrupted behind our back: forget it.
+                // Deleted, corrupted or overwritten behind our back:
+                // forget it.
                 if indexed {
                     if let Some(entry) = index.entries.remove(digest) {
                         index.total_bytes -= entry.bytes;
@@ -329,7 +332,7 @@ impl Store {
             result.digest,
             self.tmp_seq.fetch_add(1, Ordering::Relaxed)
         ));
-        let text = result.to_json().pretty();
+        let text = Writer::pretty(|w| result.write(w));
         std::fs::write(&tmp, &text).map_err(|e| format!("{}: {e}", tmp.display()))?;
         std::fs::rename(&tmp, &path).map_err(|e| format!("{}: {e}", path.display()))?;
         let mut index = self.index.lock().unwrap();

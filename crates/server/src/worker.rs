@@ -27,7 +27,7 @@ use dmdp_harness::{
 };
 use dmdp_obs::log::{EventLog, Level};
 
-use crate::protocol::{self, write_locked, GroupSpec, LineEvent, LineReader};
+use crate::protocol::{self, write_line, GroupSpec, LineEvent, LineReader};
 use crate::store::{warn_write, Store};
 
 /// Configuration of one [`run_worker`] invocation.
@@ -162,14 +162,14 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), String> {
                 };
                 let Some((gid, gspec)) = next else { return };
                 let start = Instant::now();
-                let msg = match ctx.run_group(&gspec) {
-                    Ok(rows) => protocol::group_done_msg(gid, &rows),
+                let line = match ctx.run_group(&gspec) {
+                    Ok(rows) => protocol::group_done_line(gid, &rows),
                     Err(e) => {
                         ctx.log.warn(
                             "group_failed",
                             &[("group", gid.into()), ("error", (&e).into())],
                         );
-                        protocol::group_failed_msg(gid, &e)
+                        protocol::group_failed_msg(gid, &e).compact() + "\n"
                     }
                 };
                 ctx.groups.fetch_add(1, Ordering::Relaxed);
@@ -182,7 +182,7 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), String> {
                         ("wall_s", start.elapsed().as_secs_f64().into()),
                     ],
                 );
-                if write_locked(&writer, &msg).is_err() {
+                if write_line(&mut *writer.lock().expect("no stdout holder panics"), &line).is_err() {
                     break;
                 }
             });

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use dmdp_core::{CommModel, CoreConfig};
-use dmdp_harness::{JobResult, JobSpec, PlannedImage};
+use dmdp_harness::{JobResult, JobSpec, PlannedImage, Writer};
 use dmdp_server::Store;
 use dmdp_workloads::Scale;
 
@@ -142,7 +142,7 @@ fn size_cap_evicts_least_recently_used() {
     .into_iter()
     .map(|(k, m)| result_for(k, m))
     .collect();
-    let entry_bytes = results[0].to_json().pretty().len() as u64;
+    let entry_bytes = Writer::pretty(|w| results[0].write(w)).len() as u64;
     // Room for two entries and change — never four.
     let cap = entry_bytes * 5 / 2;
 
@@ -213,7 +213,7 @@ fn eviction_tolerates_a_sibling_unlinking_the_victim_first() {
     .into_iter()
     .map(|(k, m)| result_for(k, m))
     .collect();
-    let entry_bytes = results[0].to_json().pretty().len() as u64;
+    let entry_bytes = Writer::pretty(|w| results[0].write(w)).len() as u64;
     let store = Store::open(&dir, Some(entry_bytes * 5 / 2)).unwrap();
     store.put(&results[0]).unwrap();
     store.put(&results[1]).unwrap();
@@ -243,7 +243,7 @@ fn eviction_spares_freshly_relanded_entries_and_ckpt_blobs() {
     .into_iter()
     .map(|(k, m)| result_for(k, m))
     .collect();
-    let entry_bytes = results[0].to_json().pretty().len() as u64;
+    let entry_bytes = Writer::pretty(|w| results[0].write(w)).len() as u64;
     let store = Store::open(&dir, Some(entry_bytes * 5 / 2)).unwrap();
     let blob_digest = "feedfacefeedface";
     store.put_blob(blob_digest, &[7u8; 2048]).unwrap();
@@ -319,5 +319,29 @@ fn a_vanished_or_corrupt_entry_leaves_the_index() {
     assert!(!store.contains(&bad.digest), "a corrupt entry leaves the index");
     assert!(!store.path_of(&bad.digest).exists(), "a corrupt entry's file is deleted");
     assert_eq!(store.stats().bytes, 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_row_filed_under_another_digest_is_a_corrupt_entry() {
+    let dir = tmp_dir("misfiled");
+    let kept = result_for("lib", CommModel::Dmdp);
+    let other = result_for("mcf", CommModel::Dmdp);
+    let store = Store::open(&dir, None).unwrap();
+    store.put(&kept).unwrap();
+    store.put(&other).unwrap();
+    // The file is written exactly as `put` writes it: the pretty row.
+    let stored = std::fs::read_to_string(store.path_of(&kept.digest)).unwrap();
+    assert_eq!(stored, Writer::pretty(|w| kept.write(w)));
+    // `other`'s row, copied over `kept`'s file, parses as a row but
+    // answers for the wrong digest: a miss that drops the entry.
+    std::fs::copy(store.path_of(&other.digest), store.path_of(&kept.digest)).unwrap();
+    let misses = store.stats().misses;
+    assert!(store.get(&kept.digest).is_none(), "a misfiled row is never served");
+    assert_eq!(store.stats().misses, misses + 1, "it counts as a miss");
+    assert!(!store.contains(&kept.digest), "a misfiled entry leaves the index");
+    assert!(!store.path_of(&kept.digest).exists(), "a misfiled entry's file is deleted");
+    let hit = store.get(&other.digest).expect("the row under its own digest still serves");
+    assert_eq!(hit.digest, other.digest);
     std::fs::remove_dir_all(&dir).ok();
 }
