@@ -143,9 +143,9 @@ OPTIONS:
 
 With --workers the daemon becomes a coordinator over its own children:
 job groups are placed on the least-loaded worker, every worker runs its
-own thread pool and resident workload images, and the store directory
-is the only shared state — so sharded artifacts stay byte-compatible
-with single-process ones. A worker that dies mid-group has its
+own thread pool and resident workload images and only executes, and
+the coordinator alone looks rows up and writes them to the store — so
+sharded artifacts stay byte-compatible with single-process ones. A worker that dies mid-group has its
 unfinished digests requeued on the others, or run in-process once none
 is left. No other process can become a worker.
 
@@ -170,8 +170,8 @@ USAGE:
     dmdp worker [OPTIONS]
 
 OPTIONS:
-    --store <DIR>     shared result store directory  [default: dmdp-store]
-                      must be the same directory the coordinator uses
+    --store <DIR>     the coordinator's store directory  [default: dmdp-store]
+                      (for the checkpoint bundles of sampled groups)
     --jobs <N>        runner threads   [default: one per --cores core]
     --cores <LIST>    comma-separated cores to pin to (best-effort),
                       e.g. --cores 0,1
@@ -181,10 +181,10 @@ OPTIONS:
 `dmdp serve --workers N` spawns its workers and links to each over the
 worker's stdin and stdout: job groups arrive on stdin, one JSON line
 each, and every group is answered on stdout. The worker executes each
-group against its own resident workload images and checks the shared
-store before simulating each member. End of file on stdin is the order
-to drain and exit. Its event log goes to stderr, since stdout is the
-link.
+group against its own resident workload images and returns its rows;
+it never reads or writes a stored row, since the coordinator does
+both. End of file on stdin is the order to drain and exit. Its event
+log goes to stderr, since stdout is the link.
 ";
 
 const METRICS_HELP: &str = "\

@@ -12,7 +12,7 @@ use dmdp_sample::SampledBundle;
 use dmdp_stats::geomean;
 use dmdp_workloads::{Scale, Suite};
 
-use crate::group::{execute_here, resolve, Inflight, Outcome, Resolve, Source};
+use crate::group::{resolve, Inflight, Outcome, Resolve, Source};
 use crate::job::{CfgPatch, JobConfig, JobResult, JobSpec, WorkloadImage};
 use crate::json::{Field, Parser, Writer};
 use crate::pool;
@@ -267,8 +267,8 @@ impl Resolve for Local<'_> {
         self.prior.get(spec.digest.as_str()).map(|&r| r.clone())
     }
 
-    fn execute(&self, specs: &[&JobSpec]) -> Vec<Outcome> {
-        execute_here(specs)
+    fn execute(&self, specs: &[&JobSpec]) -> Vec<Result<JobResult, String>> {
+        JobSpec::execute_batch(specs)
     }
 
     fn finished(&self, rows: &[(usize, Outcome)]) {

@@ -3,10 +3,12 @@
 //! A job list is resolved as *units*: runs of consecutive variant jobs
 //! of one (workload, model) that the batch engine
 //! ([`crate::JobSpec::execute_batch`]) runs over one shared front end,
-//! with sampled jobs as singletons. The local campaign, the daemon's
-//! submit path and a worker's group handler all go through [`resolve`]
-//! and differ only in their [`Resolve`] half, so their artifacts agree
-//! by construction.
+//! with sampled jobs as singletons. The local campaign and the daemon's
+//! submit path both go through [`resolve`] and differ only in their
+//! [`Resolve`] half, so their artifacts agree by construction. A worker
+//! of a sharded daemon never resolves: it is only where the daemon's
+//! executor runs a unit, so the one process that looks rows up is the
+//! one that publishes them, and a store directory has one row writer.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -50,7 +52,7 @@ pub fn partition_units(specs: &[JobSpec], batchable: impl Fn(usize) -> bool) -> 
 pub enum Source {
     /// Simulated for this request.
     Executed,
-    /// Found by a lookup (a prior artifact or a result store).
+    /// Found by [`Resolve::lookup`] (a prior artifact or a result store).
     Store,
     /// Shared from an identical job another caller had in flight.
     Dedup,
@@ -76,10 +78,9 @@ pub trait Resolve: Sync {
     /// A finished row for `spec`'s digest, if the caller has one.
     fn lookup(&self, spec: &JobSpec) -> Option<JobResult>;
 
-    /// Executes one unit's claimed misses, returning one outcome per
-    /// spec, in order: [`Source::Executed`], or [`Source::Store`] for a
-    /// row someone else landed meanwhile.
-    fn execute(&self, specs: &[&JobSpec]) -> Vec<Outcome>;
+    /// Executes one unit's claimed misses, returning one row or error
+    /// per spec, in order.
+    fn execute(&self, specs: &[&JobSpec]) -> Vec<Result<JobResult, String>>;
 
     /// Persists a row [`Resolve::execute`] returned.
     fn publish(&self, _row: &JobResult) {}
@@ -89,12 +90,6 @@ pub trait Resolve: Sync {
 
     /// A unit resolved: each member's job-list index and outcome.
     fn finished(&self, _rows: &[(usize, Outcome)]) {}
-}
-
-/// Executes a unit in this process: the executor of a local campaign, of
-/// a worker, and of a daemon with no workers registered.
-pub fn execute_here(specs: &[&JobSpec]) -> Vec<Outcome> {
-    JobSpec::execute_batch(specs).into_iter().map(|r| r.map(|r| (r, Source::Executed))).collect()
 }
 
 /// The digest-keyed table of jobs in flight: the first caller to claim a
@@ -209,20 +204,18 @@ pub fn resolve<R: Resolve + ?Sized>(
             let finished_s = start.elapsed().as_secs_f64();
             for member in members.iter_mut() {
                 let Member::Own(claim) = member else { continue };
-                let mut outcome = results.next().expect("one outcome per executed job");
-                if let Ok((row, source)) = &mut outcome {
-                    if *source == Source::Executed {
-                        row.started_s = claimed_s;
-                        row.finished_s = finished_s;
-                    }
+                let mut result = results.next().expect("one result per executed job");
+                if let Ok(row) = &mut result {
+                    row.started_s = claimed_s;
+                    row.finished_s = finished_s;
                     r.publish(row);
                 }
                 // Waiters get a summary copy; only the owner keeps stats.
-                claim.outcome = Some(match &outcome {
-                    Ok((row, _)) => Ok(JobResult { stats: None, ..row.clone() }),
+                claim.outcome = Some(match &result {
+                    Ok(row) => Ok(JobResult { stats: None, ..row.clone() }),
                     Err(e) => Err(e.clone()),
                 });
-                *member = Member::Done(outcome);
+                *member = Member::Done(result.map(|row| (row, Source::Executed)));
             }
         }
         let rows: Vec<(usize, Outcome)> = unit

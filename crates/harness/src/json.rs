@@ -224,15 +224,15 @@ impl<'a> Writer<'a> {
     }
 
     /// A finite number: an integral value below 9e15 prints as an
-    /// integer, anything else in the shortest form that reads back
-    /// exactly.
+    /// integer, anything else (negative zero included, as `-0.0`) in the
+    /// shortest form that reads back exactly.
     ///
     /// # Panics
     ///
     /// On a NaN or an infinity, which JSON cannot represent.
     pub fn num(&mut self, n: f64) {
         assert!(n.is_finite(), "JSON cannot represent {n}");
-        if n.fract() == 0.0 && n.abs() < 9.0e15 {
+        if n.fract() == 0.0 && n.abs() < 9.0e15 && !(n == 0.0 && n.is_sign_negative()) {
             let _ = write!(self.out, "{}", n as i64);
         } else {
             // `{:?}` prints the shortest representation that round-trips.

@@ -54,7 +54,7 @@ mod sampled;
 pub use campaign::{Campaign, CampaignSpec, RunOptions, StageWall};
 pub use digest::Digest64;
 pub use figures::render_figure;
-pub use group::{execute_here, partition_units, resolve, Inflight, Outcome, Resolve, Source};
+pub use group::{partition_units, resolve, Inflight, Outcome, Resolve, Source};
 pub use job::{CfgPatch, FigureCounters, FigureText, JobResult, JobSpec, PlannedImage, ResidentImages, WorkloadImage};
 pub use sampled::{build_bundle, record_bundle, Sampling, SamplingSpec};
 pub use json::{Field, Json, Parser, Writer};

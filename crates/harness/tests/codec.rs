@@ -230,7 +230,7 @@ fn label(rng: &mut Prng) -> String {
 }
 
 fn float(rng: &mut Prng) -> f64 {
-    const SPECIAL: [f64; 8] = [0.0, 1e-300, 5e-324, f64::MAX, 9.5e15, 12_345_678_901_234_567.0, 0.1, 1.0];
+    const SPECIAL: [f64; 9] = [0.0, -0.0, 1e-300, 5e-324, f64::MAX, 9.5e15, 12_345_678_901_234_567.0, 0.1, 1.0];
     let x = if rng.flip() {
         SPECIAL[rng.index(SPECIAL.len())]
     } else {
@@ -242,8 +242,8 @@ fn float(rng: &mut Prng) -> f64 {
             }
         }
     };
-    // Negative values round-trip too; negative zero prints as `0`.
-    if x != 0.0 && rng.chance(1, 4) {
+    // Negative values round-trip too, negative zero included.
+    if rng.chance(1, 4) {
         -x
     } else {
         x

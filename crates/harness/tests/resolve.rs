@@ -61,13 +61,13 @@ impl Resolve for Fake {
         self.store.lock().unwrap().get(&spec.digest).cloned()
     }
 
-    fn execute(&self, specs: &[&JobSpec]) -> Vec<Outcome> {
+    fn execute(&self, specs: &[&JobSpec]) -> Vec<Result<JobResult, String>> {
         self.on_execute.iter().for_each(|hook| hook());
         self.calls.lock().unwrap().push(specs.iter().map(|s| s.digest.clone()).collect());
         if let Some((_, delay)) = self.slow.filter(|(m, _)| *m == specs[0].model) {
             std::thread::sleep(delay);
         }
-        specs.iter().map(|s| Ok((row(s), Source::Executed))).collect()
+        specs.iter().map(|s| Ok(row(s))).collect()
     }
 
     fn publish(&self, row: &JobResult) {

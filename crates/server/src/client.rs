@@ -22,13 +22,7 @@ impl Client {
     ///
     /// Connection failures, stringified with the socket path.
     pub fn connect_unix(path: &Path) -> Result<Client, String> {
-        let stream =
-            UnixStream::connect(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let read_half = stream.try_clone().map_err(|e| format!("{}: {e}", path.display()))?;
-        Ok(Client {
-            reader: LineReader::new(Box::new(read_half)),
-            writer: Box::new(stream),
-        })
+        Client::connect_unix_retry(path, 0)
     }
 
     /// Connects over TCP (e.g. `127.0.0.1:7199`).
@@ -37,17 +31,12 @@ impl Client {
     ///
     /// Connection failures, stringified with the address.
     pub fn connect_tcp(addr: &str) -> Result<Client, String> {
-        let stream = std::net::TcpStream::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
-        let read_half = stream.try_clone().map_err(|e| format!("{addr}: {e}"))?;
-        Ok(Client {
-            reader: LineReader::new(Box::new(read_half)),
-            writer: Box::new(stream),
-        })
+        Client::connect_tcp_retry(addr, 0)
     }
 
-    /// [`Client::connect_unix`] with transient-failure retries
-    /// ([`retry_transient`]) — racing a daemon that is still binding its
-    /// socket is expected in scripts.
+    /// Connects over a unix socket, retrying transient failures
+    /// `retries` times ([`retry_transient`]) — racing a daemon that is
+    /// still binding its socket is expected in scripts.
     ///
     /// # Errors
     ///
@@ -66,7 +55,7 @@ impl Client {
         })
     }
 
-    /// [`Client::connect_tcp`] with transient-failure retries
+    /// Connects over TCP, retrying transient failures `retries` times
     /// ([`retry_transient`]).
     ///
     /// # Errors

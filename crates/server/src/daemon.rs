@@ -43,8 +43,8 @@ use std::time::{Duration, Instant};
 use dmdp_core::SIM_VERSION;
 use dmdp_harness::json::obj;
 use dmdp_harness::{
-    execute_here, pool, resolve, Campaign, CampaignSpec, CfgPatch, Inflight, JobResult, JobSpec,
-    Json, Outcome, ResidentImages, Resolve, Source, StageWall, Writer,
+    pool, resolve, Campaign, CampaignSpec, CfgPatch, Inflight, JobResult, JobSpec, Json, Outcome,
+    ResidentImages, Resolve, Source, StageWall, Writer,
 };
 use dmdp_obs::log::{next_trace_id, EventLog, Level, Value};
 use dmdp_obs::{Counter, Gauge, LogHistogram};
@@ -221,9 +221,9 @@ enum GroupFail {
     Error(String),
 }
 
-/// What lands in a [`GroupSlot`]: the group's rows in dispatch order
-/// (each with its source tag), or the reason there are none.
-type GroupOutcome = Result<Vec<(JobResult, Source)>, GroupFail>;
+/// What lands in a [`GroupSlot`]: the group's executed rows in dispatch
+/// order, or the reason there are none.
+type GroupOutcome = Result<Vec<JobResult>, GroupFail>;
 
 /// A dispatched group's result slot: the worker's link thread
 /// publishes, the submitting thread waits.
@@ -878,11 +878,13 @@ fn resolve_group(
     log: &EventLog,
     worker: &WorkerHandle,
     gid: u64,
-    rows: Result<Vec<(JobResult, String)>, String>,
+    rows: Result<Vec<JobResult>, String>,
 ) {
     let Some(pg) = worker.pending.lock().unwrap().remove(&gid) else {
-        // A requeued group completing on a worker we already declared
-        // dead-and-recovered; its rows are in the store, drop them.
+        // Not pending: the group was re-placed after its dispatch failed,
+        // or the worker answered an id it does not owe. Drop the rows:
+        // only a pending group's rows reach this process's resolver, the
+        // store's one row writer, so these are never stored.
         log.warn(
             "late_group",
             &[("worker", worker.id.into()), ("group", gid.into())],
@@ -895,19 +897,14 @@ fn resolve_group(
         Err(e) => Err(GroupFail::Error(e)),
         Ok(rows) => {
             if rows.len() != pg.digests.len()
-                || rows.iter().zip(&pg.digests).any(|((r, _), d)| &r.digest != d)
+                || rows.iter().zip(&pg.digests).any(|(r, d)| &r.digest != d)
             {
                 Err(GroupFail::Error(format!(
                     "worker {} returned rows that do not match the dispatched digests",
                     worker.name
                 )))
             } else {
-                Ok(rows
-                    .into_iter()
-                    .map(|(r, src)| {
-                        (r, if src == Source::Executed.name() { Source::Executed } else { Source::Store })
-                    })
-                    .collect())
+                Ok(rows)
             }
         }
     };
@@ -937,7 +934,7 @@ fn execute_unit(
     variants: &[(String, CfgPatch)],
     specs: &[&JobSpec],
     trace: &str,
-) -> Vec<Outcome> {
+) -> Vec<Result<JobResult, String>> {
     loop {
         let Some(worker) = pick_worker(shared) else { break };
         let place_start = Instant::now();
@@ -1018,7 +1015,7 @@ fn execute_unit(
             Err(GroupFail::Error(e)) => return specs.iter().map(|_| Err(e.clone())).collect(),
         }
     }
-    execute_here(specs)
+    JobSpec::execute_batch(specs)
 }
 
 /// A submit's half of [`resolve`]: the store, [`execute_unit`], and the
@@ -1037,7 +1034,7 @@ impl<W: Write + Send> Resolve for Submit<'_, W> {
         self.shared.store.get(&spec.digest)
     }
 
-    fn execute(&self, specs: &[&JobSpec]) -> Vec<Outcome> {
+    fn execute(&self, specs: &[&JobSpec]) -> Vec<Result<JobResult, String>> {
         execute_unit(self.shared, &self.spec.variants, specs, self.trace)
     }
 
@@ -1254,23 +1251,19 @@ mod tests {
     use dmdp_workloads::Scale;
 
     /// One real row, relabelled under each of `digests`.
-    fn rows_as(digests: &[&str], sources: &[&str]) -> Vec<(JobResult, String)> {
+    fn rows_as(digests: &[&str]) -> Vec<JobResult> {
         let w = dmdp_workloads::by_name("lib", Scale::Test).unwrap();
         let image = PlannedImage::new(Arc::new(w.program));
         let cfg = CoreConfig::new(CommModel::Dmdp);
         let row = JobSpec::new("lib", w.suite, CommModel::Dmdp, Scale::Test, "main", cfg, &image)
             .execute()
             .unwrap();
-        digests
-            .iter()
-            .zip(sources)
-            .map(|(d, s)| (JobResult { digest: d.to_string(), ..row.clone() }, s.to_string()))
-            .collect()
+        digests.iter().map(|d| JobResult { digest: d.to_string(), ..row.clone() }).collect()
     }
 
     /// Dispatches a group of digests `[a, b]` to `worker`, answers it
     /// with `reply`, and returns what the submitting thread would see.
-    fn answer(worker: &WorkerHandle, reply: Result<Vec<(JobResult, String)>, String>) -> GroupOutcome {
+    fn answer(worker: &WorkerHandle, reply: Result<Vec<JobResult>, String>) -> GroupOutcome {
         let log = EventLog::stderr(Level::Error);
         let slot = Arc::new(GroupSlot::default());
         let digests = vec!["a".to_string(), "b".to_string()];
@@ -1293,7 +1286,7 @@ mod tests {
             ("foreign", &["a", "c"][..]),
             ("long", &["a", "b", "c"][..]),
         ] {
-            match answer(&worker, Ok(rows_as(digests, &["executed"; 3]))) {
+            match answer(&worker, Ok(rows_as(digests))) {
                 Err(GroupFail::Error(e)) => {
                     assert!(e.contains("worker liar"), "{what}: {e}");
                     assert!(e.contains("do not match the dispatched digests"), "{what}: {e}");
@@ -1306,10 +1299,10 @@ mod tests {
             Err(GroupFail::Error(e)) => assert_eq!(e, "cycle limit"),
             _ => panic!("a failed group must carry the worker's error"),
         }
-        let Ok(rows) = answer(&worker, Ok(rows_as(&["a", "b"], &["executed", "store"]))) else {
+        let Ok(rows) = answer(&worker, Ok(rows_as(&["a", "b"]))) else {
             panic!("rows matching the dispatch were refused");
         };
-        let got: Vec<(&str, Source)> = rows.iter().map(|(r, s)| (r.digest.as_str(), *s)).collect();
-        assert_eq!(got, [("a", Source::Executed), ("b", Source::Store)]);
+        let got: Vec<&str> = rows.iter().map(|r| r.digest.as_str()).collect();
+        assert_eq!(got, ["a", "b"]);
     }
 }

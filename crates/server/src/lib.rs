@@ -19,8 +19,9 @@
 //! coordinator, placing job groups on the least-loaded child over its
 //! stdin and reading the rows back from its stdout, and requeueing the
 //! work of any child that dies mid-group. Only the coordinator's own
-//! children are workers. The store directory is the only shared state,
-//! so sharded artifacts stay bit-identical to single-process ones.
+//! children are workers, and they only execute: the coordinator resolves
+//! every job and writes every row to the store, so sharded artifacts
+//! stay bit-identical to single-process ones.
 
 pub mod client;
 pub mod daemon;

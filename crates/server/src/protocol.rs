@@ -20,10 +20,11 @@
 //! never over a daemon socket. The coordinator writes `group`
 //! dispatches ([`GroupSpec`] — one batch unit or singleton job group,
 //! keyed by a dispatch id) to the child's stdin, and the child answers
-//! each on its stdout with `group_done` (per-job rows: full
-//! [`JobResult`] plus its source tag) or `group_failed`. End of file
-//! ends the link either way: on stdin it is the drain order, on stdout
-//! it means the child is gone.
+//! each on its stdout with `group_done` (the members' executed
+//! [`JobResult`] rows, with no source tag: a worker only executes) or
+//! `group_failed`. The coordinator alone writes those rows to the
+//! store. End of file ends the link either way: on stdin it is the
+//! drain order, on stdout it means the child is gone.
 
 use std::io::{BufRead, BufReader, Read, Write};
 
@@ -382,9 +383,9 @@ pub struct GroupSpec {
     pub model: CommModel,
     /// Member variants in campaign order as `(label, patch)`.
     pub variants: Vec<(String, CfgPatch)>,
-    /// Sampled execution (checkpoint fast-forward); the worker resolves
-    /// the bundle from its own store view or rebuilds it. Sampled
-    /// groups are always singletons.
+    /// Sampled execution (checkpoint fast-forward); the worker reads
+    /// the bundle's blob from the store directory or rebuilds it.
+    /// Sampled groups are always singletons.
     pub sampling: Option<Sampling>,
 }
 
@@ -452,21 +453,17 @@ pub fn group_msg(id: u64, spec: &GroupSpec) -> Json {
 /// 600–700 bytes of a compact row, so the line is allocated once.
 pub(crate) const ROW_LINE_BYTES: usize = 1024;
 
-/// `group_done`: worker → coordinator, all members finished, as one line
-/// with its newline. Each row carries the full result plus how the
-/// worker satisfied it (`"executed"` or `"store"` — its own store view
-/// may already hold a row another worker published).
-pub fn group_done_line(id: u64, rows: &[(JobResult, String)]) -> String {
+/// `group_done`: worker → coordinator, all members executed, as one line
+/// with its newline: `rows` holds each member's full result in dispatch
+/// order.
+pub fn group_done_line(id: u64, rows: &[JobResult]) -> String {
     let mut line = String::with_capacity(ROW_LINE_BYTES * (rows.len() + 1));
     Writer::new(&mut line, false).object(|w| {
         w.key("type").str("group_done");
         w.key("id").count(id);
         w.key("rows").array(|w| {
-            for (r, source) in rows {
-                w.elem().object(|w| {
-                    w.key("source").str(source);
-                    r.write(w.key("result"));
-                });
+            for r in rows {
+                r.write(w.elem());
             }
         });
     });
@@ -486,12 +483,12 @@ pub fn group_failed_msg(id: u64, error: &str) -> Json {
 /// A parsed worker → coordinator message.
 #[derive(Debug, Clone)]
 pub enum WorkerMsg {
-    /// A dispatched group completed; rows are `(result, source)`.
+    /// A dispatched group's members all executed.
     GroupDone {
         /// The dispatch id from the `group` message.
         id: u64,
         /// One row per member, in dispatch order.
-        rows: Vec<(JobResult, String)>,
+        rows: Vec<JobResult>,
     },
     /// A dispatched group failed as a whole.
     GroupFailed {
@@ -538,17 +535,10 @@ impl WorkerMsg {
 }
 
 /// A `group_done` message's `rows`: `None` when it is not an array.
-fn read_group_rows(p: &mut Parser) -> Result<Option<Vec<(JobResult, String)>>, String> {
+fn read_group_rows(p: &mut Parser) -> Result<Option<Vec<JobResult>>, String> {
     let mut rows = Vec::new();
     let found = p.elements(|p| {
-        let (mut source, mut result) = (Field::default(), Field::default());
-        p.members(|p, key| match key {
-            "source" => source.read(p, Parser::string),
-            "result" => result.read(p, |p| JobResult::read(p).map(Some)),
-            _ => p.skip(),
-        })?;
-        let source = source.get().ok_or("group_done: row missing `source`")?;
-        rows.push((result.get().ok_or("group_done: row missing `result`")?, source));
+        rows.push(JobResult::read(p)?);
         Ok(())
     })?;
     Ok(found.then_some(rows))
@@ -868,17 +858,17 @@ mod tests {
         )
         .execute()
         .unwrap();
-        let wire = group_done_line(7, &[(result.clone(), "executed".to_string())]);
+        let wire = group_done_line(7, std::slice::from_ref(&result));
         assert!(wire.ends_with('\n') && !wire.trim_end().contains('\n'), "one line: {wire}");
+        assert!(!wire.contains("\"source\""), "a worker row carries no source: {wire}");
         let WorkerMsg::GroupDone { id, rows } = WorkerMsg::parse(&wire).unwrap() else {
             panic!("group_done should parse");
         };
         assert_eq!(id, 7);
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].1, "executed");
-        assert_eq!(rows[0].0.digest, result.digest);
-        assert_eq!(rows[0].0.cycles, result.cycles);
-        assert_eq!(rows[0].0.ipc, result.ipc);
+        assert_eq!(rows[0].digest, result.digest);
+        assert_eq!(rows[0].cycles, result.cycles);
+        assert_eq!(rows[0].ipc, result.ipc);
 
         let wire = group_failed_msg(9, "cycle limit").compact();
         let WorkerMsg::GroupFailed { id, error } = WorkerMsg::parse(&wire).unwrap() else {
@@ -889,13 +879,14 @@ mod tests {
         // There is no handshake in the dialect.
         assert!(WorkerMsg::parse(r#"{"type": "register"}"#).is_err());
         // A row that does not read is an error naming what is missing.
-        for (rows, want) in [("[{}]", "row missing `source`"), (r#"[{"source": "store"}]"#, "row missing `result`"), ("{}", "missing `rows` array")] {
+        for (rows, want) in [
+            ("[{}]", "job row: missing string `suite`"),
+            ("[7]", "job row: missing string `suite`"),
+            ("{}", "missing `rows` array"),
+        ] {
             let err = WorkerMsg::parse(&format!(r#"{{"type": "group_done", "id": 1, "rows": {rows}}}"#)).unwrap_err();
             assert!(err.contains(want), "{rows}: {err}");
         }
-        let err = WorkerMsg::parse(r#"{"type": "group_done", "id": 1, "rows": [{"source": "store", "result": {}}]}"#)
-            .unwrap_err();
-        assert!(err.contains("job row: missing string `suite`"), "{err}");
     }
 
     /// Gives the inner reader at most `self.1` bytes of room per read.

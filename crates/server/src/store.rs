@@ -14,20 +14,20 @@
 //! tree exceeds the cap, least-recently-used entries (by access order,
 //! seeded from file mtimes at startup) are deleted until it fits.
 //!
-//! Several processes may share one store directory (the sharded
-//! service: every worker plus the coordinator). Content addressing
-//! makes that safe by construction — equal digests mean equal bytes —
-//! but each process keeps its own index, so lookups fall back to disk
-//! on an index miss (adopting entries a sibling wrote), eviction
-//! tolerates files a sibling already unlinked, and an entry whose file
-//! was re-landed by a sibling after we indexed it is never evicted
-//! inside a small grace window ([`EVICT_GRACE`]).
+//! A store directory has one row writer: the process that resolves jobs
+//! against it (a daemon, or the coordinator of a sharded one, whose
+//! workers only execute). The index is therefore the truth about which
+//! rows exist: [`Store::get`] answers an un-indexed digest as a miss
+//! without touching the disk, and a row file placed in the tree behind
+//! the writer's back is seen only after the next [`Store::open`]. The
+//! `.ckpt` checkpoint blobs of sampled bundles share the tree but never
+//! the index, so any process may read and write them.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Instant, SystemTime};
+use std::time::Instant;
 
 use dmdp_harness::{JobResult, Parser, Sampling, WorkloadImage, Writer};
 use dmdp_obs::log::EventLog;
@@ -107,20 +107,9 @@ pub struct StoreStats {
     pub evictions: u64,
 }
 
-/// How recently a sibling process must have re-landed an entry's file
-/// (mtime newer than our index's knowledge of it) for eviction to spare
-/// it. Guards the window between a sibling's atomic rename and its
-/// result being observed durable; entries this process wrote or scanned
-/// itself are evictable immediately.
-const EVICT_GRACE: std::time::Duration = std::time::Duration::from_secs(2);
-
 struct Entry {
     bytes: u64,
     last_used: u64,
-    /// When this index last reconciled with the file on disk (insert,
-    /// adoption, or startup scan). An on-disk mtime *newer* than this is
-    /// evidence of a concurrent foreign writer.
-    seen: SystemTime,
 }
 
 struct Index {
@@ -193,11 +182,10 @@ impl Store {
         store_metrics().rescanned.add(found.len() as u64);
         let mut index =
             Index { entries: HashMap::new(), total_bytes: 0, clock: 0 };
-        let scanned_at = SystemTime::now();
         for (digest, bytes, _) in found {
             index.clock += 1;
             index.total_bytes += bytes;
-            index.entries.insert(digest, Entry { bytes, last_used: index.clock, seen: scanned_at });
+            index.entries.insert(digest, Entry { bytes, last_used: index.clock });
         }
         let store = Store {
             root: root.to_path_buf(),
@@ -219,67 +207,47 @@ impl Store {
     }
 
     /// Looks a result up by digest. The returned row is marked `cached`
-    /// (it was not executed by the caller). An entry that has vanished,
-    /// no longer parses as a row, or holds the row of another digest is
-    /// dropped from the index and reported as a miss; any other read
-    /// error is a miss that keeps the entry, so a transient `EMFILE` or
-    /// `EIO` never deletes a good row. An
-    /// un-indexed digest whose file *is* on disk — a sibling process
-    /// sharing this directory wrote it — is adopted into the index and
-    /// reported as a hit, which is how a restarted worker re-syncs its
-    /// store view without a full rescan.
+    /// (it was not executed by the caller). A digest the index does not
+    /// hold is a miss, read from nowhere. An indexed entry that has
+    /// vanished, no longer parses as a row, or holds the row of another
+    /// digest is dropped from the index and reported as a miss; any
+    /// other read error is a miss that keeps the entry, so a transient
+    /// `EMFILE` or `EIO` never deletes a good row.
     pub fn get(&self, digest: &str) -> Option<JobResult> {
-        if !valid_digest(digest) {
+        if !self.contains(digest) {
             return self.miss();
         }
-        let indexed = self.index.lock().unwrap().entries.contains_key(digest);
         // `None` when the file has vanished, no longer parses as a row,
         // or holds a row filed under another digest.
         let loaded = match std::fs::read(self.path_of(digest)) {
             Ok(raw) => std::str::from_utf8(&raw)
                 .ok()
                 .and_then(|text| Parser::document(text, JobResult::read).ok())
-                .filter(|result| result.digest == digest)
-                .map(|result| (result, raw.len() as u64)),
+                .filter(|result| result.digest == digest),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
             // Any other read error (`EMFILE`, `EIO`) says nothing about
             // the entry: keep it for the next lookup.
             Err(_) => return self.miss(),
         };
         let mut index = self.index.lock().unwrap();
-        match loaded {
-            Some((mut result, bytes)) => {
-                index.clock += 1;
-                let clock = index.clock;
-                match index.entries.get_mut(digest) {
-                    Some(entry) => entry.last_used = clock,
-                    None => {
-                        // Adopt the sibling's write.
-                        index.total_bytes += bytes;
-                        index.entries.insert(
-                            digest.to_string(),
-                            Entry { bytes, last_used: clock, seen: SystemTime::now() },
-                        );
-                        self.enforce_cap(&mut index);
-                    }
-                }
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                store_metrics().hits.inc();
-                result.cached = true;
-                Some(result)
+        let Some(mut result) = loaded else {
+            // Deleted, corrupted or overwritten behind our back: forget
+            // it.
+            if let Some(entry) = index.entries.remove(digest) {
+                index.total_bytes -= entry.bytes;
+                std::fs::remove_file(self.path_of(digest)).ok();
             }
-            None => {
-                // Deleted, corrupted or overwritten behind our back:
-                // forget it.
-                if indexed {
-                    if let Some(entry) = index.entries.remove(digest) {
-                        index.total_bytes -= entry.bytes;
-                    }
-                    std::fs::remove_file(self.path_of(digest)).ok();
-                }
-                self.miss()
-            }
+            return self.miss();
+        };
+        index.clock += 1;
+        let clock = index.clock;
+        if let Some(entry) = index.entries.get_mut(digest) {
+            entry.last_used = clock;
         }
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        store_metrics().hits.inc();
+        result.cached = true;
+        Some(result)
     }
 
     fn miss(&self) -> Option<JobResult> {
@@ -289,10 +257,10 @@ impl Store {
     }
 
     /// Persists a result under its digest. Returns `true` if the entry
-    /// was newly written, `false` if it was already present (concurrent
-    /// writers of one digest are expected — results with equal digests
-    /// are bit-identical, so whoever lands the rename wins nothing and
-    /// loses nothing).
+    /// was newly written, `false` if it was already indexed (threads
+    /// racing to write one digest are expected — results with equal
+    /// digests are bit-identical, so whoever lands the rename wins
+    /// nothing and loses nothing).
     ///
     /// # Errors
     ///
@@ -302,27 +270,10 @@ impl Store {
         if !valid_digest(&result.digest) {
             return Err(format!("store: invalid digest `{}`", result.digest));
         }
-        if self.index.lock().unwrap().entries.contains_key(&result.digest) {
+        if self.contains(&result.digest) {
             return Ok(false);
         }
         let path = self.path_of(&result.digest);
-        if let Ok(meta) = std::fs::metadata(&path) {
-            // A sibling process already persisted this digest (equal
-            // digests mean equal bytes): adopt its file instead of
-            // racing a redundant rewrite.
-            let mut index = self.index.lock().unwrap();
-            if !index.entries.contains_key(&result.digest) {
-                index.clock += 1;
-                let clock = index.clock;
-                index.total_bytes += meta.len();
-                index.entries.insert(
-                    result.digest.clone(),
-                    Entry { bytes: meta.len(), last_used: clock, seen: SystemTime::now() },
-                );
-                self.enforce_cap(&mut index);
-            }
-            return Ok(false);
-        }
         let write_start = std::time::Instant::now();
         let dir = path.parent().expect("store paths have a shard directory");
         std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
@@ -338,10 +289,9 @@ impl Store {
         let mut index = self.index.lock().unwrap();
         index.clock += 1;
         let clock = index.clock;
-        let old = index.entries.insert(
-            result.digest.clone(),
-            Entry { bytes: text.len() as u64, last_used: clock, seen: SystemTime::now() },
-        );
+        let old = index
+            .entries
+            .insert(result.digest.clone(), Entry { bytes: text.len() as u64, last_used: clock });
         index.total_bytes += text.len() as u64;
         if let Some(old) = old {
             // A concurrent writer beat us between the contains check and
@@ -453,19 +403,11 @@ impl Store {
 
     /// Evicts least-recently-used entries until the tree fits the cap.
     /// The most recently touched entry is never evicted, so a store
-    /// whose cap is smaller than one entry still makes progress.
-    ///
-    /// Multi-process safe: a victim whose file a sibling process already
-    /// unlinked just leaves the index (ENOENT is not an error), and a
-    /// victim whose on-disk mtime is newer than this index's knowledge
-    /// of it — a sibling re-landed the result after we indexed it — is
-    /// spared inside [`EVICT_GRACE`] (its entry is refreshed and LRU-
-    /// bumped instead). `.ckpt` bundles are never index entries, so they
-    /// are structurally exempt.
+    /// whose cap is smaller than one entry still makes progress. `.ckpt`
+    /// bundles are never index entries, so they are never evicted.
     fn enforce_cap(&self, index: &mut Index) {
         let Some(cap) = self.cap_bytes else { return };
-        let mut spared: usize = 0;
-        while index.total_bytes > cap && index.entries.len() > 1 + spared {
+        while index.total_bytes > cap && index.entries.len() > 1 {
             let Some(victim) = index
                 .entries
                 .iter()
@@ -474,35 +416,13 @@ impl Store {
             else {
                 return;
             };
-            let path = self.path_of(&victim);
-            let seen = index.entries.get(&victim).map(|e| e.seen);
-            if let (Ok(meta), Some(seen)) = (std::fs::metadata(&path), seen) {
-                let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-                let within_grace = SystemTime::now()
-                    .duration_since(mtime)
-                    .map(|age| age < EVICT_GRACE)
-                    .unwrap_or(true);
-                if mtime > seen && within_grace {
-                    // A sibling just re-landed this entry: refresh our
-                    // view of it and move on to the next candidate.
-                    index.clock += 1;
-                    let clock = index.clock;
-                    if let Some(entry) = index.entries.get_mut(&victim) {
-                        index.total_bytes = index.total_bytes - entry.bytes + meta.len();
-                        entry.bytes = meta.len();
-                        entry.seen = mtime;
-                        entry.last_used = clock;
-                    }
-                    spared += 1;
-                    continue;
-                }
-            }
             if let Some(entry) = index.entries.remove(&victim) {
                 index.total_bytes -= entry.bytes;
             }
-            // A sibling evicting concurrently may have unlinked the file
-            // first; that is the outcome we wanted, not an error.
-            if let Err(e) = std::fs::remove_file(&path) {
+            // A victim whose file has vanished (deleted behind the
+            // store's back) just leaves the index: that is the outcome
+            // eviction wanted, not an error.
+            if let Err(e) = std::fs::remove_file(self.path_of(&victim)) {
                 debug_assert!(
                     e.kind() == std::io::ErrorKind::NotFound,
                     "evicting {victim}: {e}"

@@ -8,11 +8,12 @@
 //! End of file on stdin is the drain order; the event log goes to
 //! stderr, because stdout is the link.
 //!
-//! The content-addressed [`Store`] directory is the only state shared
-//! with the coordinator and the other workers: every executed result is
-//! persisted there, and every dispatched member is checked against it
-//! first, so a row another process already landed is never simulated
-//! twice.
+//! A worker only executes. The coordinator resolves every job: it looks
+//! rows up, dispatches only its claimed misses, and writes every row a
+//! worker returns to the store, so the store directory has one row
+//! writer. A worker never reads or writes a row. It opens the
+//! coordinator's [`Store`] only for the checkpoint bundles of sampled
+//! groups, `.ckpt` blobs that never join a store index.
 
 use std::collections::VecDeque;
 use std::io::Stdout;
@@ -21,19 +22,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-use dmdp_harness::{
-    execute_here, resolve, Inflight, JobResult, JobSpec, Json, Outcome, ResidentImages, Resolve,
-    Source,
-};
+use dmdp_harness::{JobResult, JobSpec, Json, ResidentImages};
 use dmdp_obs::log::{EventLog, Level};
 
 use crate::protocol::{self, write_line, GroupSpec, LineEvent, LineReader};
-use crate::store::{warn_write, Store};
+use crate::store::Store;
 
 /// Configuration of one [`run_worker`] invocation.
 #[derive(Debug, Clone)]
 pub struct WorkerOptions {
-    /// Root directory of the shared content-addressed result store.
+    /// The coordinator's store directory, where sampled groups find and
+    /// persist their checkpoint bundles.
     pub store_dir: PathBuf,
     /// Runner threads (0 = one per affinity core, minimum 1).
     pub jobs: usize,
@@ -67,53 +66,32 @@ fn pin_cores(cores: &[usize]) {
 fn pin_cores(_cores: &[usize]) {}
 
 struct WorkerCtx {
+    /// Checkpoint bundles only: a worker never reads or writes a row.
     store: Store,
     log: EventLog,
     /// Resident images, exactly the set the coordinator holds, so
     /// digests agree.
     images: ResidentImages,
-    inflight: Inflight,
     groups: AtomicU64,
     executed: AtomicU64,
-    store_hits: AtomicU64,
-}
-
-/// A worker's half of [`resolve`]: the shared store for lookups and
-/// publishing, this process for execution.
-impl Resolve for WorkerCtx {
-    fn lookup(&self, spec: &JobSpec) -> Option<JobResult> {
-        self.store.get(&spec.digest)
-    }
-
-    fn execute(&self, specs: &[&JobSpec]) -> Vec<Outcome> {
-        execute_here(specs)
-    }
-
-    fn publish(&self, row: &JobResult) {
-        if let Err(e) = self.store.put(row) {
-            warn_write(&self.log, &row.digest, &e);
-        }
-    }
 }
 
 impl WorkerCtx {
     /// Executes one dispatched group: rebuild the member [`JobSpec`]s
     /// against the resident images (digests are content-derived, so
-    /// they match the coordinator's) and resolve them.
-    fn run_group(&self, group: &GroupSpec) -> Result<Vec<(JobResult, String)>, String> {
+    /// they match the coordinator's) and run them as one batch unit,
+    /// or as a singleton when sampled. The first member error fails the
+    /// group.
+    fn run_group(&self, group: &GroupSpec) -> Result<Vec<JobResult>, String> {
         let spec = group.campaign();
         let jobs = spec.jobs_over(&self.images.at(spec.scale), 1, |w, s| {
             self.store.bundle(w, s, &self.log)
         })?;
-        let rows = resolve(&jobs, 1, &self.inflight, self).into_iter().collect::<Result<Vec<_>, _>>()?;
-        Ok(rows
+        let rows = JobSpec::execute_batch(&jobs.iter().collect::<Vec<_>>())
             .into_iter()
-            .map(|(row, source)| {
-                let counter = if source == Source::Executed { &self.executed } else { &self.store_hits };
-                counter.fetch_add(1, Ordering::Relaxed);
-                (row, source.name().to_string())
-            })
-            .collect())
+            .collect::<Result<Vec<_>, _>>()?;
+        self.executed.fetch_add(rows.len() as u64, Ordering::Relaxed);
+        Ok(rows)
     }
 }
 
@@ -134,10 +112,8 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), String> {
         store: Store::open(&opts.store_dir, None)?,
         log: EventLog::stderr(if opts.quiet { Level::Warn } else { Level::Info }),
         images: ResidentImages::default(),
-        inflight: Inflight::default(),
         groups: AtomicU64::new(0),
         executed: AtomicU64::new(0),
-        store_hits: AtomicU64::new(0),
     };
     let mut reader = LineReader::new(std::io::stdin());
     let writer: Mutex<Stdout> = Mutex::new(std::io::stdout());
@@ -216,7 +192,6 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), String> {
             ("pid", std::process::id().into()),
             ("groups", ctx.groups.load(Ordering::Relaxed).into()),
             ("executed", ctx.executed.load(Ordering::Relaxed).into()),
-            ("store_hits", ctx.store_hits.load(Ordering::Relaxed).into()),
         ],
     );
     Ok(())

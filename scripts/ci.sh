@@ -382,6 +382,13 @@ jq -en '[inputs | select(.event == "listening")] | length == 1 and all(has("tcp"
 
 shard_submit="$dmdp_bin submit --socket $shard_sock --scale test --model all --quiet"
 $shard_submit --name ci-shard-1 --out "$shard_dir/first.json"
+# Workers only execute: the coordinator is the store's one row writer,
+# so it wrote every row the first submit executed.
+shard_writes=$("$dmdp_bin" metrics --socket "$shard_sock" \
+    | jq '[.metrics[] | select(.name == "dmdp_store_writes_total") | .value] | add // 0')
+shard_executed=$(jq '.executed' "$shard_dir/first.json")
+[ "$shard_executed" -gt 0 ] && [ "$shard_writes" = "$shard_executed" ] \
+    || { echo "ci: FAIL: coordinator wrote $shard_writes rows for $shard_executed executed"; exit 1; }
 $shard_submit --name ci-shard-2 --out "$shard_dir/second.json"
 
 # Groups really flowed through the shards.
