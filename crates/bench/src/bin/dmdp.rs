@@ -128,7 +128,9 @@ OPTIONS:
     --socket <PATH>   unix socket to listen on        [default: dmdp.sock]
     --tcp <ADDR>      also listen on TCP (e.g. 127.0.0.1:7199)
     --store <DIR>     result store directory          [default: dmdp-store]
-    --cap-mb <N>      LRU store size cap in MiB       [default: unbounded]
+    --cap-mb <N>      store size cap in MiB, applied at startup by
+                      compacting the row log to the newest rows that
+                      fit                             [default: unbounded]
     --jobs <N>        worker threads per submission   [default: all cores]
     --quiet           suppress per-request log lines
     --log <FILE>      append structured JSONL events to FILE
@@ -150,10 +152,13 @@ unfinished digests requeued on the others, or run in-process once none
 is left. No other process can become a worker.
 
 The daemon keeps workload images and µop plan caches resident across
-requests, persists every job result under its content digest
-(store/<d[0..2]>/<digest>.json), and dedups identical in-flight jobs
+requests, appends every job result under its content digest to one
+row log (store/rows.log; checkpoint bundles of sampled runs stay files,
+store/<d[0..2]>/<digest>.ckpt), and dedups identical in-flight jobs
 across concurrent clients — each distinct job digest is simulated at
-most once, ever. Stop it with `dmdp submit --shutdown`; running
+most once, ever. Simulation runs at background CPU priority (nice 19)
+in workers and in-process alike, so requests are answered while a
+sweep runs. Stop it with `dmdp submit --shutdown`; running
 submissions drain first.
 
 Every listener also answers HTTP `GET /metrics` with the Prometheus
@@ -183,8 +188,9 @@ worker's stdin and stdout: job groups arrive on stdin, one JSON line
 each, and every group is answered on stdout. The worker executes each
 group against its own resident workload images and returns its rows;
 it never reads or writes a stored row, since the coordinator does
-both. End of file on stdin is the order to drain and exit. Its event
-log goes to stderr, since stdout is the link.
+both, and never opens the store's row log. It simulates at nice 19.
+End of file on stdin is the order to drain and exit. Its event log
+goes to stderr, since stdout is the link.
 ";
 
 const METRICS_HELP: &str = "\
@@ -878,7 +884,7 @@ fn cmd_worker(args: &[String]) -> CliResult {
             }
         }
     }
-    dmdp_server::run_worker(&opts)?;
+    dmdp_server::run_worker(&opts);
     Ok(())
 }
 

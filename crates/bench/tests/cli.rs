@@ -528,18 +528,18 @@ fn pid_alive(pid: u64) -> bool {
         .unwrap_or(false)
 }
 
-/// Waits for a coordinator's two `worker_spawned` events. A worker is
+/// Waits for a coordinator's `n` `worker_spawned` events. A worker is
 /// linked and placeable from the moment it is spawned.
-fn await_spawned(events: &std::path::Path) {
+fn await_spawned(events: &std::path::Path, n: usize) {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    while events_named(events, "worker_spawned").len() < 2 {
+    while events_named(events, "worker_spawned").len() < n {
         assert!(std::time::Instant::now() < deadline, "workers never spawned");
         std::thread::sleep(std::time::Duration::from_millis(20));
     }
 }
 
-/// Starts `dmdp serve --workers 2` on `dir`, logging to `events`.
-fn sharded_daemon(dir: &std::path::Path, events: &std::path::Path) -> KillOnDrop {
+/// Starts `dmdp serve --workers <workers>` on `dir`, logging to `events`.
+fn sharded_daemon(dir: &std::path::Path, events: &std::path::Path, workers: usize) -> KillOnDrop {
     let child = Command::new(env!("CARGO_BIN_EXE_dmdp"))
         .args([
             "serve",
@@ -550,7 +550,7 @@ fn sharded_daemon(dir: &std::path::Path, events: &std::path::Path) -> KillOnDrop
             "--jobs",
             "2",
             "--workers",
-            "2",
+            &workers.to_string(),
             "--log",
             events.to_str().unwrap(),
             "--log-level",
@@ -582,8 +582,8 @@ fn sharded_serve_matches_single_process_artifacts() {
     assert!(out.status.success(), "{}", stderr(&out));
 
     // A coordinator with two spawned worker shards.
-    let mut child = sharded_daemon(&dir, &events);
-    await_spawned(&events);
+    let mut child = sharded_daemon(&dir, &events, 2);
+    await_spawned(&events, 2);
 
     // The submitted artifact must be byte-equal on digests and numbers.
     let submit: &[&str] =
@@ -638,8 +638,8 @@ fn killed_worker_mid_campaign_loses_no_jobs() {
     let out = dmdp(&[&["campaign"], spec, &["--force", "--out", local.to_str().unwrap()]].concat());
     assert!(out.status.success(), "{}", stderr(&out));
 
-    let mut child = sharded_daemon(&dir, &events);
-    await_spawned(&events);
+    let mut child = sharded_daemon(&dir, &events, 2);
+    await_spawned(&events, 2);
 
     // Stop worker w0, so that it keeps every group it is dispatched,
     // submit the full 21-kernel sweep in the background, and SIGKILL w0
@@ -733,8 +733,8 @@ fn only_spawned_children_are_workers() {
     let out = dmdp(&[&["campaign"], spec, &["--force", "--out", local.to_str().unwrap()]].concat());
     assert!(out.status.success(), "{}", stderr(&out));
 
-    let mut child = sharded_daemon(&dir, &events);
-    await_spawned(&events);
+    let mut child = sharded_daemon(&dir, &events, 2);
+    await_spawned(&events, 2);
     let listening = events_named(&events, "listening");
     assert_eq!(listening.len(), 1);
     assert!(listening[0].get("tcp").is_none(), "--workers bound a TCP port");
@@ -765,5 +765,68 @@ fn only_spawned_children_are_workers() {
     assert!(out.status.success(), "{}", stderr(&out));
     let status = child.0.wait().expect("coordinator reaps");
     assert!(status.success(), "coordinator exited with {status}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A process's nice value: field 19 of `/proc/<pid>/stat`.
+#[cfg(target_os = "linux")]
+fn nice_of(pid: &str) -> i64 {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("the process is alive");
+    let fields: Vec<&str> = stat[stat.rfind(") ").unwrap() + 2..].split(' ').collect();
+    fields[19 - 3].parse().unwrap()
+}
+
+/// A sharded daemon simulates at background priority: its worker child
+/// runs at nice 19, while the coordinator, whose threads answer
+/// requests, keeps the priority it was started with (this test's own,
+/// 0 unless the test runs niced).
+#[cfg(target_os = "linux")]
+#[test]
+fn workers_run_at_nice_19_and_the_coordinator_does_not() {
+    let dir = temp("nice");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let events = dir.join("events.jsonl");
+    let mut child = sharded_daemon(&dir, &events, 1);
+    await_spawned(&events, 1);
+    let worker = events_named(&events, "worker_spawned")[0]
+        .get("pid")
+        .and_then(dmdp_harness::Json::as_u64)
+        .expect("the spawn event carries the worker's pid")
+        .to_string();
+    // The worker lowers its priority as it starts.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while nice_of(&worker) != 19 {
+        assert!(std::time::Instant::now() < deadline, "worker {worker} runs at nice {}", nice_of(&worker));
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    assert_eq!(nice_of(&child.0.id().to_string()), nice_of("self"), "the coordinator was lowered");
+
+    let socket = dir.join("dmdp.sock");
+    let out = dmdp(&["submit", "--socket", socket.to_str().unwrap(), "--connect-retries", "5", "--shutdown"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let status = child.0.wait().expect("coordinator reaps");
+    assert!(status.success(), "coordinator exited with {status}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A worker holds a blob-only handle on its coordinator's store: it
+/// never opens, scans or creates the row log.
+#[test]
+fn a_worker_never_opens_or_creates_the_row_log() {
+    let dir = temp("worker-log");
+    std::fs::remove_dir_all(&dir).ok();
+    let (with, without) = (dir.join("with"), dir.join("without"));
+    std::fs::create_dir_all(&with).unwrap();
+    std::fs::create_dir_all(&without).unwrap();
+    let garbage = b"not a row log\n\xff\xfe torn";
+    std::fs::write(with.join("rows.log"), garbage).unwrap();
+    for store in [&with, &without] {
+        // Stdin is at end of file: the worker drains at once.
+        let out = dmdp(&["worker", "--store", store.to_str().unwrap(), "--quiet"]);
+        assert!(out.status.success(), "{}", stderr(&out));
+    }
+    assert_eq!(std::fs::read(with.join("rows.log")).unwrap(), garbage, "the log was touched");
+    assert!(!without.join("rows.log").exists(), "a worker created a row log");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -54,6 +54,7 @@ use crate::protocol::{
     WorkerMsg, PROTOCOL_VERSION, ROW_LINE_BYTES,
 };
 use crate::store::{warn_write, Store};
+use crate::worker::lower_priority;
 
 /// Configuration of one [`serve`] invocation.
 #[derive(Debug, Clone)]
@@ -68,7 +69,8 @@ pub struct ServeOptions {
     pub store_dir: PathBuf,
     /// Worker threads per submit request.
     pub jobs: usize,
-    /// LRU byte cap for the store (`None` = unbounded).
+    /// Byte cap on the store's rows, applied when it opens by compacting
+    /// its log to the newest rows that fit (`None` = unbounded).
     pub store_cap_bytes: Option<u64>,
     /// Suppress per-request log lines.
     pub quiet: bool,
@@ -338,7 +340,11 @@ struct Shared {
 ///
 /// Socket/store setup failures, or another live daemon on the socket.
 pub fn serve(opts: &ServeOptions) -> Result<DaemonReport, String> {
-    let store = Store::open(&opts.store_dir, opts.store_cap_bytes)?;
+    let log = match &opts.log {
+        Some(path) => EventLog::file(path, opts.log_level)?,
+        None => EventLog::stderr(opts.log_level),
+    };
+    let store = Store::open_logged(&opts.store_dir, opts.store_cap_bytes, &log)?;
     if opts.socket.exists() {
         if UnixStream::connect(&opts.socket).is_ok() {
             return Err(format!(
@@ -364,10 +370,6 @@ pub fn serve(opts: &ServeOptions) -> Result<DaemonReport, String> {
     // The resolved address matters when the request was port 0.
     let tcp_local = tcp.as_ref().and_then(|l| l.local_addr().ok());
     let tcp_addr = tcp_local.map(|a| a.to_string());
-    let log = match &opts.log {
-        Some(path) => EventLog::file(path, opts.log_level)?,
-        None => EventLog::stderr(opts.log_level),
-    };
     let shared = Shared {
         store,
         jobs: if opts.jobs == 0 { pool::default_workers() } else { opts.jobs },
@@ -925,10 +927,10 @@ fn pick_worker(shared: &Shared) -> Option<Arc<WorkerHandle>> {
 }
 
 /// A submit's executor: a unit's claimed misses go to the least-loaded
-/// live worker when there is one, in-process otherwise. A worker
-/// that dies mid-group gets its unit re-placed (on the next candidate,
-/// or in-process once no workers remain), so a crash costs a re-run,
-/// never a hole in the artifact.
+/// live worker when there is one, in-process otherwise, at background
+/// priority either way. A worker that dies mid-group gets its unit
+/// re-placed (on the next candidate, or in-process once no workers
+/// remain), so a crash costs a re-run, never a hole in the artifact.
 fn execute_unit(
     shared: &Shared,
     variants: &[(String, CfgPatch)],
@@ -1015,7 +1017,24 @@ fn execute_unit(
             Err(GroupFail::Error(e)) => return specs.iter().map(|_| Err(e.clone())).collect(),
         }
     }
-    JobSpec::execute_batch(specs)
+    in_background(|| JobSpec::execute_batch(specs))
+}
+
+/// Runs `work` on a scoped thread that first lowers its own priority to
+/// nice 19 ([`lower_priority`]) and returns its result; a panic resumes
+/// on the caller. In-process simulation then never keeps a core from
+/// the request threads, and the calling pool thread keeps its priority:
+/// nice is per thread, and an unprivileged thread cannot raise it back.
+fn in_background<T: Send>(work: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                lower_priority();
+                work()
+            })
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    })
 }
 
 /// A submit's half of [`resolve`]: the store, [`execute_unit`], and the
@@ -1140,7 +1159,7 @@ fn run_submit<W: Write + Send>(
     let start = Instant::now();
     let spec = req.campaign();
     let jobs = spec.jobs_over(&shared.images.at(spec.scale), 1, |w, s| {
-        shared.store.bundle(w, s, &shared.log)
+        shared.store.blobs().bundle(w, s, &shared.log)
     })?;
     let build_s = start.elapsed().as_secs_f64();
     // With workers registered the pool threads mostly block on remote
@@ -1304,5 +1323,32 @@ mod tests {
         };
         let got: Vec<&str> = rows.iter().map(|r| r.digest.as_str()).collect();
         assert_eq!(got, ["a", "b"]);
+    }
+
+    /// The calling thread's nice value: field 19 of its `stat`.
+    #[cfg(target_os = "linux")]
+    fn nice() -> i64 {
+        let stat = std::fs::read_to_string("/proc/thread-self/stat").unwrap();
+        let fields: Vec<&str> = stat[stat.rfind(") ").unwrap() + 2..].split(' ').collect();
+        fields[19 - 3].parse().unwrap()
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn an_in_process_unit_simulates_at_background_priority() {
+        let caller = nice();
+        let w = dmdp_workloads::by_name("lib", Scale::Test).unwrap();
+        let image = PlannedImage::new(Arc::new(w.program));
+        let model = CommModel::Dmdp;
+        let spec = JobSpec::new("lib", w.suite, model, Scale::Test, "main", CoreConfig::new(model), &image);
+        let (rows, during) = in_background(|| (JobSpec::execute_batch(&[&spec]), nice()));
+        assert!(rows[0].is_ok(), "{rows:?}");
+        assert_eq!(during, 19, "the unit simulated at nice 19");
+        assert_eq!(nice(), caller, "the calling thread keeps its priority");
+
+        let panicked = std::panic::catch_unwind(|| in_background(|| panic!("unit panicked")));
+        let payload = panicked.expect_err("the unit's panic resumes on the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"unit panicked"));
+        assert_eq!(nice(), caller);
     }
 }

@@ -1,37 +1,56 @@
 //! The persistent content-addressed result store.
 //!
-//! Every completed [`JobResult`] is persisted under
-//! `store/<digest[0..2]>/<digest>.json`, where the digest is the job's
-//! FNV-1a content digest — the same key the campaign artifact cache uses,
-//! so two jobs with equal digests are interchangeable by construction.
-//! Writes go to a unique `.tmp` sibling first and land with an atomic
-//! rename, so a crash can never leave a half-written entry under a final
-//! name; leftover temporaries are swept on startup. The in-memory index
-//! is rebuilt by scanning the tree on [`Store::open`], which is what
-//! makes results survive daemon restarts.
+//! Rows live in one append-only log, `<root>/rows.log`. Its first line is
+//! the store-format header ([`LOG_HEADER`]); every later line is one
+//! compact [`JobResult`] row, keyed by its FNV-1a content digest — the
+//! same key the campaign artifact cache uses, so two jobs with equal
+//! digests are interchangeable by construction. [`Store::put`] appends a
+//! row with one `write`, and [`Store::get`] reads it back with one
+//! positioned read and [`JobResult::read`]. The first append creates the
+//! log; [`Store::open`] never does.
 //!
-//! An optional byte cap turns the store into an LRU cache: once the
-//! tree exceeds the cap, least-recently-used entries (by access order,
-//! seeded from file mtimes at startup) are deleted until it fits.
+//! [`Store::open`] indexes the log in one scan, digest → (offset,
+//! length), and keeps no parsed row. A last line without its newline is
+//! an append a crash tore: the scan cuts it off with a warning. A line
+//! that is not a row is skipped with a warning. A log whose first line is
+//! not the header is refused, so a foreign file is never appended to. The
+//! log is never synced: the store is a cache, and a row lost in a crash
+//! simply re-simulates. With a byte cap, the open compacts a log that
+//! exceeds it to the newest rows that fit.
 //!
 //! A store directory has one row writer: the process that resolves jobs
 //! against it (a daemon, or the coordinator of a sharded one, whose
 //! workers only execute). The index is therefore the truth about which
 //! rows exist: [`Store::get`] answers an un-indexed digest as a miss
-//! without touching the disk, and a row file placed in the tree behind
-//! the writer's back is seen only after the next [`Store::open`]. The
-//! `.ckpt` checkpoint blobs of sampled bundles share the tree but never
-//! the index, so any process may read and write them.
+//! without touching the disk, and a row appended behind the writer's back
+//! is seen only after the next [`Store::open`].
+//!
+//! The `.ckpt` checkpoint blobs of sampled bundles are files in a sharded
+//! tree beside the log, `<root>/<digest[0..2]>/<digest>.ckpt`. They never
+//! join the index, so any process may read and write them through a
+//! [`Blobs`] handle, which never opens the log. The per-row files of the
+//! older layout (`<digest[0..2]>/<digest>.json`) are left where they are
+//! with a warning; their rows re-simulate.
 
 use std::collections::HashMap;
+use std::fs::{File, OpenOptions};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use dmdp_harness::{JobResult, Parser, Sampling, WorkloadImage, Writer};
-use dmdp_obs::log::EventLog;
+use dmdp_obs::log::{EventLog, Level, Value};
 use dmdp_sample::SampledBundle;
+
+/// The row log's file name under the store root.
+pub const LOG_FILE: &str = "rows.log";
+
+/// The row log's first line, which names the store format. A log that
+/// begins with anything else is refused.
+pub const LOG_HEADER: &str = r#"{"store":"dmdp-rows","format":1}"#;
 
 /// Routes a failed store write through the event log and the
 /// `dmdp_errors_total{kind="store"}` counter — persistence failure
@@ -57,21 +76,24 @@ struct StoreMetrics {
 }
 
 fn store_metrics() -> &'static StoreMetrics {
-    static METRICS: std::sync::OnceLock<StoreMetrics> = std::sync::OnceLock::new();
+    static METRICS: OnceLock<StoreMetrics> = OnceLock::new();
     METRICS.get_or_init(|| {
         let r = dmdp_obs::registry();
         StoreMetrics {
             rescanned: r.counter(
                 "dmdp_store_rescanned_total",
-                "entries re-indexed by startup tree scans",
+                "rows indexed by the row-log scans of store opens",
             ),
             hits: r.counter("dmdp_store_hits_total", "store lookups satisfied from disk"),
             misses: r.counter("dmdp_store_misses_total", "store lookups that found nothing"),
             writes: r.counter("dmdp_store_writes_total", "results newly persisted"),
-            evictions: r.counter("dmdp_store_evictions_total", "entries deleted by the LRU cap"),
+            evictions: r.counter(
+                "dmdp_store_evictions_total",
+                "rows dropped by cap compaction at store open",
+            ),
             write_us: r.histogram(
                 "dmdp_store_write_us",
-                "store write+rename latency in microseconds",
+                "store row append latency in microseconds",
             ),
             blob_hits: r.counter(
                 "dmdp_store_blob_hits_total",
@@ -93,9 +115,9 @@ fn store_metrics() -> &'static StoreMetrics {
 /// A snapshot of the store's counters, for daemon stats.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Entries currently indexed.
+    /// Rows currently indexed.
     pub entries: usize,
-    /// Total bytes of indexed entries.
+    /// Total bytes of the indexed rows' log lines.
     pub bytes: u64,
     /// Lookups satisfied from disk.
     pub hits: u64,
@@ -103,151 +125,306 @@ pub struct StoreStats {
     pub misses: u64,
     /// Results newly persisted.
     pub writes: u64,
-    /// Entries deleted by the LRU cap.
+    /// Rows dropped by cap compaction when the store was opened.
     pub evictions: u64,
 }
 
-struct Entry {
-    bytes: u64,
-    last_used: u64,
+/// Where one row's line sits in the log, its newline included.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Span {
+    offset: u64,
+    len: u64,
 }
 
+#[derive(Default)]
 struct Index {
-    entries: HashMap<String, Entry>,
-    total_bytes: u64,
-    clock: u64,
+    rows: HashMap<u64, Span>,
+    /// Bytes of the indexed rows' lines.
+    bytes: u64,
+    /// The log's length: where the next append lands.
+    end: u64,
 }
 
-/// A content-addressed, crash-safe, optionally size-capped store of
-/// [`JobResult`] summaries. All methods take `&self` and are safe to
-/// call from many threads at once.
+impl Index {
+    /// Indexes a row's line; a later line of one digest replaces an
+    /// earlier one.
+    fn insert(&mut self, key: u64, span: Span) {
+        if let Some(old) = self.rows.insert(key, span) {
+            self.bytes -= old.len;
+        }
+        self.bytes += span.len;
+    }
+
+    fn remove(&mut self, key: u64) {
+        if let Some(old) = self.rows.remove(&key) {
+            self.bytes -= old.len;
+        }
+    }
+}
+
+/// A content-addressed, crash-safe store of [`JobResult`] summaries in
+/// one append-only log, optionally compacted to a byte cap at open. All
+/// methods take `&self` and are safe to call from many threads at once.
 pub struct Store {
-    root: PathBuf,
-    cap_bytes: Option<u64>,
+    blobs: Blobs,
+    path: PathBuf,
+    /// The open log, once it exists: set by the open or the first append.
+    file: OnceLock<File>,
     index: Mutex<Index>,
-    tmp_seq: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     writes: AtomicU64,
-    evictions: AtomicU64,
+    evictions: u64,
 }
 
-/// A digest is sixteen lowercase hex characters ([`dmdp_harness::Digest64::hex`]).
-fn valid_digest(digest: &str) -> bool {
-    digest.len() == 16 && digest.bytes().all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase())
+/// A digest is sixteen lowercase hex characters
+/// ([`dmdp_harness::Digest64::hex`]); its index key is their value.
+fn key(digest: &[u8]) -> Option<u64> {
+    if digest.len() != 16 || !digest.iter().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
+        return None;
+    }
+    u64::from_str_radix(std::str::from_utf8(digest).ok()?, 16).ok()
+}
+
+/// Maps an I/O error to a message naming `path`.
+fn at_path(path: &Path) -> impl Fn(std::io::Error) -> String + '_ {
+    move |e| format!("{}: {e}", path.display())
+}
+
+/// The digest key of one complete log line as [`Store::put`] writes it:
+/// a compact object whose first `,"digest":"` holds the row's digest.
+/// Every `"` inside a compact string is escaped, so no string value can
+/// hold that text. `None` for a line that is not a row.
+fn line_key(line: &[u8]) -> Option<u64> {
+    const MEMBER: &[u8] = br#","digest":""#;
+    let body = line.strip_suffix(b"\n")?;
+    if !(body.starts_with(b"{") && body.ends_with(b"}")) {
+        return None;
+    }
+    let at = body.windows(MEMBER.len()).position(|w| w == MEMBER)? + MEMBER.len();
+    if body.get(at + 16) != Some(&b'"') {
+        return None;
+    }
+    key(&body[at..at + 16])
+}
+
+/// Indexes a row log in one pass. The first line must be [`LOG_HEADER`];
+/// a torn last line is cut off and a line that is not a row is skipped,
+/// each with a warning.
+fn scan(file: &File, path: &Path, log: &EventLog) -> Result<Index, String> {
+    let at = |offset: u64, bytes: usize| -> [(&str, Value); 3] {
+        [("log", path.display().to_string().into()), ("offset", offset.into()), ("bytes", bytes.into())]
+    };
+    let mut reader = BufReader::with_capacity(1 << 16, file);
+    let mut line = Vec::new();
+    // The header is read with a bound, so a foreign file is never read
+    // whole.
+    let n = (&mut reader)
+        .take(LOG_HEADER.len() as u64 + 1)
+        .read_until(b'\n', &mut line)
+        .map_err(at_path(path))?;
+    let mut index = Index::default();
+    if line.strip_suffix(b"\n") == Some(LOG_HEADER.as_bytes()) {
+        index.end = n as u64;
+    } else if LOG_HEADER.as_bytes().starts_with(&line) {
+        // Empty, or the first append torn.
+        if n > 0 {
+            log.warn("store_torn_tail", &at(0, n));
+            file.set_len(0).map_err(at_path(path))?;
+        }
+        return Ok(index);
+    } else {
+        return Err(format!(
+            "{}: not a row log of this store format (its first line must be `{LOG_HEADER}`)",
+            path.display()
+        ));
+    }
+    loop {
+        line.clear();
+        let n = reader.read_until(b'\n', &mut line).map_err(at_path(path))?;
+        if n == 0 {
+            break;
+        }
+        let offset = index.end;
+        if line.last() != Some(&b'\n') {
+            log.warn("store_torn_tail", &at(offset, n));
+            file.set_len(offset).map_err(at_path(path))?;
+            break;
+        }
+        match line_key(&line) {
+            Some(key) => index.insert(key, Span { offset, len: n as u64 }),
+            None => log.warn("store_corrupt_line", &at(offset, n)),
+        }
+        index.end += n as u64;
+    }
+    Ok(index)
+}
+
+/// Rewrites the log at `path` with the newest rows whose lines fit in
+/// `cap` bytes, in log order, and renames it over the old one. The new
+/// log is synced before the rename, so a crash leaves the old log or the
+/// new one, never a torn one. Returns the new log and its index.
+fn compact(old: &File, path: &Path, index: &Index, cap: u64) -> Result<(File, Index), String> {
+    let mut spans: Vec<(u64, Span)> = index.rows.iter().map(|(&k, &s)| (k, s)).collect();
+    spans.sort_unstable_by_key(|(_, s)| std::cmp::Reverse(s.offset));
+    let mut room = cap;
+    let mut kept = Vec::new();
+    for (key, span) in spans {
+        if span.len > room {
+            break;
+        }
+        room -= span.len;
+        kept.push((key, span));
+    }
+    let tmp = path.with_extension("log.compact");
+    let mut out = BufWriter::new(File::create(&tmp).map_err(at_path(&tmp))?);
+    writeln!(out, "{LOG_HEADER}").map_err(at_path(&tmp))?;
+    let mut fresh = Index { end: LOG_HEADER.len() as u64 + 1, ..Index::default() };
+    let mut line = Vec::new();
+    for &(key, span) in kept.iter().rev() {
+        line.resize(span.len as usize, 0);
+        old.read_exact_at(&mut line, span.offset).map_err(at_path(path))?;
+        out.write_all(&line).map_err(at_path(&tmp))?;
+        fresh.insert(key, Span { offset: fresh.end, len: span.len });
+        fresh.end += span.len;
+    }
+    out.flush().and_then(|()| out.get_ref().sync_all()).map_err(at_path(&tmp))?;
+    drop(out);
+    std::fs::rename(&tmp, path).map_err(at_path(path))?;
+    let file = OpenOptions::new().read(true).append(true).open(path).map_err(at_path(path))?;
+    Ok((file, fresh))
+}
+
+/// Sweeps the sharded tree once: deletes a crashed blob write's
+/// temporary (`<digest>.ckpt.tmp.*`) and warns about the per-row files
+/// of the older store layout, which stay where they are.
+fn sweep_tree(root: &Path, log: &EventLog) {
+    let Ok(dirs) = std::fs::read_dir(root) else { return };
+    let mut legacy = 0u64;
+    for dir in dirs.flatten() {
+        if !dir.file_type().is_ok_and(|t| t.is_dir()) {
+            continue;
+        }
+        let Ok(files) = std::fs::read_dir(dir.path()) else { continue };
+        for file in files.flatten() {
+            let name = file.file_name();
+            let name = name.to_string_lossy();
+            if name.contains(".tmp") {
+                std::fs::remove_file(file.path()).ok();
+            } else if name.strip_suffix(".json").is_some_and(|d| key(d.as_bytes()).is_some()) {
+                legacy += 1;
+            }
+        }
+    }
+    if legacy > 0 {
+        log.warn(
+            "store_legacy_rows",
+            &[("store", root.display().to_string().into()), ("rows", legacy.into())],
+        );
+    }
 }
 
 impl Store {
-    /// Opens (or creates) a store rooted at `root`, rebuilding the index
-    /// by scanning the tree. Leftover `.tmp` files from a crashed writer
-    /// are deleted; entries that don't look like `<digest>.json` are
-    /// ignored. With `cap_bytes`, the store immediately evicts down to
-    /// the cap (oldest mtime first).
+    /// [`Store::open_logged`], with warnings going to stderr.
     ///
     /// # Errors
     ///
-    /// Filesystem errors, stringified.
+    /// As [`Store::open_logged`].
     pub fn open(root: &Path, cap_bytes: Option<u64>) -> Result<Store, String> {
-        std::fs::create_dir_all(root).map_err(|e| format!("{}: {e}", root.display()))?;
-        let mut found: Vec<(String, u64, std::time::SystemTime)> = Vec::new();
-        let dirs = std::fs::read_dir(root).map_err(|e| format!("{}: {e}", root.display()))?;
-        for dir in dirs.flatten() {
-            if !dir.file_type().map(|t| t.is_dir()).unwrap_or(false) {
-                continue;
-            }
-            let Ok(files) = std::fs::read_dir(dir.path()) else { continue };
-            for file in files.flatten() {
-                let path = file.path();
-                let name = file.file_name();
-                let name = name.to_string_lossy();
-                let Some(digest) = name.strip_suffix(".json") else {
-                    // Anything else in the tree is a crashed writer's
-                    // temporary (`<digest>.json.tmp.<n>`) — sweep it.
-                    if name.contains(".tmp") {
-                        std::fs::remove_file(&path).ok();
-                    }
-                    continue;
-                };
-                if !valid_digest(digest) {
-                    continue;
-                }
-                let Ok(meta) = file.metadata() else { continue };
-                let mtime = meta.modified().unwrap_or(std::time::UNIX_EPOCH);
-                found.push((digest.to_string(), meta.len(), mtime));
+        Store::open_logged(root, cap_bytes, &EventLog::stderr(Level::Warn))
+    }
+
+    /// Opens (or creates) a store rooted at `root`: indexes its row log,
+    /// if there is one, in one scan, and sweeps the blob tree of crash
+    /// leftovers. A torn last line is cut off, a line that is not a row
+    /// is skipped and a per-row tree of the older layout is left alone,
+    /// each with a warning on `log`. With `cap_bytes`, a log whose rows
+    /// exceed the cap is compacted to the newest rows that fit.
+    ///
+    /// # Errors
+    ///
+    /// Filesystem errors, and a log whose first line is not
+    /// [`LOG_HEADER`]; each names the file.
+    pub fn open_logged(root: &Path, cap_bytes: Option<u64>, log: &EventLog) -> Result<Store, String> {
+        std::fs::create_dir_all(root).map_err(at_path(root))?;
+        sweep_tree(root, log);
+        let path = root.join(LOG_FILE);
+        let mut file = match OpenOptions::new().read(true).append(true).open(&path) {
+            Ok(file) => Some(file),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(e) => return Err(at_path(&path)(e)),
+        };
+        let mut index = match &file {
+            Some(f) => scan(f, &path, log)?,
+            None => Index::default(),
+        };
+        store_metrics().rescanned.add(index.rows.len() as u64);
+        let mut evictions = 0;
+        if let (Some(cap), Some(old)) = (cap_bytes, &file) {
+            if index.bytes > cap {
+                let (compacted, kept) = compact(old, &path, &index, cap)?;
+                evictions = (index.rows.len() - kept.rows.len()) as u64;
+                store_metrics().evictions.add(evictions);
+                log.info(
+                    "store_compacted",
+                    &[("log", path.display().to_string().into()), ("kept", kept.rows.len().into()), ("dropped", evictions.into())],
+                );
+                (file, index) = (Some(compacted), kept);
             }
         }
-        // Seed the LRU order from mtimes: oldest files get the smallest
-        // clock values and are first in line for eviction.
-        found.sort_by_key(|(_, _, mtime)| *mtime);
-        store_metrics().rescanned.add(found.len() as u64);
-        let mut index =
-            Index { entries: HashMap::new(), total_bytes: 0, clock: 0 };
-        for (digest, bytes, _) in found {
-            index.clock += 1;
-            index.total_bytes += bytes;
-            index.entries.insert(digest, Entry { bytes, last_used: index.clock });
-        }
-        let store = Store {
-            root: root.to_path_buf(),
-            cap_bytes,
+        Ok(Store {
+            blobs: Blobs::new(root),
+            path,
+            file: file.map(OnceLock::from).unwrap_or_default(),
             index: Mutex::new(index),
-            tmp_seq: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             writes: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        };
-        store.enforce_cap(&mut store.index.lock().unwrap());
-        Ok(store)
+            evictions,
+        })
     }
 
-    /// `<root>/<digest[0..2]>/<digest>.json`.
-    pub fn path_of(&self, digest: &str) -> PathBuf {
-        self.root.join(&digest[..2]).join(format!("{digest}.json"))
+    /// The index, locked.
+    fn index(&self) -> MutexGuard<'_, Index> {
+        self.index.lock().expect("no store index holder panics")
+    }
+
+    /// The checkpoint blobs beside the log.
+    pub fn blobs(&self) -> &Blobs {
+        &self.blobs
     }
 
     /// Looks a result up by digest. The returned row is marked `cached`
     /// (it was not executed by the caller). A digest the index does not
-    /// hold is a miss, read from nowhere. An indexed entry that has
-    /// vanished, no longer parses as a row, or holds the row of another
-    /// digest is dropped from the index and reported as a miss; any
-    /// other read error is a miss that keeps the entry, so a transient
-    /// `EMFILE` or `EIO` never deletes a good row.
+    /// hold is a miss, read from nowhere. An indexed line that no longer
+    /// holds its digest's row is dropped from the index and reported as
+    /// a miss; a read that fails (an `EIO`, a log cut short behind the
+    /// writer's back) is a miss that keeps the entry.
     pub fn get(&self, digest: &str) -> Option<JobResult> {
-        if !self.contains(digest) {
+        let Some(key) = key(digest.as_bytes()) else { return self.miss() };
+        let Some(span) = self.index().rows.get(&key).copied() else {
+            return self.miss();
+        };
+        let file = self.file.get().expect("an indexed row has a log");
+        let mut line = vec![0; span.len as usize];
+        if file.read_exact_at(&mut line, span.offset).is_err() {
             return self.miss();
         }
-        // `None` when the file has vanished, no longer parses as a row,
-        // or holds a row filed under another digest.
-        let loaded = match std::fs::read(self.path_of(digest)) {
-            Ok(raw) => std::str::from_utf8(&raw)
-                .ok()
-                .and_then(|text| Parser::document(text, JobResult::read).ok())
-                .filter(|result| result.digest == digest),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-            // Any other read error (`EMFILE`, `EIO`) says nothing about
-            // the entry: keep it for the next lookup.
-            Err(_) => return self.miss(),
-        };
-        let mut index = self.index.lock().unwrap();
-        let Some(mut result) = loaded else {
-            // Deleted, corrupted or overwritten behind our back: forget
-            // it.
-            if let Some(entry) = index.entries.remove(digest) {
-                index.total_bytes -= entry.bytes;
-                std::fs::remove_file(self.path_of(digest)).ok();
+        let row = std::str::from_utf8(&line)
+            .ok()
+            .and_then(|text| Parser::document(text, JobResult::read).ok())
+            .filter(|row| row.digest == digest);
+        let Some(mut row) = row else {
+            let mut index = self.index();
+            if index.rows.get(&key) == Some(&span) {
+                index.remove(key);
             }
             return self.miss();
         };
-        index.clock += 1;
-        let clock = index.clock;
-        if let Some(entry) = index.entries.get_mut(digest) {
-            entry.last_used = clock;
-        }
         self.hits.fetch_add(1, Ordering::Relaxed);
         store_metrics().hits.inc();
-        result.cached = true;
-        Some(result)
+        row.cached = true;
+        Some(row)
     }
 
     fn miss(&self) -> Option<JobResult> {
@@ -256,69 +433,113 @@ impl Store {
         None
     }
 
-    /// Persists a result under its digest. Returns `true` if the entry
-    /// was newly written, `false` if it was already indexed (threads
-    /// racing to write one digest are expected — results with equal
-    /// digests are bit-identical, so whoever lands the rename wins
-    /// nothing and loses nothing).
+    /// Appends a result to the log under its digest, with one `write`.
+    /// Returns `true` if the row was newly written, `false` if its digest
+    /// was already indexed (results with equal digests are identical).
+    /// The first append creates the log, header first.
     ///
     /// # Errors
     ///
-    /// Filesystem errors, stringified. An invalid digest is an error —
-    /// it would escape the two-level layout.
+    /// Filesystem errors, stringified, and an invalid digest.
     pub fn put(&self, result: &JobResult) -> Result<bool, String> {
-        if !valid_digest(&result.digest) {
+        let Some(key) = key(result.digest.as_bytes()) else {
             return Err(format!("store: invalid digest `{}`", result.digest));
-        }
-        if self.contains(&result.digest) {
+        };
+        let mut line = Writer::compact(|w| result.write(w));
+        line.push('\n');
+        let mut index = self.index();
+        if index.rows.contains_key(&key) {
             return Ok(false);
         }
-        let path = self.path_of(&result.digest);
-        let write_start = std::time::Instant::now();
-        let dir = path.parent().expect("store paths have a shard directory");
-        std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-        // Unique temporary per writer, atomic rename to the final name.
-        let tmp = dir.join(format!(
-            "{}.json.tmp.{}",
-            result.digest,
-            self.tmp_seq.fetch_add(1, Ordering::Relaxed)
-        ));
-        let text = Writer::pretty(|w| result.write(w));
-        std::fs::write(&tmp, &text).map_err(|e| format!("{}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, &path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let mut index = self.index.lock().unwrap();
-        index.clock += 1;
-        let clock = index.clock;
-        let old = index
-            .entries
-            .insert(result.digest.clone(), Entry { bytes: text.len() as u64, last_used: clock });
-        index.total_bytes += text.len() as u64;
-        if let Some(old) = old {
-            // A concurrent writer beat us between the contains check and
-            // here; both wrote identical bytes.
-            index.total_bytes -= old.bytes;
+        let write_start = Instant::now();
+        let mut file = match self.file.get() {
+            Some(file) => file,
+            None => {
+                let file = OpenOptions::new()
+                    .read(true)
+                    .append(true)
+                    .create_new(true)
+                    .open(&self.path)
+                    .map_err(at_path(&self.path))?;
+                self.file.get_or_init(|| file)
+            }
+        };
+        let offset = if index.end == 0 {
+            line.insert(0, '\n');
+            line.insert_str(0, LOG_HEADER);
+            LOG_HEADER.len() as u64 + 1
+        } else {
+            index.end
+        };
+        if let Err(e) = file.write_all(line.as_bytes()) {
+            // Cut a short write off, so the next append starts a line.
+            file.set_len(index.end).ok();
+            return Err(at_path(&self.path)(e));
         }
+        index.end += line.len() as u64;
+        let len = index.end - offset;
+        index.insert(key, Span { offset, len });
+        drop(index);
         self.writes.fetch_add(1, Ordering::Relaxed);
         let m = store_metrics();
         m.writes.inc();
         m.write_us.observe(write_start.elapsed().as_micros() as u64);
-        self.enforce_cap(&mut index);
         Ok(true)
     }
 
-    /// `<root>/<digest[0..2]>/<digest>.ckpt` — the sibling blob path
-    /// (sampled-simulation checkpoint bundles).
+    /// Rows currently indexed.
+    pub fn len(&self) -> usize {
+        self.index().rows.len()
+    }
+
+    /// True if the store indexes nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// True if `digest` is indexed (no disk read).
+    pub fn contains(&self, digest: &str) -> bool {
+        key(digest.as_bytes()).is_some_and(|k| self.index().rows.contains_key(&k))
+    }
+
+    /// A snapshot of the counters.
+    pub fn stats(&self) -> StoreStats {
+        let index = self.index();
+        StoreStats {
+            entries: index.rows.len(),
+            bytes: index.bytes,
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            writes: self.writes.load(Ordering::Relaxed),
+            evictions: self.evictions,
+        }
+    }
+}
+
+/// The checkpoint blobs of sampled bundles,
+/// `<root>/<digest[0..2]>/<digest>.ckpt`: each written to a temporary and
+/// renamed, none ever a row. Any process may hold a handle: making one
+/// touches nothing on disk, and no handle opens the row log.
+pub struct Blobs {
+    root: PathBuf,
+    tmp_seq: AtomicU64,
+}
+
+impl Blobs {
+    /// A handle on the blob tree under `root`.
+    pub fn new(root: &Path) -> Blobs {
+        Blobs { root: root.to_path_buf(), tmp_seq: AtomicU64::new(0) }
+    }
+
+    /// `<root>/<digest[0..2]>/<digest>.ckpt`.
     pub fn blob_path(&self, digest: &str) -> PathBuf {
         self.root.join(&digest[..2]).join(format!("{digest}.ckpt"))
     }
 
-    /// Reads a binary blob by digest. Blobs ride the store's sharded
-    /// tree but are *not* index entries: they are never parsed as job
-    /// results, never counted against the LRU cap, and survive
-    /// [`Store::get`]'s corruption sweep untouched.
+    /// Reads a binary blob by digest.
     pub fn get_blob(&self, digest: &str) -> Option<Vec<u8>> {
         let m = store_metrics();
-        if !valid_digest(digest) {
+        if key(digest.as_bytes()).is_none() {
             m.blob_misses.inc();
             return None;
         }
@@ -334,32 +555,32 @@ impl Store {
         }
     }
 
-    /// Persists a blob under its digest (atomic tmp + rename, like
-    /// [`Store::put`]). Returns `true` if newly written, `false` if
-    /// already present — equal digests mean equal bytes, so either
-    /// writer's outcome is interchangeable.
+    /// Persists a blob under its digest (a temporary, then an atomic
+    /// rename). Returns `true` if newly written, `false` if already
+    /// present — equal digests mean equal bytes, so either writer's
+    /// outcome is interchangeable.
     ///
     /// # Errors
     ///
     /// Filesystem errors, stringified; an invalid digest is rejected.
     pub fn put_blob(&self, digest: &str, bytes: &[u8]) -> Result<bool, String> {
-        if !valid_digest(digest) {
+        if key(digest.as_bytes()).is_none() {
             return Err(format!("store: invalid blob digest `{digest}`"));
         }
         let path = self.blob_path(digest);
         if path.exists() {
             return Ok(false);
         }
-        let dir = path.parent().expect("store paths have a shard directory");
-        std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+        let dir = path.parent().expect("blob paths have a shard directory");
+        std::fs::create_dir_all(dir).map_err(at_path(dir))?;
         // Temporary names contain `.tmp`, so a crashed blob write is
-        // swept by the same startup pass that cleans result temporaries.
+        // swept by the next `Store::open`.
         let tmp = dir.join(format!(
             "{digest}.ckpt.tmp.{}",
             self.tmp_seq.fetch_add(1, Ordering::Relaxed)
         ));
-        std::fs::write(&tmp, bytes).map_err(|e| format!("{}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, &path).map_err(|e| format!("{}: {e}", path.display()))?;
+        std::fs::write(&tmp, bytes).map_err(at_path(&tmp))?;
+        std::fs::rename(&tmp, &path).map_err(at_path(&path))?;
         store_metrics().blob_bytes.add(bytes.len() as u64);
         Ok(true)
     }
@@ -399,65 +620,5 @@ impl Store {
         ];
         log.info("bundle_built", &[&at[..], &built[..]].concat());
         Ok(bundle)
-    }
-
-    /// Evicts least-recently-used entries until the tree fits the cap.
-    /// The most recently touched entry is never evicted, so a store
-    /// whose cap is smaller than one entry still makes progress. `.ckpt`
-    /// bundles are never index entries, so they are never evicted.
-    fn enforce_cap(&self, index: &mut Index) {
-        let Some(cap) = self.cap_bytes else { return };
-        while index.total_bytes > cap && index.entries.len() > 1 {
-            let Some(victim) = index
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(digest, _)| digest.clone())
-            else {
-                return;
-            };
-            if let Some(entry) = index.entries.remove(&victim) {
-                index.total_bytes -= entry.bytes;
-            }
-            // A victim whose file has vanished (deleted behind the
-            // store's back) just leaves the index: that is the outcome
-            // eviction wanted, not an error.
-            if let Err(e) = std::fs::remove_file(self.path_of(&victim)) {
-                debug_assert!(
-                    e.kind() == std::io::ErrorKind::NotFound,
-                    "evicting {victim}: {e}"
-                );
-            }
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            store_metrics().evictions.inc();
-        }
-    }
-
-    /// Entries currently indexed.
-    pub fn len(&self) -> usize {
-        self.index.lock().unwrap().entries.len()
-    }
-
-    /// True if the store indexes nothing.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// True if `digest` is indexed (no LRU touch, no disk read).
-    pub fn contains(&self, digest: &str) -> bool {
-        self.index.lock().unwrap().entries.contains_key(digest)
-    }
-
-    /// A snapshot of the counters.
-    pub fn stats(&self) -> StoreStats {
-        let index = self.index.lock().unwrap();
-        StoreStats {
-            entries: index.entries.len(),
-            bytes: index.total_bytes,
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
     }
 }

@@ -11,9 +11,13 @@
 //! A worker only executes. The coordinator resolves every job: it looks
 //! rows up, dispatches only its claimed misses, and writes every row a
 //! worker returns to the store, so the store directory has one row
-//! writer. A worker never reads or writes a row. It opens the
-//! coordinator's [`Store`] only for the checkpoint bundles of sampled
-//! groups, `.ckpt` blobs that never join a store index.
+//! writer. A worker never reads or writes a row, and never opens the
+//! row log: it holds a [`Blobs`] handle on the coordinator's store, for
+//! the checkpoint bundles of sampled groups.
+//!
+//! A worker simulates at background CPU priority (nice 19), so the
+//! coordinator's request threads, which parse, read the store and reply,
+//! never wait behind a sweep for a core.
 
 use std::collections::VecDeque;
 use std::io::Stdout;
@@ -26,7 +30,7 @@ use dmdp_harness::{JobResult, JobSpec, Json, ResidentImages};
 use dmdp_obs::log::{EventLog, Level};
 
 use crate::protocol::{self, write_line, GroupSpec, LineEvent, LineReader};
-use crate::store::Store;
+use crate::store::Blobs;
 
 /// Configuration of one [`run_worker`] invocation.
 #[derive(Debug, Clone)]
@@ -65,9 +69,29 @@ fn pin_cores(cores: &[usize]) {
 #[cfg(not(target_os = "linux"))]
 fn pin_cores(_cores: &[usize]) {}
 
+/// Lowers the calling thread to nice 19, the lowest CPU priority, via a
+/// raw `setpriority` call — no libc crate. On Linux nice is per thread
+/// (`PRIO_PROCESS` with `who = 0` names the caller), threads spawned
+/// afterwards inherit it, and an unprivileged thread cannot raise it
+/// back, so only threads that do nothing but simulate may call this.
+/// Strictly best-effort: a failure leaves the priority as it was.
+#[cfg(target_os = "linux")]
+pub(crate) fn lower_priority() {
+    extern "C" {
+        fn setpriority(which: i32, who: u32, prio: i32) -> i32;
+    }
+    const PRIO_PROCESS: i32 = 0;
+    // SAFETY: `setpriority` takes three integers and touches no memory of
+    // this process.
+    let _ = unsafe { setpriority(PRIO_PROCESS, 0, 19) };
+}
+
+#[cfg(not(target_os = "linux"))]
+pub(crate) fn lower_priority() {}
+
 struct WorkerCtx {
     /// Checkpoint bundles only: a worker never reads or writes a row.
-    store: Store,
+    blobs: Blobs,
     log: EventLog,
     /// Resident images, exactly the set the coordinator holds, so
     /// digests agree.
@@ -85,7 +109,7 @@ impl WorkerCtx {
     fn run_group(&self, group: &GroupSpec) -> Result<Vec<JobResult>, String> {
         let spec = group.campaign();
         let jobs = spec.jobs_over(&self.images.at(spec.scale), 1, |w, s| {
-            self.store.bundle(w, s, &self.log)
+            self.blobs.bundle(w, s, &self.log)
         })?;
         let rows = JobSpec::execute_batch(&jobs.iter().collect::<Vec<_>>())
             .into_iter()
@@ -95,21 +119,19 @@ impl WorkerCtx {
     }
 }
 
-/// Runs one worker until its stdin ends: the main thread reads
-/// dispatched groups from stdin and queues them, and `jobs` runner
-/// threads execute them and answer on stdout. A line that is not a
-/// `group` dispatch ends the link as well. Either way, queued groups are
-/// dropped (the coordinator requeues what it still waits for) and the
-/// running ones finish before the worker returns.
-///
-/// # Errors
-///
-/// Store setup failures.
-pub fn run_worker(opts: &WorkerOptions) -> Result<(), String> {
+/// Runs one worker until its stdin ends: the main thread lowers its own
+/// priority, which the runner threads then inherit, reads dispatched
+/// groups from stdin and queues them, and `jobs` runner threads execute
+/// them and answer on stdout. A line that is not a `group` dispatch ends
+/// the link as well. Either way, queued groups are dropped (the
+/// coordinator requeues what it still waits for) and the running ones
+/// finish before the worker returns.
+pub fn run_worker(opts: &WorkerOptions) {
     pin_cores(&opts.cores);
+    lower_priority();
     let jobs = if opts.jobs == 0 { opts.cores.len().max(1) } else { opts.jobs };
     let ctx = WorkerCtx {
-        store: Store::open(&opts.store_dir, None)?,
+        blobs: Blobs::new(&opts.store_dir),
         log: EventLog::stderr(if opts.quiet { Level::Warn } else { Level::Info }),
         images: ResidentImages::default(),
         groups: AtomicU64::new(0),
@@ -194,5 +216,4 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), String> {
             ("executed", ctx.executed.load(Ordering::Relaxed).into()),
         ],
     );
-    Ok(())
 }

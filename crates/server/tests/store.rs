@@ -1,13 +1,19 @@
 //! Persistence tests for the content-addressed result store: round
-//! trips across reopen, crash-leftover sweeping, concurrent writers of
-//! one digest, LRU size-cap eviction, and an index that is the truth
-//! about which rows exist, since a store directory has one row writer.
+//! trips across reopen, a log torn or corrupted by a crash or behind the
+//! writer's back, a foreign log and an older per-row tree, concurrent
+//! writers of one digest, cap compaction at open, and an index that is
+//! the truth about which rows exist, since a store directory has one row
+//! writer.
 
-use std::path::PathBuf;
+use std::io::Write;
+use std::os::unix::fs::FileExt;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use dmdp_core::{CommModel, CoreConfig};
 use dmdp_harness::{JobResult, JobSpec, PlannedImage, Writer};
+use dmdp_obs::log::{EventLog, Level};
+use dmdp_server::store::{LOG_FILE, LOG_HEADER};
 use dmdp_server::Store;
 use dmdp_workloads::Scale;
 
@@ -27,6 +33,36 @@ fn result_for(kernel: &str, model: CommModel) -> JobResult {
         .unwrap()
 }
 
+/// `n` rows of one real job, each filed under a digest of its own, so
+/// every row's log line has the same length.
+fn rows(n: u64) -> Vec<JobResult> {
+    let row = result_for("lib", CommModel::Dmdp);
+    (0..n).map(|i| JobResult { digest: format!("{:016x}", 0xd16e_0000 + i), ..row.clone() }).collect()
+}
+
+/// A row's line as `Store::put` appends it.
+fn line_of(row: &JobResult) -> String {
+    Writer::compact(|w| row.write(w)) + "\n"
+}
+
+/// Opens `dir`'s store with its warnings written to a file beside it,
+/// and returns the store with the events it logged while opening.
+fn open_logged(dir: &Path, cap: Option<u64>) -> (Result<Store, String>, String) {
+    let events = dir.with_extension("events");
+    std::fs::remove_file(&events).ok();
+    let log = EventLog::file(&events, Level::Warn).unwrap();
+    let store = Store::open_logged(dir, cap, &log);
+    drop(log);
+    let text = std::fs::read_to_string(&events).unwrap_or_default();
+    std::fs::remove_file(&events).ok();
+    (store, text)
+}
+
+/// The log's bytes.
+fn log_bytes(dir: &Path) -> Vec<u8> {
+    std::fs::read(dir.join(LOG_FILE)).unwrap()
+}
+
 #[test]
 fn round_trips_across_reopen() {
     let dir = tmp_dir("roundtrip");
@@ -35,6 +71,7 @@ fn round_trips_across_reopen() {
     let store = Store::open(&dir, None).unwrap();
     assert!(store.is_empty());
     assert!(store.get(&fresh.digest).is_none(), "miss before put");
+    assert!(!dir.join(LOG_FILE).exists(), "opening a store creates no log");
     assert!(store.put(&fresh).unwrap(), "first put writes");
     assert!(!store.put(&fresh).unwrap(), "second put is a no-op");
     let hit = store.get(&fresh.digest).expect("hit after put");
@@ -44,9 +81,13 @@ fn round_trips_across_reopen() {
     assert_eq!(hit.cycles, fresh.cycles);
     assert_eq!(hit.ipc, fresh.ipc);
     drop(store);
+    // The first append created the log: the header, then the row's
+    // compact line.
+    let expected = format!("{LOG_HEADER}\n{}", line_of(&fresh));
+    assert_eq!(String::from_utf8(log_bytes(&dir)).unwrap(), expected);
 
     // A new process (simulated by reopening) rebuilds the index by
-    // scanning the tree — the result survives.
+    // scanning the log — the result survives.
     let reopened = Store::open(&dir, None).unwrap();
     assert_eq!(reopened.len(), 1);
     assert!(reopened.contains(&fresh.digest));
@@ -55,29 +96,213 @@ fn round_trips_across_reopen() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A crash mid-append leaves a torn last line: the next open cuts it off
+/// with a warning, keeps every whole row, and the next append starts a
+/// line of its own. Stray files in the tree are not rows.
 #[test]
 fn startup_scan_sweeps_crash_leftovers() {
     let dir = tmp_dir("crash");
-    let fresh = result_for("mcf", CommModel::Baseline);
+    let rows = rows(3);
     {
         let store = Store::open(&dir, None).unwrap();
-        store.put(&fresh).unwrap();
+        store.put(&rows[0]).unwrap();
+        store.put(&rows[1]).unwrap();
     }
-    // Simulate a writer that died mid-put: a temporary next to the real
-    // entry, plus stray files that are not store entries at all.
-    let shard = dir.join(&fresh.digest[..2]);
-    let tmp = shard.join(format!("{}.json.tmp.7", fresh.digest));
-    std::fs::write(&tmp, "{\"half\": writ").unwrap();
-    std::fs::write(shard.join("README"), "not an entry").unwrap();
-    std::fs::write(shard.join("UPPERCASE0DIGEST.json"), "{}").unwrap();
+    let whole = log_bytes(&dir);
+    let torn = line_of(&rows[2]);
+    let mut log = std::fs::OpenOptions::new().append(true).open(dir.join(LOG_FILE)).unwrap();
+    log.write_all(&torn.as_bytes()[..torn.len() / 2]).unwrap();
+    std::fs::create_dir_all(dir.join("d1")).unwrap();
+    std::fs::write(dir.join("d1").join("README"), "not an entry").unwrap();
 
-    let store = Store::open(&dir, None).unwrap();
-    assert!(!tmp.exists(), "crash leftovers are swept on startup");
-    assert_eq!(store.len(), 1, "only the real entry is indexed");
-    assert!(store.get(&fresh.digest).is_some());
+    let (store, events) = open_logged(&dir, None);
+    let store = store.unwrap();
+    assert!(events.contains("\"store_torn_tail\""), "no torn-tail warning in {events:?}");
+    assert_eq!(log_bytes(&dir), whole, "the torn line is cut off, whole lines stay");
+    assert_eq!(store.len(), 2, "only the whole rows are indexed");
+    assert!(store.get(&rows[0].digest).is_some());
+    assert!(store.get(&rows[1].digest).is_some());
+    assert!(store.get(&rows[2].digest).is_none(), "the torn row is a miss");
+    assert!(store.put(&rows[2]).unwrap());
+    drop(store);
+
+    let (store, events) = open_logged(&dir, None);
+    let store = store.unwrap();
+    assert!(events.is_empty(), "a clean log warns of nothing: {events:?}");
+    assert_eq!(store.len(), 3);
+    for row in &rows {
+        assert_eq!(store.get(&row.digest).expect("every row hits").digest, row.digest);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A middle line that is no longer a row is skipped with a warning; the
+/// rows on either side still hit, and the lost row can be stored again.
+#[test]
+fn a_corrupt_middle_line_is_skipped_while_its_neighbours_hit() {
+    let dir = tmp_dir("corrupt");
+    let rows = rows(3);
+    let store = Store::open(&dir, None).unwrap();
+    for row in &rows {
+        store.put(row).unwrap();
+    }
+    drop(store);
+    // Garble the middle row's line in place, newline kept.
+    let middle = line_of(&rows[1]);
+    let offset = (LOG_HEADER.len() + 1 + line_of(&rows[0]).len()) as u64;
+    let garbage = "\u{1}".repeat(middle.len() - 1);
+    let log = std::fs::OpenOptions::new().write(true).open(dir.join(LOG_FILE)).unwrap();
+    log.write_all_at(garbage.as_bytes(), offset).unwrap();
+
+    let (store, events) = open_logged(&dir, None);
+    let store = store.unwrap();
+    assert!(events.contains("\"store_corrupt_line\""), "no corrupt-line warning in {events:?}");
+    assert!(events.contains(&format!("\"offset\":{offset}")), "the warning names the line: {events:?}");
+    assert_eq!(store.len(), 2);
+    assert!(store.get(&rows[0].digest).is_some(), "the line before hits");
+    assert!(store.get(&rows[2].digest).is_some(), "the line after hits");
+    assert!(store.get(&rows[1].digest).is_none(), "the garbled row is a miss");
+    assert!(store.put(&rows[1]).unwrap(), "the lost row is appended again");
+    assert!(store.get(&rows[1].digest).is_some());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A line whose bytes no longer hold its digest's row (here: another
+/// digest's row written over it) is never served: the lookup is a miss
+/// that drops the entry, and the log itself is left as it is.
+#[test]
+fn a_row_filed_under_another_digest_is_a_corrupt_entry() {
+    let dir = tmp_dir("misfiled");
+    let rows = rows(2);
+    let (kept, other) = (&rows[0], &rows[1]);
+    let store = Store::open(&dir, None).unwrap();
+    store.put(kept).unwrap();
+    store.put(other).unwrap();
+    // `other`'s digest over `kept`'s line: the same length, a valid row,
+    // the wrong digest.
+    let forged = line_of(&JobResult { digest: other.digest.clone(), ..kept.clone() });
+    assert_eq!(forged.len(), line_of(kept).len());
+    let log = std::fs::OpenOptions::new().write(true).open(dir.join(LOG_FILE)).unwrap();
+    log.write_all_at(forged.as_bytes(), LOG_HEADER.len() as u64 + 1).unwrap();
+    let before = log_bytes(&dir);
+
+    let misses = store.stats().misses;
+    assert!(store.get(&kept.digest).is_none(), "a misfiled row is never served");
+    assert_eq!(store.stats().misses, misses + 1, "it counts as a miss");
+    assert!(!store.contains(&kept.digest), "a misfiled entry leaves the index");
+    assert_eq!(store.stats().bytes, line_of(other).len() as u64);
+    assert_eq!(log_bytes(&dir), before, "the log is append-only: nothing is deleted");
+    let hit = store.get(&other.digest).expect("the row under its own digest still serves");
+    assert_eq!(hit.digest, other.digest);
+    assert!(store.put(kept).unwrap(), "the dropped row is appended again");
+    assert_eq!(store.get(&kept.digest).expect("and hits").digest, kept.digest);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn every_row_hits_after_a_reopen_following_appends() {
+    let dir = tmp_dir("appends");
+    let rows = rows(40);
+    // Three writers in turn, each appending to what the last one left.
+    for chunk in rows.chunks(15) {
+        let store = Store::open(&dir, None).unwrap();
+        for row in chunk {
+            assert!(store.put(row).unwrap());
+        }
+    }
+    let store = Store::open(&dir, None).unwrap();
+    assert_eq!(store.len(), rows.len());
+    let line_bytes: usize = rows.iter().map(|r| line_of(r).len()).sum();
+    assert_eq!(store.stats().bytes, line_bytes as u64);
+    assert_eq!(log_bytes(&dir).len(), LOG_HEADER.len() + 1 + line_bytes, "one header, one line per row");
+    for row in &rows {
+        let hit = store.get(&row.digest).expect("every row hits");
+        assert_eq!((hit.digest.as_str(), hit.cycles), (row.digest.as_str(), row.cycles));
+    }
+    assert_eq!(store.stats().hits, rows.len() as u64);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A log that does not begin with this store format's header is not
+/// ours: the open fails naming the file, and the file is left as it is.
+#[test]
+fn a_foreign_header_is_refused_naming_the_file() {
+    let dir = tmp_dir("foreign");
+    for text in [&b"{\"store\":\"dmdp-rows\",\"format\":2}\n"[..], b"hello\nworld\n", b"no newline"] {
+        std::fs::write(dir.join(LOG_FILE), text).unwrap();
+        let Err(e) = Store::open(&dir, None) else { panic!("{text:?} was opened as a row log") };
+        assert!(e.contains(&dir.join(LOG_FILE).display().to_string()), "{e}");
+        assert!(e.contains(LOG_HEADER), "{e}");
+        assert_eq!(log_bytes(&dir), text, "a refused log is never touched");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The per-row files of the older layout are not read, moved or
+/// deleted: the open warns about them, and their rows are misses.
+#[test]
+fn an_old_per_row_tree_is_ignored_with_a_warning_and_left_on_disk() {
+    let dir = tmp_dir("legacy");
+    let row = result_for("mcf", CommModel::Baseline);
+    let old = dir.join(&row.digest[..2]).join(format!("{}.json", row.digest));
+    std::fs::create_dir_all(old.parent().unwrap()).unwrap();
+    std::fs::write(&old, Writer::pretty(|w| row.write(w))).unwrap();
+
+    let (store, events) = open_logged(&dir, None);
+    let store = store.unwrap();
+    assert!(events.contains("\"store_legacy_rows\""), "no warning in {events:?}");
+    assert!(events.contains("\"rows\":1"), "the warning counts the rows: {events:?}");
+    assert!(store.is_empty());
+    assert!(store.get(&row.digest).is_none(), "an old row file is a miss");
+    assert!(old.exists(), "the old tree stays on disk");
+    assert!(store.put(&row).unwrap(), "the row re-simulates into the log");
+    assert!(store.get(&row.digest).is_some());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn cap_compaction_at_open_keeps_the_newest_rows_that_fit() {
+    let dir = tmp_dir("cap");
+    let rows = rows(5);
+    let line = line_of(&rows[0]).len() as u64;
+    {
+        let store = Store::open(&dir, None).unwrap();
+        for row in &rows {
+            store.put(row).unwrap();
+        }
+        assert_eq!(store.stats().evictions, 0);
+    }
+    // An open under a cap that holds the log changes nothing.
+    let before = log_bytes(&dir);
+    let store = Store::open(&dir, Some(5 * line)).unwrap();
+    assert_eq!((store.len(), store.stats().evictions), (5, 0));
+    drop(store);
+    assert_eq!(log_bytes(&dir), before);
+
+    // Room for two rows and change: the two newest stay, in log order.
+    let store = Store::open(&dir, Some(line * 5 / 2)).unwrap();
+    let stats = store.stats();
+    assert_eq!((stats.entries, stats.evictions, stats.bytes), (2, 3, 2 * line));
+    for row in &rows[..3] {
+        assert!(store.get(&row.digest).is_none(), "an older row was dropped");
+    }
+    for row in &rows[3..] {
+        assert!(store.get(&row.digest).is_some(), "a newest row was kept");
+    }
+    // Rows appended after the open are kept until the next one.
+    assert!(store.put(&rows[0]).unwrap());
+    assert_eq!(store.len(), 3);
+    drop(store);
+    let expected = format!("{LOG_HEADER}\n{}{}{}", line_of(&rows[3]), line_of(&rows[4]), line_of(&rows[0]));
+    assert_eq!(String::from_utf8(log_bytes(&dir)).unwrap(), expected, "the log is rewritten");
+    assert!(!dir.join("rows.log.compact").exists());
+
+    let reopened = Store::open(&dir, None).unwrap();
+    assert_eq!(reopened.len(), 3);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Threads of the one writer racing to store one digest append it once.
 #[test]
 fn concurrent_writers_of_one_digest_agree() {
     let dir = tmp_dir("racers");
@@ -92,12 +317,10 @@ fn concurrent_writers_of_one_digest_agree() {
     let hit = store.get(&fresh.digest).expect("entry parses after the race");
     assert_eq!(hit.cycles, fresh.cycles);
     let stats = store.stats();
-    assert_eq!(stats.entries, 1);
-    assert!(stats.writes >= 1);
-    // Byte accounting survived any double-insert: the index total equals
-    // the one file's size.
-    let on_disk = std::fs::metadata(store.path_of(&fresh.digest)).unwrap().len();
-    assert_eq!(stats.bytes, on_disk);
+    assert_eq!((stats.entries, stats.writes), (1, 1));
+    // One line in the log, and the byte count is its length.
+    assert_eq!(String::from_utf8(log_bytes(&dir)).unwrap(), format!("{LOG_HEADER}\n{}", line_of(&fresh)));
+    assert_eq!(stats.bytes, line_of(&fresh).len() as u64);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -105,228 +328,101 @@ fn concurrent_writers_of_one_digest_agree() {
 fn blobs_ride_the_tree_without_joining_the_index() {
     let dir = tmp_dir("blobs");
     let store = Store::open(&dir, None).unwrap();
+    let blobs = store.blobs();
     let digest = "00c0ffee00c0ffee";
     let payload: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
-    assert!(store.get_blob(digest).is_none(), "miss before put");
-    assert!(store.put_blob(digest, &payload).unwrap(), "first put writes");
-    assert!(!store.put_blob(digest, &payload).unwrap(), "second put is a no-op");
-    assert_eq!(store.get_blob(digest).unwrap(), payload);
-    assert!(store.put_blob("not a digest!!", &payload).is_err());
-    assert!(store.get_blob("not a digest!!").is_none());
+    assert!(blobs.get_blob(digest).is_none(), "miss before put");
+    assert!(blobs.put_blob(digest, &payload).unwrap(), "first put writes");
+    assert!(!blobs.put_blob(digest, &payload).unwrap(), "second put is a no-op");
+    assert_eq!(blobs.get_blob(digest).unwrap(), payload);
+    assert!(blobs.put_blob("not a digest!!", &payload).is_err());
+    assert!(blobs.get_blob("not a digest!!").is_none());
     // Blobs are invisible to the result index and its byte accounting.
     assert!(store.is_empty(), "blobs are not index entries");
-    assert_eq!(store.stats().bytes, 0, "blob bytes never count against the LRU cap");
+    assert_eq!(store.stats().bytes, 0, "blob bytes never count against the cap");
+    assert!(!dir.join(LOG_FILE).exists(), "blobs never create the row log");
     drop(store);
 
     // Blobs survive a reopen (still outside the index), and a crashed
-    // blob writer's temporary is swept by the same startup pass that
-    // cleans result temporaries.
+    // blob writer's temporary is swept by the open.
     let tmp = dir.join(&digest[..2]).join(format!("{digest}.ckpt.tmp.3"));
     std::fs::write(&tmp, b"half a blob").unwrap();
     let reopened = Store::open(&dir, None).unwrap();
     assert!(!tmp.exists(), "blob temporaries are swept on startup");
     assert_eq!(reopened.len(), 0);
-    assert_eq!(reopened.get_blob(digest).unwrap(), payload);
+    assert_eq!(reopened.blobs().get_blob(digest).unwrap(), payload);
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn size_cap_evicts_least_recently_used() {
-    let dir = tmp_dir("lru");
-    let results: Vec<JobResult> = [
-        ("lib", CommModel::Baseline),
-        ("lib", CommModel::Dmdp),
-        ("mcf", CommModel::Baseline),
-        ("mcf", CommModel::Dmdp),
-    ]
-    .into_iter()
-    .map(|(k, m)| result_for(k, m))
-    .collect();
-    let entry_bytes = Writer::pretty(|w| results[0].write(w)).len() as u64;
-    // Room for two entries and change — never four.
-    let cap = entry_bytes * 5 / 2;
-
-    let store = Store::open(&dir, Some(cap)).unwrap();
-    for r in &results {
-        store.put(r).unwrap();
-    }
-    assert!(store.len() <= 2, "cap holds at most two entries");
-    assert!(
-        store.contains(&results[3].digest),
-        "the most recently written entry is never the victim"
-    );
-    assert!(!store.contains(&results[0].digest), "the oldest entry was evicted");
-    assert!(
-        !store.path_of(&results[0].digest).exists(),
-        "eviction deletes the file, not just the index entry"
-    );
-    assert!(store.stats().evictions >= 2);
-
-    // Touching an entry protects it from the next eviction round.
-    let keep = &results[2];
-    if store.contains(&keep.digest) {
-        store.get(&keep.digest).unwrap();
-        store.put(&result_for("hmmer", CommModel::Dmdp)).unwrap();
-        assert!(store.contains(&keep.digest), "recently-read entry survives");
-    }
-
-    // Reopening under the same cap keeps the tree within it.
-    drop(store);
-    let reopened = Store::open(&dir, Some(cap)).unwrap();
-    assert!(reopened.stats().bytes <= cap);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A store directory has one row writer, so the index says which rows
-/// exist: a row file that appears in the tree after `open` is a miss,
-/// read from nowhere and left where it is, until a reopen's scan
-/// indexes it.
-#[test]
-fn a_row_placed_after_open_is_a_miss_until_a_reopen() {
-    let dir = tmp_dir("unindexed");
-    let row = result_for("lib", CommModel::Dmdp);
-    let store = Store::open(&dir, None).unwrap();
-    let path = store.path_of(&row.digest);
-    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-    std::fs::write(&path, Writer::pretty(|w| row.write(w))).unwrap();
-
-    assert!(store.get(&row.digest).is_none(), "an un-indexed row is a miss");
-    assert_eq!(store.stats().misses, 1);
-    assert!(!store.contains(&row.digest), "a miss indexes nothing");
-    assert!(path.exists(), "a miss leaves the file in place");
-    drop(store);
-
-    let reopened = Store::open(&dir, None).unwrap();
-    let hit = reopened.get(&row.digest).expect("the reopen's scan indexed the row");
-    assert_eq!(hit.cycles, row.cycles);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A victim whose file has vanished (deleted behind the store's back)
-/// just leaves the index: ENOENT is the outcome eviction wanted.
-#[test]
-fn eviction_drops_a_victim_whose_file_vanished() {
-    let dir = tmp_dir("enoent");
-    let results: Vec<JobResult> = [
-        ("lib", CommModel::Baseline),
-        ("lib", CommModel::Dmdp),
-        ("mcf", CommModel::Baseline),
-        ("mcf", CommModel::Dmdp),
-    ]
-    .into_iter()
-    .map(|(k, m)| result_for(k, m))
-    .collect();
-    let entry_bytes = Writer::pretty(|w| results[0].write(w)).len() as u64;
-    let store = Store::open(&dir, Some(entry_bytes * 5 / 2)).unwrap();
-    store.put(&results[0]).unwrap();
-    store.put(&results[1]).unwrap();
-    // The LRU entry's file disappears from under the index.
-    std::fs::remove_file(store.path_of(&results[0].digest)).unwrap();
-    // Overflow the cap: results[0] is the LRU victim, its file is gone.
-    store.put(&results[2]).unwrap();
-    store.put(&results[3]).unwrap();
-    assert!(!store.contains(&results[0].digest), "the gone victim left the index");
-    assert!(store.contains(&results[3].digest), "later puts landed normally");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Checkpoint blobs share the tree but never the index, so a capped
-/// store never evicts them, however far it overflows.
+/// Checkpoint blobs share the tree but never the log, so compacting a
+/// capped store never touches them, however far it overflows.
 #[test]
 fn eviction_never_touches_ckpt_blobs() {
     let dir = tmp_dir("ckpt");
-    let results: Vec<JobResult> = [
-        ("lib", CommModel::Baseline),
-        ("lib", CommModel::Dmdp),
-        ("mcf", CommModel::Baseline),
-        ("mcf", CommModel::Dmdp),
-    ]
-    .into_iter()
-    .map(|(k, m)| result_for(k, m))
-    .collect();
-    let entry_bytes = Writer::pretty(|w| results[0].write(w)).len() as u64;
-    let store = Store::open(&dir, Some(entry_bytes * 5 / 2)).unwrap();
+    let rows = rows(4);
+    let line = line_of(&rows[0]).len() as u64;
     let blob_digest = "feedfacefeedface";
-    store.put_blob(blob_digest, &[7u8; 2048]).unwrap();
-    for r in &results {
-        store.put(r).unwrap();
+    {
+        let store = Store::open(&dir, None).unwrap();
+        store.blobs().put_blob(blob_digest, &[7u8; 2048]).unwrap();
+        for r in &rows {
+            store.put(r).unwrap();
+        }
     }
-    assert!(store.stats().evictions >= 2, "the cap evicted rows");
+    let store = Store::open(&dir, Some(line * 5 / 2)).unwrap();
+    assert!(store.stats().evictions >= 2, "the cap dropped rows");
     assert_eq!(
-        store.get_blob(blob_digest).unwrap(),
+        store.blobs().get_blob(blob_digest).unwrap(),
         vec![7u8; 2048],
-        "checkpoint blobs never count against the cap and are never evicted"
+        "checkpoint blobs never count against the cap and are never dropped"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A read that fails for any reason but absence (here `EISDIR`, standing
-/// in for `EMFILE` or `EIO`) is a miss that keeps the entry: the row on
-/// disk may be perfectly good, and the next lookup finds it.
+/// A read that fails (here: the log cut short behind the writer's back,
+/// standing in for an `EIO`) is a miss that keeps the entry: the row may
+/// be perfectly good, and the next lookup finds it.
 #[test]
 fn a_failed_read_misses_without_dropping_the_entry() {
     let dir = tmp_dir("readerr");
     let fresh = result_for("lib", CommModel::Dmdp);
     let store = Store::open(&dir, None).unwrap();
     store.put(&fresh).unwrap();
-    let path = store.path_of(&fresh.digest);
-    let text = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).unwrap();
-    std::fs::create_dir(&path).unwrap();
+    let whole = log_bytes(&dir);
+    let log = std::fs::OpenOptions::new().write(true).open(dir.join(LOG_FILE)).unwrap();
+    log.set_len(LOG_HEADER.len() as u64 + 1).unwrap();
 
     assert!(store.get(&fresh.digest).is_none(), "an unreadable entry misses");
     assert!(store.contains(&fresh.digest), "an unreadable entry stays indexed");
-    assert!(path.is_dir(), "an unreadable entry is not deleted");
+    assert_eq!(store.stats().bytes, line_of(&fresh).len() as u64);
 
-    std::fs::remove_dir(&path).unwrap();
-    std::fs::write(&path, text).unwrap();
+    log.write_all_at(&whole, 0).unwrap();
     let hit = store.get(&fresh.digest).expect("the restored entry hits");
     assert_eq!(hit.cycles, fresh.cycles);
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A file that has vanished, or whose contents no longer parse as a row,
-/// leaves the index.
+/// A store directory has one row writer, so the index says which rows
+/// exist: a line appended to the log after `open` is a miss, read from
+/// nowhere and left where it is, until a reopen's scan indexes it.
 #[test]
-fn a_vanished_or_corrupt_entry_leaves_the_index() {
-    let dir = tmp_dir("corrupt");
-    let gone = result_for("lib", CommModel::Dmdp);
-    let bad = result_for("mcf", CommModel::Dmdp);
+fn a_row_placed_after_open_is_a_miss_until_a_reopen() {
+    let dir = tmp_dir("unindexed");
+    let rows = rows(2);
     let store = Store::open(&dir, None).unwrap();
-    store.put(&gone).unwrap();
-    store.put(&bad).unwrap();
-    std::fs::remove_file(store.path_of(&gone.digest)).unwrap();
-    std::fs::write(store.path_of(&bad.digest), b"{\"digest\": \xff").unwrap();
+    store.put(&rows[0]).unwrap();
+    let mut log = std::fs::OpenOptions::new().append(true).open(dir.join(LOG_FILE)).unwrap();
+    log.write_all(line_of(&rows[1]).as_bytes()).unwrap();
+    let placed = log_bytes(&dir);
 
-    assert!(store.get(&gone.digest).is_none());
-    assert!(!store.contains(&gone.digest), "a vanished entry leaves the index");
-    assert!(store.get(&bad.digest).is_none());
-    assert!(!store.contains(&bad.digest), "a corrupt entry leaves the index");
-    assert!(!store.path_of(&bad.digest).exists(), "a corrupt entry's file is deleted");
-    assert_eq!(store.stats().bytes, 0);
-    std::fs::remove_dir_all(&dir).ok();
-}
+    assert!(store.get(&rows[1].digest).is_none(), "an un-indexed row is a miss");
+    assert_eq!(store.stats().misses, 1);
+    assert!(!store.contains(&rows[1].digest), "a miss indexes nothing");
+    assert_eq!(log_bytes(&dir), placed, "a miss leaves the log as it is");
+    drop(store);
 
-#[test]
-fn a_row_filed_under_another_digest_is_a_corrupt_entry() {
-    let dir = tmp_dir("misfiled");
-    let kept = result_for("lib", CommModel::Dmdp);
-    let other = result_for("mcf", CommModel::Dmdp);
-    let store = Store::open(&dir, None).unwrap();
-    store.put(&kept).unwrap();
-    store.put(&other).unwrap();
-    // The file is written exactly as `put` writes it: the pretty row.
-    let stored = std::fs::read_to_string(store.path_of(&kept.digest)).unwrap();
-    assert_eq!(stored, Writer::pretty(|w| kept.write(w)));
-    // `other`'s row, copied over `kept`'s file, parses as a row but
-    // answers for the wrong digest: a miss that drops the entry.
-    std::fs::copy(store.path_of(&other.digest), store.path_of(&kept.digest)).unwrap();
-    let misses = store.stats().misses;
-    assert!(store.get(&kept.digest).is_none(), "a misfiled row is never served");
-    assert_eq!(store.stats().misses, misses + 1, "it counts as a miss");
-    assert!(!store.contains(&kept.digest), "a misfiled entry leaves the index");
-    assert!(!store.path_of(&kept.digest).exists(), "a misfiled entry's file is deleted");
-    let hit = store.get(&other.digest).expect("the row under its own digest still serves");
-    assert_eq!(hit.digest, other.digest);
+    let reopened = Store::open(&dir, None).unwrap();
+    let hit = reopened.get(&rows[1].digest).expect("the reopen's scan indexed the row");
+    assert_eq!(hit.cycles, rows[1].cycles);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -337,11 +337,45 @@ if timeout 30 $submit --name ci-serve-tiny --kernel mcf --variant tiny=prf:10 \
     exit 1
 fi
 
+# The store is one append-only row log: a format header, then one line
+# per row this daemon wrote, and no per-row files.
+serve_writes=$("$dmdp_bin" metrics --socket "$serve_sock" \
+    | jq '[.metrics[] | select(.name == "dmdp_store_writes_total") | .value] | add // 0')
+serve_rows=$(( $(wc -l < "$serve_dir/store/rows.log") - 1 ))
+[ "$serve_writes" -gt 0 ] && [ "$serve_rows" = "$serve_writes" ] \
+    || { echo "ci: FAIL: rows.log holds $serve_rows rows for $serve_writes store writes"; exit 1; }
+if find "$serve_dir/store" -name '*.json' | grep -q .; then
+    echo "ci: FAIL: per-row files under $serve_dir/store"
+    exit 1
+fi
+
 # Graceful shutdown: acknowledged, clean exit code, socket removed.
 timeout 30 "$dmdp_bin" submit --socket "$serve_sock" --shutdown
 await_exit "$serve_pid" "dmdp serve daemon"
 serve_pid=
 [ ! -e "$serve_sock" ] || { echo "ci: FAIL: daemon left its socket behind"; exit 1; }
+
+# Rows survive a restart: a new daemon on the same store serves the
+# figure campaign from the log alone, row for row as the warm submit.
+"$dmdp_bin" serve --socket "$serve_sock" --store "$serve_dir/store" \
+    --jobs "$(nproc)" --quiet --log "$serve_dir/events-restart.jsonl" &
+serve_pid=$!
+for _ in $(seq 1 200); do
+    [ -S "$serve_sock" ] && break
+    sleep 0.05
+done
+test -S "$serve_sock"
+timeout 60 $submit --name ci-serve-fig-3 $(printf -- '--variant %s ' $fig_variants) \
+    --out "$serve_dir/fig-3.json" \
+    || { echo "ci: FAIL: figure submission to the restarted daemon failed"; exit 1; }
+jq -e '.executed == 0 and .cached == (.jobs | length)' "$serve_dir/fig-3.json" >/dev/null \
+    || { echo "ci: FAIL: the restarted daemon re-executed figure jobs"; exit 1; }
+diff <(rows_without '["cached"]' "$serve_dir/fig-2.json") \
+     <(rows_without '["cached"]' "$serve_dir/fig-3.json") \
+    || { echo "ci: FAIL: the restarted daemon's figure rows differ from the warm ones"; exit 1; }
+timeout 30 "$dmdp_bin" submit --socket "$serve_sock" --shutdown
+await_exit "$serve_pid" "restarted dmdp serve daemon"
+serve_pid=
 
 # A client without a daemon must fail with a non-zero exit.
 if "$dmdp_bin" submit --socket "$serve_sock" --ping --connect-retries 0 2>/dev/null; then
@@ -389,6 +423,15 @@ shard_writes=$("$dmdp_bin" metrics --socket "$shard_sock" \
 shard_executed=$(jq '.executed' "$shard_dir/first.json")
 [ "$shard_executed" -gt 0 ] && [ "$shard_writes" = "$shard_executed" ] \
     || { echo "ci: FAIL: coordinator wrote $shard_writes rows for $shard_executed executed"; exit 1; }
+# Workers simulate at background priority (nice 19); the coordinator,
+# whose threads answer requests, keeps the priority of this shell.
+nice_of() { sed 's/.*) //' "/proc/$1/stat" | cut -d' ' -f17; }
+for wp in $(jq -rn '[inputs | select(.event == "worker_spawned") | .pid] | @tsv' "$shard_log"); do
+    [ "$(nice_of "$wp")" = 19 ] \
+        || { echo "ci: FAIL: worker $wp runs at nice $(nice_of "$wp"), not 19"; exit 1; }
+done
+[ "$(nice_of "$shard_pid")" = "$(nice)" ] \
+    || { echo "ci: FAIL: coordinator runs at nice $(nice_of "$shard_pid"), not $(nice)"; exit 1; }
 $shard_submit --name ci-shard-2 --out "$shard_dir/second.json"
 
 # Groups really flowed through the shards.
