@@ -83,7 +83,10 @@ OPTIONS:
     --kernel <W>      restrict to one kernel (repeatable)
     --jobs <N>        worker threads                     [default: all cores]
     --out <FILE>      artifact path   [default: bench-results/<name>.json]
-    --force           ignore the digest cache; re-run every job
+    --store <DIR>     result store directory, shared with `dmdp serve
+                      --store`                [default: bench-results/store]
+    --force           run every job without a store: read no stored row
+                      or bundle and write none (not with --store)
     --quiet           suppress per-job progress lines
     --variant <LABEL=KNOBS>
                       add a config variant to the sweep (repeatable).
@@ -110,11 +113,16 @@ OPTIONS:
                       functional cache/branch warming)  [default: 1]
     -h, --help        print this help
 
-Unchanged jobs (same simulator version, config and workload content) are
-reused from the existing artifact at --out: a repeated campaign executes
-zero jobs and still rewrites a complete artifact. Sampled jobs carry
-their own digests, so sampled and full artifacts never mix; compare
-them with `dmdp report SAMPLED.json --error-vs FULL.json`.
+Jobs resolve through the result store, as a daemon's submits do: a job
+whose digest (simulator version, config and workload content) an earlier
+campaign or daemon stored there is reused, a sampled workload's
+checkpoint bundle is read from the store, and every executed row is
+appended to it. A repeated campaign executes zero jobs and still writes
+a complete artifact to --out, which is never read. A store directory has
+one row writer at a time: do not run a campaign on the store of a
+running daemon. Sampled jobs carry their own digests, so sampled and
+full artifacts never mix; compare them with
+`dmdp report SAMPLED.json --error-vs FULL.json`.
 ";
 
 const SERVE_HELP: &str = "\
@@ -726,11 +734,13 @@ impl SweepOpts {
 struct CampaignOpts {
     sweep: SweepOpts,
     jobs: usize,
-    force: bool,
+    /// `--store`, or the default; `None` under `--force`.
+    store: Option<PathBuf>,
 }
 
 fn parse_campaign(args: &[String]) -> Result<CampaignOpts, String> {
-    let mut o = CampaignOpts { sweep: SweepOpts::new(), jobs: dmdp_harness::default_workers(), force: false };
+    let mut o = CampaignOpts { sweep: SweepOpts::new(), jobs: dmdp_harness::default_workers(), store: None };
+    let mut force = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut val = || it.next().cloned().ok_or_else(|| format!("{a} needs a value"));
@@ -744,10 +754,16 @@ fn parse_campaign(args: &[String]) -> Result<CampaignOpts, String> {
                     return Err("--jobs must be at least 1".to_string());
                 }
             }
-            "--force" => o.force = true,
+            "--store" => o.store = Some(PathBuf::from(val()?)),
+            "--force" => force = true,
             other => return Err(format!("unknown option `{other}` (see `dmdp campaign --help`)")),
         }
     }
+    o.store = match (force, o.store) {
+        (true, Some(_)) => return Err("--force runs every job without a store; it cannot be combined with --store".to_string()),
+        (true, None) => None,
+        (false, store) => Some(store.unwrap_or_else(|| PathBuf::from("bench-results/store"))),
+    };
     o.sweep = o.sweep.finish()?;
     Ok(o)
 }
@@ -775,11 +791,7 @@ fn cmd_campaign(args: &[String]) -> CliResult {
         o.jobs,
         out.display()
     );
-    let opts = RunOptions {
-        jobs: o.jobs,
-        cache: (!o.force).then(|| out.clone()),
-        progress: !o.sweep.quiet,
-    };
+    let opts = RunOptions { jobs: o.jobs, store: o.store, progress: !o.sweep.quiet };
     let campaign = spec.run(&opts)?;
     campaign.save(&out)?;
     println!(

@@ -99,8 +99,12 @@ fn repeated_model_flags_accumulate() {
 #[test]
 fn report_rejects_an_unknown_figure_listing_the_ids() {
     let artifact = temp("figure.json");
+    let store = temp("figure-store");
     let path = artifact.to_str().unwrap();
-    let out = dmdp(&["campaign", "--scale", "test", "--kernel", "lib", "--model", "dmdp", "--quiet", "--out", path]);
+    let out = dmdp(&[
+        "campaign", "--scale", "test", "--kernel", "lib", "--model", "dmdp", "--quiet", "--out", path, "--store",
+        store.to_str().unwrap(),
+    ]);
     assert!(out.status.success(), "{}", stderr(&out));
     let out = dmdp(&["report", path, "--figure", "fig99_nonesuch"]);
     assert!(!out.status.success(), "an unknown figure must fail");
@@ -110,6 +114,7 @@ fn report_rejects_an_unknown_figure_listing_the_ids() {
         assert!(err.contains(id), "missing `{id}` in: {err}");
     }
     std::fs::remove_file(&artifact).ok();
+    std::fs::remove_dir_all(&store).ok();
 }
 
 #[test]
@@ -173,6 +178,7 @@ fn probe_flag_validation() {
 #[test]
 fn report_renders_a_campaign_artifact() {
     let artifact = temp("report.json");
+    let store = temp("report-store");
     let out = dmdp(&[
         "campaign",
         "--name",
@@ -186,6 +192,8 @@ fn report_renders_a_campaign_artifact() {
         "--quiet",
         "--out",
         artifact.to_str().unwrap(),
+        "--store",
+        store.to_str().unwrap(),
     ]);
     assert!(out.status.success(), "{}", stderr(&out));
 
@@ -198,6 +206,7 @@ fn report_renders_a_campaign_artifact() {
         assert!(text.contains(section), "missing `{section}` in:\n{text}");
     }
     std::fs::remove_file(&artifact).ok();
+    std::fs::remove_dir_all(&store).ok();
 }
 
 /// Kills the daemon child on panic so a failed assertion can't leak a
@@ -209,6 +218,24 @@ impl Drop for KillOnDrop {
         self.0.kill().ok();
         self.0.wait().ok();
     }
+}
+
+/// Starts `dmdp serve` on `socket` and `store` and waits for its socket.
+fn daemon_on(socket: &std::path::Path, store: &std::path::Path) -> KillOnDrop {
+    let child = Command::new(env!("CARGO_BIN_EXE_dmdp"))
+        .args(["serve", "--socket", socket.to_str().unwrap(), "--store", store.to_str().unwrap(), "--jobs", "2"])
+        .current_dir(std::env::temp_dir())
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("daemon spawns");
+    let child = KillOnDrop(child);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    while !socket.exists() {
+        assert!(std::time::Instant::now() < deadline, "daemon never bound its socket");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    child
 }
 
 /// The deterministic slice of a `dmdp report` rendering: from the IPC
@@ -263,27 +290,7 @@ fn submitted_artifact_matches_a_local_campaign_and_reuses_the_store() {
     );
     assert!(out.status.success(), "{}", stderr(&out));
 
-    let child = Command::new(env!("CARGO_BIN_EXE_dmdp"))
-        .args([
-            "serve",
-            "--socket",
-            socket.to_str().unwrap(),
-            "--store",
-            store.to_str().unwrap(),
-            "--jobs",
-            "2",
-        ])
-        .current_dir(std::env::temp_dir())
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("daemon spawns");
-    let mut child = KillOnDrop(child);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-    while !socket.exists() {
-        assert!(std::time::Instant::now() < deadline, "daemon never bound its socket");
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
+    let mut child = daemon_on(&socket, &store);
 
     // Same sweep through the daemon: the artifact must carry the same
     // digests and numbers and render the same report.
@@ -311,6 +318,96 @@ fn submitted_artifact_matches_a_local_campaign_and_reuses_the_store() {
     assert!(status.success(), "daemon exited with {status}");
     assert!(!socket.exists(), "socket file left behind");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An artifact's job rows with `drop` removed from each, as JSON text.
+fn rows_without(artifact: &std::path::Path, drop: &str) -> Vec<String> {
+    let v = dmdp_harness::Json::parse(&std::fs::read_to_string(artifact).unwrap()).unwrap();
+    let rows = v.get("jobs").and_then(dmdp_harness::Json::as_arr).expect("jobs array");
+    rows.iter()
+        .map(|row| match row {
+            dmdp_harness::Json::Obj(members) => {
+                let kept = members.iter().filter(|(k, _)| k != drop).cloned().collect();
+                dmdp_harness::Json::Obj(kept).compact()
+            }
+            other => panic!("a row is not an object: {}", other.compact()),
+        })
+        .collect()
+}
+
+#[test]
+fn a_campaign_and_a_daemon_on_one_store_serve_each_other_rows() {
+    let dir = temp("one-store");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let (socket, store) = (dir.join("dmdp.sock"), dir.join("store"));
+    let [cold, served, warm] = ["cold", "served", "warm"].map(|n| dir.join(format!("{n}.json")));
+    let spec: &[&str] = &["--name", "one-store", "--scale", "test", "--kernel", "lib", "--kernel", "mcf", "--quiet"];
+    let on_store: &[&str] = &["--store", store.to_str().unwrap()];
+
+    let out = dmdp(&[&["campaign"], spec, on_store, &["--out", cold.to_str().unwrap()]].concat());
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stdout(&out).contains("8 executed, 0 cached"), "{}", stdout(&out));
+
+    // A daemon on the campaign's store executes nothing for the same
+    // sweep, and its rows are the campaign's.
+    let mut daemon = daemon_on(&socket, &store);
+    let submit: &[&str] = &["submit", "--socket", socket.to_str().unwrap()];
+    let out = dmdp(&[submit, spec, &["--out", served.to_str().unwrap()]].concat());
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stdout(&out).contains("0 executed, 8 cached"), "{}", stdout(&out));
+    assert_eq!(rows_without(&cold, "cached"), rows_without(&served, "cached"));
+    let out = dmdp(&[submit, &["--shutdown"]].concat());
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(daemon.0.wait().expect("daemon reaps").success());
+
+    // And a campaign after that daemon's shutdown executes nothing.
+    let out = dmdp(&[&["campaign"], spec, on_store, &["--out", warm.to_str().unwrap()]].concat());
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stdout(&out).contains("0 executed, 8 cached"), "{}", stdout(&out));
+    assert_eq!(rows_without(&cold, "cached"), rows_without(&warm, "cached"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn force_neither_reads_nor_writes_a_store() {
+    let dir = temp("force");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let out_path = dir.join("out.json");
+    // Run in `dir`, so the default store is `dir/bench-results/store`.
+    let campaign = |extra: &[&str]| {
+        let base = ["campaign", "--scale", "test", "--kernel", "lib", "--quiet", "--out", out_path.to_str().unwrap()];
+        let out = Command::new(env!("CARGO_BIN_EXE_dmdp"))
+            .args(base.iter().chain(extra))
+            .current_dir(&dir)
+            .output()
+            .expect("dmdp binary runs");
+        assert!(out.status.success(), "{}", stderr(&out));
+        stdout(&out)
+    };
+    let default_store = dir.join("bench-results").join("store");
+    assert!(campaign(&["--force"]).contains("4 executed, 0 cached"));
+    assert!(!default_store.exists(), "--force created a store directory");
+
+    // The default store, then a forced run beside it: every job runs
+    // again, and the row log is left byte for byte as it was.
+    assert!(campaign(&[]).contains("4 executed, 0 cached"));
+    let log = std::fs::read(default_store.join("rows.log")).expect("the default store has a row log");
+    assert!(campaign(&["--force"]).contains("4 executed, 0 cached"));
+    assert_eq!(std::fs::read(default_store.join("rows.log")).unwrap(), log);
+    assert!(campaign(&[]).contains("0 executed, 4 cached"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn force_with_a_store_is_refused_naming_both_flags() {
+    let store = temp("refused-store");
+    let out = dmdp(&["campaign", "--scale", "test", "--kernel", "lib", "--force", "--store", store.to_str().unwrap()]);
+    assert!(!out.status.success(), "--force --store must fail");
+    let err = stderr(&out);
+    assert!(err.contains("--force") && err.contains("--store"), "{err}");
+    assert!(!store.exists(), "a refused campaign opens no store");
 }
 
 #[test]

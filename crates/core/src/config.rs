@@ -124,8 +124,8 @@ const MAX_ENTRIES: usize = 65_536;
 
 /// Version tag of the simulator's *timing semantics*. Bump whenever a
 /// change alters simulated cycle counts or statistics for an unchanged
-/// (config, workload) pair — campaign digest caches key on it, so a bump
-/// invalidates every cached experiment result.
+/// (config, workload) pair — job digests, and so the result store, key
+/// on it, so a bump invalidates every stored experiment result.
 pub const SIM_VERSION: &str = concat!(env!("CARGO_PKG_VERSION"), "+timing1");
 
 impl CoreConfig {

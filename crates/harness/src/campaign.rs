@@ -1,13 +1,13 @@
-//! Campaign construction, parallel execution, aggregation, artifact I/O
-//! and the content-digest cache.
+//! Campaign construction, resolution through the result store, parallel
+//! execution, aggregation and artifact I/O.
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use dmdp_core::{CommModel, CoreConfig, SIM_VERSION};
+use dmdp_obs::log::{EventLog, Level};
 use dmdp_sample::SampledBundle;
 use dmdp_stats::geomean;
 use dmdp_workloads::{Scale, Suite};
@@ -17,6 +17,7 @@ use crate::job::{CfgPatch, JobConfig, JobResult, JobSpec, WorkloadImage};
 use crate::json::{Field, Parser, Writer};
 use crate::pool;
 use crate::sampled::{build_bundle, Sampling, SamplingSpec};
+use crate::store::{warn_write, Store};
 
 /// Declarative description of an experiment campaign: which workloads,
 /// under which communication models, at which scale, with which
@@ -100,21 +101,19 @@ impl CampaignSpec {
     /// Materializes the job list over fresh images of the selected
     /// workloads only. Sampled bundles are built one after another on the
     /// calling thread; [`CampaignSpec::run`] builds them `RunOptions::jobs`
-    /// wide instead.
+    /// wide instead, or reads them from its store.
     ///
     /// # Errors
     ///
     /// As [`CampaignSpec::jobs_over`].
     pub fn jobs(&self) -> Result<Vec<JobSpec>, String> {
-        self.jobs_on(1)
+        self.jobs_over(&self.images(), 1, |w, s| build_bundle(&w.image.program, s))
     }
 
-    /// [`CampaignSpec::jobs`] with the sampled bundles built on up to
-    /// `workers` threads.
-    fn jobs_on(&self, workers: usize) -> Result<Vec<JobSpec>, String> {
+    /// Fresh images of the selected workloads.
+    fn images(&self) -> Vec<WorkloadImage> {
         let all = dmdp_workloads::all(self.scale).into_iter();
-        let images: Vec<WorkloadImage> = all.filter(|w| self.selects(w.name)).map(WorkloadImage::new).collect();
-        self.jobs_over(&images, workers, |w, s| build_bundle(&w.image.program, s))
+        all.filter(|w| self.selects(w.name)).map(WorkloadImage::new).collect()
     }
 
     /// The job list over a given image set: the selected workloads (in
@@ -191,46 +190,44 @@ impl CampaignSpec {
         self.kernels.as_ref().is_none_or(|f| f.iter().any(|n| n == workload))
     }
 
-    /// Runs the campaign through [`resolve`]: rows the prior artifact at
-    /// `opts.cache` holds are reused, the rest execute `opts.jobs` wide.
+    /// Runs the campaign through [`resolve`]. With `opts.store`, the
+    /// store opens first: the rows it holds are reused, its blobs supply
+    /// the sampled bundles, and every executed row is appended to it.
+    /// Misses execute `opts.jobs` wide, at the caller's CPU priority.
     ///
     /// # Errors
     ///
     /// The first job error (cycle-limit abort), or any error of
-    /// [`CampaignSpec::jobs_over`]. An unreadable cache artifact is only
-    /// a warning.
+    /// [`CampaignSpec::jobs_over`]. A store that will not open is only a
+    /// warning: every job then runs without it.
     pub fn run(&self, opts: &RunOptions) -> Result<Campaign, String> {
         let start = Instant::now();
+        let log = EventLog::stderr(Level::Warn);
+        let mut cache_warning = None;
+        // A store that will not open (a foreign row log, an unreadable
+        // directory) must not abort the campaign: it is only a cache.
+        let store = opts.store.as_deref().and_then(|dir| match Store::open_logged(dir, None, &log) {
+            Ok(store) => Some(store),
+            Err(e) => {
+                let msg = format!("result store {} is unusable ({e}); running every job without it", dir.display());
+                eprintln!("dmdp: warning: {msg}");
+                cache_warning = Some(msg);
+                None
+            }
+        });
+        let cache_s = start.elapsed().as_secs_f64();
+
         // Bundles are built here, before the job pool starts, so no job's
         // claimed→finished window includes bundle time.
-        let specs = self.jobs_on(opts.jobs)?;
-        let build_s = start.elapsed().as_secs_f64();
-
-        let cache_start = Instant::now();
-        let mut cache_warning: Option<String> = None;
-        let prior: Vec<JobResult> = match &opts.cache {
-            // A cache artifact that fails to load — a schema version from
-            // a different binary generation, a truncated write, plain
-            // garbage — must not abort the campaign: it is only a cache.
-            // Warn, pretend it was absent and recompute every job.
-            Some(path) if path.exists() => match Campaign::load(path) {
-                Ok(prior) => prior.jobs,
-                Err(e) => {
-                    let msg = format!(
-                        "cache artifact {} is unusable ({e}); re-running every job",
-                        path.display()
-                    );
-                    eprintln!("dmdp: warning: {msg}");
-                    cache_warning = Some(msg);
-                    Vec::new()
-                }
-            },
-            _ => Vec::new(),
-        };
-        let local = Local::new(&specs, &prior, opts.progress);
-        let cache_s = cache_start.elapsed().as_secs_f64();
+        let build_start = Instant::now();
+        let specs = self.jobs_over(&self.images(), opts.jobs, |w, s| match &store {
+            Some(store) => store.blobs().bundle(w, s, &log),
+            None => build_bundle(&w.image.program, s),
+        })?;
+        let build_s = build_start.elapsed().as_secs_f64();
 
         let exec_start = Instant::now();
+        let local = Local::new(&specs, store.as_ref(), &log, opts.progress);
         let outcomes = resolve(&specs, opts.jobs, &Inflight::default(), &local);
         let exec_s = exec_start.elapsed().as_secs_f64();
 
@@ -244,31 +241,38 @@ impl CampaignSpec {
     }
 }
 
-/// A local campaign's half of [`resolve`]: lookups in the prior
-/// artifact, execution in this process, one progress line per job it
-/// did not find there.
+/// A local campaign's half of [`resolve`]: lookups in and appends to its
+/// result store, if it has one, execution in this process, and one
+/// progress line per job the store did not hold.
 struct Local<'a> {
-    prior: HashMap<&'a str, &'a JobResult>,
+    store: Option<&'a Store>,
+    log: &'a EventLog,
     progress: bool,
     to_run: usize,
     done: AtomicUsize,
 }
 
 impl<'a> Local<'a> {
-    fn new(specs: &[JobSpec], prior: &'a [JobResult], progress: bool) -> Local<'a> {
-        let prior: HashMap<&str, &JobResult> = prior.iter().map(|r| (r.digest.as_str(), r)).collect();
-        let to_run = specs.iter().filter(|s| !prior.contains_key(s.digest.as_str())).count();
-        Local { prior, progress, to_run, done: AtomicUsize::new(0) }
+    fn new(specs: &[JobSpec], store: Option<&'a Store>, log: &'a EventLog, progress: bool) -> Local<'a> {
+        let to_run = specs.iter().filter(|s| !store.is_some_and(|st| st.contains(&s.digest))).count();
+        Local { store, log, progress, to_run, done: AtomicUsize::new(0) }
     }
 }
 
 impl Resolve for Local<'_> {
     fn lookup(&self, spec: &JobSpec) -> Option<JobResult> {
-        self.prior.get(spec.digest.as_str()).map(|&r| r.clone())
+        self.store?.get(&spec.digest)
     }
 
     fn execute(&self, specs: &[&JobSpec]) -> Vec<Result<JobResult, String>> {
         JobSpec::execute_batch(specs)
+    }
+
+    fn publish(&self, row: &JobResult) {
+        let Some(store) = self.store else { return };
+        if let Err(e) = store.put(row) {
+            warn_write(self.log, &row.digest, &e);
+        }
     }
 
     fn finished(&self, rows: &[(usize, Outcome)]) {
@@ -302,16 +306,16 @@ impl Resolve for Local<'_> {
 pub struct RunOptions {
     /// Worker threads (1 = serial on the calling thread).
     pub jobs: usize,
-    /// A previous artifact to reuse digest-matched results from
-    /// (typically the output path itself).
-    pub cache: Option<PathBuf>,
+    /// The result store directory to resolve through; `None` executes
+    /// every job and keeps no row.
+    pub store: Option<PathBuf>,
     /// Print one line per finished job.
     pub progress: bool,
 }
 
 impl Default for RunOptions {
     fn default() -> RunOptions {
-        RunOptions { jobs: pool::default_workers(), cache: None, progress: false }
+        RunOptions { jobs: pool::default_workers(), store: None, progress: false }
     }
 }
 
@@ -320,9 +324,9 @@ impl Default for RunOptions {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageWall {
     /// Building the job list (workload generation + assembly, and the
-    /// sampled bundles when sampling).
+    /// sampled bundles when sampling: built, or read from the store).
     pub build_s: f64,
-    /// Scanning the digest cache.
+    /// Opening the result store (indexing its row log).
     pub cache_s: f64,
     /// Executing the job pool.
     pub exec_s: f64,
@@ -347,11 +351,12 @@ pub struct Campaign {
     pub stages: StageWall,
     /// Jobs actually executed in this run.
     pub executed: usize,
-    /// Jobs satisfied from the digest cache.
+    /// Jobs this run did not execute: found in the result store, or
+    /// shared with another request's identical job in flight.
     pub cached: usize,
-    /// Why the digest cache was ignored this run, if it was (an
-    /// unreadable or schema-mismatched prior artifact). Transient — not
-    /// serialized into the artifact.
+    /// Why the result store went unused this run, if it did (a foreign
+    /// row log, an unreadable directory). Transient — not serialized
+    /// into the artifact.
     pub cache_warning: Option<String>,
     /// Trace id of the daemon request that produced this campaign
     /// (`None` for local runs and older artifacts). Greppable against
@@ -752,22 +757,23 @@ mod tests {
         }
     }
 
+    /// A fresh store directory under the system temp directory.
+    fn tmp_store(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("dmdp-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        dir
+    }
+
     #[test]
     fn partial_cache_hit_batches_only_the_misses() {
-        let dir = std::env::temp_dir().join(format!("dmdp-batch-cache-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let artifact = dir.join("sweep.json");
-        // Seed the cache with the main-variant rows only.
-        let seed = sweep_spec("seed")
-            .variants([("main".to_string(), CfgPatch::default())])
-            .run(&RunOptions { jobs: 1, ..RunOptions::default() })
-            .unwrap();
-        seed.save(&artifact).unwrap();
+        let dir = tmp_store("batch-cache");
+        let opts = RunOptions { jobs: 1, store: Some(dir.clone()), ..RunOptions::default() };
+        // Seed the store with the main-variant rows only.
+        let seed = sweep_spec("seed").variants([("main".to_string(), CfgPatch::default())]).run(&opts).unwrap();
+        assert_eq!(seed.executed, 4);
         // The full sweep reuses those rows and batch-executes the rest.
-        let full = sweep_spec("seed")
-            .run(&RunOptions { jobs: 1, cache: Some(artifact.clone()), ..RunOptions::default() })
-            .unwrap();
-        assert_eq!(full.cached, 4, "main rows come from the artifact");
+        let full = sweep_spec("seed").run(&opts).unwrap();
+        assert_eq!(full.cached, 4, "main rows come from the store");
         assert_eq!(full.executed, 8, "variant rows are executed");
         for job in &full.jobs {
             assert_eq!(job.cached, job.variant == "main");
@@ -783,17 +789,18 @@ mod tests {
 
     #[test]
     fn prior_artifact_hits_carry_the_requested_label() {
-        let artifact = std::env::temp_dir().join(format!("dmdp-relabel-{}.json", std::process::id()));
+        let dir = tmp_store("relabel");
         let labelled = |label: &str| {
             let rob64 = CfgPatch { rob: Some(64), ..CfgPatch::default() };
             CampaignSpec::new("relabel", Scale::Test).kernels(["mcf"]).models([CommModel::Dmdp]).variants([(label.to_string(), rob64)])
         };
-        let opts = RunOptions { jobs: 1, cache: Some(artifact.clone()), ..RunOptions::default() };
-        labelled("a").run(&opts).unwrap().save(&artifact).unwrap();
-        // Same config under another label: a digest hit, relabelled.
+        let opts = RunOptions { jobs: 1, store: Some(dir.clone()), ..RunOptions::default() };
+        let a = labelled("a").run(&opts).unwrap();
+        assert_eq!((a.executed, a.jobs[0].variant.as_str()), (1, "a"));
+        // Same config under another label: a store hit, relabelled.
         let b = labelled("b").run(&opts).unwrap();
         assert_eq!((b.executed, b.cached, b.jobs[0].variant.as_str()), (0, 1, "b"));
-        std::fs::remove_file(&artifact).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

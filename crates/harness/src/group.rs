@@ -52,7 +52,7 @@ pub fn partition_units(specs: &[JobSpec], batchable: impl Fn(usize) -> bool) -> 
 pub enum Source {
     /// Simulated for this request.
     Executed,
-    /// Found by [`Resolve::lookup`] (a prior artifact or a result store).
+    /// Found by [`Resolve::lookup`] in a result store.
     Store,
     /// Shared from an identical job another caller had in flight.
     Dedup,

@@ -14,9 +14,11 @@
 //! writer and reader ([`json`] — no serde) that rows and campaigns use
 //! directly, without building a [`Json`] tree. Every job carries a
 //! content digest over the simulator's timing version, the full core
-//! configuration and the assembled workload image; re-running a campaign
-//! against an existing artifact skips every digest-matched job, so an
-//! unchanged campaign re-runs **zero** simulations.
+//! configuration and the assembled workload image. A campaign resolves
+//! its jobs through a content-addressed result [`store`], the same one
+//! `dmdp serve` keeps: a row any earlier campaign or daemon stored there
+//! is reused and a sampled bundle is read from its blob, so an unchanged
+//! campaign re-runs **zero** simulations and profiles no workload.
 //!
 //! Used by the `dmdp campaign` CLI subcommand, and by `dmdp report
 //! --figure`: every table and figure of the paper's evaluation is a view
@@ -45,6 +47,7 @@ pub mod figures;
 pub mod json;
 pub mod pool;
 pub mod report;
+pub mod store;
 
 mod campaign;
 mod group;

@@ -5,11 +5,13 @@
 //!    work-stealing pool (`jobs = 4`).
 //! 2. **Artifact round-trip** — a campaign written to JSON and read
 //!    back preserves every summary field.
-//! 3. **Digest cache** — re-running an unchanged campaign against its
-//!    own artifact executes zero jobs; changing the configuration
-//!    invalidates exactly the affected rows.
+//! 3. **Result store** — re-running an unchanged campaign on its store
+//!    executes zero jobs; changing the configuration invalidates exactly
+//!    the affected rows; a store that will not open only costs the
+//!    re-simulation.
 
 use dmdp_core::CommModel;
+use dmdp_harness::store::{LOG_FILE, LOG_HEADER};
 use dmdp_harness::{Campaign, CampaignSpec, CfgPatch, RunOptions};
 use dmdp_workloads::Scale;
 
@@ -21,6 +23,7 @@ fn small_spec(name: &str) -> CampaignSpec {
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("dmdp-harness-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -28,10 +31,10 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
 #[test]
 fn parallel_equals_serial_bit_for_bit() {
     let serial = small_spec("det")
-        .run(&RunOptions { jobs: 1, cache: None, ..RunOptions::default() })
+        .run(&RunOptions { jobs: 1, ..RunOptions::default() })
         .unwrap();
     let parallel = small_spec("det")
-        .run(&RunOptions { jobs: 4, cache: None, ..RunOptions::default() })
+        .run(&RunOptions { jobs: 4, ..RunOptions::default() })
         .unwrap();
     assert_eq!(serial.jobs.len(), 12);
     assert_eq!(serial.jobs.len(), parallel.jobs.len());
@@ -56,7 +59,7 @@ fn parallel_equals_serial_bit_for_bit() {
 #[test]
 fn artifact_round_trips_through_json() {
     let campaign = small_spec("roundtrip")
-        .run(&RunOptions { jobs: 2, cache: None, ..RunOptions::default() })
+        .run(&RunOptions { jobs: 2, ..RunOptions::default() })
         .unwrap();
     let dir = tmp_dir("roundtrip");
     let path = dir.join("campaign.json");
@@ -96,22 +99,22 @@ fn artifact_round_trips_through_json() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Options for a run on the store at `store`.
+fn on_store(jobs: usize, store: &std::path::Path) -> RunOptions {
+    RunOptions { jobs, store: Some(store.to_path_buf()), ..RunOptions::default() }
+}
+
 #[test]
 fn unchanged_campaign_hits_the_cache_completely() {
     let dir = tmp_dir("cache");
-    let path = dir.join("cache.json");
+    let store = dir.join("store");
 
-    let first = small_spec("cache")
-        .run(&RunOptions { jobs: 2, cache: Some(path.clone()), ..RunOptions::default() })
-        .unwrap();
+    let first = small_spec("cache").run(&on_store(2, &store)).unwrap();
     assert_eq!(first.executed, 12);
     assert_eq!(first.cached, 0);
-    first.save(&path).unwrap();
 
-    // Identical spec, artifact present: every digest matches, zero runs.
-    let second = small_spec("cache")
-        .run(&RunOptions { jobs: 2, cache: Some(path.clone()), ..RunOptions::default() })
-        .unwrap();
+    // Identical spec, same store: every digest matches, zero runs.
+    let second = small_spec("cache").run(&on_store(2, &store)).unwrap();
     assert_eq!(second.executed, 0, "unchanged campaign must execute zero jobs");
     assert_eq!(second.cached, 12);
     for (a, b) in first.jobs.iter().zip(&second.jobs) {
@@ -120,14 +123,13 @@ fn unchanged_campaign_hits_the_cache_completely() {
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.ipc.to_bits(), b.ipc.to_bits());
     }
-    second.save(&path).unwrap();
 
     // A config change invalidates every row (new digests).
     let patched = small_spec("cache")
         .variants([("rob128".to_string(), CfgPatch { rob: Some(128), ..CfgPatch::default() })])
-        .run(&RunOptions { jobs: 2, cache: Some(path.clone()), ..RunOptions::default() })
+        .run(&on_store(2, &store))
         .unwrap();
-    assert_eq!(patched.executed, 12, "a changed config must miss the cache");
+    assert_eq!(patched.executed, 12, "a changed config must miss the store");
     assert_eq!(patched.cached, 0);
 
     std::fs::remove_dir_all(&dir).ok();
@@ -135,41 +137,32 @@ fn unchanged_campaign_hits_the_cache_completely() {
 
 #[test]
 fn unusable_cache_artifact_warns_and_recomputes() {
-    let dir = tmp_dir("doctored");
-    let path = dir.join("old.json");
+    let dir = tmp_dir("foreign");
+    let store = dir.join("store");
+    let log = store.join(LOG_FILE);
+    std::fs::create_dir_all(&store).unwrap();
 
-    // A doctored artifact from an older binary generation: valid JSON,
-    // wrong schema version. `--resume` against it must not abort the
-    // campaign and must not silently pretend the cache was empty either
-    // — it recomputes everything and says why.
-    std::fs::write(&path, "{\"schema\": 99, \"campaign\": \"old\", \"jobs\": []}\n").unwrap();
-    let spec = CampaignSpec::new("doctored", Scale::Test)
+    // A row log of another store format must not abort the campaign, and
+    // must not be appended to either: the campaign runs every job without
+    // the store and says why, naming the file.
+    let foreign = "{\"store\":\"dmdp-rows\",\"format\":99}\n{\"not\":\"a row\"}\n";
+    std::fs::write(&log, foreign).unwrap();
+    let spec = CampaignSpec::new("foreign", Scale::Test)
         .models([CommModel::Dmdp])
         .kernels(["lib", "mcf"]);
-    let campaign = spec
-        .run(&RunOptions { jobs: 1, cache: Some(path.clone()), ..RunOptions::default() })
-        .expect("schema mismatch must degrade to a cold run, not an error");
+    let campaign = spec.run(&on_store(1, &store)).expect("a foreign row log must degrade to a cold run, not an error");
     assert_eq!(campaign.executed, 2);
     assert_eq!(campaign.cached, 0);
     let warning = campaign.cache_warning.as_deref().expect("warning recorded");
-    assert!(warning.contains("schema"), "{warning}");
-    assert!(warning.contains("re-running"), "{warning}");
+    assert!(warning.contains(&log.display().to_string()), "{warning}");
+    assert!(warning.contains(LOG_HEADER), "{warning}");
+    assert!(warning.contains("running every job"), "{warning}");
+    assert_eq!(std::fs::read_to_string(&log).unwrap(), foreign, "a foreign log is never touched");
 
-    // Garbage bytes behave the same way.
-    std::fs::write(&path, "}{ not json").unwrap();
-    let campaign = spec
-        .run(&RunOptions { jobs: 1, cache: Some(path.clone()), ..RunOptions::default() })
-        .unwrap();
-    assert_eq!(campaign.executed, 2);
-    assert!(campaign.cache_warning.is_some());
-
-    // A healthy artifact keeps `cache_warning` empty.
-    campaign.save(&path).unwrap();
-    let warm = spec
-        .run(&RunOptions { jobs: 1, cache: Some(path.clone()), ..RunOptions::default() })
-        .unwrap();
-    assert_eq!(warm.executed, 0);
-    assert!(warm.cache_warning.is_none());
+    // Once the file is gone, the store opens and warns of nothing.
+    std::fs::remove_file(&log).unwrap();
+    let healthy = spec.run(&on_store(1, &store)).unwrap();
+    assert_eq!((healthy.executed, healthy.cache_warning.as_deref()), (2, None));
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -177,18 +170,16 @@ fn unusable_cache_artifact_warns_and_recomputes() {
 #[test]
 fn cache_is_keyed_by_content_not_position() {
     let dir = tmp_dir("content");
-    let path = dir.join("c.json");
-    let full = small_spec("content")
-        .run(&RunOptions { jobs: 2, cache: None, ..RunOptions::default() })
-        .unwrap();
-    full.save(&path).unwrap();
+    let store = dir.join("store");
+    let full = small_spec("content").run(&on_store(2, &store)).unwrap();
+    assert_eq!(full.executed, 12);
 
     // A *subset* campaign in a different order still hits: digests are
     // content-addressed, not positional.
     let subset = CampaignSpec::new("content", Scale::Test)
         .models([CommModel::Dmdp, CommModel::Baseline])
         .kernels(["bwaves", "lib"])
-        .run(&RunOptions { jobs: 2, cache: Some(path.clone()), ..RunOptions::default() })
+        .run(&on_store(2, &store))
         .unwrap();
     assert_eq!(subset.jobs.len(), 4);
     assert_eq!(subset.executed, 0);

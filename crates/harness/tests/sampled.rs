@@ -1,4 +1,5 @@
-//! End-to-end sampled-simulation accuracy and artifact round-trips.
+//! End-to-end sampled-simulation accuracy, artifact round-trips and
+//! sampled campaigns on a result store.
 
 use dmdp_core::CommModel;
 use dmdp_harness::{Campaign, CampaignSpec, Parser, RunOptions, Writer};
@@ -62,31 +63,38 @@ fn sampled_rows_and_campaign_meta_round_trip() {
     assert_eq!(b.ipc, s.ipc);
 }
 
+/// Sampled rows are deterministic, and a warm sampled campaign on a
+/// store executes nothing and profiles no workload: every workload's
+/// bundle is read from its blob.
 #[test]
 fn sampled_results_are_deterministic_and_cacheable() {
+    let kernels = ["mcf", "lib"];
     let dir = std::env::temp_dir().join(format!("dmdp-sampled-cache-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let artifact = dir.join("sampled.json");
+    std::fs::remove_dir_all(&dir).ok();
+    let stored = RunOptions { store: Some(dir.clone()), ..opts() };
     let spec = || {
         CampaignSpec::new("det", Scale::Test)
-            .kernels(["mcf"])
+            .kernels(kernels)
             .models([CommModel::Baseline, CommModel::Dmdp])
             .sampled(500, 1)
     };
     let a = spec().run(&opts()).unwrap();
-    a.save(&artifact).unwrap();
-    let b = spec().run(&opts()).unwrap();
+    let b = spec().run(&stored).unwrap();
+    assert_eq!(b.executed, b.jobs.len());
     for (x, y) in a.jobs.iter().zip(&b.jobs) {
         assert_eq!(x.digest, y.digest);
         assert_eq!(x.cycles, y.cycles, "sampled runs must be deterministic");
         assert_eq!(x.ipc, y.ipc);
     }
-    // A re-run against the artifact is served entirely from the cache.
-    let c = spec()
-        .run(&RunOptions { cache: Some(artifact), ..opts() })
-        .unwrap();
+    // A re-run on the store is served entirely from it, bundles included.
+    let blob_hits = dmdp_obs::registry()
+        .counter("dmdp_store_blob_hits_total", "blob lookups (checkpoint bundles) satisfied from disk");
+    let before = blob_hits.get();
+    let c = spec().run(&stored).unwrap();
     assert_eq!(c.executed, 0);
     assert_eq!(c.cached, c.jobs.len());
+    let hits = blob_hits.get() - before;
+    assert!(hits >= kernels.len() as u64, "{hits} blob hits for {} workloads", kernels.len());
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -177,48 +177,6 @@ pub struct HistogramSnapshot {
     pub sum: u64,
 }
 
-impl HistogramSnapshot {
-    /// Approximate quantile (`q` in 0..=1): the exclusive upper bound of
-    /// the bucket containing the `ceil(q * count)`-th observation.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen = seen.saturating_add(b);
-            if seen >= target {
-                return if i == 0 {
-                    0
-                } else if i >= HISTOGRAM_BUCKETS - 1 {
-                    LogHistogram::bucket_bound(i)
-                } else {
-                    1u64 << i
-                };
-            }
-        }
-        LogHistogram::bucket_bound(HISTOGRAM_BUCKETS - 1)
-    }
-
-    /// Bucket-wise difference against an earlier snapshot of the same
-    /// histogram — the distribution of observations in the window.
-    pub fn delta_since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let buckets: Vec<u64> = self
-            .buckets
-            .iter()
-            .zip(earlier.buckets.iter().chain(std::iter::repeat(&0)))
-            .map(|(&now, &then)| now.saturating_sub(then))
-            .collect();
-        let count = buckets.iter().fold(0u64, |a, &b| a.saturating_add(b));
-        HistogramSnapshot {
-            buckets,
-            count,
-            sum: self.sum.saturating_sub(earlier.sum),
-        }
-    }
-}
-
 /// A registered metric handle.
 #[derive(Debug, Clone, Copy)]
 pub enum Metric {
@@ -529,7 +487,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_observe_and_quantile() {
+    fn histogram_observe_counts_and_sums() {
         let h = LogHistogram::new();
         for v in [0u64, 1, 1, 3, 100, 1000] {
             h.observe(v);
@@ -537,9 +495,6 @@ mod tests {
         let s = h.snapshot();
         assert_eq!(s.count, 6);
         assert_eq!(s.sum, 1105);
-        assert_eq!(s.quantile(0.01), 0);
-        assert!(s.quantile(0.5) <= 4);
-        assert!(s.quantile(1.0) >= 1000);
     }
 
     #[test]
@@ -595,18 +550,5 @@ mod tests {
         assert!(text.contains("lat_us_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("lat_us_sum 5"));
         assert!(text.contains("lat_us_count 2"));
-    }
-
-    #[test]
-    fn delta_since_windows_the_distribution() {
-        let h = LogHistogram::new();
-        h.observe(10);
-        let before = h.snapshot();
-        h.observe(1000);
-        h.observe(2000);
-        let d = h.snapshot().delta_since(&before);
-        assert_eq!(d.count, 2);
-        assert_eq!(d.sum, 3000);
-        assert!(d.quantile(0.5) >= 1000);
     }
 }

@@ -42,6 +42,7 @@ use std::time::{Duration, Instant};
 
 use dmdp_core::SIM_VERSION;
 use dmdp_harness::json::obj;
+use dmdp_harness::store::{warn_write, Store};
 use dmdp_harness::{
     pool, resolve, Campaign, CampaignSpec, CfgPatch, Inflight, JobResult, JobSpec, Json, Outcome,
     ResidentImages, Resolve, Source, StageWall, Writer,
@@ -53,7 +54,6 @@ use crate::protocol::{
     self, write_line, write_locked, write_msg, LineEvent, LineReader, Request, SubmitRequest,
     WorkerMsg, PROTOCOL_VERSION, ROW_LINE_BYTES,
 };
-use crate::store::{warn_write, Store};
 use crate::worker::lower_priority;
 
 /// Configuration of one [`serve`] invocation.

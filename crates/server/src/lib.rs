@@ -8,6 +8,11 @@
 //! jobs across concurrent clients — so a fleet of sweeps shares one
 //! simulation per distinct job digest, forever.
 //!
+//! The store is `dmdp_harness::store`, the one `dmdp campaign` resolves
+//! through too: a daemon and a campaign pointed at one directory serve
+//! each other's rows and bundles. [`Store`] and [`StoreStats`] are
+//! re-exported here for callers that name them through this crate.
+//!
 //! The wire is hand-rolled newline-delimited JSON over a unix socket
 //! (optionally TCP), built entirely on `dmdp_harness::json` — no new
 //! dependencies. Artifacts fetched through [`Client::submit`] are
@@ -26,11 +31,10 @@
 pub mod client;
 pub mod daemon;
 pub mod protocol;
-pub mod store;
 pub mod worker;
 
 pub use client::{retry_transient, scrape_metrics_tcp, scrape_metrics_unix, Client};
 pub use daemon::{serve, DaemonReport, ServeOptions};
 pub use protocol::{Request, SubmitRequest, PROTOCOL_VERSION};
-pub use store::{Store, StoreStats};
+pub use dmdp_harness::store::{Store, StoreStats};
 pub use worker::{run_worker, WorkerOptions};

@@ -26,11 +26,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
+use dmdp_harness::store::Blobs;
 use dmdp_harness::{JobResult, JobSpec, Json, ResidentImages};
 use dmdp_obs::log::{EventLog, Level};
 
 use crate::protocol::{self, write_line, GroupSpec, LineEvent, LineReader};
-use crate::store::Blobs;
 
 /// Configuration of one [`run_worker`] invocation.
 #[derive(Debug, Clone)]

@@ -51,12 +51,15 @@ diff <(reference_full_rows) <(campaign_full_rows) \
               "an intentional timing change regenerates the reference with" \
               "\`python3 perfbench/run.py --regen-reference\` (a benchmark change)"; exit 1; }
 
+# The smoke runs with --force, without a store: the default store under
+# bench-results/ outlives the artifact removed here, and the timing gate
+# below must time a cold run.
 out=bench-results/ci-smoke.json
 rm -f "$out"
 smoke_start=$(date +%s.%N)
 cargo run --release -p dmdp-bench --bin dmdp -- \
     campaign --name ci-smoke --scale test --model all \
-    --jobs "$(nproc)" --out "$out" --quiet
+    --jobs "$(nproc)" --force --out "$out" --quiet
 smoke_end=$(date +%s.%N)
 test -s "$out"
 
@@ -377,6 +380,18 @@ timeout 30 "$dmdp_bin" submit --socket "$serve_sock" --shutdown
 await_exit "$serve_pid" "restarted dmdp serve daemon"
 serve_pid=
 
+# One store: a campaign on the stopped daemon's store (a store directory
+# has one row writer at a time) executes none of the figure sweep, and
+# its rows are the daemon's.
+"$dmdp_bin" campaign --name ci-store-fig --scale test --model all \
+    $(printf -- '--variant %s ' $fig_variants) \
+    --store "$serve_dir/store" --jobs "$(nproc)" --quiet --out "$serve_dir/fig-4.json"
+jq -e '.executed == 0 and .cached == (.jobs | length)' "$serve_dir/fig-4.json" >/dev/null \
+    || { echo "ci: FAIL: a campaign on the daemon's store re-executed figure jobs"; exit 1; }
+diff <(rows_without '["cached"]' "$serve_dir/fig-3.json") \
+     <(rows_without '["cached"]' "$serve_dir/fig-4.json") \
+    || { echo "ci: FAIL: the campaign's figure rows differ from the daemon's"; exit 1; }
+
 # A client without a daemon must fail with a non-zero exit.
 if "$dmdp_bin" submit --socket "$serve_sock" --ping --connect-retries 0 2>/dev/null; then
     echo "ci: FAIL: submit succeeded against a dead socket"
@@ -463,4 +478,4 @@ for wp in $worker_pids; do
     fi
 done
 
-echo "ci: build + tests + smoke campaign + probe artifacts + paper figures + sampled smoke + sweep batching + daemon/metrics + sharded smoke OK ($out)"
+echo "ci: build + tests + smoke campaign + probe artifacts + paper figures + sampled smoke + sweep batching + daemon/metrics + one store + sharded smoke OK ($out)"
