@@ -27,8 +27,7 @@ SUBCOMMANDS:
     serve        Run a campaign daemon with a persistent result store
     worker       One shard of a sharded daemon, spawned by `dmdp serve --workers`
     submit       Submit a campaign to a running daemon, save the artifact
-    metrics      Fetch a running daemon's metrics snapshot (JSON or Prometheus)
-    top          Live view of a daemon's metrics as refreshing deltas and rates
+    metrics      Fetch a running daemon's metrics snapshot as JSON
     report       Render a campaign JSON artifact as human-readable tables
     asm          Assemble a source file into a binary program image
     disasm       Print the disassembly listing of a program image
@@ -134,7 +133,6 @@ USAGE:
 
 OPTIONS:
     --socket <PATH>   unix socket to listen on        [default: dmdp.sock]
-    --tcp <ADDR>      also listen on TCP (e.g. 127.0.0.1:7199)
     --store <DIR>     result store directory          [default: dmdp-store]
     --cap-mb <N>      store size cap in MiB, applied at startup by
                       compacting the row log to the newest rows that
@@ -169,11 +167,11 @@ in workers and in-process alike, so requests are answered while a
 sweep runs. Stop it with `dmdp submit --shutdown`; running
 submissions drain first.
 
-Every listener also answers HTTP `GET /metrics` with the Prometheus
-text exposition of the process metrics registry; `dmdp metrics` and
-`dmdp top` read the same registry over the NDJSON protocol. Each
-request gets a trace id, logged with its events and embedded in the
-artifact, so artifacts grep back to their daemon-side event lines.
+The socket is the daemon's one listener, and every client speaks
+newline-delimited JSON over it: `dmdp submit` and `dmdp metrics`,
+which reads the process metrics registry. Each request gets a trace
+id, logged with its events and embedded in the artifact, so artifacts
+grep back to their daemon-side event lines.
 ";
 
 const WORKER_HELP: &str = "\
@@ -209,37 +207,12 @@ USAGE:
 
 OPTIONS:
     --socket <PATH>   daemon unix socket              [default: dmdp.sock]
-    --tcp <ADDR>      connect over TCP instead
-    --prom            scrape GET /metrics and print the Prometheus text
-                      exposition instead of the JSON snapshot
     -h, --help        print this help
 
-The default output is the daemon's `metrics` protocol reply: one JSON
-document listing every registered counter, gauge and histogram. With
---prom the same registry is scraped over HTTP exactly as a Prometheus
-server would scrape it.
-";
-
-const TOP_CMD_HELP: &str = "\
-dmdp top — live view of a daemon's metrics as refreshing deltas and rates
-
-USAGE:
-    dmdp top [OPTIONS]
-
-OPTIONS:
-    --socket <PATH>    daemon unix socket             [default: dmdp.sock]
-    --tcp <ADDR>       connect over TCP instead
-    --interval <S>     seconds between refreshes      [default: 2]
-    --iterations <N>   exit after N frames (0 = run until interrupted)
-                                                      [default: 0]
-    --no-clear         append frames instead of redrawing in place
-    -h, --help         print this help
-
-Counters show totals plus per-second rates over the last interval,
-histograms show the window's observation rate and approximate p50/p99
-from log2-bucket deltas, and gauges show their instantaneous level.
-Against a sharded daemon a WORKERS table summarises each worker's
-in-flight groups and dispatch totals from its labelled series.
+Prints the daemon's `metrics` protocol reply: one JSON document listing
+every registered counter, gauge and histogram (a histogram as its
+count, sum and cumulative log2 buckets). Two snapshots taken a while
+apart give rates and window percentiles by subtraction.
 ";
 
 const SUBMIT_HELP: &str = "\
@@ -251,7 +224,6 @@ USAGE:
 
 OPTIONS:
     --socket <PATH>   daemon unix socket              [default: dmdp.sock]
-    --tcp <ADDR>      connect over TCP instead
     --name <NAME>     campaign name                   [default: campaign]
     --model <M>       baseline | nosq | dmdp | perfect | all  [default: all]
                       (repeatable; each model runs once)
@@ -350,7 +322,6 @@ fn main() -> ExitCode {
         Some("worker") => helped(&args[1..], WORKER_HELP, cmd_worker),
         Some("submit") => helped(&args[1..], SUBMIT_HELP, cmd_submit),
         Some("metrics") => helped(&args[1..], METRICS_HELP, cmd_metrics),
-        Some("top") => helped(&args[1..], TOP_CMD_HELP, cmd_top),
         Some("report") => helped(&args[1..], REPORT_HELP, cmd_report),
         Some("asm") => helped(&args[1..], ASM_HELP, cmd_asm),
         Some("disasm") => helped(&args[1..], DISASM_HELP, cmd_disasm),
@@ -818,7 +789,6 @@ fn cmd_campaign(args: &[String]) -> CliResult {
 fn cmd_serve(args: &[String]) -> CliResult {
     let mut opts = ServeOptions {
         socket: PathBuf::from("dmdp.sock"),
-        tcp: None,
         store_dir: PathBuf::from("dmdp-store"),
         jobs: 0, // 0 = all cores, resolved by the daemon
         store_cap_bytes: None,
@@ -833,7 +803,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
         let mut val = || it.next().cloned().ok_or_else(|| format!("{a} needs a value"));
         match a.as_str() {
             "--socket" => opts.socket = PathBuf::from(val()?),
-            "--tcp" => opts.tcp = Some(val()?),
             "--store" => opts.store_dir = PathBuf::from(val()?),
             "--cap-mb" => {
                 let mb: u64 = val()?.parse().map_err(|e| format!("--cap-mb: {e}"))?;
@@ -902,7 +871,6 @@ fn cmd_worker(args: &[String]) -> CliResult {
 
 struct SubmitOpts {
     socket: PathBuf,
-    tcp: Option<String>,
     sweep: SweepOpts,
     connect_retries: u32,
     mode: SubmitMode,
@@ -918,7 +886,6 @@ enum SubmitMode {
 fn parse_submit(args: &[String]) -> Result<SubmitOpts, String> {
     let mut o = SubmitOpts {
         socket: PathBuf::from("dmdp.sock"),
-        tcp: None,
         sweep: SweepOpts::new(),
         connect_retries: 3,
         mode: SubmitMode::Campaign,
@@ -931,7 +898,6 @@ fn parse_submit(args: &[String]) -> Result<SubmitOpts, String> {
         }
         match a.as_str() {
             "--socket" => o.socket = PathBuf::from(val()?),
-            "--tcp" => o.tcp = Some(val()?),
             "--connect-retries" => {
                 o.connect_retries =
                     val()?.parse().map_err(|e| format!("--connect-retries: {e}"))?;
@@ -948,10 +914,7 @@ fn parse_submit(args: &[String]) -> Result<SubmitOpts, String> {
 
 fn cmd_submit(args: &[String]) -> CliResult {
     let o = parse_submit(args)?;
-    let mut client = match &o.tcp {
-        Some(addr) => Client::connect_tcp_retry(addr, o.connect_retries)?,
-        None => Client::connect_unix_retry(&o.socket, o.connect_retries)?,
-    };
+    let mut client = Client::connect_unix_retry(&o.socket, o.connect_retries)?;
     match o.mode {
         SubmitMode::Ping => {
             let protocol = client.ping()?;
@@ -996,284 +959,20 @@ fn cmd_submit(args: &[String]) -> CliResult {
     Ok(())
 }
 
-fn connect_daemon(socket: &Path, tcp: Option<&str>) -> Result<Client, String> {
-    match tcp {
-        Some(addr) => Client::connect_tcp(addr),
-        None => Client::connect_unix(socket),
-    }
-}
-
 fn cmd_metrics(args: &[String]) -> CliResult {
     let mut socket = PathBuf::from("dmdp.sock");
-    let mut tcp: Option<String> = None;
-    let mut prom = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut val = || it.next().cloned().ok_or_else(|| format!("{a} needs a value"));
         match a.as_str() {
-            "--socket" => socket = PathBuf::from(val()?),
-            "--tcp" => tcp = Some(val()?),
-            "--prom" => prom = true,
+            "--socket" => socket = PathBuf::from(it.next().ok_or("--socket needs a value")?),
             other => {
                 return Err(format!("unknown option `{other}` (see `dmdp metrics --help`)").into())
             }
         }
     }
-    if prom {
-        let text = match &tcp {
-            Some(addr) => dmdp_server::scrape_metrics_tcp(addr)?,
-            None => dmdp_server::scrape_metrics_unix(&socket)?,
-        };
-        print!("{text}");
-        return Ok(());
-    }
-    let mut client = connect_daemon(&socket, tcp.as_deref())?;
-    print!("{}", client.metrics()?.pretty());
+    print!("{}", Client::connect_unix(&socket)?.metrics()?.pretty());
     println!();
     Ok(())
-}
-
-/// One metric series as `dmdp top` tracks it between frames.
-struct TopRow {
-    key: String,
-    kind: String,
-    value: f64,
-    count: f64,
-    sum: f64,
-    /// `(le, cumulative_count)` pairs; the overflow bucket's `le` is
-    /// +Inf (decoded from the wire's -1 sentinel).
-    buckets: Vec<(f64, f64)>,
-}
-
-fn parse_metrics_rows(msg: &Json) -> Vec<TopRow> {
-    let Some(entries) = msg.get("metrics").and_then(Json::as_arr) else {
-        return Vec::new();
-    };
-    entries
-        .iter()
-        .filter_map(|e| {
-            let name = e.get("name").and_then(Json::as_str)?;
-            let mut key = name.to_string();
-            if let Some(Json::Obj(labels)) = e.get("labels") {
-                let parts: Vec<String> = labels
-                    .iter()
-                    .filter_map(|(k, v)| v.as_str().map(|v| format!("{k}=\"{v}\"")))
-                    .collect();
-                if !parts.is_empty() {
-                    key = format!("{name}{{{}}}", parts.join(","));
-                }
-            }
-            let num = |k: &str| e.get(k).and_then(Json::as_f64).unwrap_or(0.0);
-            let buckets = e
-                .get("buckets")
-                .and_then(Json::as_arr)
-                .map(|arr| {
-                    arr.iter()
-                        .filter_map(|pair| {
-                            let pair = pair.as_arr()?;
-                            let le = pair.first()?.as_f64()?;
-                            let cum = pair.get(1)?.as_f64()?;
-                            Some((if le < 0.0 { f64::INFINITY } else { le }, cum))
-                        })
-                        .collect()
-                })
-                .unwrap_or_default();
-            Some(TopRow {
-                key,
-                kind: e.get("kind").and_then(Json::as_str).unwrap_or("?").to_string(),
-                value: num("value"),
-                count: num("count"),
-                sum: num("sum"),
-                buckets,
-            })
-        })
-        .collect()
-}
-
-/// Cumulative count at `le` in a sparse `(le, cumulative)` list: zero
-/// buckets are omitted on the wire, so the cumulative value at any
-/// bound is that of the closest listed bound at or below it.
-fn cum_at(pairs: &[(f64, f64)], le: f64) -> f64 {
-    pairs.iter().filter(|(l, _)| *l <= le).map(|(_, c)| *c).fold(0.0, f64::max)
-}
-
-/// Approximate quantile of the observations between two cumulative
-/// snapshots of one histogram: the smallest bucket bound covering the
-/// target rank within the window.
-fn window_quantile(now: &[(f64, f64)], prev: &[(f64, f64)], q: f64) -> f64 {
-    let total = cum_at(now, f64::INFINITY) - cum_at(prev, f64::INFINITY);
-    if total <= 0.0 {
-        return 0.0;
-    }
-    let target = (q * total).ceil().max(1.0);
-    for (le, _) in now {
-        if cum_at(now, *le) - cum_at(prev, *le) >= target {
-            return *le;
-        }
-    }
-    f64::INFINITY
-}
-
-/// `1234567` → `1.2M`; keeps the `dmdp top` tables narrow.
-fn fmt_si(v: f64) -> String {
-    if !v.is_finite() {
-        return "inf".to_string();
-    }
-    let (scaled, suffix) = if v.abs() >= 1e9 {
-        (v / 1e9, "G")
-    } else if v.abs() >= 1e6 {
-        (v / 1e6, "M")
-    } else if v.abs() >= 1e3 {
-        (v / 1e3, "k")
-    } else {
-        (v, "")
-    };
-    if suffix.is_empty() && scaled.fract() == 0.0 {
-        format!("{scaled:.0}")
-    } else {
-        format!("{scaled:.1}{suffix}")
-    }
-}
-
-/// The `worker` label value of a series key like
-/// `dmdp_dispatch_total{worker="w0"}`, if it carries one.
-fn worker_label(key: &str) -> Option<String> {
-    let (_, rest) = key.split_once("{worker=\"")?;
-    let (name, _) = rest.split_once('"')?;
-    Some(name.to_string())
-}
-
-fn render_top_frame(
-    rows: &[TopRow],
-    prev: Option<&std::collections::HashMap<String, TopRow>>,
-    dt: f64,
-    frame: usize,
-) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "dmdp top — frame {frame}, window {dt:.1}s\n");
-    let rate = |now: f64, then: Option<f64>| -> String {
-        match then {
-            Some(then) if dt > 0.0 => format!("{}/s", fmt_si((now - then).max(0.0) / dt)),
-            _ => "-".to_string(),
-        }
-    };
-    let _ = writeln!(out, "{:<52} {:>10} {:>10}", "COUNTERS", "TOTAL", "RATE");
-    for r in rows.iter().filter(|r| r.kind == "counter") {
-        let then = prev.and_then(|p| p.get(&r.key)).map(|p| p.value);
-        let _ = writeln!(out, "{:<52} {:>10} {:>10}", r.key, fmt_si(r.value), rate(r.value, then));
-    }
-    let _ = writeln!(out, "\n{:<52} {:>10}", "GAUGES", "VALUE");
-    for r in rows.iter().filter(|r| r.kind == "gauge") {
-        let _ = writeln!(out, "{:<52} {:>10}", r.key, fmt_si(r.value));
-    }
-    // Per-worker summary of a sharded daemon, folded from the
-    // `{worker="..."}`-labelled series.
-    let mut workers: std::collections::BTreeMap<String, (f64, f64, Option<f64>)> =
-        std::collections::BTreeMap::new();
-    for r in rows {
-        let Some(name) = worker_label(&r.key) else { continue };
-        let entry = workers.entry(name).or_insert((0.0, 0.0, None));
-        if r.key.starts_with("dmdp_worker_inflight") {
-            entry.0 = r.value;
-        } else if r.key.starts_with("dmdp_dispatch_total") {
-            entry.1 = r.value;
-            entry.2 = prev.and_then(|p| p.get(&r.key)).map(|p| p.value);
-        }
-    }
-    if !workers.is_empty() {
-        let _ =
-            writeln!(out, "\n{:<30} {:>10} {:>12} {:>10}", "WORKERS", "INFLIGHT", "DISPATCHED", "RATE");
-        for (name, (inflight, dispatched, then)) in &workers {
-            let _ = writeln!(
-                out,
-                "{:<30} {:>10} {:>12} {:>10}",
-                name,
-                fmt_si(*inflight),
-                fmt_si(*dispatched),
-                rate(*dispatched, *then)
-            );
-        }
-    }
-    let _ = writeln!(
-        out,
-        "\n{:<42} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "HISTOGRAMS", "COUNT", "OBS/s", "MEAN", "p50", "p99"
-    );
-    for r in rows.iter().filter(|r| r.kind == "histogram") {
-        let then = prev.and_then(|p| p.get(&r.key));
-        let (p50, p99) = match then {
-            // Percentiles over the refresh window when it saw
-            // observations, else over the whole run.
-            Some(p) if r.count > p.count => (
-                window_quantile(&r.buckets, &p.buckets, 0.50),
-                window_quantile(&r.buckets, &p.buckets, 0.99),
-            ),
-            _ => (window_quantile(&r.buckets, &[], 0.50), window_quantile(&r.buckets, &[], 0.99)),
-        };
-        let mean = if r.count > 0.0 { r.sum / r.count } else { 0.0 };
-        let _ = writeln!(
-            out,
-            "{:<42} {:>9} {:>9} {:>9} {:>9} {:>9}",
-            r.key,
-            fmt_si(r.count),
-            rate(r.count, then.map(|p| p.count)),
-            fmt_si(mean),
-            fmt_si(p50),
-            fmt_si(p99)
-        );
-    }
-    out
-}
-
-fn cmd_top(args: &[String]) -> CliResult {
-    let mut socket = PathBuf::from("dmdp.sock");
-    let mut tcp: Option<String> = None;
-    let mut interval = 2.0f64;
-    let mut iterations = 0usize;
-    let mut no_clear = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = || it.next().cloned().ok_or_else(|| format!("{a} needs a value"));
-        match a.as_str() {
-            "--socket" => socket = PathBuf::from(val()?),
-            "--tcp" => tcp = Some(val()?),
-            "--interval" => {
-                interval = val()?.parse().map_err(|e| format!("--interval: {e}"))?;
-                if interval <= 0.0 || !interval.is_finite() {
-                    return Err("--interval must be positive".into());
-                }
-            }
-            "--iterations" => {
-                iterations = val()?.parse().map_err(|e| format!("--iterations: {e}"))?;
-            }
-            "--no-clear" => no_clear = true,
-            other => return Err(format!("unknown option `{other}` (see `dmdp top --help`)").into()),
-        }
-    }
-    let mut client = connect_daemon(&socket, tcp.as_deref())?;
-    let mut prev: Option<(std::time::Instant, std::collections::HashMap<String, TopRow>)> = None;
-    let mut frame = 0usize;
-    loop {
-        frame += 1;
-        let msg = client.metrics()?;
-        let now = std::time::Instant::now();
-        let rows = parse_metrics_rows(&msg);
-        let dt = prev.as_ref().map(|(t, _)| now.duration_since(*t).as_secs_f64()).unwrap_or(0.0);
-        let text = render_top_frame(rows.as_slice(), prev.as_ref().map(|(_, m)| m), dt, frame);
-        if !no_clear {
-            // Clear and home — a cheap full-screen redraw.
-            print!("\x1b[2J\x1b[H");
-        }
-        print!("{text}");
-        use std::io::Write as _;
-        let _ = std::io::stdout().flush();
-        prev = Some((now, rows.into_iter().map(|r| (r.key.clone(), r)).collect()));
-        if iterations != 0 && frame >= iterations {
-            return Ok(());
-        }
-        std::thread::sleep(std::time::Duration::from_secs_f64(interval));
-    }
 }
 
 fn print_report(r: &SimReport, energy: bool) {

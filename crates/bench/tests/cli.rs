@@ -411,7 +411,7 @@ fn force_with_a_store_is_refused_naming_both_flags() {
 }
 
 #[test]
-fn metrics_and_top_subcommands_read_a_live_daemon() {
+fn metrics_subcommand_reads_a_live_daemon() {
     let dir = temp("obs-cli");
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
@@ -470,33 +470,6 @@ fn metrics_and_top_subcommands_read_a_live_daemon() {
         assert!(names.contains(&want), "missing `{want}` in {names:?}");
     }
 
-    // `dmdp metrics --prom` scrapes the HTTP endpoint over the same
-    // unix socket and prints Prometheus text.
-    let out = dmdp(&["metrics", "--prom", "--socket", socket.to_str().unwrap()]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    let prom = stdout(&out);
-    assert!(prom.contains("# TYPE dmdp_requests_total counter"), "{prom}");
-    assert!(prom.contains("# TYPE dmdp_queue_wait_us histogram"), "{prom}");
-    assert!(prom.contains("dmdp_jobs_total{source=\"executed\"}"), "{prom}");
-
-    // `dmdp top` renders two frames and exits; the second frame carries
-    // rates computed against the first.
-    let out = dmdp(&[
-        "top",
-        "--socket",
-        socket.to_str().unwrap(),
-        "--iterations",
-        "2",
-        "--interval",
-        "0.1",
-        "--no-clear",
-    ]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    let top = stdout(&out);
-    for section in ["dmdp top — frame 2", "COUNTERS", "GAUGES", "HISTOGRAMS", "/s"] {
-        assert!(top.contains(section), "missing `{section}` in:\n{top}");
-    }
-
     // The artifact's trace id appears in the daemon's event log, tying
     // the submitted sweep to its structured trace — and with
     // --slow-job-ms 0, every executed job logs a slow_job event.
@@ -517,6 +490,45 @@ fn metrics_and_top_subcommands_read_a_live_daemon() {
     let out = dmdp(&[submit, &["--shutdown"]].concat());
     assert!(out.status.success(), "{}", stderr(&out));
     child.0.wait().expect("daemon reaps");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A bundle read from the store is a blob hit, not a build: a daemon
+/// restarted on a store that holds lib's bundle answers a sampled submit
+/// of a new variant without profiling anything. The daemon runs in a
+/// process of its own, so no other test writes to its registry.
+#[test]
+fn a_stored_bundle_counts_as_a_blob_hit_not_a_build() {
+    let dir = temp("bundle-hit");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let (socket, store) = (dir.join("dmdp.sock"), dir.join("store"));
+    let submit: &[&str] = &["submit", "--socket", socket.to_str().unwrap()];
+    let spec: &[&str] = &["--scale", "test", "--kernel", "lib", "--model", "dmdp", "--interval-insns", "1000", "--quiet"];
+    let out_path = dir.join("sampled.json");
+    let out: &[&str] = &["--out", out_path.to_str().unwrap()];
+    for (daemon, variant) in [("cold", "main="), ("restarted", "rob48=rob:48")] {
+        let mut child = daemon_on(&socket, &store);
+        let run = dmdp(&[submit, spec, &["--variant", variant], out].concat());
+        assert!(run.status.success(), "{daemon}: {}", stderr(&run));
+        assert!(stdout(&run).contains("1 executed"), "{daemon}: {}", stdout(&run));
+        if daemon == "restarted" {
+            let metrics = dmdp(&["metrics", "--socket", socket.to_str().unwrap()]);
+            assert!(metrics.status.success(), "{}", stderr(&metrics));
+            let v = dmdp_harness::Json::parse(&stdout(&metrics)).expect("metrics parse");
+            let value = |name: &str| {
+                v.get("metrics")
+                    .and_then(dmdp_harness::Json::as_arr)
+                    .and_then(|m| m.iter().find(|e| e.get("name").and_then(dmdp_harness::Json::as_str) == Some(name)))
+                    .and_then(|e| e.get("value").and_then(dmdp_harness::Json::as_u64))
+            };
+            assert_eq!(value("dmdp_sampled_bundle_builds_total"), Some(0), "a blob hit counted as a build");
+            assert!(value("dmdp_store_blob_hits_total") >= Some(1), "the bundle was not read from the store");
+        }
+        let stop = dmdp(&[submit, &["--shutdown"]].concat());
+        assert!(stop.status.success(), "{}", stderr(&stop));
+        assert!(child.0.wait().expect("daemon reaps").success());
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -813,7 +825,7 @@ fn killed_worker_mid_campaign_loses_no_jobs() {
 
 /// Only the coordinator's own children are workers: a `register` line
 /// carrying the right versions is just an unknown request on the
-/// daemon's socket, it gets no work, and `--workers` opens no TCP port.
+/// daemon's socket, and it gets no work.
 #[test]
 fn only_spawned_children_are_workers() {
     use std::io::{BufRead, BufReader, Write};
@@ -832,9 +844,7 @@ fn only_spawned_children_are_workers() {
 
     let mut child = sharded_daemon(&dir, &events, 2);
     await_spawned(&events, 2);
-    let listening = events_named(&events, "listening");
-    assert_eq!(listening.len(), 1);
-    assert!(listening[0].get("tcp").is_none(), "--workers bound a TCP port");
+    assert_eq!(events_named(&events, "listening").len(), 1);
 
     let hello = format!(
         r#"{{"type": "register", "protocol": {}, "sim_version": "{}", "name": "impostor", "jobs": 4, "cores": []}}"#,

@@ -17,7 +17,7 @@ use crate::job::{CfgPatch, JobConfig, JobResult, JobSpec, WorkloadImage};
 use crate::json::{Field, Parser, Writer};
 use crate::pool;
 use crate::sampled::{build_bundle, Sampling, SamplingSpec};
-use crate::store::{warn_write, Store};
+use crate::store::Store;
 
 /// Declarative description of an experiment campaign: which workloads,
 /// under which communication models, at which scale, with which
@@ -269,9 +269,8 @@ impl Resolve for Local<'_> {
     }
 
     fn publish(&self, row: &JobResult) {
-        let Some(store) = self.store else { return };
-        if let Err(e) = store.put(row) {
-            warn_write(self.log, &row.digest, &e);
+        if let Some(store) = self.store {
+            store.publish(row, self.log);
         }
     }
 

@@ -59,7 +59,7 @@ pub use digest::Digest64;
 pub use figures::render_figure;
 pub use group::{partition_units, resolve, Inflight, Outcome, Resolve, Source};
 pub use job::{CfgPatch, FigureCounters, FigureText, JobResult, JobSpec, PlannedImage, ResidentImages, WorkloadImage};
-pub use sampled::{build_bundle, record_bundle, Sampling, SamplingSpec};
+pub use sampled::{build_bundle, Sampling, SamplingSpec};
 pub use json::{Field, Json, Parser, Writer};
 pub use pool::{default_workers, map_ordered};
 pub use report::{error_table, render_campaign, render_error_table, ErrorRow, ErrorTable};

@@ -117,21 +117,12 @@ pub fn build_bundle(program: &Program, sampling: Sampling) -> Result<Arc<Sampled
     let start = Instant::now();
     let bundle = SampledBundle::build(program, &sampling.params())?;
     let wall = start.elapsed().as_secs_f64();
-    record_bundle(&bundle, wall);
-    Ok(Arc::new(bundle))
-}
-
-/// Records bundle-level metrics (also used by the daemon when a bundle
-/// is deserialized from the store with zero build time — only fresh
-/// builds observe a fast-forward throughput).
-pub fn record_bundle(bundle: &SampledBundle, build_wall_s: f64) {
     let m = sampled_metrics();
     m.bundle_builds.inc();
     m.intervals_profiled.add(bundle.plan.total_intervals);
     m.checkpoint_bytes.add(bundle.checkpoint_bytes());
-    if build_wall_s > 0.0 {
-        m.ff_mips.observe((emulated_insns(bundle) as f64 / build_wall_s / 1e6) as u64);
-    }
+    m.ff_mips.observe((emulated_insns(&bundle) as f64 / wall / 1e6) as u64);
+    Ok(Arc::new(bundle))
 }
 
 /// Instructions the two functional passes of a bundle build emulate: the

@@ -44,7 +44,7 @@ use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use dmdp_obs::log::{EventLog, Level, Value};
@@ -52,7 +52,7 @@ use dmdp_sample::SampledBundle;
 
 use crate::job::{JobResult, WorkloadImage};
 use crate::json::{Parser, Writer};
-use crate::sampled::{build_bundle, record_bundle, Sampling};
+use crate::sampled::{build_bundle, Sampling};
 
 /// The row log's file name under the store root.
 pub const LOG_FILE: &str = "rows.log";
@@ -60,14 +60,6 @@ pub const LOG_FILE: &str = "rows.log";
 /// The row log's first line, which names the store format. A log that
 /// begins with anything else is refused.
 pub const LOG_HEADER: &str = r#"{"store":"dmdp-rows","format":1}"#;
-
-/// Routes a failed store write through the event log and the
-/// `dmdp_errors_total{kind="store"}` counter — persistence failure
-/// degrades durability, not the run.
-pub fn warn_write(log: &EventLog, digest: &str, error: &str) {
-    store_metrics().write_errors.inc();
-    log.warn("store_write_failed", &[("digest", digest.into()), ("error", error.into())]);
-}
 
 /// Process-wide store metrics (cumulative across every [`Store`] this
 /// process opens — the per-store view stays on [`Store::stats`]).
@@ -179,6 +171,11 @@ pub struct Store {
     path: PathBuf,
     /// The open log, once it exists: set by the open or the first append.
     file: OnceLock<File>,
+    /// Why the first append could not create the log: another writer
+    /// created it first. The handle then refuses every append.
+    refused: OnceLock<String>,
+    /// The failure [`Store::publish`] logged last.
+    last_warning: Mutex<String>,
     index: Mutex<Index>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -385,6 +382,8 @@ impl Store {
             blobs: Blobs::new(root),
             path,
             file: file.map(OnceLock::from).unwrap_or_default(),
+            refused: OnceLock::new(),
+            last_warning: Mutex::new(String::new()),
             index: Mutex::new(index),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -445,7 +444,9 @@ impl Store {
     /// Appends a result to the log under its digest, with one `write`.
     /// Returns `true` if the row was newly written, `false` if its digest
     /// was already indexed (results with equal digests are identical).
-    /// The first append creates the log, header first.
+    /// The first append creates the log, header first; if another writer
+    /// created it since the open, the handle refuses this append and
+    /// every later one without touching the disk again.
     ///
     /// # Errors
     ///
@@ -464,13 +465,18 @@ impl Store {
         let mut file = match self.file.get() {
             Some(file) => file,
             None => {
-                let file = OpenOptions::new()
-                    .read(true)
-                    .append(true)
-                    .create_new(true)
-                    .open(&self.path)
-                    .map_err(at_path(&self.path))?;
-                self.file.get_or_init(|| file)
+                if let Some(e) = self.refused.get() {
+                    return Err(e.clone());
+                }
+                let created =
+                    OpenOptions::new().read(true).append(true).create_new(true).open(&self.path);
+                match created {
+                    Ok(file) => self.file.get_or_init(|| file),
+                    Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
+                        return Err(self.refused.get_or_init(|| at_path(&self.path)(e)).clone());
+                    }
+                    Err(e) => return Err(at_path(&self.path)(e)),
+                }
             }
         };
         let offset = if index.end == 0 {
@@ -494,6 +500,22 @@ impl Store {
         m.writes.inc();
         m.write_us.observe(write_start.elapsed().as_micros() as u64);
         Ok(true)
+    }
+
+    /// Appends `row` ([`Store::put`]) for a resolver that publishes
+    /// executed rows. A failure degrades durability, not the run: it
+    /// counts in `dmdp_errors_total{kind="store"}`, and is logged as a
+    /// `store_write_failed` warning unless it repeats the failure this
+    /// handle logged last, so a handle that keeps failing for one cause
+    /// (a log another writer created first) warns once, not once per row.
+    pub fn publish(&self, row: &JobResult, log: &EventLog) {
+        let Err(e) = self.put(row) else { return };
+        store_metrics().write_errors.inc();
+        let mut last = self.last_warning.lock().unwrap_or_else(PoisonError::into_inner);
+        if *last != e {
+            log.warn("store_write_failed", &[("digest", (&row.digest).into()), ("error", (&e).into())]);
+            *last = e;
+        }
     }
 
     /// Rows currently indexed.
@@ -609,7 +631,6 @@ impl Blobs {
         if let Some(bytes) = self.get_blob(&digest) {
             match SampledBundle::from_bytes(&bytes) {
                 Ok(bundle) => {
-                    record_bundle(&bundle, 0.0);
                     log.debug("bundle_hit", &at);
                     return Ok(Arc::new(bundle));
                 }
@@ -619,7 +640,8 @@ impl Blobs {
         let start = Instant::now();
         let bundle = build_bundle(&w.image.program, sampling)?;
         if let Err(e) = self.put_blob(&digest, &bundle.to_bytes()) {
-            warn_write(log, &digest, &e);
+            store_metrics().write_errors.inc();
+            log.warn("store_write_failed", &[("digest", (&digest).into()), ("error", e.into())]);
         }
         let built = [
             ("intervals", bundle.plan.total_intervals.into()),

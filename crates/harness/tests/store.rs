@@ -495,3 +495,27 @@ fn a_writer_opened_before_the_log_existed_gets_an_error_after_another_creates_it
     assert_eq!(Store::open(&dir, None).unwrap().len(), 1);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A handle that lost the race to create the log warns once however
+/// many appends it refuses: `Store::publish` logs a failure only when it
+/// differs from the one the handle logged last.
+#[test]
+fn a_losing_handle_warns_once_for_its_refused_appends() {
+    let dir = tmp_dir("late-warn");
+    let rows = rows(3);
+    let early = Store::open(&dir, None).unwrap();
+    assert!(Store::open(&dir, None).unwrap().put(&rows[0]).unwrap());
+    let events = dir.with_extension("events");
+    std::fs::remove_file(&events).ok();
+    let log = EventLog::file(&events, Level::Warn).unwrap();
+    early.publish(&rows[1], &log);
+    early.publish(&rows[2], &log);
+    drop(log);
+    let text = std::fs::read_to_string(&events).unwrap();
+    let warnings: Vec<&str> = text.lines().filter(|l| l.contains("store_write_failed")).collect();
+    assert_eq!(warnings.len(), 1, "two refused appends, one warning:\n{text}");
+    assert!(warnings[0].contains(&rows[1].digest) && warnings[0].contains(LOG_FILE), "{text}");
+    assert_eq!(Store::open(&dir, None).unwrap().len(), 1, "a refused append writes nothing");
+    std::fs::remove_file(&events).ok();
+    std::fs::remove_dir_all(&dir).ok();
+}

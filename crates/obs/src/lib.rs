@@ -8,10 +8,9 @@
 //! branching on whether anyone is scraping. The registry's mutex is
 //! taken only at registration time and when building a [`Snapshot`].
 //!
-//! Exposition lives here too: [`Snapshot::to_prometheus`] renders the
-//! Prometheus text format (one `# TYPE` per family, cumulative `le`
-//! buckets), and [`log`] provides the structured JSONL event log with
-//! per-request trace ids used by the daemon.
+//! A [`Snapshot`] is what the daemon's `metrics` request replies with,
+//! and [`log`] provides the structured JSONL event log with per-request
+//! trace ids used by the daemon.
 
 pub mod log;
 
@@ -130,8 +129,8 @@ impl LogHistogram {
         }
     }
 
-    /// Inclusive upper bound of bucket `i` (the Prometheus `le` value);
-    /// `u64::MAX` for the overflow bucket.
+    /// Inclusive upper bound of bucket `i` (the `le` of a `metrics`
+    /// reply's bucket pairs); `u64::MAX` for the overflow bucket.
     pub fn bucket_bound(i: usize) -> u64 {
         if i == 0 {
             0
@@ -357,97 +356,6 @@ pub struct Snapshot {
     pub entries: Vec<SnapshotEntry>,
 }
 
-fn escape_label(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-fn label_block(labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
-    let mut parts: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v)))
-        .collect();
-    if let Some((k, v)) = extra {
-        parts.push(format!("{k}=\"{v}\""));
-    }
-    if parts.is_empty() {
-        String::new()
-    } else {
-        format!("{{{}}}", parts.join(","))
-    }
-}
-
-impl Snapshot {
-    /// Render the Prometheus text exposition format (version 0.0.4):
-    /// one `# HELP`/`# TYPE` per family, histograms as cumulative
-    /// `_bucket{le=…}` series plus `_sum` and `_count`.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        let mut last_family: Option<&str> = None;
-        for e in &self.entries {
-            if last_family != Some(e.name.as_str()) {
-                out.push_str(&format!("# HELP {} {}\n", e.name, e.help));
-                out.push_str(&format!("# TYPE {} {}\n", e.name, e.value.kind()));
-                last_family = Some(e.name.as_str());
-            }
-            match &e.value {
-                SnapshotValue::Counter(v) => {
-                    out.push_str(&format!("{}{} {v}\n", e.name, label_block(&e.labels, None)));
-                }
-                SnapshotValue::Gauge(v) => {
-                    out.push_str(&format!("{}{} {v}\n", e.name, label_block(&e.labels, None)));
-                }
-                SnapshotValue::Histogram(h) => {
-                    // Emit up to the highest occupied bucket, then +Inf.
-                    let top = h
-                        .buckets
-                        .iter()
-                        .rposition(|&b| b > 0)
-                        .map(|i| i.min(HISTOGRAM_BUCKETS - 2))
-                        .unwrap_or(0);
-                    let mut cum = 0u64;
-                    for i in 0..=top {
-                        cum = cum.saturating_add(*h.buckets.get(i).unwrap_or(&0));
-                        let le = LogHistogram::bucket_bound(i).to_string();
-                        out.push_str(&format!(
-                            "{}_bucket{} {cum}\n",
-                            e.name,
-                            label_block(&e.labels, Some(("le", &le)))
-                        ));
-                    }
-                    out.push_str(&format!(
-                        "{}_bucket{} {}\n",
-                        e.name,
-                        label_block(&e.labels, Some(("le", "+Inf"))),
-                        h.count
-                    ));
-                    out.push_str(&format!(
-                        "{}_sum{} {}\n",
-                        e.name,
-                        label_block(&e.labels, None),
-                        h.sum
-                    ));
-                    out.push_str(&format!(
-                        "{}_count{} {}\n",
-                        e.name,
-                        label_block(&e.labels, None),
-                        h.count
-                    ));
-                }
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -527,28 +435,5 @@ mod tests {
         let r = Registry::default();
         r.counter("test_kind", "help");
         r.gauge("test_kind", "help");
-    }
-
-    #[test]
-    fn prometheus_rendering_is_well_formed() {
-        let r = Registry::default();
-        r.counter_with("req_total", &[("type", "a")], "requests").add(3);
-        r.counter_with("req_total", &[("type", "b")], "requests").inc();
-        r.gauge("inflight", "in-flight jobs").set(2);
-        let h = r.histogram("lat_us", "latency");
-        h.observe(0);
-        h.observe(5);
-        let text = r.snapshot().to_prometheus();
-        // Exactly one TYPE line per family.
-        let types: Vec<&str> =
-            text.lines().filter(|l| l.starts_with("# TYPE ")).collect();
-        assert_eq!(types.len(), 3, "{text}");
-        assert!(text.contains("# TYPE req_total counter"));
-        assert!(text.contains("req_total{type=\"a\"} 3"));
-        assert!(text.contains("req_total{type=\"b\"} 1"));
-        assert!(text.contains("inflight 2"));
-        assert!(text.contains("lat_us_bucket{le=\"+Inf\"} 2"));
-        assert!(text.contains("lat_us_sum 5"));
-        assert!(text.contains("lat_us_count 2"));
     }
 }

@@ -1,6 +1,5 @@
 //! The `dmdp submit` client side of the daemon protocol.
 
-use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 
@@ -11,12 +10,12 @@ use crate::protocol::{self, LineEvent, LineReader, Request, SubmitRequest};
 /// A connected daemon client. One connection can carry any number of
 /// requests in sequence.
 pub struct Client {
-    reader: LineReader<Box<dyn Read + Send>>,
-    writer: Box<dyn Write + Send>,
+    reader: LineReader<UnixStream>,
+    writer: UnixStream,
 }
 
 impl Client {
-    /// Connects over a unix socket.
+    /// Connects to a daemon's unix socket.
     ///
     /// # Errors
     ///
@@ -25,16 +24,7 @@ impl Client {
         Client::connect_unix_retry(path, 0)
     }
 
-    /// Connects over TCP (e.g. `127.0.0.1:7199`).
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, stringified with the address.
-    pub fn connect_tcp(addr: &str) -> Result<Client, String> {
-        Client::connect_tcp_retry(addr, 0)
-    }
-
-    /// Connects over a unix socket, retrying transient failures
+    /// Connects to a daemon's unix socket, retrying transient failures
     /// `retries` times ([`retry_transient`]) — racing a daemon that is
     /// still binding its socket is expected in scripts.
     ///
@@ -42,37 +32,10 @@ impl Client {
     ///
     /// The last connection failure once the retries are exhausted.
     pub fn connect_unix_retry(path: &Path, retries: u32) -> Result<Client, String> {
-        retry_transient(retries, || {
-            UnixStream::connect(path).map(|stream| {
-                let read_half = stream.try_clone();
-                (stream, read_half)
-            })
-        })
-        .map_err(|e| format!("{}: {e}", path.display()))
-        .and_then(|(stream, read_half)| {
-            let read_half = read_half.map_err(|e| format!("{}: {e}", path.display()))?;
-            Ok(Client { reader: LineReader::new(Box::new(read_half)), writer: Box::new(stream) })
-        })
-    }
-
-    /// Connects over TCP, retrying transient failures `retries` times
-    /// ([`retry_transient`]).
-    ///
-    /// # Errors
-    ///
-    /// The last connection failure once the retries are exhausted.
-    pub fn connect_tcp_retry(addr: &str, retries: u32) -> Result<Client, String> {
-        retry_transient(retries, || {
-            std::net::TcpStream::connect(addr).map(|stream| {
-                let read_half = stream.try_clone();
-                (stream, read_half)
-            })
-        })
-        .map_err(|e| format!("{addr}: {e}"))
-        .and_then(|(stream, read_half)| {
-            let read_half = read_half.map_err(|e| format!("{addr}: {e}"))?;
-            Ok(Client { reader: LineReader::new(Box::new(read_half)), writer: Box::new(stream) })
-        })
+        let at_path = |e: std::io::Error| format!("{}: {e}", path.display());
+        let writer = retry_transient(retries, || UnixStream::connect(path)).map_err(at_path)?;
+        let reader = LineReader::new(writer.try_clone().map_err(at_path)?);
+        Ok(Client { reader, writer })
     }
 
     fn send(&mut self, req: &Request) -> Result<(), String> {
@@ -266,47 +229,6 @@ pub fn retry_transient<T>(
             }
         }
     }
-}
-
-/// Issues one `GET /metrics` over an already-connected stream and
-/// returns the Prometheus text body. The daemon closes the connection
-/// after the response, so read-to-end frames it.
-fn scrape_metrics<S: Read + Write>(mut stream: S, what: &str) -> Result<String, String> {
-    stream
-        .write_all(b"GET /metrics HTTP/1.0\r\nConnection: close\r\n\r\n")
-        .map_err(|e| format!("{what}: {e}"))?;
-    stream.flush().map_err(|e| format!("{what}: {e}"))?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response).map_err(|e| format!("{what}: {e}"))?;
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| format!("{what}: malformed HTTP response"))?;
-    let status = head.lines().next().unwrap_or("");
-    if !status.contains(" 200 ") {
-        return Err(format!("{what}: {status}"));
-    }
-    Ok(body.to_string())
-}
-
-/// Scrapes `GET /metrics` from a daemon's unix socket.
-///
-/// # Errors
-///
-/// Connection or HTTP failures, stringified.
-pub fn scrape_metrics_unix(path: &Path) -> Result<String, String> {
-    let stream = UnixStream::connect(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    scrape_metrics(stream, &path.display().to_string())
-}
-
-/// Scrapes `GET /metrics` from a daemon's TCP listener — exactly what a
-/// Prometheus scraper would do.
-///
-/// # Errors
-///
-/// Connection or HTTP failures, stringified.
-pub fn scrape_metrics_tcp(addr: &str) -> Result<String, String> {
-    let stream = std::net::TcpStream::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
-    scrape_metrics(stream, addr)
 }
 
 #[cfg(test)]

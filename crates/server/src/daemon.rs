@@ -1,9 +1,9 @@
 //! The `dmdp serve` campaign daemon.
 //!
-//! A long-running process that listens on a unix socket (and optionally
-//! a TCP port), accepts newline-delimited JSON campaign requests, and
-//! executes them on the harness's work-stealing pool. What makes it more
-//! than `dmdp campaign` in a loop:
+//! A long-running process that listens on a unix socket, accepts
+//! newline-delimited JSON campaign requests, and executes them on the
+//! harness's work-stealing pool. What makes it more than
+//! `dmdp campaign` in a loop:
 //!
 //! * **Resident images** — each workload's [`PlannedImage`] (assembled
 //!   program + static µop plan cache) is built once per scale and kept
@@ -23,15 +23,12 @@
 //! * **Observability** — every request path updates the process-wide
 //!   [`dmdp_obs`] registry (request/jobs counters, queue-wait and parse
 //!   latency histograms, connection/in-flight gauges), exposed over the
-//!   `metrics` protocol request and a minimal `GET /metrics` Prometheus
-//!   endpoint on the same listeners. Diagnostics go to a leveled JSONL
+//!   `metrics` protocol request. Diagnostics go to a leveled JSONL
 //!   [`EventLog`]; each request gets a trace id that threads through
 //!   job events into the artifact, so a slow sweep's campaign report
 //!   can be grepped straight back to its daemon-side events.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
@@ -42,12 +39,12 @@ use std::time::{Duration, Instant};
 
 use dmdp_core::SIM_VERSION;
 use dmdp_harness::json::obj;
-use dmdp_harness::store::{warn_write, Store};
+use dmdp_harness::store::Store;
 use dmdp_harness::{
     pool, resolve, Campaign, CampaignSpec, CfgPatch, Inflight, JobResult, JobSpec, Json, Outcome,
     ResidentImages, Resolve, Source, StageWall, Writer,
 };
-use dmdp_obs::log::{next_trace_id, EventLog, Level, Value};
+use dmdp_obs::log::{next_trace_id, EventLog, Level};
 use dmdp_obs::{Counter, Gauge, LogHistogram};
 
 use crate::protocol::{
@@ -61,10 +58,6 @@ use crate::worker::lower_priority;
 pub struct ServeOptions {
     /// Unix socket path to listen on.
     pub socket: PathBuf,
-    /// Optional additional TCP listen address (e.g. `127.0.0.1:7199`).
-    /// Port 0 binds an ephemeral port; the resolved address is reported
-    /// in the `listening` event.
-    pub tcp: Option<String>,
     /// Root directory of the content-addressed result store.
     pub store_dir: PathBuf,
     /// Worker threads per submit request.
@@ -110,7 +103,6 @@ struct DaemonMetrics {
     req_ping: &'static Counter,
     req_shutdown: &'static Counter,
     req_invalid: &'static Counter,
-    http_requests: &'static Counter,
     connections_total: &'static Counter,
     connections: &'static Gauge,
     err_protocol: &'static Counter,
@@ -154,8 +146,6 @@ fn daemon_metrics() -> &'static DaemonMetrics {
             req_ping: req("ping"),
             req_shutdown: req("shutdown"),
             req_invalid: req("invalid"),
-            http_requests: r
-                .counter("dmdp_http_requests_total", "HTTP requests (metrics scrapes)"),
             connections_total: r
                 .counter("dmdp_connections_total", "client connections accepted"),
             connections: r.gauge("dmdp_connections", "client connections currently open"),
@@ -197,9 +187,9 @@ fn daemon_metrics() -> &'static DaemonMetrics {
     })
 }
 
-/// Reconciles the point-in-time gauges immediately before exposition, so
-/// a scrape always sees current store/in-flight occupancy without the
-/// hot paths having to maintain them.
+/// Reconciles the point-in-time gauges immediately before a `metrics`
+/// reply, so it always shows current store/in-flight occupancy without
+/// the hot paths having to maintain them.
 fn sync_gauges(shared: &Shared) {
     let m = shared.metrics;
     let store = shared.store.stats();
@@ -320,10 +310,8 @@ struct Shared {
     active_submits: Mutex<usize>,
     /// Notified whenever a submit ends.
     drained: Condvar,
-    /// The unix socket and the TCP address a shutdown connects to, to
-    /// wake each accept loop.
+    /// The unix socket a shutdown connects to, to wake the accept loop.
     socket: PathBuf,
-    tcp_wake: Option<SocketAddr>,
     requests: AtomicU64,
     submits: AtomicU64,
     executed: AtomicU64,
@@ -363,13 +351,6 @@ pub fn serve(opts: &ServeOptions) -> Result<DaemonReport, String> {
     }
     let listener = UnixListener::bind(&opts.socket)
         .map_err(|e| format!("{}: {e}", opts.socket.display()))?;
-    let tcp = match &opts.tcp {
-        Some(addr) => Some(TcpListener::bind(addr).map_err(|e| format!("{addr}: {e}"))?),
-        None => None,
-    };
-    // The resolved address matters when the request was port 0.
-    let tcp_local = tcp.as_ref().and_then(|l| l.local_addr().ok());
-    let tcp_addr = tcp_local.map(|a| a.to_string());
     let shared = Shared {
         store,
         jobs: if opts.jobs == 0 { pool::default_workers() } else { opts.jobs },
@@ -385,7 +366,6 @@ pub fn serve(opts: &ServeOptions) -> Result<DaemonReport, String> {
         active_submits: Mutex::new(0),
         drained: Condvar::new(),
         socket: opts.socket.clone(),
-        tcp_wake: tcp_local.map(wake_addr),
         requests: AtomicU64::new(0),
         submits: AtomicU64::new(0),
         executed: AtomicU64::new(0),
@@ -393,21 +373,19 @@ pub fn serve(opts: &ServeOptions) -> Result<DaemonReport, String> {
         dedup_hits: AtomicU64::new(0),
     };
     shared.metrics.pool_workers.set(shared.jobs as i64);
-    let mut fields: Vec<(&str, Value)> = vec![
-        ("socket", opts.socket.display().to_string().into()),
-        ("store", opts.store_dir.display().to_string().into()),
-        ("store_entries", shared.store.len().into()),
-        ("workers", shared.jobs.into()),
-        ("pid", std::process::id().into()),
-    ];
-    if let Some(addr) = &tcp_addr {
-        fields.push(("tcp", addr.into()));
-    }
-    shared.log.info("listening", &fields);
+    shared.log.info(
+        "listening",
+        &[
+            ("socket", opts.socket.display().to_string().into()),
+            ("store", opts.store_dir.display().to_string().into()),
+            ("store_entries", shared.store.len().into()),
+            ("workers", shared.jobs.into()),
+            ("pid", std::process::id().into()),
+        ],
+    );
     if !opts.quiet {
-        let tcp_note = tcp_addr.as_deref().map(|a| format!(" and tcp {a}")).unwrap_or_default();
         println!(
-            "dmdp serve: listening on {}{tcp_note}  (store {}: {} results, {} workers)",
+            "dmdp serve: listening on {}  (store {}: {} results, {} workers)",
             opts.socket.display(),
             opts.store_dir.display(),
             shared.store.len(),
@@ -426,11 +404,8 @@ pub fn serve(opts: &ServeOptions) -> Result<DaemonReport, String> {
         for (worker, stdout) in links {
             scope.spawn(move || link_worker(shared, &worker, stdout));
         }
-        if let Some(tcp) = &tcp {
-            scope.spawn(move || accept_loop(shared, scope, tcp.incoming(), handle_tcp));
-        }
-        accept_loop(shared, scope, listener.incoming(), handle_unix);
-        // A shutdown ended the accept loops. Once no submit is left
+        accept_loop(shared, scope, &listener);
+        // A shutdown ended the accept loop. Once no submit is left
         // running, close every child's stdin, its order to drain; then
         // give each child a grace period to exit and make sure of it, so
         // no link thread outlives the daemon.
@@ -551,27 +526,26 @@ fn reap(children: &mut [Child]) {
     }
 }
 
-/// How long an accept loop waits after a failed accept before the next
+/// How long the accept loop waits after a failed accept before the next
 /// one, so a persistent failure (`EMFILE`) cannot spin a core.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 
-/// Serves one listener until shutdown: blocks in `accept` and serves
-/// each connection on a scoped thread of its own. The shutdown flag is
+/// Serves the socket until shutdown: blocks in `accept` and serves each
+/// connection on a scoped thread of its own. The shutdown flag is
 /// checked after every accept; a shutdown wakes the loop with a
-/// connection of its own ([`wake_listeners`]), which is dropped here.
-fn accept_loop<'scope, S: Send + 'scope>(
+/// connection of its own ([`wake_listener`]), which is dropped here.
+fn accept_loop<'scope>(
     shared: &'scope Shared,
     scope: &'scope Scope<'scope, '_>,
-    incoming: impl Iterator<Item = std::io::Result<S>>,
-    serve_conn: fn(&Shared, S),
+    listener: &UnixListener,
 ) {
-    for conn in incoming {
+    for conn in listener.incoming() {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
         match conn {
             Ok(stream) => {
-                scope.spawn(move || serve_conn(shared, stream));
+                scope.spawn(move || handle(shared, stream));
             }
             Err(e) => {
                 shared.metrics.err_accept.inc();
@@ -582,33 +556,14 @@ fn accept_loop<'scope, S: Send + 'scope>(
     }
 }
 
-/// The address a shutdown connects to in order to wake the TCP accept
-/// loop: the listener's own, or loopback when it listens on a wildcard.
-fn wake_addr(local: SocketAddr) -> SocketAddr {
-    let ip = match local.ip() {
-        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
-        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
-        ip => ip,
-    };
-    SocketAddr::new(ip, local.port())
-}
-
-/// Wakes each accept loop, blocked in `accept`, with one connection to
-/// its listener once the shutdown flag is set.
-fn wake_listeners(shared: &Shared) {
-    wake(shared, || UnixStream::connect(&shared.socket).map(drop));
-    if let Some(addr) = shared.tcp_wake {
-        let timeout = Duration::from_secs(1);
-        wake(shared, || TcpStream::connect_timeout(&addr, timeout).map(drop));
-    }
-}
-
-/// One wake-up connection. A connect that fails (no free descriptor)
-/// is retried for about a second, then logged as `wake_failed`.
-fn wake(shared: &Shared, connect: impl Fn() -> std::io::Result<()>) {
+/// Wakes the accept loop, blocked in `accept`, with one connection to
+/// the socket once the shutdown flag is set. A connect that fails (no
+/// free descriptor) is retried for about a second, then logged as
+/// `wake_failed`.
+fn wake_listener(shared: &Shared) {
     for tries in 1.. {
-        match connect() {
-            Ok(()) => return,
+        match UnixStream::connect(&shared.socket) {
+            Ok(_) => return,
             Err(e) if tries == 20 => {
                 let error = e.to_string();
                 return shared.log.warn("wake_failed", &[("error", error.into())]);
@@ -616,20 +571,6 @@ fn wake(shared: &Shared, connect: impl Fn() -> std::io::Result<()>) {
             Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }
-}
-
-fn handle_unix(shared: &Shared, stream: UnixStream) {
-    // The read loop polls the shutdown flag between read timeouts
-    // instead of hanging forever on an idle client.
-    stream.set_read_timeout(Some(Duration::from_millis(100))).ok();
-    let Ok(writer) = stream.try_clone() else { return };
-    handle(shared, stream, writer);
-}
-
-fn handle_tcp(shared: &Shared, stream: TcpStream) {
-    stream.set_read_timeout(Some(Duration::from_millis(100))).ok();
-    let Ok(writer) = stream.try_clone() else { return };
-    handle(shared, stream, writer);
 }
 
 /// Decrements the open-connection gauge when the connection thread
@@ -642,68 +583,21 @@ impl Drop for ConnGuard {
     }
 }
 
-/// `Some(path)` when a protocol line is actually an HTTP request line —
-/// a Prometheus scraper talking to the NDJSON listener.
-fn http_request_path(line: &str) -> Option<&str> {
-    let rest = line.strip_prefix("GET ")?;
-    let (path, proto) = rest.split_once(' ')?;
-    proto.starts_with("HTTP/").then_some(path)
-}
-
-/// Answers one HTTP exchange (the connection's first line already
-/// identified it): drains request headers, serves `/metrics` as
-/// Prometheus text 0.0.4, everything else as 404, then closes.
-fn handle_http<R: Read, W: Write>(
-    shared: &Shared,
-    reader: &mut LineReader<R>,
-    writer: &Mutex<W>,
-    path: &str,
-) {
-    let mut idle = 0;
-    loop {
-        match reader.read_line() {
-            Ok(LineEvent::Line(l)) if l.is_empty() => break,
-            Ok(LineEvent::Line(_)) => {}
-            Ok(LineEvent::Eof) | Err(_) => return,
-            Ok(LineEvent::Idle) => {
-                // A scraper that never finishes its headers gets ~10s.
-                idle += 1;
-                if idle > 100 {
-                    return;
-                }
-            }
-        }
-    }
-    shared.metrics.http_requests.inc();
-    let (status, body) = if path == "/metrics" || path.starts_with("/metrics?") {
-        sync_gauges(shared);
-        ("200 OK", dmdp_obs::registry().snapshot().to_prometheus())
-    } else {
-        ("404 Not Found", format!("no such endpoint {path}\n"))
-    };
-    shared.log.debug("http_scrape", &[("path", path.into()), ("status", status.into())]);
-    let response = format!(
-        "HTTP/1.0 {status}\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    let mut w = writer.lock().unwrap();
-    let _ = w.write_all(response.as_bytes());
-    let _ = w.flush();
-}
-
 /// Serves one connection: a sequence of requests, each answered in
 /// order. Protocol-level failures (unparseable line, truncated message)
 /// get an `error` reply and close the connection; request-level failures
 /// (unknown kernel, aborted job) get an `error` reply and the
-/// conversation continues. A connection whose first line is an HTTP
-/// request line is handed to [`handle_http`] instead.
-fn handle<R: Read, W: Write + Send>(shared: &Shared, reader: R, writer: W) {
+/// conversation continues.
+fn handle(shared: &Shared, stream: UnixStream) {
+    // The read loop polls the shutdown flag between read timeouts
+    // instead of hanging forever on an idle client.
+    stream.set_read_timeout(Some(Duration::from_millis(100))).ok();
+    let Ok(writer) = stream.try_clone() else { return };
     let m = shared.metrics;
     m.connections_total.inc();
     m.connections.inc();
     let _guard = ConnGuard(m.connections);
-    let mut reader = LineReader::new(reader);
+    let mut reader = LineReader::new(stream);
     let writer = Mutex::new(writer);
     loop {
         match reader.read_line() {
@@ -721,12 +615,6 @@ fn handle<R: Read, W: Write + Send>(shared: &Shared, reader: R, writer: W) {
                 return;
             }
             Ok(LineEvent::Line(text)) => {
-                if let Some(path) = http_request_path(&text) {
-                    // One response per HTTP connection, then close.
-                    let path = path.to_string();
-                    handle_http(shared, &mut reader, &writer, &path);
-                    return;
-                }
                 shared.requests.fetch_add(1, Ordering::Relaxed);
                 let parse_start = Instant::now();
                 let request = Json::parse(&text).and_then(|v| Request::from_json(&v));
@@ -1039,16 +927,16 @@ fn in_background<T: Send>(work: impl FnOnce() -> T + Send) -> T {
 
 /// A submit's half of [`resolve`]: the store, [`execute_unit`], and the
 /// client's event stream, metrics and log as units move.
-struct Submit<'a, W> {
+struct Submit<'a> {
     shared: &'a Shared,
     spec: &'a CampaignSpec,
     watch: bool,
-    writer: &'a Mutex<W>,
+    writer: &'a Mutex<UnixStream>,
     trace: &'a str,
     exec_start: Instant,
 }
 
-impl<W: Write + Send> Resolve for Submit<'_, W> {
+impl Resolve for Submit<'_> {
     fn lookup(&self, spec: &JobSpec) -> Option<JobResult> {
         self.shared.store.get(&spec.digest)
     }
@@ -1058,9 +946,7 @@ impl<W: Write + Send> Resolve for Submit<'_, W> {
     }
 
     fn publish(&self, row: &JobResult) {
-        if let Err(e) = self.shared.store.put(row) {
-            warn_write(&self.shared.log, &row.digest, &e);
-        }
+        self.shared.store.publish(row, &self.shared.log);
     }
 
     fn claimed(&self, specs: &[JobSpec], unit: &[usize]) {
@@ -1113,13 +999,13 @@ impl Shared {
 
 /// Starts a shutdown: sets the flag under the submit count's lock, so
 /// every submit is either counted already or will be refused, wakes the
-/// accept loops, then waits until no submit is left running.
+/// accept loop, then waits until no submit is left running.
 fn drain(shared: &Shared) {
     {
         let _count = shared.submits();
         shared.shutdown.store(true, Ordering::SeqCst);
     }
-    wake_listeners(shared);
+    wake_listener(shared);
     shared.wait_drained();
 }
 
@@ -1150,10 +1036,10 @@ impl Drop for ActiveSubmit<'_> {
 /// Runs a submit request end to end: build the job list against the
 /// resident images (and stored bundles), resolve it (streaming events if
 /// asked), assemble a campaign artifact and send it back.
-fn run_submit<W: Write + Send>(
+fn run_submit(
     shared: &Shared,
     req: &SubmitRequest,
-    writer: &Mutex<W>,
+    writer: &Mutex<UnixStream>,
     trace: &str,
 ) -> Result<(), String> {
     let start = Instant::now();

@@ -13,9 +13,9 @@
 //! each other's rows and bundles. [`Store`] and [`StoreStats`] are
 //! re-exported here for callers that name them through this crate.
 //!
-//! The wire is hand-rolled newline-delimited JSON over a unix socket
-//! (optionally TCP), built entirely on `dmdp_harness::json` — no new
-//! dependencies. Artifacts fetched through [`Client::submit`] are
+//! The wire is hand-rolled newline-delimited JSON over a unix socket,
+//! the daemon's one listener, built entirely on `dmdp_harness::json` —
+//! no new dependencies. Artifacts fetched through [`Client::submit`] are
 //! byte-compatible with `dmdp campaign` output, so `dmdp report` works
 //! on them unchanged.
 //!
@@ -33,7 +33,7 @@ pub mod daemon;
 pub mod protocol;
 pub mod worker;
 
-pub use client::{retry_transient, scrape_metrics_tcp, scrape_metrics_unix, Client};
+pub use client::{retry_transient, Client};
 pub use daemon::{serve, DaemonReport, ServeOptions};
 pub use protocol::{Request, SubmitRequest, PROTOCOL_VERSION};
 pub use dmdp_harness::store::{Store, StoreStats};

@@ -623,8 +623,8 @@ pub enum LineEvent {
 const READ_CHUNK: usize = 64 * 1024;
 
 /// A newline-framed reader that tolerates read timeouts: bytes received
-/// before a timeout stay buffered, so a message split across TCP
-/// segments (or delivered slowly) is reassembled correctly. Each
+/// before a timeout stay buffered, so a message split across reads (or
+/// delivered slowly) is reassembled correctly. Each
 /// received byte is looked at once, so framing a line costs time linear
 /// in its length however many reads it arrives in.
 pub struct LineReader<R> {

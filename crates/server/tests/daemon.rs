@@ -23,7 +23,6 @@ fn tmp_dir(tag: &str) -> PathBuf {
 fn serve_opts(dir: &Path) -> ServeOptions {
     ServeOptions {
         socket: dir.join("dmdp.sock"),
-        tcp: None,
         store_dir: dir.join("store"),
         jobs: 2,
         store_cap_bytes: None,
@@ -298,7 +297,17 @@ fn protocol_garbage_gets_an_error_and_spares_the_daemon() {
     );
     drop(raw);
 
-    // The daemon survived both and still serves well-formed clients.
+    // An HTTP request line is just another line that is not a request.
+    let mut raw = UnixStream::connect(&opts.socket).unwrap();
+    raw.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
+    raw.flush().unwrap();
+    let mut line = String::new();
+    BufReader::new(raw.try_clone().unwrap()).read_line(&mut line).unwrap();
+    let reply = Json::parse(line.trim_end()).unwrap();
+    assert_eq!(reply.get("type").and_then(Json::as_str), Some("error"), "{line}");
+    drop(raw);
+
+    // The daemon survived all three and still serves well-formed clients.
     let mut client = connect(&opts.socket);
     assert!(client.ping().is_ok());
     client.shutdown().unwrap();
@@ -306,55 +315,34 @@ fn protocol_garbage_gets_an_error_and_spares_the_daemon() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The value of one Prometheus sample line (`name{labels} value`), or
-/// 0 when the series has not been registered yet — the registry is
-/// process-wide, so tests assert deltas, never absolutes.
-fn prom_value(text: &str, series: &str) -> f64 {
-    text.lines()
-        .find_map(|l| {
-            let (name, val) = l.rsplit_once(' ')?;
-            (name == series).then(|| val.parse::<f64>().ok())?
+/// The value of one series in a `metrics` reply: a counter's or gauge's
+/// `value`, a histogram's `count`; 0 when the series has not been
+/// registered yet — the registry is process-wide, so tests assert
+/// deltas, never absolutes.
+fn series(msg: &Json, name: &str, labels: &[(&str, &str)]) -> u64 {
+    let entries = msg.get("metrics").and_then(Json::as_arr).expect("metrics array");
+    entries
+        .iter()
+        .find(|e| {
+            e.get("name").and_then(Json::as_str) == Some(name)
+                && labels.iter().all(|(k, v)| {
+                    e.get("labels").and_then(|l| l.get(k)).and_then(Json::as_str) == Some(*v)
+                })
         })
-        .unwrap_or(0.0)
+        .and_then(|e| e.get("value").or_else(|| e.get("count")).and_then(Json::as_u64))
+        .unwrap_or(0)
 }
 
 #[test]
-fn metrics_are_exposed_over_http_and_protocol_during_a_live_sweep() {
+fn metrics_are_exposed_over_the_protocol_during_a_live_sweep() {
     let dir = tmp_dir("metrics");
-    let mut opts = serve_opts(&dir);
-    opts.tcp = Some("127.0.0.1:0".into());
+    let opts = serve_opts(&dir);
     let daemon = std::thread::spawn({
         let opts = opts.clone();
         move || serve(&opts).unwrap()
     });
     let mut client = connect(&opts.socket);
-
-    // The ephemeral TCP port is announced in the `listening` event.
-    let log_path = dir.join("events.jsonl");
-    let addr = {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let found = std::fs::read_to_string(&log_path).ok().and_then(|text| {
-                text.lines().find_map(|l| {
-                    let v = Json::parse(l).ok()?;
-                    if v.get("event").and_then(Json::as_str) != Some("listening") {
-                        return None;
-                    }
-                    v.get("tcp").and_then(Json::as_str).map(str::to_string)
-                })
-            });
-            if let Some(addr) = found {
-                break addr;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "no listening event in {}",
-                log_path.display()
-            );
-            std::thread::sleep(Duration::from_millis(10));
-        }
-    };
-    let baseline = dmdp_server::scrape_metrics_tcp(&addr).unwrap();
+    let baseline = client.metrics().unwrap();
 
     // A multi-variant sweep, so the daemon runs batched units.
     let req = SubmitRequest {
@@ -368,86 +356,52 @@ fn metrics_are_exposed_over_http_and_protocol_during_a_live_sweep() {
         watch: true,
         ..SubmitRequest::new("metrics-sweep", Scale::Test)
     };
-    let mut live_scrape = None;
+    let mut live = None;
     let campaign = client
         .submit(&req, |ev| {
-            if live_scrape.is_none()
-                && ev.get("type").and_then(Json::as_str) == Some("started")
-            {
-                live_scrape = Some(dmdp_server::scrape_metrics_tcp(&addr).unwrap());
+            if live.is_none() && ev.get("type").and_then(Json::as_str) == Some("started") {
+                live = Some(connect(&opts.socket).metrics().unwrap());
             }
         })
         .unwrap();
     assert_eq!(campaign.jobs.len(), 12);
-    let live = live_scrape.expect("scraped mid-sweep");
+    let live = live.expect("a snapshot taken mid-sweep");
 
-    // Well-formed exposition: one # TYPE per family, every sample line
-    // resolves to a declared family.
-    let mut families = std::collections::HashSet::new();
-    for l in live.lines().filter(|l| l.starts_with("# TYPE ")) {
-        let name = l.split_whitespace().nth(2).unwrap();
-        assert!(families.insert(name.to_string()), "duplicate # TYPE for {name}:\n{live}");
+    // Well-formed: no two entries share a name and labels, every entry
+    // of one name has one kind, and histograms carry their buckets.
+    let entries = live.get("metrics").and_then(Json::as_arr).unwrap();
+    let mut seen = std::collections::HashSet::new();
+    let mut kinds = std::collections::HashMap::new();
+    for e in entries {
+        let name = e.get("name").and_then(Json::as_str).unwrap();
+        let labels = e.get("labels").map(Json::compact).unwrap_or_default();
+        assert!(seen.insert((name, labels.clone())), "{name}{labels} listed twice");
+        let kind = e.get("kind").and_then(Json::as_str).unwrap();
+        assert_eq!(*kinds.entry(name).or_insert(kind), kind, "{name} has two kinds");
     }
-    assert!(families.contains("dmdp_requests_total"), "{live}");
-    assert!(families.contains("dmdp_queue_wait_us"), "{live}");
-    for l in live.lines().filter(|l| !l.starts_with('#') && !l.is_empty()) {
-        let metric = l.split([' ', '{']).next().unwrap();
-        let family = metric
-            .strip_suffix("_bucket")
-            .or_else(|| metric.strip_suffix("_sum"))
-            .or_else(|| metric.strip_suffix("_count"))
-            .unwrap_or(metric);
-        assert!(
-            families.contains(family) || families.contains(metric),
-            "sample {metric} has no # TYPE family:\n{live}"
-        );
-    }
+    assert_eq!(kinds.get("dmdp_requests_total"), Some(&"counter"));
+    assert_eq!(kinds.get("dmdp_queue_wait_us"), Some(&"histogram"));
 
     // Counters advanced across the sweep (deltas only: the registry is
     // process-wide, so other tests in this binary also write to it).
-    let after = dmdp_server::scrape_metrics_tcp(&addr).unwrap();
-    assert!(
-        prom_value(&after, "dmdp_jobs_total{source=\"executed\"}")
-            >= prom_value(&baseline, "dmdp_jobs_total{source=\"executed\"}") + 12.0,
-        "12 fresh jobs executed:\n{after}"
-    );
-    assert!(
-        prom_value(&after, "dmdp_batch_units_total")
-            > prom_value(&baseline, "dmdp_batch_units_total"),
-        "multi-variant sweep ran batched units:\n{after}"
-    );
-    assert!(
-        prom_value(&after, "dmdp_sim_exec_us_count")
-            >= prom_value(&baseline, "dmdp_sim_exec_us_count") + 12.0,
-        "per-lane exec latency observed:\n{after}"
-    );
-    assert!(
-        prom_value(&after, "dmdp_queue_wait_us_count")
-            > prom_value(&baseline, "dmdp_queue_wait_us_count"),
-        "queue-wait observed per pool unit:\n{after}"
-    );
-    assert!(
-        prom_value(&after, "dmdp_requests_total{type=\"submit\"}") >= 1.0,
-        "{after}"
-    );
-
-    // The same snapshot over the NDJSON protocol.
-    let msg = client.metrics().unwrap();
-    let entries = msg.get("metrics").and_then(Json::as_arr).unwrap();
-    assert!(
-        entries
-            .iter()
-            .any(|e| e.get("name").and_then(Json::as_str) == Some("dmdp_requests_total")),
-        "protocol snapshot lists request counters"
-    );
+    let after = client.metrics().unwrap();
+    let grew = |name: &str, labels: &[(&str, &str)]| {
+        series(&after, name, labels) - series(&baseline, name, labels)
+    };
+    assert!(grew("dmdp_jobs_total", &[("source", "executed")]) >= 12, "12 fresh jobs executed");
+    assert!(grew("dmdp_batch_units_total", &[]) > 0, "multi-variant sweep ran batched units");
+    assert!(grew("dmdp_sim_exec_us", &[]) >= 12, "per-lane exec latency observed");
+    assert!(grew("dmdp_queue_wait_us", &[]) > 0, "queue-wait observed per pool unit");
+    assert!(grew("dmdp_requests_total", &[("type", "submit")]) >= 1);
     let hist = entries
         .iter()
         .find(|e| e.get("name").and_then(Json::as_str) == Some("dmdp_queue_wait_us"))
-        .expect("queue-wait histogram in protocol snapshot");
+        .expect("queue-wait histogram in the snapshot");
     assert!(hist.get("count").and_then(Json::as_u64).unwrap() > 0);
     assert!(!hist.get("buckets").and_then(Json::as_arr).unwrap().is_empty());
 
     // The artifact's trace id greps straight back to the daemon events.
+    let log_path = dir.join("events.jsonl");
     let trace = campaign.trace_id.clone().expect("daemon artifacts carry a trace id");
     let events = std::fs::read_to_string(&log_path).unwrap();
     assert!(
@@ -459,9 +413,6 @@ fn metrics_are_exposed_over_http_and_protocol_during_a_live_sweep() {
         dmdp_harness::render_campaign(&campaign).contains(&trace),
         "report names the daemon trace"
     );
-
-    // Non-/metrics HTTP paths 404 without killing the daemon.
-    assert!(dmdp_server::scrape_metrics_tcp(&addr).is_ok());
     client.shutdown().unwrap();
     daemon.join().unwrap();
     std::fs::remove_dir_all(&dir).ok();
@@ -668,47 +619,24 @@ fn impossible_variant_is_a_request_error_and_wedges_nothing() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Waits for the daemon's `listening` event and returns its TCP address.
-fn tcp_addr_of(log_path: &Path) -> String {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let found = std::fs::read_to_string(log_path).ok().and_then(|text| {
-            text.lines().find_map(|l| {
-                let v = Json::parse(l).ok()?;
-                if v.get("event").and_then(Json::as_str) != Some("listening") {
-                    return None;
-                }
-                v.get("tcp").and_then(Json::as_str).map(str::to_string)
-            })
-        });
-        if let Some(addr) = found {
-            return addr;
-        }
-        assert!(Instant::now() < deadline, "no listening event in {}", log_path.display());
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-/// Each listener blocks in its own accept loop: a shutdown that arrives
-/// over the unix socket must wake the idle TCP loop too, or `serve`
-/// never returns.
+/// The accept loop blocks in `accept`: a shutdown must wake it, and
+/// every idle connection must notice the shutdown, or `serve` never
+/// returns.
 #[test]
 fn shutdown_wakes_every_idle_listener() {
     let dir = tmp_dir("wakeall");
-    let mut opts = serve_opts(&dir);
-    opts.tcp = Some("127.0.0.1:0".into());
+    let opts = serve_opts(&dir);
     let daemon = std::thread::spawn({
         let opts = opts.clone();
         move || serve(&opts).unwrap()
     });
     let mut client = connect(&opts.socket);
-    let addr = tcp_addr_of(&dir.join("events.jsonl"));
-    Client::connect_tcp(&addr).unwrap().ping().unwrap();
+    let idle = connect(&opts.socket);
 
     client.shutdown().unwrap();
     within("serve after shutdown", move || daemon.join().unwrap());
+    drop(idle);
     assert!(!opts.socket.exists(), "socket file is removed on exit");
     assert!(Client::connect_unix(&opts.socket).is_err());
-    assert!(Client::connect_tcp(&addr).is_err());
     std::fs::remove_dir_all(&dir).ok();
 }
