@@ -220,7 +220,7 @@ dmdp submit — submit a campaign to a running `dmdp serve` daemon
 
 USAGE:
     dmdp submit [OPTIONS]
-    dmdp submit --stats | --shutdown | --ping
+    dmdp submit --shutdown | --ping
 
 OPTIONS:
     --socket <PATH>   daemon unix socket              [default: dmdp.sock]
@@ -245,7 +245,6 @@ OPTIONS:
                       transient connect failures (daemon still binding
                       its socket, backlog resets) to retry with capped
                       exponential backoff             [default: 3]
-    --stats           print daemon statistics and exit
     --shutdown        drain the daemon and stop it
     --ping            liveness check
     -h, --help        print this help
@@ -253,6 +252,7 @@ OPTIONS:
 The saved artifact is byte-compatible with `dmdp campaign` output —
 `dmdp report` renders it unchanged. Jobs already in the daemon's store
 are not re-simulated, so a repeated submission executes zero jobs.
+`dmdp metrics` prints the daemon's counters.
 ";
 
 const REPORT_HELP: &str = "\
@@ -878,7 +878,6 @@ struct SubmitOpts {
 
 enum SubmitMode {
     Campaign,
-    Stats,
     Shutdown,
     Ping,
 }
@@ -902,7 +901,6 @@ fn parse_submit(args: &[String]) -> Result<SubmitOpts, String> {
                 o.connect_retries =
                     val()?.parse().map_err(|e| format!("--connect-retries: {e}"))?;
             }
-            "--stats" => o.mode = SubmitMode::Stats,
             "--shutdown" => o.mode = SubmitMode::Shutdown,
             "--ping" => o.mode = SubmitMode::Ping,
             other => return Err(format!("unknown option `{other}` (see `dmdp submit --help`)")),
@@ -919,11 +917,6 @@ fn cmd_submit(args: &[String]) -> CliResult {
         SubmitMode::Ping => {
             let protocol = client.ping()?;
             println!("daemon is up (protocol {protocol})");
-            return Ok(());
-        }
-        SubmitMode::Stats => {
-            print!("{}", client.stats()?.pretty());
-            println!();
             return Ok(());
         }
         SubmitMode::Shutdown => {

@@ -493,6 +493,17 @@ fn metrics_subcommand_reads_a_live_daemon() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The `value` of the first series named `name` in the `dmdp metrics`
+/// reply of the daemon on `socket`.
+fn metric(socket: &std::path::Path, name: &str) -> Option<u64> {
+    let out = dmdp(&["metrics", "--socket", socket.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let v = dmdp_harness::Json::parse(&stdout(&out)).expect("metrics parse");
+    let is = |e: &&dmdp_harness::Json| e.get("name").and_then(dmdp_harness::Json::as_str) == Some(name);
+    let series = v.get("metrics").and_then(dmdp_harness::Json::as_arr)?.iter().find(is)?;
+    series.get("value").and_then(dmdp_harness::Json::as_u64)
+}
+
 /// A bundle read from the store is a blob hit, not a build: a daemon
 /// restarted on a store that holds lib's bundle answers a sampled submit
 /// of a new variant without profiling anything. The daemon runs in a
@@ -513,17 +524,10 @@ fn a_stored_bundle_counts_as_a_blob_hit_not_a_build() {
         assert!(run.status.success(), "{daemon}: {}", stderr(&run));
         assert!(stdout(&run).contains("1 executed"), "{daemon}: {}", stdout(&run));
         if daemon == "restarted" {
-            let metrics = dmdp(&["metrics", "--socket", socket.to_str().unwrap()]);
-            assert!(metrics.status.success(), "{}", stderr(&metrics));
-            let v = dmdp_harness::Json::parse(&stdout(&metrics)).expect("metrics parse");
-            let value = |name: &str| {
-                v.get("metrics")
-                    .and_then(dmdp_harness::Json::as_arr)
-                    .and_then(|m| m.iter().find(|e| e.get("name").and_then(dmdp_harness::Json::as_str) == Some(name)))
-                    .and_then(|e| e.get("value").and_then(dmdp_harness::Json::as_u64))
-            };
-            assert_eq!(value("dmdp_sampled_bundle_builds_total"), Some(0), "a blob hit counted as a build");
-            assert!(value("dmdp_store_blob_hits_total") >= Some(1), "the bundle was not read from the store");
+            let builds = metric(&socket, "dmdp_sampled_bundle_builds_total");
+            assert_eq!(builds, Some(0), "a blob hit counted as a build");
+            let hits = metric(&socket, "dmdp_store_blob_hits_total");
+            assert!(hits >= Some(1), "the bundle was not read from the store");
         }
         let stop = dmdp(&[submit, &["--shutdown"]].concat());
         assert!(stop.status.success(), "{}", stderr(&stop));
@@ -858,12 +862,9 @@ fn only_spawned_children_are_workers() {
     let reply = dmdp_harness::Json::parse(line.trim_end()).unwrap();
     assert_eq!(reply.get("type").and_then(dmdp_harness::Json::as_str), Some("error"), "{line}");
 
-    let submit: &[&str] = &["submit", "--socket", socket.to_str().unwrap()];
-    let out = dmdp(&[submit, &["--stats"]].concat());
-    assert!(out.status.success(), "{}", stderr(&out));
-    let stats = dmdp_harness::Json::parse(&stdout(&out)).expect("stats parse");
-    assert_eq!(stats.get("workers").and_then(dmdp_harness::Json::as_u64), Some(2), "{stats:?}");
+    assert_eq!(metric(&socket, "dmdp_workers"), Some(2));
 
+    let submit: &[&str] = &["submit", "--socket", socket.to_str().unwrap()];
     let out = dmdp(&[submit, spec, &["--out", remote.to_str().unwrap()]].concat());
     assert!(out.status.success(), "{}", stderr(&out));
     assert_eq!(job_triples(&local), job_triples(&remote), "served rows diverge from local");

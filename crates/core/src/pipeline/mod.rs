@@ -17,7 +17,9 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use dmdp_energy::Event;
-use dmdp_isa::{Checkpoint, Emulator, OracleTrace, Pc, Program, Reg, SparseMem, Word};
+use dmdp_isa::{
+    Checkpoint, Emulator, OracleTrace, Pc, Program, Reg, SparseMem, StopReason, Word,
+};
 use dmdp_mem::{MemHierarchy, StoreBuffer, Tlb};
 use dmdp_predict::{
     BranchPredictor, DistancePredictor, StoreSets, Tssbf, TssbfHit,
@@ -191,15 +193,9 @@ impl Pipeline {
     ///
     /// Panics if the pre-pass fails (the program must halt).
     pub fn build_oracle(cfg: &CoreConfig, program: &Program) -> Option<Arc<OracleTrace>> {
-        match cfg.comm {
-            CommModel::Perfect => {
-                let mut emu = Emulator::new(program);
-                let (_, trace) =
-                    emu.run_with_trace(cfg.max_cycles).expect("oracle pre-pass must complete");
-                Some(Arc::new(trace))
-            }
-            _ => None,
-        }
+        let (trace, stop) = Pipeline::oracle_pass(cfg, || Emulator::new(program), cfg.max_cycles)?;
+        assert_eq!(stop, StopReason::Halted, "oracle pre-pass must complete");
+        Some(trace)
     }
 
     /// The Perfect model's functional pre-pass resumed from `ckpt`
@@ -221,15 +217,24 @@ impl Pipeline {
         ckpt: &Checkpoint,
         insns: u64,
     ) -> Option<Arc<OracleTrace>> {
-        match cfg.comm {
-            CommModel::Perfect => {
-                let mut emu = Emulator::from_checkpoint(program, ckpt);
-                let (trace, _) =
-                    emu.run_with_trace_insns(insns).expect("oracle replay must not fault");
-                Some(Arc::new(trace))
-            }
-            _ => None,
+        let emu = || Emulator::from_checkpoint(program, ckpt);
+        Pipeline::oracle_pass(cfg, emu, insns).map(|(trace, _)| trace)
+    }
+
+    /// The Perfect model's functional pass over at most `insns`
+    /// instructions of the emulator `emu` builds, and why it stopped;
+    /// `None`, building no emulator, for every other model. Panics if
+    /// the emulation faults.
+    fn oracle_pass(
+        cfg: &CoreConfig,
+        emu: impl FnOnce() -> Emulator,
+        insns: u64,
+    ) -> Option<(Arc<OracleTrace>, StopReason)> {
+        if cfg.comm != CommModel::Perfect {
+            return None;
         }
+        let (trace, stop) = emu().run_with_trace_insns(insns).expect("oracle pass must not fault");
+        Some((Arc::new(trace), stop))
     }
 
     /// [`Pipeline::new_planned`] with the oracle pre-pass (or `None`)

@@ -5,9 +5,10 @@
 //! rename re-cracked the same static instruction into its AGI/access µop
 //! templates on every dynamic instance. The plan cache amortises that the
 //! way a real decoded-µop cache does: one immutable [`InsnPlan`] per
-//! static PC, built once per [`Program`] and shared (`Arc`) by every
-//! pipeline running that image — campaign runners fan a single
-//! [`PlanCache`] out across all (model × variant) jobs of a workload.
+//! static PC, built once per [`Program`](dmdp_isa::Program) and shared
+//! (`Arc`) by every pipeline running that image — campaign runners fan a
+//! single [`PlanCache`] out across all (model × variant) jobs of a
+//! workload.
 //!
 //! The cache is a pure host-side optimisation: it precomputes exactly
 //! what the `Op`-matching paths computed, so simulated timing is

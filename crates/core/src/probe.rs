@@ -13,12 +13,12 @@
 //!
 //! Two sinks live here:
 //!
-//! * [`Tracer`] — a stage-timeline tracer writing one JSONL record per
+//! * `Tracer` — a stage-timeline tracer writing one JSONL record per
 //!   µop (all stage cycles, the final load class, re-execution and
 //!   squash markers). A µop is traced iff its *rename* cycle falls in
 //!   the `[from, from + cycles)` window, so full-scale runs stay
 //!   bounded.
-//! * [`Sampler`] — a windowed time-series sampler recording IPC and
+//! * `Sampler` — a windowed time-series sampler recording IPC and
 //!   structure occupancies every N cycles for plotting divergences over
 //!   time.
 //!
@@ -181,7 +181,7 @@ pub struct Sample {
 }
 
 /// End-of-window occupancy snapshot, read by the pipeline (which owns
-/// the structures) and handed to [`Probe::take_sample`].
+/// the structures) and handed to `Probe::take_sample`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Occupancy {
     /// Live ROB entries.

@@ -9,7 +9,9 @@
 //! [`dmdp_prng::Prng`] stream, so a failing case reproduces exactly
 //! from its printed listing.
 
-use dmdp_core::{CommModel, CoreConfig, Simulator};
+use std::sync::Arc;
+
+use dmdp_core::{BatchSimulator, CommModel, CoreConfig, PlanCache, Simulator};
 use dmdp_isa::{Insn, MemWidth, Program, ProgramBuilder, Reg};
 use dmdp_prng::Prng;
 
@@ -179,4 +181,70 @@ fn random_programs_survive_stressed_geometries() {
                 .unwrap_or_else(|e| panic!("{model:?} stressed: {e}\n{}", program.listing()));
         }
     }
+}
+
+/// Derivation, a batch lane's statistics copied from a finished run that
+/// provably never bound it, must equal simulation bit for bit. Per random
+/// program and model, one batch holds one roomy lane, lanes whose PRF
+/// differs from the roomy lane's yet clears its demand (so their
+/// `min_free_pregs` must be shifted), and random sizing lanes; every lane
+/// must equal a solo run of its configuration.
+#[test]
+fn derived_lanes_equal_simulated_lanes_on_random_programs() {
+    let mut r = Prng::new(0xC0DE_0003);
+    let mut derived = 0;
+    for _ in 0..16 {
+        let body = arb_body(&mut r, 4, 40);
+        let trips = 3 + r.below(21) as u8;
+        let program = Arc::new(build_program(&body, trips));
+        let plans = PlanCache::shared(&program);
+        let solo = |cfg: &CoreConfig| {
+            Simulator::with_config(cfg.clone()).run_planned(&program, &plans).map(|rep| rep.stats)
+        };
+        for model in CommModel::ALL {
+            let base = CoreConfig { max_cycles: 3_000_000, ..CoreConfig::new(model) };
+            let min_regs = Reg::NUM_LOGICAL + 5 * base.width;
+            let roomy = CoreConfig {
+                rob_entries: 512,
+                phys_regs: 640,
+                iq_entries: 256,
+                store_buffer_entries: 64,
+                ..base.clone()
+            };
+            // The roomy run's register high-water bounds its PRF demand,
+            // so every PRF from `need` up clears it.
+            let roomy_stats = solo(&roomy).expect("roomy lane halts");
+            let high_water = roomy.phys_regs - roomy_stats.min_free_pregs;
+            let need = (high_water + 4).max(min_regs);
+            let mut lanes = vec![roomy.clone()];
+            for phys_regs in [need, (need + roomy.phys_regs) / 2] {
+                lanes.push(CoreConfig { phys_regs, ..roomy.clone() });
+            }
+            // Random sizes from the valid range, no roomier than `roomy`.
+            for _ in 0..3 {
+                lanes.push(CoreConfig {
+                    rob_entries: 2 * base.width + r.index(513 - 2 * base.width),
+                    phys_regs: min_regs + r.index(641 - min_regs),
+                    iq_entries: base.width + r.index(257 - base.width),
+                    store_buffer_entries: 1 + r.index(64),
+                    ..base.clone()
+                });
+            }
+            let mut batch = BatchSimulator::new(Arc::clone(&program), Arc::clone(&plans));
+            lanes.iter().for_each(|cfg| batch.push(cfg.clone()));
+            let run = batch.run_detailed();
+            derived += run.derived;
+            for (cfg, got) in lanes.iter().zip(&run.results) {
+                let (rob, prf, iq, sb) =
+                    (cfg.rob_entries, cfg.phys_regs, cfg.iq_entries, cfg.store_buffer_entries);
+                assert_eq!(
+                    got,
+                    &solo(cfg),
+                    "{model:?} rob={rob} prf={prf} iq={iq} sb={sb}\n{}",
+                    program.listing()
+                );
+            }
+        }
+    }
+    assert!(derived > 0, "no lane was derived");
 }

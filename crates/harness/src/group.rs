@@ -85,8 +85,8 @@ pub trait Resolve: Sync {
     /// Persists a row [`Resolve::execute`] returned.
     fn publish(&self, _row: &JobResult) {}
 
-    /// A pool thread claimed `unit` (indices into `specs`, the job list).
-    fn claimed(&self, _specs: &[JobSpec], _unit: &[usize]) {}
+    /// A pool thread claimed a unit and is about to resolve it.
+    fn claimed(&self) {}
 
     /// A unit resolved: each member's job-list index and outcome.
     fn finished(&self, _rows: &[(usize, Outcome)]) {}
@@ -181,7 +181,7 @@ pub fn resolve<R: Resolve + ?Sized>(
     let units = partition_units(specs, |i| specs[i].sampling.is_none());
     let start = Instant::now();
     let per_unit = pool::map_ordered(&units, width, |_, unit| {
-        r.claimed(specs, unit);
+        r.claimed();
         let claimed_s = start.elapsed().as_secs_f64();
         // Hits never touch the in-flight table. A row published between
         // a miss and its claim runs again: equal digests give equal rows,

@@ -113,7 +113,7 @@ fn store_metrics() -> &'static StoreMetrics {
     })
 }
 
-/// A snapshot of the store's counters, for daemon stats.
+/// A snapshot of the store's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Rows currently indexed.

@@ -162,8 +162,9 @@ impl LastWriter {
 ///
 /// 1. **Golden reference** — every out-of-order model's final architectural
 ///    state must match the emulator's (checked by the integration tests).
-/// 2. **Oracle pre-pass** — [`Emulator::run_with_trace`] records the exact
-///    store→load dependences, which drives the paper's *Perfect* model.
+/// 2. **Oracle pre-pass** — [`Emulator::run_with_trace_insns`] records
+///    the exact store→load dependences, which drives the paper's
+///    *Perfect* model.
 ///
 /// # Example
 ///
@@ -333,56 +334,18 @@ impl Emulator {
     /// Propagates [`Emulator::step`] errors, and returns
     /// [`EmuError::StepLimit`] if the program does not halt in time.
     pub fn run(&mut self, max_steps: u64) -> Result<RunResult, EmuError> {
-        for _ in 0..max_steps {
-            if let StepOutcome::Halted = self.step()? {
-                return Ok(self.result);
-            }
-        }
-        if self.halted {
-            Ok(self.result)
-        } else {
-            Err(EmuError::StepLimit { limit: max_steps })
+        match self.run_insns(max_steps)? {
+            StopReason::Halted => Ok(self.result),
+            StopReason::BudgetExhausted => Err(EmuError::StepLimit { limit: max_steps }),
         }
     }
 
-    /// Runs to completion while recording the [`OracleTrace`] that the
-    /// *Perfect* dependence predictor consumes.
-    ///
-    /// # Errors
-    ///
-    /// See [`Emulator::run`].
-    pub fn run_with_trace(&mut self, max_steps: u64) -> Result<(RunResult, OracleTrace), EmuError> {
-        let mut trace = OracleTrace::default();
-        let mut writers = LastWriter::default();
-        for _ in 0..max_steps {
-            match self.step()? {
-                StepOutcome::Halted => return Ok((self.result, trace)),
-                StepOutcome::Retired(ev) => {
-                    if let Some(mem) = ev.mem {
-                        let width = ev.insn.mem_width().expect("mem event without width");
-                        if mem.is_store {
-                            trace.store_count += 1;
-                            writers.record(mem.addr, width.bytes(), trace.store_count);
-                        } else {
-                            trace
-                                .last_writer_ssn
-                                .push(writers.youngest(mem.addr, width.bytes()));
-                            trace.load_values.push(mem.value);
-                        }
-                    }
-                }
-            }
-        }
-        Err(EmuError::StepLimit { limit: max_steps })
-    }
-
-    /// Bounded variant of [`Emulator::run_with_trace`]: traces at most
-    /// `n` further instructions and — unlike the unbounded entry point,
-    /// where exhaustion is the named [`EmuError::StepLimit`] error —
-    /// reports budget exhaustion as a normal outcome, returning the
-    /// partial trace. The sampling pipeline uses this to build an
-    /// oracle covering just one measurement window from a checkpoint
-    /// instead of tracing the whole remaining run.
+    /// [`Emulator::run_insns`] while recording the [`OracleTrace`] that
+    /// the *Perfect* dependence predictor consumes, returned with the
+    /// reason the run stopped. On budget exhaustion the trace covers the
+    /// instructions run so far: a whole-program pre-pass requires
+    /// [`StopReason::Halted`], while the sampling pipeline traces just
+    /// one measurement window from a checkpoint.
     ///
     /// # Errors
     ///
@@ -779,7 +742,8 @@ mod tests {
         )
         .unwrap();
         let mut e = Emulator::new(&p);
-        let (_, trace) = e.run_with_trace(1000).unwrap();
+        let (trace, stop) = e.run_with_trace_insns(1000).unwrap();
+        assert_eq!(stop, StopReason::Halted);
         assert_eq!(trace.store_count, 3);
         assert_eq!(trace.last_writer_ssn, vec![0, 1, 1, 2, 3]);
         assert_eq!(trace.load_values, vec![0, 1, 1, 1, 1]);
@@ -804,7 +768,8 @@ mod tests {
         )
         .unwrap();
         let mut e = Emulator::new(&p);
-        let (_, trace) = e.run_with_trace(1000).unwrap();
+        let (trace, stop) = e.run_with_trace_insns(1000).unwrap();
+        assert_eq!(stop, StopReason::Halted);
         assert_eq!(trace.last_writer_ssn, vec![1, 2]);
         assert_eq!(trace.load_values, vec![0x7F, 0x7F]);
     }
@@ -836,7 +801,8 @@ mod tests {
         )
         .unwrap();
         let mut e = Emulator::new(&p);
-        let (_, trace) = e.run_with_trace(1000).unwrap();
+        let (trace, stop) = e.run_with_trace_insns(1000).unwrap();
+        assert_eq!(stop, StopReason::Halted);
         assert_eq!(trace.store_count, 4);
         assert_eq!(trace.last_writer_ssn, vec![1, 2, 2, 3, 3, 1, 0, 4, 0]);
         assert_eq!(
@@ -847,10 +813,10 @@ mod tests {
 
     #[test]
     fn step_limit_is_distinct_from_halt() {
-        // Regression: budget exhaustion must be the *named*
-        // `EmuError::StepLimit`, never a silent halt-like return, in
-        // every entry point — and `run_insns` must report the
-        // distinction as a normal outcome.
+        // Regression: budget exhaustion must be `run`'s *named*
+        // `EmuError::StepLimit`, never a silent halt-like return — and
+        // the bounded entry points must report the distinction as a
+        // normal outcome.
         let looping = assemble("top: j top\nhalt").unwrap();
         let halting = assemble("nop\nnop\nhalt").unwrap();
 
@@ -858,10 +824,8 @@ mod tests {
         assert_eq!(e.run(50), Err(EmuError::StepLimit { limit: 50 }));
         assert!(!e.is_halted());
         let mut e = Emulator::new(&looping);
-        assert_eq!(
-            e.run_with_trace(50).unwrap_err(),
-            EmuError::StepLimit { limit: 50 }
-        );
+        let traced = e.run_with_trace_insns(50).map(|(_, stop)| stop);
+        assert_eq!(traced, Ok(StopReason::BudgetExhausted));
         let mut e = Emulator::new(&looping);
         assert_eq!(e.run_insns(50), Ok(StopReason::BudgetExhausted));
         assert_eq!(e.stats().retired, 50);
@@ -876,6 +840,7 @@ mod tests {
         let mut e = Emulator::new(&halting);
         // Budget landing exactly on the halt still reports Halted.
         assert_eq!(e.run_insns(3), Ok(StopReason::Halted));
+        assert_eq!(Emulator::new(&halting).run(3).map(|r| r.retired), Ok(3));
     }
 
     #[test]

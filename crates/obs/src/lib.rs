@@ -197,13 +197,16 @@ impl Metric {
 struct Entry {
     name: &'static str,
     labels: Vec<(&'static str, String)>,
-    help: &'static str,
     metric: Metric,
 }
 
 /// Process-wide metric registry. Registration is idempotent: asking for
 /// the same (name, labels) again returns the existing handle, so every
 /// subsystem can lazily register its own metrics without coordination.
+///
+/// Every registration method takes a `help` text: the metric's
+/// description where it is registered, for the reader of that source. It
+/// is neither stored nor reported.
 #[derive(Default)]
 pub struct Registry {
     entries: Mutex<Vec<Entry>>,
@@ -232,9 +235,9 @@ impl Registry {
         &self,
         name: &'static str,
         labels: &[(&'static str, &str)],
-        help: &'static str,
+        _help: &'static str,
     ) -> &'static Counter {
-        match self.register(name, labels, help, || Metric::Counter(Box::leak(Box::default()))) {
+        match self.register(name, labels, || Metric::Counter(Box::leak(Box::default()))) {
             Metric::Counter(c) => c,
             other => panic!("metric {name} already registered as {}", other.kind()),
         }
@@ -248,9 +251,9 @@ impl Registry {
         &self,
         name: &'static str,
         labels: &[(&'static str, &str)],
-        help: &'static str,
+        _help: &'static str,
     ) -> &'static Gauge {
-        match self.register(name, labels, help, || Metric::Gauge(Box::leak(Box::default()))) {
+        match self.register(name, labels, || Metric::Gauge(Box::leak(Box::default()))) {
             Metric::Gauge(g) => g,
             other => panic!("metric {name} already registered as {}", other.kind()),
         }
@@ -264,9 +267,9 @@ impl Registry {
         &self,
         name: &'static str,
         labels: &[(&'static str, &str)],
-        help: &'static str,
+        _help: &'static str,
     ) -> &'static LogHistogram {
-        match self.register(name, labels, help, || Metric::Histogram(Box::leak(Box::default()))) {
+        match self.register(name, labels, || Metric::Histogram(Box::leak(Box::default()))) {
             Metric::Histogram(h) => h,
             other => panic!("metric {name} already registered as {}", other.kind()),
         }
@@ -276,7 +279,6 @@ impl Registry {
         &self,
         name: &'static str,
         labels: &[(&'static str, &str)],
-        help: &'static str,
         make: impl FnOnce() -> Metric,
     ) -> Metric {
         assert!(valid_name(name), "invalid metric name {name:?}");
@@ -292,7 +294,6 @@ impl Registry {
         entries.push(Entry {
             name,
             labels: labels.iter().map(|(k, v)| (*k, v.to_string())).collect(),
-            help,
             metric,
         });
         metric
@@ -311,7 +312,6 @@ impl Registry {
                     .iter()
                     .map(|(k, v)| (k.to_string(), v.clone()))
                     .collect(),
-                help: e.help.to_string(),
                 value: match e.metric {
                     Metric::Counter(c) => SnapshotValue::Counter(c.get()),
                     Metric::Gauge(g) => SnapshotValue::Gauge(g.get()),
@@ -329,7 +329,6 @@ impl Registry {
 pub struct SnapshotEntry {
     pub name: String,
     pub labels: Vec<(String, String)>,
-    pub help: String,
     pub value: SnapshotValue,
 }
 

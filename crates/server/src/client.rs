@@ -86,22 +86,8 @@ impl Client {
         }
     }
 
-    /// Fetches the daemon's stats document.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures or a non-`stats` reply.
-    pub fn stats(&mut self) -> Result<Json, String> {
-        self.send(&Request::Stats)?;
-        let msg = self.next_msg()?;
-        Self::check_error(&msg)?;
-        match msg.get("type").and_then(Json::as_str) {
-            Some("stats") => Ok(msg),
-            other => Err(format!("expected stats, got `{}`", other.unwrap_or("?"))),
-        }
-    }
-
-    /// Fetches the daemon's full metrics registry snapshot.
+    /// Fetches the daemon's full metrics registry snapshot, its one
+    /// status reply.
     ///
     /// # Errors
     ///
@@ -133,8 +119,9 @@ impl Client {
     }
 
     /// Submits a campaign and blocks until the daemon returns the
-    /// complete artifact. When the request asked to `watch`, every
-    /// `started`/`finished` event is handed to `on_event` as it arrives.
+    /// complete artifact. When the request asked to `watch`, each job's
+    /// `finished` event (its row summary and `source`) is handed to
+    /// `on_event` as it arrives.
     ///
     /// # Errors
     ///
@@ -165,7 +152,7 @@ impl Client {
             let msg = Json::Obj(members);
             Self::check_error(&msg)?;
             match msg.get("type").and_then(Json::as_str) {
-                Some("started") | Some("finished") => on_event(&msg),
+                Some("finished") => on_event(&msg),
                 Some("artifact") => {
                     return campaign
                         .get()

@@ -5,8 +5,9 @@
 //! harness's work-stealing pool. What makes it more than
 //! `dmdp campaign` in a loop:
 //!
-//! * **Resident images** — each workload's [`PlannedImage`] (assembled
-//!   program + static µop plan cache) is built once per scale and kept
+//! * **Resident images** — each workload's
+//!   [`PlannedImage`](dmdp_harness::PlannedImage) (assembled program +
+//!   static µop plan cache) is built once per scale and kept
 //!   `Arc`-shared across every request that needs it, so repeat sweeps
 //!   never pay generation or decode again.
 //! * **Persistent results** — every completed job lands in the
@@ -23,8 +24,10 @@
 //! * **Observability** — every request path updates the process-wide
 //!   [`dmdp_obs`] registry (request/jobs counters, queue-wait and parse
 //!   latency histograms, connection/in-flight gauges), exposed over the
-//!   `metrics` protocol request. Diagnostics go to a leveled JSONL
-//!   [`EventLog`]; each request gets a trace id that threads through
+//!   `metrics` protocol request, the daemon's one status reply. A
+//!   submit's own counts travel in its artifact (`executed`, `cached`)
+//!   and its `finished` events (`source`). Diagnostics go to a leveled
+//!   JSONL [`EventLog`]; each request gets a trace id that threads through
 //!   job events into the artifact, so a slow sweep's campaign report
 //!   can be grepped straight back to its daemon-side events.
 
@@ -37,8 +40,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::Scope;
 use std::time::{Duration, Instant};
 
-use dmdp_core::SIM_VERSION;
-use dmdp_harness::json::obj;
 use dmdp_harness::store::Store;
 use dmdp_harness::{
     pool, resolve, Campaign, CampaignSpec, CfgPatch, Inflight, JobResult, JobSpec, Json, Outcome,
@@ -49,7 +50,7 @@ use dmdp_obs::{Counter, Gauge, LogHistogram};
 
 use crate::protocol::{
     self, write_line, write_locked, write_msg, LineEvent, LineReader, Request, SubmitRequest,
-    WorkerMsg, PROTOCOL_VERSION, ROW_LINE_BYTES,
+    WorkerMsg, ROW_LINE_BYTES,
 };
 use crate::worker::lower_priority;
 
@@ -79,26 +80,9 @@ pub struct ServeOptions {
     pub workers: usize,
 }
 
-/// Final counters, returned when the daemon drains and exits.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DaemonReport {
-    /// Protocol requests handled (all types).
-    pub requests: u64,
-    /// Submit requests completed.
-    pub submits: u64,
-    /// Jobs actually simulated.
-    pub executed: u64,
-    /// Jobs satisfied from the persistent store.
-    pub store_hits: u64,
-    /// Jobs satisfied by waiting on another request's identical
-    /// in-flight job.
-    pub dedup_hits: u64,
-}
-
 /// The daemon's registered metric handles, resolved once per process.
 struct DaemonMetrics {
     req_submit: &'static Counter,
-    req_stats: &'static Counter,
     req_metrics: &'static Counter,
     req_ping: &'static Counter,
     req_shutdown: &'static Counter,
@@ -141,7 +125,6 @@ fn daemon_metrics() -> &'static DaemonMetrics {
         };
         DaemonMetrics {
             req_submit: req("submit"),
-            req_stats: req("stats"),
             req_metrics: req("metrics"),
             req_ping: req("ping"),
             req_shutdown: req("shutdown"),
@@ -312,11 +295,6 @@ struct Shared {
     drained: Condvar,
     /// The unix socket a shutdown connects to, to wake the accept loop.
     socket: PathBuf,
-    requests: AtomicU64,
-    submits: AtomicU64,
-    executed: AtomicU64,
-    store_hits: AtomicU64,
-    dedup_hits: AtomicU64,
 }
 
 /// Runs the daemon until a client asks it to shut down. Binds the unix
@@ -327,7 +305,7 @@ struct Shared {
 /// # Errors
 ///
 /// Socket/store setup failures, or another live daemon on the socket.
-pub fn serve(opts: &ServeOptions) -> Result<DaemonReport, String> {
+pub fn serve(opts: &ServeOptions) -> Result<(), String> {
     let log = match &opts.log {
         Some(path) => EventLog::file(path, opts.log_level)?,
         None => EventLog::stderr(opts.log_level),
@@ -366,11 +344,6 @@ pub fn serve(opts: &ServeOptions) -> Result<DaemonReport, String> {
         active_submits: Mutex::new(0),
         drained: Condvar::new(),
         socket: opts.socket.clone(),
-        requests: AtomicU64::new(0),
-        submits: AtomicU64::new(0),
-        executed: AtomicU64::new(0),
-        store_hits: AtomicU64::new(0),
-        dedup_hits: AtomicU64::new(0),
     };
     shared.metrics.pool_workers.set(shared.jobs as i64);
     shared.log.info(
@@ -416,30 +389,11 @@ pub fn serve(opts: &ServeOptions) -> Result<DaemonReport, String> {
         reap(&mut children);
     });
     std::fs::remove_file(&opts.socket).ok();
-    let report = DaemonReport {
-        requests: shared.requests.load(Ordering::Relaxed),
-        submits: shared.submits.load(Ordering::Relaxed),
-        executed: shared.executed.load(Ordering::Relaxed),
-        store_hits: shared.store_hits.load(Ordering::Relaxed),
-        dedup_hits: shared.dedup_hits.load(Ordering::Relaxed),
-    };
-    shared.log.info(
-        "stopped",
-        &[
-            ("requests", report.requests.into()),
-            ("submits", report.submits.into()),
-            ("executed", report.executed.into()),
-            ("store_hits", report.store_hits.into()),
-            ("dedup_hits", report.dedup_hits.into()),
-        ],
-    );
+    shared.log.info("stopped", &[]);
     if !opts.quiet {
-        println!(
-            "dmdp serve: drained and stopped  ({} submits: {} executed, {} store hits, {} in-flight dedups)",
-            report.submits, report.executed, report.store_hits, report.dedup_hits
-        );
+        println!("dmdp serve: drained and stopped");
     }
-    Ok(report)
+    Ok(())
 }
 
 /// A spawned worker and the stdout its link thread reads.
@@ -615,7 +569,6 @@ fn handle(shared: &Shared, stream: UnixStream) {
                 return;
             }
             Ok(LineEvent::Line(text)) => {
-                shared.requests.fetch_add(1, Ordering::Relaxed);
                 let parse_start = Instant::now();
                 let request = Json::parse(&text).and_then(|v| Request::from_json(&v));
                 m.parse_us.observe(elapsed_us(parse_start));
@@ -634,12 +587,6 @@ fn handle(shared: &Shared, stream: UnixStream) {
                     Ok(Request::Ping) => {
                         m.req_ping.inc();
                         if write_locked(&writer, &protocol::pong_msg()).is_err() {
-                            return;
-                        }
-                    }
-                    Ok(Request::Stats) => {
-                        m.req_stats.inc();
-                        if write_locked(&writer, &stats_msg(shared)).is_err() {
                             return;
                         }
                     }
@@ -949,15 +896,8 @@ impl Resolve for Submit<'_> {
         self.shared.store.publish(row, &self.shared.log);
     }
 
-    fn claimed(&self, specs: &[JobSpec], unit: &[usize]) {
+    fn claimed(&self) {
         self.shared.metrics.queue_wait_us.observe(elapsed_us(self.exec_start));
-        if self.watch {
-            for &i in unit {
-                let s = &specs[i];
-                let msg = protocol::started_msg(i, &s.workload, s.model, &s.variant);
-                let _ = write_locked(self.writer, &msg);
-            }
-        }
     }
 
     fn finished(&self, rows: &[(usize, Outcome)]) {
@@ -1072,9 +1012,6 @@ fn run_submit(
         by_source[*source as usize] += 1;
     }
     let [executed, from_store, from_dedup] = by_source;
-    shared.executed.fetch_add(executed, Ordering::Relaxed);
-    shared.store_hits.fetch_add(from_store, Ordering::Relaxed);
-    shared.dedup_hits.fetch_add(from_dedup, Ordering::Relaxed);
     let m = shared.metrics;
     m.jobs_executed.add(executed);
     m.jobs_store.add(from_store);
@@ -1084,7 +1021,6 @@ fn run_submit(
     let mut campaign = Campaign::new(&spec, rows, start.elapsed().as_secs_f64(), stages);
     campaign.trace_id = Some(trace.to_string());
     campaign.stages.aggregate_s = agg_start.elapsed().as_secs_f64();
-    shared.submits.fetch_add(1, Ordering::Relaxed);
     shared.log.info(
         "submit_done",
         &[
@@ -1117,35 +1053,6 @@ fn run_submit(
     // The wall ends once the reply is serialized and written.
     m.submit_wall_us.observe(elapsed_us(start));
     sent
-}
-
-fn stats_msg(shared: &Shared) -> Json {
-    let store = shared.store.stats();
-    obj([
-        ("type", Json::Str("stats".into())),
-        ("protocol", Json::Num(PROTOCOL_VERSION as f64)),
-        ("sim_version", Json::Str(SIM_VERSION.to_string())),
-        ("requests", Json::Num(shared.requests.load(Ordering::Relaxed) as f64)),
-        ("submits", Json::Num(shared.submits.load(Ordering::Relaxed) as f64)),
-        ("executed", Json::Num(shared.executed.load(Ordering::Relaxed) as f64)),
-        ("store_hits", Json::Num(shared.store_hits.load(Ordering::Relaxed) as f64)),
-        ("dedup_hits", Json::Num(shared.dedup_hits.load(Ordering::Relaxed) as f64)),
-        ("active_submits", Json::Num(*shared.submits() as f64)),
-        ("inflight", Json::Num(shared.inflight.count() as f64)),
-        ("resident_images", Json::Num(shared.images.count() as f64)),
-        ("workers", Json::Num(shared.workers.lock().unwrap().len() as f64)),
-        (
-            "store",
-            obj([
-                ("entries", Json::Num(store.entries as f64)),
-                ("bytes", Json::Num(store.bytes as f64)),
-                ("hits", Json::Num(store.hits as f64)),
-                ("misses", Json::Num(store.misses as f64)),
-                ("writes", Json::Num(store.writes as f64)),
-                ("evictions", Json::Num(store.evictions as f64)),
-            ]),
-        ),
-    ])
 }
 
 #[cfg(test)]

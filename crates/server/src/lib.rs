@@ -34,7 +34,7 @@ pub mod protocol;
 pub mod worker;
 
 pub use client::{retry_transient, Client};
-pub use daemon::{serve, DaemonReport, ServeOptions};
+pub use daemon::{serve, ServeOptions};
 pub use protocol::{Request, SubmitRequest, PROTOCOL_VERSION};
 pub use dmdp_harness::store::{Store, StoreStats};
 pub use worker::{run_worker, WorkerOptions};

@@ -10,11 +10,11 @@
 //! read member by member through `JobResult::write`/`read`, never as a
 //! [`Json`] tree; every other message is a tree.
 //!
-//! Requests (client → daemon): `submit`, `stats`, `metrics`,
-//! `shutdown`, `ping`. Responses (daemon → client): `started`/`finished`
-//! job events (when the submit asked to watch), a final `artifact`
-//! carrying the complete assembled campaign, `stats`, `metrics`, `ok`,
-//! `pong`, or `error`.
+//! Requests (client → daemon): `submit`, `metrics`, `shutdown`, `ping`.
+//! Responses (daemon → client): `finished` job events (when the submit
+//! asked to watch), a final `artifact` carrying the complete assembled
+//! campaign, `metrics` (the daemon's one status reply), `ok`, `pong`, or
+//! `error`.
 //!
 //! The worker dialect runs over a spawned child's stdin and stdout,
 //! never over a daemon socket. The coordinator writes `group`
@@ -58,7 +58,7 @@ pub struct SubmitRequest {
     pub kernels: Option<Vec<String>>,
     /// Configuration variants as `(label, patch)`.
     pub variants: Vec<(String, CfgPatch)>,
-    /// Stream `started`/`finished` events before the artifact.
+    /// Stream a `finished` event per job before the artifact.
     pub watch: bool,
     /// Run every job sampled (interval clustering + checkpoint
     /// fast-forward). Absent on the wire means full simulation, so old
@@ -92,8 +92,6 @@ impl SubmitRequest {
 pub enum Request {
     /// Run (or fetch) a campaign.
     Submit(SubmitRequest),
-    /// Report daemon statistics.
-    Stats,
     /// Report the full metrics registry snapshot.
     Metrics,
     /// Drain running jobs, then exit.
@@ -158,7 +156,6 @@ impl Request {
     /// Serializes the request to one wire document.
     pub fn to_json(&self) -> Json {
         match self {
-            Request::Stats => obj([("type", Json::Str("stats".into()))]),
             Request::Metrics => obj([("type", Json::Str("metrics".into()))]),
             Request::Shutdown => obj([("type", Json::Str("shutdown".into()))]),
             Request::Ping => obj([
@@ -200,7 +197,6 @@ impl Request {
     /// A message naming the missing or malformed field.
     pub fn from_json(v: &Json) -> Result<Request, String> {
         match v.get("type").and_then(Json::as_str) {
-            Some("stats") => Ok(Request::Stats),
             Some("metrics") => Ok(Request::Metrics),
             Some("shutdown") => Ok(Request::Shutdown),
             Some("ping") => Ok(Request::Ping),
@@ -271,17 +267,6 @@ impl Request {
             None => Err("request has no `type`".to_string()),
         }
     }
-}
-
-/// `started` event: a worker claimed the job.
-pub fn started_msg(index: usize, workload: &str, model: CommModel, variant: &str) -> Json {
-    obj([
-        ("type", Json::Str("started".into())),
-        ("index", Json::Num(index as f64)),
-        ("workload", Json::Str(workload.to_string())),
-        ("model", Json::Str(model.name().to_string())),
-        ("variant", Json::Str(variant.to_string())),
-    ])
 }
 
 /// `finished` event: the job's result is in. `source` says how it was
@@ -684,7 +669,6 @@ mod tests {
     #[test]
     fn requests_round_trip() {
         let reqs = [
-            Request::Stats,
             Request::Metrics,
             Request::Shutdown,
             Request::Ping,
@@ -724,6 +708,7 @@ mod tests {
         for bad in [
             "{}",
             r#"{"type": "launch"}"#,
+            r#"{"type": "stats"}"#,
             r#"{"type": "submit"}"#,
             r#"{"type": "submit", "name": "x", "scale": "galactic", "models": ["dmdp"]}"#,
             r#"{"type": "submit", "name": "x", "scale": "test", "models": []}"#,

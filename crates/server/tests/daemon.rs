@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use dmdp_core::CommModel;
 use dmdp_harness::{CfgPatch, Json, Sampling};
-use dmdp_server::{serve, Client, DaemonReport, ServeOptions, SubmitRequest};
+use dmdp_server::{serve, Client, ServeOptions, SubmitRequest};
 use dmdp_workloads::Scale;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -104,14 +104,7 @@ fn second_submit_is_satisfied_entirely_from_the_store() {
     }
 
     client.shutdown().unwrap();
-    let report = daemon.join().unwrap();
-    assert_eq!(report, DaemonReport {
-        requests: report.requests,
-        submits: 2,
-        executed: 4,
-        store_hits: 4,
-        dedup_hits: 0,
-    });
+    daemon.join().unwrap();
     assert!(!opts.socket.exists(), "socket file is removed on exit");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -140,9 +133,7 @@ fn results_survive_a_daemon_restart() {
     assert_eq!(warm.executed, 0);
     assert_eq!(warm.cached, cold.jobs.len());
     client.shutdown().unwrap();
-    let report = daemon.join().unwrap();
-    assert_eq!(report.executed, 0);
-    assert_eq!(report.store_hits, 4);
+    daemon.join().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -160,32 +151,28 @@ fn concurrent_clients_simulate_each_digest_at_most_once() {
     // digests). Whatever the interleaving — in-flight waits or store
     // hits — each digest is simulated at most once.
     let socket = opts.socket.clone();
-    std::thread::scope(|scope| {
-        for i in 0..4 {
-            let socket = socket.clone();
-            scope.spawn(move || {
-                let mut client = connect(&socket);
-                let campaign =
-                    client.submit(&small_request(&format!("racer-{i}")), |_| {}).unwrap();
-                assert_eq!(campaign.jobs.len(), 4);
-                assert_eq!(campaign.executed + campaign.cached, 4);
-            });
-        }
+    let campaigns: Vec<_> = std::thread::scope(|scope| {
+        let racers: Vec<_> = (0..4)
+            .map(|i| {
+                let socket = socket.clone();
+                scope.spawn(move || {
+                    connect(&socket).submit(&small_request(&format!("racer-{i}")), |_| {}).unwrap()
+                })
+            })
+            .collect();
+        racers.into_iter().map(|r| r.join().unwrap()).collect()
     });
+    for campaign in &campaigns {
+        assert_eq!(campaign.jobs.len(), 4);
+        assert_eq!(campaign.executed + campaign.cached, 4);
+    }
+    let executed: usize = campaigns.iter().map(|c| c.executed).sum();
+    let cached: usize = campaigns.iter().map(|c| c.cached).sum();
+    assert_eq!(executed, 4, "4 distinct digests, 4 simulations total");
+    assert_eq!(cached, 12, "the other 12 job slots were shared, not re-simulated");
 
-    let mut client = connect(&opts.socket);
-    let stats = client.stats().unwrap();
-    let counter = |k: &str| stats.get(k).and_then(Json::as_u64).unwrap_or_else(|| panic!("{k}"));
-    assert_eq!(counter("executed"), 4, "4 distinct digests, 4 simulations total");
-    assert_eq!(counter("submits"), 4);
-    assert_eq!(
-        counter("store_hits") + counter("dedup_hits"),
-        12,
-        "the other 12 job slots were shared, not re-simulated"
-    );
-    client.shutdown().unwrap();
-    let report = daemon.join().unwrap();
-    assert_eq!(report.executed, 4);
+    connect(&opts.socket).shutdown().unwrap();
+    daemon.join().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -229,8 +216,7 @@ fn shutdown_drains_a_running_submit() {
         .unwrap()
         .expect("the in-flight submit still completes with its full artifact");
     assert_eq!(campaign.jobs.len(), 21, "drain delivered every job");
-    let report = daemon.join().unwrap();
-    assert_eq!(report.submits, 1);
+    daemon.join().unwrap();
     assert!(!opts.socket.exists());
 
     // The daemon is really gone: connecting fails.
@@ -297,17 +283,19 @@ fn protocol_garbage_gets_an_error_and_spares_the_daemon() {
     );
     drop(raw);
 
-    // An HTTP request line is just another line that is not a request.
-    let mut raw = UnixStream::connect(&opts.socket).unwrap();
-    raw.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
-    raw.flush().unwrap();
-    let mut line = String::new();
-    BufReader::new(raw.try_clone().unwrap()).read_line(&mut line).unwrap();
-    let reply = Json::parse(line.trim_end()).unwrap();
-    assert_eq!(reply.get("type").and_then(Json::as_str), Some("error"), "{line}");
-    drop(raw);
+    // An HTTP request line is just another line that is not a request,
+    // and `metrics` is the one status request: `stats` is not one.
+    for garbage in [&b"GET /metrics HTTP/1.0\r\n\r\n"[..], b"{\"type\":\"stats\"}\n"] {
+        let mut raw = UnixStream::connect(&opts.socket).unwrap();
+        raw.write_all(garbage).unwrap();
+        raw.flush().unwrap();
+        let mut line = String::new();
+        BufReader::new(raw.try_clone().unwrap()).read_line(&mut line).unwrap();
+        let reply = Json::parse(line.trim_end()).unwrap();
+        assert_eq!(reply.get("type").and_then(Json::as_str), Some("error"), "{line}");
+    }
 
-    // The daemon survived all three and still serves well-formed clients.
+    // The daemon survived all four and still serves well-formed clients.
     let mut client = connect(&opts.socket);
     assert!(client.ping().is_ok());
     client.shutdown().unwrap();
@@ -359,7 +347,7 @@ fn metrics_are_exposed_over_the_protocol_during_a_live_sweep() {
     let mut live = None;
     let campaign = client
         .submit(&req, |ev| {
-            if live.is_none() && ev.get("type").and_then(Json::as_str) == Some("started") {
+            if live.is_none() && ev.get("type").and_then(Json::as_str) == Some("finished") {
                 live = Some(connect(&opts.socket).metrics().unwrap());
             }
         })
@@ -607,11 +595,9 @@ fn impossible_variant_is_a_request_error_and_wedges_nothing() {
         let err = within(attempt, move || connect(&socket).submit(&bad, |_| {})).unwrap_err();
         assert!(err.contains(want), "{err}");
     }
+    // The next submit still runs, and the shutdown's drain finds no
+    // refused submit still counted.
     let mut client = connect(&opts.socket);
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.get("active_submits").and_then(Json::as_u64), Some(0));
-    assert_eq!(stats.get("inflight").and_then(Json::as_u64), Some(0));
-    // The next submit still runs.
     let ok = client.submit(&mcf_sweep("after", &[("main", CfgPatch::default())]), |_| {}).unwrap();
     assert_eq!(ok.jobs.len(), 1);
     within("shutdown", move || client.shutdown()).unwrap();

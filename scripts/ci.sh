@@ -14,6 +14,10 @@ cargo test -q
 # bins, tests, examples) with warnings promoted to errors.
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Doc gate: rustdoc must resolve every intra-doc link, so a deleted
+# item cannot leave a link to it behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 # Timing-regression gate: the golden-stats digests pin the simulated
 # timing of every (kernel × model) test-scale job. Already part of the
 # suite above, but run by name so a digest mismatch fails CI loudly and
