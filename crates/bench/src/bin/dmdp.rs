@@ -11,7 +11,7 @@ use dmdp_harness::{
     Json, RunOptions, Sampling,
 };
 use dmdp_isa::{asm, Program};
-use dmdp_server::{serve, Client, ServeOptions, SubmitRequest};
+use dmdp_server::{serve, Client, ServeOptions, SubmitRequest, PROTOCOL_VERSION};
 use dmdp_workloads::Scale;
 
 const TOP_HELP: &str = "\
@@ -249,9 +249,11 @@ OPTIONS:
     --ping            liveness check
     -h, --help        print this help
 
-The saved artifact is byte-compatible with `dmdp campaign` output —
-`dmdp report` renders it unchanged. Jobs already in the daemon's store
-are not re-simulated, so a repeated submission executes zero jobs.
+A submit pings the daemon first and refuses one whose protocol version
+differs from its own. The saved artifact is byte-compatible with
+`dmdp campaign` output — `dmdp report` renders it unchanged. Jobs
+already in the daemon's store are not re-simulated, so a repeated
+submission executes zero jobs.
 `dmdp metrics` prints the daemon's counters.
 ";
 
@@ -924,7 +926,18 @@ fn cmd_submit(args: &[String]) -> CliResult {
             println!("daemon drained and stopped");
             return Ok(());
         }
-        SubmitMode::Campaign => {}
+        SubmitMode::Campaign => {
+            // A daemon of another dialect may stream messages this client
+            // cannot read; refuse before anything is simulated.
+            let protocol = client.ping()?;
+            if protocol != PROTOCOL_VERSION {
+                return Err(format!(
+                    "daemon speaks protocol {protocol}, this dmdp speaks {PROTOCOL_VERSION}: \
+                     restart `dmdp serve` from this build"
+                )
+                .into());
+            }
+        }
     }
     let out = o.sweep.out_path();
     let campaign = client.submit(&o.sweep.request, |ev| {

@@ -353,6 +353,12 @@ fn a_campaign_and_a_daemon_on_one_store_serve_each_other_rows() {
     // sweep, and its rows are the campaign's.
     let mut daemon = daemon_on(&socket, &store);
     let submit: &[&str] = &["submit", "--socket", socket.to_str().unwrap()];
+    // `ping` names the wire dialect: 3 since the `stats` request and the
+    // `started` event went.
+    assert_eq!(dmdp_server::PROTOCOL_VERSION, 3);
+    let out = dmdp(&[submit, &["--ping"]].concat());
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert_eq!(stdout(&out).trim(), "daemon is up (protocol 3)");
     let out = dmdp(&[submit, spec, &["--out", served.to_str().unwrap()]].concat());
     assert!(out.status.success(), "{}", stderr(&out));
     assert!(stdout(&out).contains("0 executed, 8 cached"), "{}", stdout(&out));
@@ -600,6 +606,47 @@ fn submit_without_a_daemon_fails_cleanly() {
     let out = dmdp(&["submit", "--socket", socket.to_str().unwrap(), "--ping"]);
     assert!(!out.status.success(), "ping with no daemon must fail");
     assert!(stderr(&out).contains("no-daemon.sock"), "{}", stderr(&out));
+}
+
+#[test]
+fn submit_refuses_a_daemon_of_another_protocol_before_submitting() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::{UnixListener, UnixStream};
+    let socket = temp("old-daemon.sock");
+    std::fs::remove_file(&socket).ok();
+    let listener = UnixListener::bind(&socket).unwrap();
+    // A protocol-2 daemon: it answers `ping`, answers anything else with
+    // the `started` event protocol 3 dropped, and records every line the
+    // client sends until the client hangs up.
+    let daemon = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut got = Vec::new();
+        for line in BufReader::new(&stream).lines() {
+            let reply: &[u8] = if got.is_empty() {
+                b"{\"type\":\"pong\",\"protocol\":2}\n"
+            } else {
+                b"{\"type\":\"started\",\"workload\":\"mcf\"}\n"
+            };
+            (&stream).write_all(reply).ok();
+            got.push(line.unwrap());
+        }
+        got
+    });
+    let out_path = temp("old-daemon.json");
+    let out = dmdp(&[
+        "submit", "--socket", socket.to_str().unwrap(), "--scale", "test", "--kernel", "mcf",
+        "--quiet", "--out", out_path.to_str().unwrap(),
+    ]);
+    // Unblocks the accept if the client never connected.
+    drop(UnixStream::connect(&socket));
+    let got = daemon.join().unwrap();
+    assert!(!out.status.success(), "a submit to a protocol-2 daemon must fail");
+    let want = format!("daemon speaks protocol 2, this dmdp speaks {}", dmdp_server::PROTOCOL_VERSION);
+    assert!(stderr(&out).contains(&want), "{}", stderr(&out));
+    assert_eq!(got.len(), 1, "only the ping reaches the daemon: {got:?}");
+    assert!(got[0].contains("\"ping\""), "{got:?}");
+    assert!(!out_path.exists());
+    std::fs::remove_file(&socket).ok();
 }
 
 #[test]

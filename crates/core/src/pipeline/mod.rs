@@ -573,11 +573,11 @@ mod livelock_tests {
         writeln!(dump, "cycle={} retired={}", pl.cycle, pl.stats.retired_insns).unwrap();
         writeln!(dump, "sb occ={} empty={}", pl.sb.occupancy(), pl.sb.is_empty()).unwrap();
         writeln!(dump, "retry={:?} {}", pl.retry, pl.sched.dump()).unwrap();
-        for e in pl.rob.iter().take(12) {
+        for (seq, e) in pl.rob.iter().take(12) {
             writeln!(
                 dump,
                 "  seq={} pc={} kind={:?} state={:?} first={} last={} srcs={:?}",
-                e.seq, e.pc, e.kind, e.state, e.first_of_insn, e.last_of_insn, e.src
+                seq, e.pc, e.kind, e.state, e.first_of_insn, e.last_of_insn, e.src
             )
             .unwrap();
             let _ = UopState::Done;

@@ -70,12 +70,19 @@ impl Pipeline {
         }
     }
 
-    /// Blank entry with per-µop bookkeeping filled in.
-    fn make_entry(&mut self, f: &Fetched, kind: UopKind) -> UopEntry {
+    /// Allocates the µop's ROB entry, blank but for its per-µop
+    /// bookkeeping, and returns its seq; the caller fills in the rest in
+    /// place.
+    fn make_entry(&mut self, f: &Fetched, kind: UopKind) -> SeqNum {
         self.stats.energy.record(Event::Rename, 1);
         self.stats.energy.record(Event::Rob, 1);
         self.probe.on_renamed(self.cycle, self.rob.next_seq(), f.pc, kind, f.fetch_cycle);
-        UopEntry::new(self.rob.next_seq(), f.pc, kind, self.cycle, f.fetch_history)
+        self.rob.alloc(f.pc, kind, self.cycle, f.fetch_history)
+    }
+
+    /// The live entry `seq` that rename is filling in.
+    fn entry(&mut self, seq: SeqNum) -> &mut UopEntry {
+        self.rob.get_mut(seq).expect("renamed µop is live")
     }
 
     /// Maps a logical source to its physical register, taking a consumer
@@ -89,60 +96,65 @@ impl Pipeline {
         Some(p)
     }
 
-    /// Allocates a fresh destination register for `l`, returning
-    /// `(preg, previous mapping)`.
-    fn alloc_dest(&mut self, l: Reg) -> (PregId, PregId) {
+    /// Allocates a fresh destination register for `l` and records it,
+    /// with the mapping it replaces, in the entry `seq`. Returns the new
+    /// register.
+    fn alloc_dest(&mut self, seq: SeqNum, l: Reg) -> PregId {
         let prev = self.rf.rat(l);
         let p = self.rf.allocate(l).expect("free-list checked by rename_stage");
-        (p, prev)
+        let e = self.entry(seq);
+        e.dest = Some(p);
+        e.dest_logical = Some(l);
+        e.prev_mapping = Some(prev);
+        p
     }
 
-    /// Pushes a renamed µop into the ROB — with its load bookkeeping if
-    /// it is the group's verifying µop — and, unless it needs no
-    /// execution, into the issue queue. `wait_for_seq` is Baseline
+    /// Dispatches the renamed µop `seq`, whose sources rename mapped to
+    /// `src`: records them in the entry, attaches its load bookkeeping if
+    /// it is the group's verifying µop, and enters it in the issue queue
+    /// unless it needs no execution. `wait_for_seq` is Baseline
     /// Store-Sets ordering: the µop may not issue until that one has
     /// executed (or vanished).
     fn dispatch(
         &mut self,
-        mut entry: UopEntry,
+        seq: SeqNum,
+        src: [Option<PregId>; 2],
         load: Option<LoadInfo>,
         wait_for_seq: Option<SeqNum>,
     ) {
-        let seq = entry.seq;
         self.probe.on_dispatched(self.cycle, seq);
-        let to_iq = entry.state == UopState::Waiting && !entry.retire_needs_dest_ready;
-        if to_iq {
-            self.stats.energy.record(Event::IqWrite, 1);
-            // Register on every wake condition still outstanding; the µop
-            // becomes ready the moment the count hits zero.
-            let pending = self.sched_register_iq(seq, entry.src, wait_for_seq);
-            entry.not_ready = pending;
-            entry.in_iq = true;
-            self.sched.iq_len += 1;
-            self.rob.push(entry, load);
-            if pending == 0 {
-                self.sched.ready.push(seq);
-            }
-        } else {
-            self.rob.push(entry, load);
+        if let Some(info) = load {
+            self.rob.attach_load(seq, info);
+        }
+        let e = self.entry(seq);
+        e.src = src;
+        if e.state != UopState::Waiting || e.retire_needs_dest_ready {
+            return;
+        }
+        self.stats.energy.record(Event::IqWrite, 1);
+        // Register on every wake condition still outstanding; the µop
+        // becomes ready the moment the count hits zero.
+        let pending = self.sched_register_iq(seq, src, wait_for_seq);
+        let e = self.entry(seq);
+        e.not_ready = pending;
+        e.in_iq = true;
+        self.sched.iq_len += 1;
+        if pending == 0 {
+            self.sched.ready.push(seq);
         }
     }
 
     /// Renames a single-µop instruction (ALU, branch, jump, nop, halt);
     /// `u` is the plan's precomputed µop.
     fn rename_simple(&mut self, f: &Fetched, u: Uop) -> usize {
-        let mut e = self.make_entry(f, u.kind);
+        let seq = self.make_entry(f, u.kind);
+        let srcs = u.sources();
+        let src = [srcs[0].and_then(|l| self.map_src(l)), srcs[1].and_then(|l| self.map_src(l))];
+        let dest = u.dest().map(|l| self.alloc_dest(seq, l));
+        let e = self.entry(seq);
         e.first_of_insn = true;
         e.last_of_insn = true;
         e.imm = u.imm;
-        let srcs = u.sources();
-        e.src = [srcs[0].and_then(|l| self.map_src(l)), srcs[1].and_then(|l| self.map_src(l))];
-        if let Some(l) = u.dest() {
-            let (p, prev) = self.alloc_dest(l);
-            e.dest = Some(p);
-            e.dest_logical = Some(l);
-            e.prev_mapping = Some(prev);
-        }
         match u.kind {
             UopKind::Branch(_) => {
                 e.branch = f.branch;
@@ -152,13 +164,13 @@ impl Pipeline {
                 if !indirect {
                     // Direct jumps resolve at fetch; only the link value
                     // needs producing.
-                    if link {
-                        let dest = e.dest.expect("jal links");
-                        self.rf.write(dest, f.pc + 1, self.cycle);
-                        e.value = f.pc + 1;
-                    }
                     e.state = UopState::Done;
                     e.consumed = true;
+                    if link {
+                        e.value = f.pc + 1;
+                        let dest = dest.expect("jal links");
+                        self.rf.write(dest, f.pc + 1, self.cycle);
+                    }
                 }
             }
             UopKind::Nop | UopKind::Halt => {
@@ -167,7 +179,7 @@ impl Pipeline {
             }
             _ => {}
         }
-        self.dispatch(e, None, None);
+        self.dispatch(seq, src, None, None);
         1
     }
 
@@ -185,47 +197,41 @@ impl Pipeline {
         let ssn = self.ssn_rename + 1;
         self.ssn_rename = ssn;
 
-        let mut e = self.make_entry(f, UopKind::Store { width });
-        e.last_of_insn = true;
+        let seq = self.make_entry(f, UopKind::Store { width });
         // The store reads its address and data registers (at commit in
         // the SQ-free machines, at SQ write in the baseline).
         self.rf.add_consumer(addr_preg);
         let data_preg = self.map_src(data);
-        e.src = [Some(addr_preg), data_preg];
+        let src = [Some(addr_preg), data_preg];
+        let baseline = self.cfg.comm == CommModel::Baseline;
+        let e = self.entry(seq);
+        e.last_of_insn = true;
         e.store = Some(StoreInfo { ssn, width, addr_preg, data_preg });
 
         let mut wait_for_seq = None;
-        match self.cfg.comm {
-            CommModel::Baseline => {
-                wait_for_seq = self.ss.store_dispatched(f.pc, e.seq);
-                self.sq.allocate(e.seq, ssn);
-                self.stats.energy.record(Event::SqWrite, 1);
-            }
-            _ => {
-                // Never issued: it executes when it commits (paper §I).
-                e.state = UopState::Done;
-                self.srb.insert(
-                    ssn,
-                    SrbEntry { addr_preg, data_preg, width, pc: f.pc },
-                );
-            }
+        if baseline {
+            wait_for_seq = self.ss.store_dispatched(f.pc, seq);
+            self.sq.allocate(seq, ssn);
+            self.stats.energy.record(Event::SqWrite, 1);
+        } else {
+            // Never issued: it executes when it commits (paper §I).
+            e.state = UopState::Done;
+            self.srb.insert(ssn, SrbEntry { addr_preg, data_preg, width, pc: f.pc });
         }
-        self.dispatch(e, None, wait_for_seq);
+        self.dispatch(seq, src, None, wait_for_seq);
         2
     }
 
     /// Renames the address-generation µop shared by loads and stores,
     /// returning the address register.
     fn rename_agi(&mut self, f: &Fetched, base: Reg, imm: i32) -> PregId {
-        let mut e = self.make_entry(f, UopKind::Agi);
+        let seq = self.make_entry(f, UopKind::Agi);
+        let src = [self.map_src(base), None];
+        let p = self.alloc_dest(seq, Reg::ADDR_TMP);
+        let e = self.entry(seq);
         e.first_of_insn = true;
         e.imm = imm;
-        e.src = [self.map_src(base), None];
-        let (p, prev) = self.alloc_dest(Reg::ADDR_TMP);
-        e.dest = Some(p);
-        e.dest_logical = Some(Reg::ADDR_TMP);
-        e.prev_mapping = Some(prev);
-        self.dispatch(e, None, None);
+        self.dispatch(seq, src, None, None);
         p
     }
 
@@ -253,45 +259,43 @@ impl Pipeline {
 
         match plan {
             LoadPlan::Direct | LoadPlan::Delayed { .. } | LoadPlan::Oracle { .. } => {
-                let mut e = self.make_entry(f, UopKind::Load { width, signed });
-                e.last_of_insn = true;
-                match plan {
-                    LoadPlan::Oracle { ssn, value } => {
+                let seq = self.make_entry(f, UopKind::Load { width, signed });
+                let mut value = 0;
+                let src = match plan {
+                    LoadPlan::Oracle { ssn, value: v } => {
                         info.kind = LoadKind::Oracle;
                         info.ssn_byp = Some(ssn);
+                        value = v;
                         let srb_e = *self.srb.get(ssn).expect("oracle store in flight");
-                        e.src = [srb_e.data_preg.inspect(|&p| self.rf.add_consumer(p)), None];
-                        e.value = value;
+                        [srb_e.data_preg.inspect(|&p| self.rf.add_consumer(p)), None]
                     }
                     LoadPlan::Delayed { ssn, low_conf } => {
                         info.kind = LoadKind::Delayed;
                         info.ssn_byp = Some(ssn);
                         info.low_conf = low_conf;
                         self.rf.add_consumer(addr_preg);
-                        e.src = [Some(addr_preg), None];
+                        [Some(addr_preg), None]
                     }
                     _ => {
                         self.rf.add_consumer(addr_preg);
-                        e.src = [Some(addr_preg), None];
+                        [Some(addr_preg), None]
                     }
-                }
+                };
                 if let Some(l) = rd {
-                    let (p, prev) = self.alloc_dest(l);
-                    e.dest = Some(p);
-                    e.dest_logical = Some(l);
-                    e.prev_mapping = Some(prev);
-                    info.result_preg = Some(p);
+                    info.result_preg = Some(self.alloc_dest(seq, l));
                 }
+                let e = self.entry(seq);
+                e.last_of_insn = true;
+                e.value = value;
                 if let LoadPlan::Delayed { ssn, .. } = plan {
                     // Parked outside the IQ: wakes on its address
                     // register's write and on `SSN_commit` reaching the
                     // predicted store.
-                    let seq = e.seq;
+                    e.src = src;
                     self.probe.on_dispatched(self.cycle, seq);
-                    e.state = UopState::Waiting;
                     let pending = self.sched_register_delayed(seq, addr_preg, ssn);
-                    e.not_ready = pending;
-                    self.rob.push(e, Some(info));
+                    self.entry(seq).not_ready = pending;
+                    self.rob.attach_load(seq, info);
                     if pending == 0 {
                         self.sched.delayed_ready.push(seq);
                     }
@@ -301,7 +305,7 @@ impl Pipeline {
                     } else {
                         None
                     };
-                    self.dispatch(e, Some(info), wait_for_seq);
+                    self.dispatch(seq, src, Some(info), wait_for_seq);
                 }
                 2
             }
@@ -311,7 +315,7 @@ impl Pipeline {
                 let data_preg = srb_e.data_preg.expect("shift-cloak requires store data");
                 let store_width = width_of_bab(store_bab);
                 let store_lo2 = store_bab.trailing_zeros() as u8;
-                let mut e = self.make_entry(
+                let seq = self.make_entry(
                     f,
                     UopKind::ShiftMask {
                         store_width,
@@ -321,41 +325,40 @@ impl Pipeline {
                         load_signed: signed,
                     },
                 );
-                e.last_of_insn = true;
                 self.rf.add_consumer(data_preg);
-                e.src = [Some(data_preg), None];
-                let (p, prev) = self.alloc_dest(l);
-                e.dest = Some(p);
-                e.dest_logical = Some(l);
-                e.prev_mapping = Some(prev);
+                let src = [Some(data_preg), None];
+                let p = self.alloc_dest(seq, l);
+                let e = self.entry(seq);
+                e.last_of_insn = true;
                 info.kind = LoadKind::Cloaked;
                 info.ssn_byp = Some(ssn);
                 info.result_preg = Some(p);
                 info.shift_pred = Some((store_bab, load_lo2));
-                self.dispatch(e, Some(info), None);
+                self.dispatch(seq, src, Some(info), None);
                 2
             }
             LoadPlan::Cloak { ssn } => {
                 let l = rd.expect("cloak requires a destination");
                 let srb_e = *self.srb.get(ssn).expect("cloaked store in flight");
                 let data_preg = srb_e.data_preg.expect("cloak requires store data register");
-                let mut e = self.make_entry(f, UopKind::Load { width, signed });
-                e.last_of_insn = true;
+                let seq = self.make_entry(f, UopKind::Load { width, signed });
                 let prev = self.rf.rat(l);
                 self.rf.redefine(data_preg, Some(l));
-                e.dest = Some(data_preg);
-                e.dest_logical = Some(l);
-                e.prev_mapping = Some(prev);
                 // The address register is read only at verification; no
                 // consumer reference is needed because the next AGI's
                 // retirement (younger than this group) releases it.
-                e.src = [Some(addr_preg), None];
+                let src = [Some(addr_preg), None];
+                let e = self.entry(seq);
+                e.last_of_insn = true;
+                e.dest = Some(data_preg);
+                e.dest_logical = Some(l);
+                e.prev_mapping = Some(prev);
                 e.consumed = true;
                 e.retire_needs_dest_ready = true;
                 info.kind = LoadKind::Cloaked;
                 info.ssn_byp = Some(ssn);
                 info.result_preg = Some(data_preg);
-                self.dispatch(e, Some(info), None);
+                self.dispatch(seq, src, Some(info), None);
                 2
             }
             LoadPlan::Predicate { ssn, low_conf } => {
@@ -366,33 +369,27 @@ impl Pipeline {
                 let sink = self.rob.next_seq() + 3;
 
                 // Cache-access half: LOAD $33, (addr).
-                let mut ld = self.make_entry(f, UopKind::Load { width, signed });
+                let ld = self.make_entry(f, UopKind::Load { width, signed });
                 self.rf.add_consumer(addr_preg);
-                ld.src = [Some(addr_preg), None];
-                let (pl, pl_prev) = self.alloc_dest(Reg::LOAD_TMP);
-                ld.dest = Some(pl);
-                ld.dest_logical = Some(Reg::LOAD_TMP);
-                ld.prev_mapping = Some(pl_prev);
-                ld.group_sink = Some(sink);
-                self.dispatch(ld, None, None);
+                let src = [Some(addr_preg), None];
+                let pl = self.alloc_dest(ld, Reg::LOAD_TMP);
+                let e = self.entry(ld);
+                e.group_sink = Some(sink);
+                self.dispatch(ld, src, None, None);
 
                 // CMP $34, load_addr, store_addr.
-                let mut cmp = self.make_entry(
-                    f,
-                    UopKind::Cmp { store_width: srb_e.width, load_width: width },
-                );
+                let cmp = self
+                    .make_entry(f, UopKind::Cmp { store_width: srb_e.width, load_width: width });
                 self.rf.add_consumer(addr_preg);
                 self.rf.add_consumer(srb_e.addr_preg);
-                cmp.src = [Some(addr_preg), Some(srb_e.addr_preg)];
-                let (pp, pp_prev) = self.alloc_dest(Reg::PRED_TMP);
-                cmp.dest = Some(pp);
-                cmp.dest_logical = Some(Reg::PRED_TMP);
-                cmp.prev_mapping = Some(pp_prev);
-                cmp.group_sink = Some(sink);
-                self.dispatch(cmp, None, None);
+                let src = [Some(addr_preg), Some(srb_e.addr_preg)];
+                let pp = self.alloc_dest(cmp, Reg::PRED_TMP);
+                let e = self.entry(cmp);
+                e.group_sink = Some(sink);
+                self.dispatch(cmp, src, None, None);
 
                 // CMOV rd, $34, store_data (predicate-true path).
-                let mut ct = self.make_entry(
+                let ct = self.make_entry(
                     f,
                     UopKind::Cmov {
                         on_true: true,
@@ -402,16 +399,14 @@ impl Pipeline {
                     },
                 );
                 self.rf.add_consumer(pp);
-                ct.src = [Some(pp), srb_e.data_preg.inspect(|&p| self.rf.add_consumer(p))];
-                let (pd, pd_prev) = self.alloc_dest(l);
-                ct.dest = Some(pd);
-                ct.dest_logical = Some(l);
-                ct.prev_mapping = Some(pd_prev);
-                ct.group_sink = Some(sink);
-                self.dispatch(ct, None, None);
+                let src = [Some(pp), srb_e.data_preg.inspect(|&p| self.rf.add_consumer(p))];
+                let pd = self.alloc_dest(ct, l);
+                let e = self.entry(ct);
+                e.group_sink = Some(sink);
+                self.dispatch(ct, src, None, None);
 
                 // CMOV rd, !$34, $33 (predicate-false path) — shares pd.
-                let mut cf = self.make_entry(
+                let cf = self.make_entry(
                     f,
                     UopKind::Cmov {
                         on_true: false,
@@ -420,20 +415,21 @@ impl Pipeline {
                         load_signed: signed,
                     },
                 );
-                cf.last_of_insn = true;
+                debug_assert_eq!(cf, sink);
                 self.rf.add_consumer(pp);
                 self.rf.add_consumer(pl);
-                cf.src = [Some(pp), Some(pl)];
+                let src = [Some(pp), Some(pl)];
                 self.rf.redefine(pd, Some(l));
-                cf.dest = Some(pd);
-                cf.dest_logical = Some(l);
-                cf.prev_mapping = Some(pd);
+                let e = self.entry(cf);
+                e.last_of_insn = true;
+                e.dest = Some(pd);
+                e.dest_logical = Some(l);
+                e.prev_mapping = Some(pd);
                 info.kind = LoadKind::Predicated;
                 info.ssn_byp = Some(ssn);
                 info.low_conf = low_conf;
                 info.result_preg = Some(pd);
-                debug_assert_eq!(cf.seq, sink);
-                self.dispatch(cf, Some(info), None);
+                self.dispatch(cf, src, Some(info), None);
                 5
             }
         }

@@ -213,7 +213,7 @@ impl CompletionWheel {
 impl Pipeline {
     /// Registers the wake conditions of a newly dispatched issue-queue
     /// µop (sources + Store-Sets ordering), returning the number still
-    /// pending. Must run before the entry is pushed into the ROB.
+    /// pending.
     pub(crate) fn sched_register_iq(
         &mut self,
         seq: SeqNum,
@@ -228,7 +228,9 @@ impl Pipeline {
             }
         }
         if let Some(w) = wait_for_seq {
-            if self.rob.get(w).is_some_and(|we| !we.is_done()) {
+            // A stale Store-Sets token may name this very seq, reused
+            // after a squash; only an older µop can be waited on.
+            if w < seq && self.rob.get(w).is_some_and(|we| !we.is_done()) {
                 self.sched.seq_waiters.push((w, seq));
                 pending += 1;
             }
@@ -466,6 +468,20 @@ mod tests {
             }
         }
         assert!(pops > 20_000 && overflowed > 500, "pops {pops}, overflowed {overflowed}");
+    }
+
+    #[test]
+    fn a_store_sets_token_naming_the_uop_itself_is_not_waited_on() {
+        // After a squash, a stale Store-Sets token can name the seq the
+        // ROB hands out next. The µop is live when it registers, and it
+        // must not wait on itself; an older unfinished µop is waited on.
+        use dmdp_isa::uop::UopKind;
+        let mut pl = pipeline("halt", CommModel::Baseline);
+        let older = pl.rob.alloc(0, UopKind::Nop, 0, 0);
+        let seq = pl.rob.alloc(0, UopKind::Nop, 0, 0);
+        assert_eq!(pl.sched_register_iq(seq, [None, None], Some(seq)), 0);
+        assert_eq!(pl.sched_register_iq(seq, [None, None], Some(older)), 1);
+        assert_eq!(pl.sched.seq_waiters, vec![(older, seq)]);
     }
 
     #[test]

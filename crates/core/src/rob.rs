@@ -133,11 +133,9 @@ pub struct BranchInfo {
 }
 
 /// One in-flight µop: the unit the ROB, issue queue and execution lists
-/// operate on.
+/// operate on. Its [`SeqNum`] is where it sits in the ROB.
 #[derive(Debug, Clone)]
 pub struct UopEntry {
-    /// Age tag.
-    pub seq: SeqNum,
     /// PC of the parent architectural instruction.
     pub pc: Pc,
     /// Operation.
@@ -197,20 +195,14 @@ pub struct UopEntry {
 }
 
 // Every ROB access touches an entry; keep it within two cache lines.
-const _: () = assert!(std::mem::size_of::<UopEntry>() <= 128);
+const _: () = assert!(std::mem::size_of::<UopEntry>() <= 120);
 
 impl UopEntry {
     /// A µop of `kind` renamed at `rename_cycle`, waiting to issue, with
     /// no operands or bookkeeping yet.
-    pub fn new(
-        seq: SeqNum,
-        pc: Pc,
-        kind: UopKind,
-        rename_cycle: u64,
-        fetch_history: u32,
-    ) -> UopEntry {
+    #[inline]
+    pub fn new(pc: Pc, kind: UopKind, rename_cycle: u64, fetch_history: u32) -> UopEntry {
         UopEntry {
-            seq,
             pc,
             kind,
             first_of_insn: false,
@@ -246,9 +238,10 @@ impl UopEntry {
 ///
 /// Entries are addressed by their [`SeqNum`]; slot reuse is handled by the
 /// ring mapping, and stale lookups (retired or squashed µops) return
-/// `None`. Entries stay in their slots for their whole lifetime: retire
-/// and squash only move the head and tail, so callers read an entry in
-/// place before releasing it.
+/// `None`. Entries stay in their slots for their whole lifetime: rename
+/// builds each one in the slot [`Rob::alloc`] hands out, and retire and
+/// squash only move the head and tail, so callers read an entry in place
+/// before releasing it.
 #[derive(Debug)]
 pub struct Rob {
     slots: Vec<UopEntry>,
@@ -272,7 +265,7 @@ impl Rob {
     pub fn new(capacity: usize) -> Rob {
         assert!(capacity > 0, "ROB needs capacity");
         let mask = if capacity.is_power_of_two() { capacity as u64 - 1 } else { 0 };
-        let blank = UopEntry::new(0, 0, UopKind::Nop, 0, 0);
+        let blank = UopEntry::new(0, UopKind::Nop, 0, 0);
         let no_load = LoadInfo::new(MemWidth::Word, false, LoadKind::Direct, 0);
         Rob {
             slots: vec![blank; capacity],
@@ -309,7 +302,7 @@ impl Rob {
         self.capacity - self.len()
     }
 
-    /// The next sequence number `push` will assign.
+    /// The next sequence number [`Rob::alloc`] will assign.
     pub fn next_seq(&self) -> SeqNum {
         self.tail
     }
@@ -319,23 +312,41 @@ impl Rob {
         (!self.is_empty()).then_some(self.head)
     }
 
-    /// Appends an entry (its `seq` must equal [`Rob::next_seq`]), with
-    /// its load bookkeeping when it is a group's verifying µop.
+    /// Appends a fresh entry ([`UopEntry::new`]) in the next slot and
+    /// returns its seq ([`Rob::next_seq`]); the caller fills in the rest
+    /// of the entry in place.
     ///
     /// # Panics
     ///
-    /// Panics when full or on a seq mismatch.
-    pub fn push(&mut self, mut entry: UopEntry, load: Option<LoadInfo>) -> SeqNum {
+    /// Panics when full.
+    #[inline]
+    pub fn alloc(
+        &mut self,
+        pc: Pc,
+        kind: UopKind,
+        rename_cycle: u64,
+        fetch_history: u32,
+    ) -> SeqNum {
         assert!(self.free() > 0, "ROB overflow");
-        assert_eq!(entry.seq, self.tail, "seq must be allocated in order");
-        let slot = self.slot(self.tail);
-        entry.has_load = load.is_some();
-        if let Some(info) = load {
-            self.loads[slot] = info;
-        }
-        self.slots[slot] = entry;
+        let seq = self.tail;
+        let slot = self.slot(seq);
+        self.slots[slot] = UopEntry::new(pc, kind, rename_cycle, fetch_history);
         self.tail += 1;
-        self.tail - 1
+        seq
+    }
+
+    /// Attaches load bookkeeping to the live entry `seq`, its group's
+    /// verifying µop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seq` is not live.
+    #[inline]
+    pub fn attach_load(&mut self, seq: SeqNum, info: LoadInfo) {
+        assert!(self.live(seq), "load bookkeeping for dead seq {seq}");
+        let slot = self.slot(seq);
+        self.slots[slot].has_load = true;
+        self.loads[slot] = info;
     }
 
     /// Whether `seq` names a live entry.
@@ -393,10 +404,11 @@ impl Rob {
         self.tail = self.tail.min(from.max(self.head));
     }
 
-    /// Iterates over live entries, oldest first (livelock dumps).
+    /// Iterates over live entries with their seqs, oldest first
+    /// (livelock dumps).
     #[cfg(test)]
-    pub fn iter(&self) -> impl Iterator<Item = &UopEntry> {
-        (self.head..self.tail).map(move |s| &self.slots[self.slot(s)])
+    pub fn iter(&self) -> impl Iterator<Item = (SeqNum, &UopEntry)> {
+        (self.head..self.tail).map(move |s| (s, &self.slots[self.slot(s)]))
     }
 }
 
@@ -404,14 +416,16 @@ impl Rob {
 mod tests {
     use super::*;
 
-    fn entry(seq: SeqNum) -> UopEntry {
-        UopEntry::new(seq, 0, UopKind::Nop, 0, 0)
+    /// Allocates a `nop` whose PC is its expected seq, checking the seq
+    /// it gets.
+    fn push(rob: &mut Rob, seq: SeqNum) {
+        assert_eq!(rob.alloc(seq as Pc, UopKind::Nop, 0, 0), seq, "seqs are allocated in order");
     }
 
     /// Retires the head, returning its seq.
     fn retire(rob: &mut Rob) -> SeqNum {
         let seq = rob.head_seq().expect("nonempty");
-        assert_eq!(rob.get(seq).unwrap().seq, seq);
+        assert_eq!(rob.get(seq).unwrap().pc as SeqNum, seq);
         rob.retire_head();
         seq
     }
@@ -420,13 +434,13 @@ mod tests {
     fn fifo_order() {
         let mut rob = Rob::new(4);
         for s in 0..3 {
-            rob.push(entry(s), None);
+            push(&mut rob, s);
         }
         assert_eq!(rob.len(), 3);
         assert_eq!(retire(&mut rob), 0);
         assert_eq!(retire(&mut rob), 1);
-        rob.push(entry(3), None);
-        rob.push(entry(4), None); // wraps the ring
+        push(&mut rob, 3);
+        push(&mut rob, 4); // wraps the ring
         assert_eq!(rob.len(), 3);
         assert_eq!(retire(&mut rob), 2);
     }
@@ -437,11 +451,11 @@ mod tests {
         // capacities take the mask path).
         let mut rob = Rob::new(3);
         for s in 0..3 {
-            rob.push(entry(s), None);
+            push(&mut rob, s);
         }
         assert_eq!(retire(&mut rob), 0);
-        rob.push(entry(3), None); // wraps
-        assert_eq!(rob.get(3).unwrap().seq, 3);
+        push(&mut rob, 3); // wraps
+        assert_eq!(rob.get(3).unwrap().pc, 3);
         assert_eq!(retire(&mut rob), 1);
         assert_eq!(retire(&mut rob), 2);
         assert_eq!(retire(&mut rob), 3);
@@ -451,8 +465,8 @@ mod tests {
     #[test]
     fn get_rejects_stale_seqs() {
         let mut rob = Rob::new(4);
-        rob.push(entry(0), None);
-        rob.push(entry(1), None);
+        push(&mut rob, 0);
+        push(&mut rob, 1);
         rob.retire_head();
         assert!(rob.get(0).is_none());
         assert!(rob.get(1).is_some());
@@ -463,15 +477,15 @@ mod tests {
     fn squash_from_removes_youngest_first() {
         let mut rob = Rob::new(8);
         for s in 0..5 {
-            rob.push(entry(s), None);
+            push(&mut rob, s);
         }
         rob.squash_from(2);
-        assert_eq!(rob.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(rob.iter().map(|(s, _)| s).collect::<Vec<_>>(), vec![0, 1]);
         assert!(rob.get(2).is_none());
         assert_eq!(rob.len(), 2);
         assert_eq!(rob.next_seq(), 2);
         // Reuse the freed seqs.
-        rob.push(entry(2), None);
+        push(&mut rob, 2);
         assert!(rob.get(2).is_some());
         // Squashing past the tail or below the head is clamped.
         rob.squash_from(9);
@@ -485,8 +499,8 @@ mod tests {
     #[test]
     fn squash_everything() {
         let mut rob = Rob::new(4);
-        rob.push(entry(0), None);
-        rob.push(entry(1), None);
+        push(&mut rob, 0);
+        push(&mut rob, 1);
         rob.squash_from(0);
         assert!(rob.is_empty());
     }
@@ -496,8 +510,9 @@ mod tests {
         let mut rob = Rob::new(2);
         let mut info = LoadInfo::new(MemWidth::Half, true, LoadKind::Cloaked, 7);
         info.addr = 0x40;
-        rob.push(entry(0), Some(info));
-        rob.push(entry(1), None);
+        push(&mut rob, 0);
+        rob.attach_load(0, info);
+        push(&mut rob, 1);
         assert!(rob.get(0).unwrap().has_load);
         assert_eq!(rob.load(0).unwrap().addr, 0x40);
         assert!(rob.load(1).is_none());
@@ -505,7 +520,7 @@ mod tests {
         assert_eq!(rob.load(0).unwrap().value, 9);
         // A plain µop reusing the slot carries no stale load record.
         rob.retire_head();
-        rob.push(entry(2), None);
+        push(&mut rob, 2);
         assert!(rob.load(2).is_none());
         assert!(rob.load(0).is_none(), "retired");
     }
@@ -514,17 +529,17 @@ mod tests {
     #[should_panic(expected = "overflow")]
     fn overflow_panics() {
         let mut rob = Rob::new(1);
-        rob.push(entry(0), None);
-        rob.push(entry(1), None);
+        push(&mut rob, 0);
+        push(&mut rob, 1);
     }
 
     #[test]
     fn iter_oldest_first() {
         let mut rob = Rob::new(4);
         for s in 0..3 {
-            rob.push(entry(s), None);
+            push(&mut rob, s);
         }
-        let seqs: Vec<SeqNum> = rob.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2]);
+        let seqs: Vec<(SeqNum, Pc)> = rob.iter().map(|(s, e)| (s, e.pc)).collect();
+        assert_eq!(seqs, vec![(0, 0), (1, 1), (2, 2)]);
     }
 }

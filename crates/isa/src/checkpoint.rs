@@ -201,7 +201,8 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// A human-readable message on a bad magic, version, or truncation.
+    /// A human-readable message on a bad magic, version, page index, or
+    /// truncation.
     pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, String> {
         let mut at = 0usize;
         let mut take = |n: usize| -> Result<&[u8], String> {
@@ -235,6 +236,9 @@ impl Checkpoint {
         let mut pages = Vec::with_capacity(n_pages);
         for _ in 0..n_pages {
             let index = u32_of(take(4)?);
+            if u64::from(index) * PAGE_BYTES as u64 >= 1 << 32 {
+                return Err(format!("page index {index:#x} outside the 32-bit address space"));
+            }
             let mut page = Box::new([0u8; PAGE_BYTES]);
             page.copy_from_slice(take(PAGE_BYTES)?);
             pages.push((index, page));
@@ -298,9 +302,16 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] ^= 0xFF;
         assert!(Checkpoint::from_bytes(&bad).is_err());
-        let mut long = bytes;
+        let mut long = bytes.clone();
         long.push(0);
         assert!(Checkpoint::from_bytes(&long).is_err());
+        // The page index field follows the magic, version, pc, registers,
+        // statistics and page count.
+        let at = 8 + 4 + 4 * (1 + Reg::NUM_ARCH) + 4 * 8 + 4;
+        let mut beyond = bytes;
+        beyond[at..at + 4].copy_from_slice(&(1u32 << 20).to_le_bytes());
+        let err = Checkpoint::from_bytes(&beyond).unwrap_err();
+        assert!(err.contains("outside the 32-bit address space"), "{err}");
     }
 
     #[test]

@@ -2,13 +2,15 @@ use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
-use crate::checkpoint::{dep_bucket, Checkpoint, IntervalFeatures, IntervalProfile};
+use crate::checkpoint::{
+    dep_bucket, Checkpoint, IntervalFeatures, IntervalProfile, LOC_LINE_BYTES,
+};
 use crate::insn::Insn;
-use crate::inthash::IntMap;
-use crate::op::{AluOp, Op};
+use crate::op::{AluOp, MemWidth, Op};
+use crate::pagedir::PageDir;
 use crate::program::Program;
 use crate::reg::Reg;
-use crate::sparse::SparseMem;
+use crate::sparse::{SparseMem, PAGE_BYTES, PAGE_SHIFT};
 use crate::{Addr, Pc, Word};
 
 /// Error produced by the functional emulator.
@@ -134,25 +136,243 @@ pub struct OracleTrace {
 
 /// Tracks, per byte of memory, the SSN of the last store that wrote it.
 /// Accesses are naturally aligned, so each lies inside one 4 KiB page
-/// and costs one page lookup.
+/// and costs one page-directory lookup.
 #[derive(Default)]
 struct LastWriter {
-    pages: IntMap<u32, Box<[u32; 4096]>>,
+    pages: PageDir<[u32; PAGE_BYTES]>,
 }
 
 impl LastWriter {
-    fn record(&mut self, addr: Addr, len: u32, ssn: u32) {
-        let off = (addr & 0xFFF) as usize;
-        let page = self.pages.entry(addr >> 12).or_insert_with(|| Box::new([0u32; 4096]));
-        page[off..off + len as usize].fill(ssn);
+    #[inline]
+    fn record(&mut self, addr: Addr, width: MemWidth, ssn: u32) {
+        let off = addr as usize % PAGE_BYTES;
+        let page = self.pages.get_or_insert_with(addr >> PAGE_SHIFT, || Box::new([0; PAGE_BYTES]));
+        page[off..off + width.bytes() as usize].fill(ssn);
     }
 
-    fn youngest(&self, addr: Addr, len: u32) -> u32 {
-        let off = (addr & 0xFFF) as usize;
-        match self.pages.get(&(addr >> 12)) {
-            Some(page) => page[off..off + len as usize].iter().copied().max().unwrap_or(0),
+    #[inline]
+    fn youngest(&self, addr: Addr, width: MemWidth) -> u32 {
+        let off = addr as usize % PAGE_BYTES;
+        match self.pages.get(addr >> PAGE_SHIFT) {
+            Some(page) => {
+                page[off..off + width.bytes() as usize].iter().copied().max().unwrap_or(0)
+            }
             None => 0,
         }
+    }
+}
+
+/// [`LOC_LINE_BYTES`]-sized lines per 4 KiB page.
+const LINES_PER_PAGE: usize = PAGE_BYTES / LOC_LINE_BYTES as usize;
+const LINE_SHIFT: u32 = LOC_LINE_BYTES.trailing_zeros();
+const _: () = assert!(LOC_LINE_BYTES.is_power_of_two() && LINES_PER_PAGE >= 1);
+
+/// One `u64` per [`LOC_LINE_BYTES`]-sized line of memory, zero until
+/// set: the profiling pass's locality stamps and the capture pass's
+/// access recency.
+#[derive(Default)]
+struct LineTable {
+    pages: PageDir<[u64; LINES_PER_PAGE]>,
+}
+
+impl LineTable {
+    /// Sets the line holding `addr` to `value`, returning the old value.
+    #[inline]
+    fn replace(&mut self, addr: Addr, value: u64) -> u64 {
+        let page =
+            self.pages.get_or_insert_with(addr >> PAGE_SHIFT, || Box::new([0; LINES_PER_PAGE]));
+        std::mem::replace(&mut page[(addr >> LINE_SHIFT) as usize % LINES_PER_PAGE], value)
+    }
+
+    /// Every set line as `(value, line number)`, ascending by line.
+    fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        self.pages.iter().flat_map(|(page, lines)| {
+            let first = page << (PAGE_SHIFT - LINE_SHIFT);
+            (first..).zip(lines).filter(|&(_, &v)| v != 0).map(|(line, &v)| (v, line))
+        })
+    }
+}
+
+/// Block-leader execution counts of the current interval, one counter
+/// per static instruction.
+struct LeaderCounts {
+    counts: Vec<u32>,
+}
+
+impl LeaderCounts {
+    fn new(text_len: usize) -> LeaderCounts {
+        LeaderCounts { counts: vec![0; text_len] }
+    }
+
+    /// Counts one entry into the block at `pc`. A PC past the text
+    /// segment is not counted: fetching it fails, and a failed pass
+    /// returns no profile.
+    #[inline]
+    fn enter(&mut self, pc: Pc) {
+        if let Some(count) = self.counts.get_mut(pc as usize) {
+            *count += 1;
+        }
+    }
+
+    /// The counted `(leader, count)` pairs, by PC; resets every count.
+    fn take(&mut self) -> Vec<(Pc, u32)> {
+        (0..)
+            .zip(&mut self.counts)
+            .filter(|(_, count)| **count > 0)
+            .map(|(pc, count)| (pc, std::mem::take(count)))
+            .collect()
+    }
+}
+
+/// What a pass of the stepping loop ([`Emulator::drive`]) does with each
+/// retired instruction besides updating the architectural state. Every
+/// hook defaults to nothing. The loop is instantiated for each observer
+/// and inlined into its pass, so no record of a retired instruction is
+/// built in memory and read back.
+trait Observer {
+    /// A load read `value` (after extension) from the `width` bytes at
+    /// `addr`.
+    #[inline(always)]
+    fn load(&mut self, _addr: Addr, _width: MemWidth, _value: Word) {}
+
+    /// A store wrote the low `width` bytes of `value` at `addr`.
+    #[inline(always)]
+    fn store(&mut self, _addr: Addr, _width: MemWidth, _value: Word) {}
+
+    /// A conditional branch at `pc` retired; execution continues at
+    /// `next_pc`.
+    #[inline(always)]
+    fn branch(&mut self, _pc: Pc, _next_pc: Pc) {}
+
+    /// Control left the fall-through path: a taken branch or a jump
+    /// continues at `target`, which is not the next PC.
+    #[inline(always)]
+    fn redirect(&mut self, _target: Pc) {}
+}
+
+/// [`Emulator::run_insns`] observes nothing.
+impl Observer for () {}
+
+/// [`Emulator::step`] keeps the instruction's memory access.
+impl Observer for Option<MemEvent> {
+    #[inline(always)]
+    fn load(&mut self, addr: Addr, _width: MemWidth, value: Word) {
+        *self = Some(MemEvent { addr, value, is_store: false });
+    }
+
+    #[inline(always)]
+    fn store(&mut self, addr: Addr, _width: MemWidth, value: Word) {
+        *self = Some(MemEvent { addr, value, is_store: true });
+    }
+}
+
+/// [`Emulator::run_with_trace_insns`]: each load's last writer and value.
+#[derive(Default)]
+struct Tracer {
+    trace: OracleTrace,
+    writers: LastWriter,
+}
+
+impl Observer for Tracer {
+    #[inline(always)]
+    fn load(&mut self, addr: Addr, width: MemWidth, value: Word) {
+        self.trace.last_writer_ssn.push(self.writers.youngest(addr, width));
+        self.trace.load_values.push(value);
+    }
+
+    #[inline(always)]
+    fn store(&mut self, addr: Addr, width: MemWidth, _value: Word) {
+        self.trace.store_count += 1;
+        self.writers.record(addr, width, self.trace.store_count);
+    }
+}
+
+/// [`Emulator::profile_intervals`]: the features of the current
+/// interval.
+struct Profiler {
+    cur: IntervalFeatures,
+    leaders: LeaderCounts,
+    writers: LastWriter,
+    store_count: u32,
+    /// Every line ever touched, holding one more than the index of the
+    /// last interval that touched it. A zero line is new to the run; a
+    /// stale one is new to this interval.
+    stamps: LineTable,
+    /// One more than the current interval's index.
+    stamp: u64,
+}
+
+impl Profiler {
+    #[inline(always)]
+    fn touch(&mut self, addr: Addr) {
+        let last = self.stamps.replace(addr, self.stamp);
+        if last == 0 {
+            self.cur.new_lines += 1;
+        }
+        if last != self.stamp {
+            self.cur.touched_lines += 1;
+        }
+    }
+}
+
+impl Observer for Profiler {
+    #[inline(always)]
+    fn load(&mut self, addr: Addr, width: MemWidth, _value: Word) {
+        let ssn = self.writers.youngest(addr, width);
+        self.cur.dep_buckets[dep_bucket(ssn, self.store_count)] += 1;
+        self.touch(addr);
+    }
+
+    #[inline(always)]
+    fn store(&mut self, addr: Addr, width: MemWidth, _value: Word) {
+        self.store_count += 1;
+        self.writers.record(addr, width, self.store_count);
+        self.touch(addr);
+    }
+
+    #[inline(always)]
+    fn redirect(&mut self, target: Pc) {
+        // The target starts a new basic-block occurrence.
+        self.leaders.enter(target);
+    }
+}
+
+/// [`Emulator::capture_checkpoints`]: the warming hints.
+struct Capture {
+    /// Per line, the number of the access that last touched it.
+    recency: LineTable,
+    accesses: u64,
+    /// The last `cap` conditional branches as `(pc, next_pc)`, oldest
+    /// first.
+    branches: VecDeque<(Pc, Pc)>,
+    cap: usize,
+}
+
+impl Capture {
+    #[inline(always)]
+    fn touch(&mut self, addr: Addr) {
+        self.accesses += 1;
+        self.recency.replace(addr, self.accesses);
+    }
+}
+
+impl Observer for Capture {
+    #[inline(always)]
+    fn load(&mut self, addr: Addr, _width: MemWidth, _value: Word) {
+        self.touch(addr);
+    }
+
+    #[inline(always)]
+    fn store(&mut self, addr: Addr, _width: MemWidth, _value: Word) {
+        self.touch(addr);
+    }
+
+    #[inline(always)]
+    fn branch(&mut self, pc: Pc, next_pc: Pc) {
+        if self.branches.len() == self.cap {
+            self.branches.pop_front();
+        }
+        self.branches.push_back((pc, next_pc));
     }
 }
 
@@ -250,81 +470,124 @@ impl Emulator {
             return Ok(StepOutcome::Halted);
         }
         let pc = self.pc;
-        let insn = self
-            .program
-            .fetch(pc)
-            .ok_or(EmuError::PcOutOfRange { pc })?;
-        let g = |r: Reg| -> Word {
-            if r.is_zero() {
-                0
-            } else {
-                self.regs[r.index()]
-            }
-        };
-        let mut wrote = None;
-        let mut mem_event = None;
+        let mut mem = None;
+        if self.exec(&mut mem)? {
+            return Ok(StepOutcome::Halted);
+        }
+        let insn = self.program.text()[pc as usize];
+        let wrote = insn.dest().map(|rd| (rd, self.regs[rd.index()]));
+        Ok(StepOutcome::Retired(RetiredEvent { pc, insn, wrote, mem, next_pc: self.pc }))
+    }
+
+    /// The value register `r` supplies as a source operand.
+    #[inline(always)]
+    fn src(&self, r: Reg) -> Word {
+        if r.is_zero() {
+            0
+        } else {
+            self.regs[r.index()]
+        }
+    }
+
+    /// Executes the instruction at the PC of a running machine, reporting
+    /// it to `obs`, and returns whether it was `halt`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Emulator::step`], leaving the machine un-advanced.
+    #[inline(always)]
+    fn exec<O: Observer>(&mut self, obs: &mut O) -> Result<bool, EmuError> {
+        let pc = self.pc;
+        let insn = self.program.fetch(pc).ok_or(EmuError::PcOutOfRange { pc })?;
         let mut next_pc = pc + 1;
-        match insn.op {
-            Op::Alu(op) => {
-                wrote = Some((insn.rd, op.apply(g(insn.rs), g(insn.rt))));
-            }
+        let wrote = match insn.op {
+            Op::Alu(op) => Some(op.apply(self.src(insn.rs), self.src(insn.rt))),
             Op::AluImm(op) => {
                 let b = if op == AluOp::Lui { insn.imm as u32 & 0xFFFF } else { insn.imm as u32 };
-                wrote = Some((insn.rd, op.apply(g(insn.rs), b)));
+                Some(op.apply(self.src(insn.rs), b))
             }
             Op::Load { width, signed } => {
-                let addr = g(insn.rs).wrapping_add(insn.imm as u32);
+                let addr = self.src(insn.rs).wrapping_add(insn.imm as u32);
                 if !width.is_aligned(addr) {
                     return Err(EmuError::Unaligned { pc, addr });
                 }
                 let value = self.mem.read(addr, width, signed);
-                wrote = Some((insn.rd, value));
-                mem_event = Some(MemEvent { addr, value, is_store: false });
                 self.result.loads += 1;
+                obs.load(addr, width, value);
+                Some(value)
             }
             Op::Store { width } => {
-                let addr = g(insn.rs).wrapping_add(insn.imm as u32);
+                let addr = self.src(insn.rs).wrapping_add(insn.imm as u32);
                 if !width.is_aligned(addr) {
                     return Err(EmuError::Unaligned { pc, addr });
                 }
-                let value = g(insn.rt);
+                let value = self.src(insn.rt);
                 self.mem.write(addr, width, value);
-                mem_event = Some(MemEvent { addr, value, is_store: true });
                 self.result.stores += 1;
+                obs.store(addr, width, value);
+                None
             }
             Op::Branch(cond) => {
-                if cond.taken(g(insn.rs), g(insn.rt)) {
+                if cond.taken(self.src(insn.rs), self.src(insn.rt)) {
                     next_pc = insn.imm as Pc;
                 }
                 self.result.branches += 1;
+                obs.branch(pc, next_pc);
+                None
             }
-            Op::Jump => next_pc = insn.imm as Pc,
-            Op::JumpAndLink => {
-                wrote = Some((insn.rd, pc + 1));
+            Op::Jump => {
                 next_pc = insn.imm as Pc;
+                None
             }
-            Op::JumpReg => next_pc = g(insn.rs),
+            Op::JumpAndLink => {
+                next_pc = insn.imm as Pc;
+                Some(pc + 1)
+            }
+            Op::JumpReg => {
+                next_pc = self.src(insn.rs);
+                None
+            }
             Op::JumpAndLinkReg => {
-                wrote = Some((insn.rd, pc + 1));
-                next_pc = g(insn.rs);
+                next_pc = self.src(insn.rs);
+                Some(pc + 1)
             }
-            Op::Nop => {}
+            Op::Nop => None,
             Op::Halt => {
                 self.halted = true;
                 self.result.retired += 1;
-                return Ok(StepOutcome::Halted);
+                return Ok(true);
+            }
+        };
+        if let Some(v) = wrote {
+            if !insn.rd.is_zero() {
+                self.regs[insn.rd.index()] = v;
             }
         }
-        if let Some((rd, v)) = wrote {
-            if rd.is_zero() {
-                wrote = None;
-            } else {
-                self.regs[rd.index()] = v;
-            }
+        if next_pc != pc + 1 {
+            obs.redirect(next_pc);
         }
         self.pc = next_pc;
         self.result.retired += 1;
-        Ok(StepOutcome::Retired(RetiredEvent { pc, insn, wrote, mem: mem_event, next_pc }))
+        Ok(false)
+    }
+
+    /// The stepping loop every pass runs: executes instructions until
+    /// `target` have retired in all or `halt` retires, reporting each to
+    /// `obs`, and says which came first.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`Emulator::exec`] errors.
+    #[inline(always)]
+    fn drive<O: Observer>(&mut self, target: u64, obs: &mut O) -> Result<StopReason, EmuError> {
+        if !self.halted {
+            while self.result.retired < target {
+                if self.exec(obs)? {
+                    break;
+                }
+            }
+        }
+        Ok(if self.halted { StopReason::Halted } else { StopReason::BudgetExhausted })
     }
 
     /// Runs until `halt`, for at most `max_steps` instructions.
@@ -354,31 +617,9 @@ impl Emulator {
         &mut self,
         n: u64,
     ) -> Result<(OracleTrace, StopReason), EmuError> {
-        let mut trace = OracleTrace::default();
-        let mut writers = LastWriter::default();
-        let target = self.result.retired.saturating_add(n);
-        while self.result.retired < target {
-            match self.step()? {
-                StepOutcome::Halted => return Ok((trace, StopReason::Halted)),
-                StepOutcome::Retired(ev) => {
-                    if let Some(mem) = ev.mem {
-                        let width = ev.insn.mem_width().expect("mem event without width");
-                        if mem.is_store {
-                            trace.store_count += 1;
-                            writers.record(mem.addr, width.bytes(), trace.store_count);
-                        } else {
-                            trace
-                                .last_writer_ssn
-                                .push(writers.youngest(mem.addr, width.bytes()));
-                            trace.load_values.push(mem.value);
-                        }
-                    }
-                }
-            }
-        }
-        let reason =
-            if self.halted { StopReason::Halted } else { StopReason::BudgetExhausted };
-        Ok((trace, reason))
+        let mut tracer = Tracer::default();
+        let stop = self.drive(self.result.retired.saturating_add(n), &mut tracer)?;
+        Ok((tracer.trace, stop))
     }
 
     /// Runs at most `n` further instructions, reporting whether the
@@ -391,13 +632,7 @@ impl Emulator {
     ///
     /// Propagates [`Emulator::step`] errors (bad PC, unaligned access).
     pub fn run_insns(&mut self, n: u64) -> Result<StopReason, EmuError> {
-        let target = self.result.retired.saturating_add(n);
-        while self.result.retired < target {
-            if let StepOutcome::Halted = self.step()? {
-                return Ok(StopReason::Halted);
-            }
-        }
-        Ok(if self.halted { StopReason::Halted } else { StopReason::BudgetExhausted })
+        self.drive(self.result.retired.saturating_add(n), &mut ())
     }
 
     /// Captures the complete architectural state as a [`Checkpoint`].
@@ -455,69 +690,39 @@ impl Emulator {
     ) -> Result<IntervalProfile, EmuError> {
         assert!(interval_insns > 0, "interval length must be nonzero");
         let mut profile = IntervalProfile { interval_insns, ..IntervalProfile::default() };
-        let mut writers = LastWriter::default();
-        let mut store_count: u32 = 0;
-        let mut bb: IntMap<Pc, u32> = IntMap::default();
-        // Locality counters: every line ever touched, stamped with the
-        // index of the last interval that touched it. A missing line is
-        // new to the run; a stale stamp is new to this interval.
-        let mut line_stamps: IntMap<u32, u64> = IntMap::default();
-        let mut cur = IntervalFeatures::default();
-        // The interval's entry PC is a block leader.
-        *bb.entry(self.pc).or_insert(0) += 1;
-        let flush = |bb: &mut IntMap<Pc, u32>,
-                     cur: &mut IntervalFeatures,
-                     out: &mut Vec<IntervalFeatures>| {
-            let mut counts: Vec<(Pc, u32)> = bb.drain().collect();
-            counts.sort_unstable_by_key(|&(pc, _)| pc);
-            cur.bb_counts = counts;
-            out.push(std::mem::take(cur));
+        let mut p = Profiler {
+            cur: IntervalFeatures::default(),
+            leaders: LeaderCounts::new(self.program.len()),
+            writers: LastWriter::default(),
+            store_count: 0,
+            stamps: LineTable::default(),
+            stamp: 1,
         };
-        for _ in 0..max_steps {
+        let limit = self.result.retired.saturating_add(max_steps);
+        loop {
+            // Each interval's entry PC is a block leader.
+            if p.cur.insns == 0 {
+                p.leaders.enter(self.pc);
+            }
+            if self.result.retired == limit {
+                return Err(EmuError::StepLimit { limit: max_steps });
+            }
             let before = self.result.retired;
-            match self.step()? {
-                StepOutcome::Halted => {
-                    cur.insns += self.result.retired - before;
-                    if cur.insns > 0 {
-                        flush(&mut bb, &mut cur, &mut profile.intervals);
-                    }
+            let end = limit.min(before.saturating_add(interval_insns - p.cur.insns));
+            let stop = self.drive(end, &mut p)?;
+            p.cur.insns += self.result.retired - before;
+            if stop == StopReason::Halted || p.cur.insns == interval_insns {
+                if p.cur.insns > 0 {
+                    p.cur.bb_counts = p.leaders.take();
+                    profile.intervals.push(std::mem::take(&mut p.cur));
+                    p.stamp += 1;
+                }
+                if stop == StopReason::Halted {
                     profile.result = self.result;
                     return Ok(profile);
                 }
-                StepOutcome::Retired(ev) => {
-                    cur.insns += 1;
-                    if let Some(mem) = ev.mem {
-                        let width = ev.insn.mem_width().expect("mem event without width");
-                        if mem.is_store {
-                            store_count += 1;
-                            writers.record(mem.addr, width.bytes(), store_count);
-                        } else {
-                            let ssn = writers.youngest(mem.addr, width.bytes());
-                            cur.dep_buckets[dep_bucket(ssn, store_count)] += 1;
-                        }
-                        let line = mem.addr / crate::checkpoint::LOC_LINE_BYTES;
-                        let stamp = profile.intervals.len() as u64;
-                        let last = line_stamps.insert(line, stamp);
-                        if last.is_none() {
-                            cur.new_lines += 1;
-                        }
-                        if last != Some(stamp) {
-                            cur.touched_lines += 1;
-                        }
-                    }
-                    if ev.next_pc != ev.pc + 1 {
-                        // A taken control transfer: the target starts a
-                        // new basic-block occurrence.
-                        *bb.entry(ev.next_pc).or_insert(0) += 1;
-                    }
-                    if cur.insns == interval_insns {
-                        flush(&mut bb, &mut cur, &mut profile.intervals);
-                        *bb.entry(self.pc).or_insert(0) += 1;
-                    }
-                }
             }
         }
-        Err(EmuError::StepLimit { limit: max_steps })
     }
 
     /// Re-runs the program from the current state, capturing an
@@ -550,40 +755,27 @@ impl Emulator {
         // carries the `warm_cap` most recently touched lines, LRU→MRU)
         // and the trailing window of conditional-branch outcomes (the
         // last `warm_cap` of them, oldest first).
-        let mut recency: IntMap<u32, u64> = IntMap::default();
-        let mut seq: u64 = 0;
-        let mut branches: VecDeque<(Pc, Pc)> = VecDeque::with_capacity(warm_cap);
+        let mut c = Capture {
+            recency: LineTable::default(),
+            accesses: 0,
+            branches: VecDeque::with_capacity(warm_cap),
+            cap: warm_cap,
+        };
         for &target in boundaries {
             assert!(
                 target >= self.result.retired,
                 "boundary {target} behind the {} instructions already retired",
                 self.result.retired
             );
-            while self.result.retired < target {
-                match self.step()? {
-                    StepOutcome::Halted => break,
-                    StepOutcome::Retired(ev) => {
-                        if let Some(mem) = ev.mem {
-                            seq += 1;
-                            recency.insert(mem.addr / crate::checkpoint::LOC_LINE_BYTES, seq);
-                        }
-                        if matches!(ev.insn.op, Op::Branch(_)) {
-                            if branches.len() == warm_cap {
-                                branches.pop_front();
-                            }
-                            branches.push_back((ev.pc, ev.next_pc));
-                        }
-                    }
-                }
-            }
+            self.drive(target, &mut c)?;
             let mut ckpt = self.checkpoint();
-            let mut lines: Vec<(u64, u32)> = recency.iter().map(|(&l, &s)| (s, l)).collect();
+            let mut lines: Vec<(u64, u32)> = c.recency.iter().collect();
             lines.sort_unstable();
             if lines.len() > warm_cap {
                 lines.drain(..lines.len() - warm_cap);
             }
             ckpt.warm_lines = lines.into_iter().map(|(_, l)| l).collect();
-            ckpt.warm_branches = branches.iter().copied().collect();
+            ckpt.warm_branches = c.branches.iter().copied().collect();
             ckpts.push(ckpt);
         }
         Ok(ckpts)
@@ -809,6 +1001,48 @@ mod tests {
             trace.load_values,
             vec![0, 0x7F, 0x7F, 0x7F00, 0x7F00_007F, 0x7F, 0, 0x007F_007F, 0]
         );
+    }
+
+    #[test]
+    fn last_writer_matches_a_byte_model_at_page_edges() {
+        let mut prng = dmdp_prng::Prng::new(0x1A57_3217);
+        let mut writers = LastWriter::default();
+        let mut model: std::collections::BTreeMap<Addr, u32> = Default::default();
+        // Page boundaries to straddle, including both ends of the
+        // address space and the first page of the second directory
+        // table.
+        let edges: [Addr; 6] = [0, 0x1000, 0x2000, 0x0001_0000, 0x0040_0000, 0xFFFF_F000];
+        let widths = [MemWidth::Byte, MemWidth::Half, MemWidth::Word];
+        let mut ssn = 0;
+        for step in 0..20_000 {
+            let width = widths[prng.index(3)];
+            let offset = prng.range_i32(-8, 7);
+            let addr =
+                edges[prng.index(edges.len())].wrapping_add(offset as u32) & !(width.bytes() - 1);
+            if prng.flip() {
+                ssn += 1;
+                writers.record(addr, width, ssn);
+                for i in 0..width.bytes() {
+                    model.insert(addr + i, ssn);
+                }
+            } else {
+                let want = (0..width.bytes())
+                    .map(|i| model.get(&(addr + i)).copied().unwrap_or(0))
+                    .max()
+                    .unwrap();
+                assert_eq!(
+                    writers.youngest(addr, width),
+                    want,
+                    "step {step}: {width} at {addr:#x}"
+                );
+            }
+        }
+        // Exactly the written pages are resident.
+        let mut written: Vec<u32> = model.keys().map(|a| a >> PAGE_SHIFT).collect();
+        written.dedup();
+        let resident: Vec<u32> = writers.pages.iter().map(|(i, _)| i).collect();
+        assert_eq!(resident, written);
+        assert_eq!(writers.pages.len(), written.len());
     }
 
     #[test]

@@ -50,8 +50,8 @@ pub mod checkpoint;
 mod emu;
 pub mod encode;
 mod insn;
-mod inthash;
 mod op;
+mod pagedir;
 mod program;
 mod reg;
 mod sparse;

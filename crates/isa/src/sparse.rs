@@ -1,8 +1,9 @@
-use crate::inthash::IntMap;
 use crate::op::MemWidth;
+use crate::pagedir::PageDir;
 use crate::{Addr, Word};
 
-const PAGE_SHIFT: u32 = 12;
+/// Bits of a byte address below its page index.
+pub(crate) const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: u32 = (PAGE_SIZE as u32) - 1;
 
@@ -16,7 +17,8 @@ pub const PAGE_BYTES: usize = PAGE_SIZE;
 /// This is the *architectural* storage used by the functional emulator and
 /// as the backing store behind the timed cache hierarchy; it has no timing
 /// of its own. A naturally aligned access never crosses a page, so every
-/// [`SparseMem::read`] and [`SparseMem::write`] costs one page lookup.
+/// [`SparseMem::read`] and [`SparseMem::write`] costs one page lookup in
+/// a two-level page directory.
 ///
 /// # Example
 ///
@@ -30,25 +32,23 @@ pub const PAGE_BYTES: usize = PAGE_SIZE;
 /// ```
 #[derive(Clone, Default)]
 pub struct SparseMem {
-    pages: IntMap<u32, Box<[u8; PAGE_SIZE]>>,
+    pages: PageDir<[u8; PAGE_SIZE]>,
 }
 
 impl SparseMem {
     /// Creates an empty (all-zero) memory.
     pub fn new() -> SparseMem {
-        SparseMem { pages: IntMap::default() }
+        SparseMem::default()
     }
 
     #[inline]
     fn page(&self, addr: Addr) -> Option<&[u8; PAGE_SIZE]> {
-        self.pages.get(&(addr >> PAGE_SHIFT)).map(|b| &**b)
+        self.pages.get(addr >> PAGE_SHIFT)
     }
 
     #[inline]
     fn page_mut(&mut self, addr: Addr) -> &mut [u8; PAGE_SIZE] {
-        self.pages
-            .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
+        self.pages.get_or_insert_with(addr >> PAGE_SHIFT, || Box::new([0u8; PAGE_SIZE]))
     }
 
     /// Reads one byte.
@@ -159,16 +159,18 @@ impl SparseMem {
     /// sorted by index — the canonical order used by architectural
     /// checkpoints so that equal memory states serialize identically.
     pub fn pages_sorted(&self) -> Vec<(u32, Box<[u8; PAGE_SIZE]>)> {
-        let mut pages: Vec<(u32, Box<[u8; PAGE_SIZE]>)> =
-            self.pages.iter().map(|(&i, p)| (i, p.clone())).collect();
-        pages.sort_unstable_by_key(|&(i, _)| i);
-        pages
+        self.pages.iter().map(|(i, p)| (i, Box::new(*p))).collect()
     }
 
     /// Installs a full page at the given page index, replacing whatever
     /// was resident there (checkpoint restore).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below 2^20, the page count of the
+    /// 32-bit address space.
     pub fn install_page(&mut self, index: u32, bytes: &[u8; PAGE_SIZE]) {
-        self.pages.insert(index, Box::new(*bytes));
+        *self.pages.get_or_insert_with(index, || Box::new([0u8; PAGE_SIZE])) = *bytes;
     }
 }
 

@@ -35,8 +35,10 @@ use dmdp_workloads::Scale;
 
 /// Bumped when the wire format changes incompatibly. The daemon answers
 /// `ping` with its version so clients can refuse to talk across a gap.
-/// 2 = sharded-service worker dialect.
-pub const PROTOCOL_VERSION: u64 = 2;
+/// 2 = sharded-service worker dialect; 3 = no `stats` request and no
+/// `started` job event (`metrics` is the one status reply, and a watched
+/// submit streams only `finished` events).
+pub const PROTOCOL_VERSION: u64 = 3;
 
 /// A line longer than this is a protocol violation, not a message —
 /// the largest legitimate document (a full-campaign artifact) is well

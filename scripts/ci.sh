@@ -154,6 +154,33 @@ cargo run --release -q -p dmdp-bench --bin dmdp -- \
     ' >/dev/null \
     || { echo "ci: FAIL: sampled-vs-full IPC error exceeds 2% (or malformed table)"; exit 1; }
 
+# Sampled rows at the benchmark's scale: the pinned bundle bytes cover
+# Test scale at 1000-instruction intervals only. At Huge scale and the
+# default knobs, each sampled row of three kernels must cover exactly
+# the instructions of its full-detail Huge row in the reference (read
+# here, never written), with an IPC error within the reference's worst
+# sampled error.
+samp_huge=bench-results/ci-sampled-huge.json
+rm -f "$samp_huge"
+cargo run --release -q -p dmdp-bench --bin dmdp -- \
+    campaign --name ci-sampled-huge --sampled --scale huge --model all \
+    --kernel bzip2 --kernel h264ref --kernel lbm \
+    --jobs "$(nproc)" --force --quiet --out "$samp_huge"
+sampled_huge_errors() {
+    jq --slurpfile ref perfbench/reference.json '
+        ($ref[0].huge | map({key: "\(.[1])/\(.[2])", value: {insns: .[4], ipc: .[5]}})
+         | from_entries) as $want
+        | [.jobs[] | $want["\(.workload)/\(.model)"] as $w
+           | if $w == null or (.sampled | not) or .retired_insns != $w.insns then null
+             else ((.ipc - $w.ipc) / $w.ipc * 100 | fabs) end]' "$samp_huge"
+}
+bound=$(jq '.sampled_ipc_err_max_pct' perfbench/reference.json)
+sampled_huge_errors | jq -e --argjson bound "$bound" \
+    'length == 12 and all(. != null and . <= $bound)' >/dev/null \
+    || { echo "ci: FAIL: sampled Huge rows miss their reference instruction counts" \
+              "or exceed the ${bound}% IPC error bound"; exit 1; }
+echo "ci: sampled Huge rows: worst |IPC err| $(sampled_huge_errors | jq 'max')% (bound ${bound}%)"
+
 # The bundle phase builds one bundle per workload, on `--jobs` threads.
 # A multi-kernel sampled campaign at --jobs 1 (serial) and --jobs 2
 # (bundles built side by side) must produce identical rows.
